@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import InternalInvariantError
 from .extvals import BoolSeq, EvAffineSeq, ExtIndex, ExtNat, UNDEF_INDEX
 from .model import OperatorExpr, Point, StructuralProfile
 from .structure import ExprAnalysis, StructuralSummary, analyze_expr
@@ -97,7 +98,7 @@ def classify(e: OperatorExpr, lam: Point, power: int = 1) -> ClassificationRecor
     rec = _record_from_analysis(an)
     problems = check_lattice(rec)
     if problems:
-        raise RuntimeError(
+        raise InternalInvariantError(
             "classification lattice violated: " + "; ".join(problems)
         )
     return rec

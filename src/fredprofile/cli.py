@@ -6,7 +6,8 @@ document), verify (randomized property suites).
 
 Exit codes: 0 success, 1 usage error, 2 document parse error,
 3 unsupported point, 4 drazin on a non-matrix document, 5 verify found a
-property violation.
+property violation, 6 internal invariant violated (a bug in this package),
+7 output file could not be written.
 """
 from __future__ import annotations
 
@@ -20,7 +21,12 @@ from .docio import (
     parse_document,
     parse_rational,
 )
-from .errors import DocumentError, UnsupportedPoint
+from .errors import (
+    DocumentError,
+    InternalInvariantError,
+    OutputError,
+    UnsupportedPoint,
+)
 from .model import Point
 from .spectra import GridSpec, SPECTRUM_NAMES, scan, scan_to_csv, scan_to_json
 from .structure import drazin_inverse
@@ -113,8 +119,11 @@ def _emit(text: str, outfile: str | None):
     if outfile is None:
         sys.stdout.write(text)
     else:
-        with open(outfile, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(outfile, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise OutputError(f"cannot write {outfile}: {exc}") from None
 
 
 def _cmd_analyze(parser: _Parser, args) -> int:
@@ -176,6 +185,12 @@ def main(argv=None) -> int:
     except UnsupportedPoint as exc:
         print(f"unsupported point: {exc}", file=sys.stderr)
         return 3
+    except InternalInvariantError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 6
+    except OutputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 7
 
 
 def entry():

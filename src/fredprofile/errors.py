@@ -35,3 +35,12 @@ class UnsupportedPoint(FredprofileError):
 
 class DocumentError(FredprofileError):
     """An operator document failed to parse or validate."""
+
+
+class OutputError(FredprofileError):
+    """An output file could not be written."""
+
+
+class InternalInvariantError(FredprofileError):
+    """A result broke an identity the theory guarantees: a bug in this
+    package, never a property of the input."""

@@ -20,7 +20,8 @@ class ExtNat:
     value: int | None
 
     def __post_init__(self):
-        if self.value is not None and (not isinstance(self.value, int) or self.value < 0):
+        # exact type: bool is an int subclass but never a dimension
+        if self.value is not None and (type(self.value) is not int or self.value < 0):
             raise ValueError(f"not a natural: {self.value!r}")
 
     @property

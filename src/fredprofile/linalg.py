@@ -7,6 +7,8 @@ same subspace yield identical objects and equality is plain ==.
 """
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -142,6 +144,53 @@ class ExactMatrix:
 
     def is_zero(self) -> bool:
         return all(not e for e in self.entries)
+
+    @functools.cached_property
+    def char_poly(self) -> tuple[Fraction, ...]:
+        """Coefficients c_0, ..., c_d of det(xI - self), constant term first.
+
+        Berkowitz's division-free recurrence (Berkowitz, IPL 18, 1984) runs
+        on the integer matrix A = D*self, D the common denominator of the
+        entries: bordering the leading k x k block A_k by a column c, a row
+        r and a corner a gives det(xI - A_{k+1}) = (x - a) det(xI - A_k)
+        - r adj(xI - A_k) c, and adj(xI - A_k) expands in powers of A_k
+        with the coefficients of det(xI - A_k). Then c_m = e_m / D^(d-m)
+        for the coefficients e_m of det(xI - A). Computed once per matrix.
+        """
+        if self.rows != self.cols:
+            raise ValueError("char_poly needs a square matrix")
+        n = self.rows
+        den = math.lcm(*(e.denominator for e in self.entries))
+        a = [
+            [e.numerator * (den // e.denominator) for e in self.row(i)]
+            for i in range(n)
+        ]
+        p = [1]  # det(xI - A_k), constant term first
+        for k in range(n):
+            r = a[k][:k]
+            v = [a[i][k] for i in range(k)]
+            w = []  # w[t] = r A_k^t c
+            for _ in range(k):
+                w.append(sum(x * y for x, y in zip(r, v)))
+                v = [sum(x * y for x, y in zip(a[i][:k], v)) for i in range(k)]
+            nxt = [0] + p
+            for m, e in enumerate(p):
+                nxt[m] -= a[k][k] * e
+            for j in range(k):
+                nxt[j] -= sum(p[m] * w[m - j - 1] for m in range(j + 1, k + 1))
+            p = nxt
+        return tuple(Fraction(e, den ** (n - m)) for m, e in enumerate(p))
+
+    def is_eigenvalue(self, re, im=0) -> bool:
+        """True when re + i*im is a root of char_poly, i.e. self minus that
+        scalar is singular over the complex numbers. Horner's rule in exact
+        Gaussian rationals, so the zero test is exact."""
+        re, im = _frac(re), _frac(im)
+        coeffs = self.char_poly
+        x, y = coeffs[-1], _ZERO
+        for c in reversed(coeffs[:-1]):
+            x, y = x * re - y * im + c, x * im + y * re
+        return not x and not y
 
 
 def rref(m: ExactMatrix) -> tuple[ExactMatrix, tuple[int, ...], int]:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import AmbientMismatch
+from .errors import AmbientMismatch, InternalInvariantError
 from .extvals import (
     ALWAYS_CLOSED,
     BoolSeq,
@@ -215,7 +215,10 @@ def matrix_chain_data(s: ExactMatrix) -> MatrixChainData:
 
 
 def _scaled(v: int, scale: int) -> ExtNat:
-    assert v % scale == 0, "realified dimension must be even"
+    if v % scale:
+        raise InternalInvariantError(
+            f"realified dimension {v} is not a multiple of {scale}"
+        )
     return ExtNat(v // scale)
 
 
@@ -345,6 +348,8 @@ def atom_profile(atom: Atom, lam: Point) -> StructuralProfile:
     """Structural profile of (atom - lam)."""
     re, im = lam
     if atom.kind == "matrix":
+        if not atom.matrix.is_eigenvalue(re, im):
+            return _invertible_profile()
         s, scale = realified(atom.matrix, re, im)
         return matrix_profile(matrix_chain_data(s), scale)
     return _shift_profile(atom.kind, re, im)

@@ -9,6 +9,12 @@ codimension of the assembled semi-regular part; p and q are the
 stabilization points of that part's kernel and range chains (0 or infinity,
 since a semi-regular operator has exactly linear chains); dis is the
 stabilization point of the full meet chain.
+
+Matrix atoms are eigenvalue-first. When lam is not a root of the atom's
+characteristic polynomial (computed once per matrix), the shifted block is
+invertible: the atom has the invertible profile and the whole block is its
+semi-regular part. The exact Fitting split runs only at eigenvalues, at
+most d points for a d x d atom.
 """
 from __future__ import annotations
 
@@ -35,6 +41,7 @@ from .model import (
     Point,
     StructuralProfile,
     ZERO_DIM_PROFILE,
+    _invertible_profile,
     direct_sum_profile,
     matrix_chain_data,
     matrix_profile,
@@ -138,6 +145,25 @@ class AtomAnalysis:
 
 
 def _analyze_matrix_atom(atom: Atom, lam: Point) -> AtomAnalysis:
+    if atom.matrix.is_eigenvalue(*lam):
+        return fitting_atom_analysis(atom, lam)
+    s, _ = realified(atom.matrix, lam[0], lam[1])
+    prof = _invertible_profile()
+    return AtomAnalysis(
+        atom,
+        prof,
+        prof,
+        None,
+        Atom("matrix", s),
+        None,
+        SubspaceBasis.full(s.rows),
+        SubspaceBasis.zero(s.rows),
+    )
+
+
+def fitting_atom_analysis(atom: Atom, lam: Point) -> AtomAnalysis:
+    """The exact Fitting split of a matrix atom's shifted block at any
+    point; analyze_atom uses it only at eigenvalues."""
     s, scale = realified(atom.matrix, lam[0], lam[1])
     data = matrix_chain_data(s)
     prof = matrix_profile(data, scale)

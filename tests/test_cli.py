@@ -1,9 +1,11 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import fredprofile
 from fredprofile.cli import main
 from fredprofile.docio import AnalysisReport
 from fredprofile.errors import UnsupportedPoint
@@ -43,6 +45,27 @@ def test_analyze_to_file(shift_doc, tmp_path):
     rep = AnalysisReport.from_json(out.read_text())
     assert rep.name == "shift"
     assert rep.summary["index"] == "-1"
+
+
+def test_out_to_missing_directory_is_exit_7(shift_doc, tmp_path, capsys):
+    missing = tmp_path / "no_such_dir" / "report.json"
+    assert main(["analyze", "--in", shift_doc, "--out", str(missing)]) == 7
+    err = capsys.readouterr().err
+    assert "cannot write" in err and "Traceback" not in err
+    code = main(
+        ["spectrum", "--in", shift_doc, "--grid=-1,1,0,0,3,1", "--out", str(missing)]
+    )
+    assert code == 7
+    assert not missing.parent.exists()
+
+
+def test_lattice_violation_is_exit_6(shift_doc, monkeypatch, capsys):
+    # the package re-exports classify(), which shadows the module name
+    classify_module = sys.modules["fredprofile.classify"]
+    monkeypatch.setattr(classify_module, "check_lattice", lambda rec: ["injected"])
+    assert main(["analyze", "--in", shift_doc]) == 6
+    err = capsys.readouterr().err
+    assert "internal error" in err and "injected" in err
 
 
 def test_analyze_to_stdout(j3_doc, capsys):
@@ -211,3 +234,47 @@ def test_module_entry_point(shift_doc):
     assert proc.returncode == 0
     rep = AnalysisReport.from_json(proc.stdout)
     assert rep.summary["index"] == "-1"
+
+
+SHIFT_ROT_DOC = json.dumps(
+    {
+        "name": "shift_plus_rotation",
+        "atoms": [
+            {"type": "right_shift"},
+            {
+                "type": "matrix",
+                "entries": [["0", "-1", "0"], ["1", "0", "0"], ["0", "0", "1/2"]],
+            },
+        ],
+    }
+)
+
+
+def _run_module(flags, args):
+    src = os.path.dirname(os.path.dirname(fredprofile.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run(
+        [sys.executable, *flags, "-m", "fredprofile", *args],
+        capture_output=True,
+        env=env,
+    )
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["spectrum", "--grid=-1,1,-1,1,5,5", "--format", "json"],
+        ["analyze", "--lambda", "0,1"],
+    ],
+    ids=["spectrum", "analyze"],
+)
+def test_optimized_run_is_byte_identical(tmp_path, args):
+    # no result may depend on an assert that python -O strips
+    doc = tmp_path / "op.json"
+    doc.write_text(SHIFT_ROT_DOC)
+    argv = [*args, "--in", str(doc)]
+    plain = _run_module([], argv)
+    optimized = _run_module(["-O"], argv)
+    assert plain.returncode == 0 and optimized.returncode == 0
+    assert plain.stdout and optimized.stdout == plain.stdout

@@ -1,0 +1,185 @@
+"""Eigenvalue-first matrix atoms: the characteristic polynomial, the exact
+eigenvalue test, and differential checks of the shortcut it enables
+against the exact Fitting split."""
+from fractions import Fraction as F
+from random import Random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fredprofile import structure
+from fredprofile.classify import classify
+from fredprofile.errors import InternalInvariantError
+from fredprofile.linalg import ExactMatrix, inverse, rank
+from fredprofile.model import (
+    Atom,
+    OperatorExpr,
+    RIGHT_SHIFT,
+    _invertible_profile,
+    _scaled,
+    atom_profile,
+    matrix_chain_data,
+    matrix_profile,
+    realified,
+)
+from fredprofile.spectra import GridSpec, scan, scan_to_csv
+from fredprofile.structure import analyze_atom, fitting_atom_analysis
+
+COORDS = (F(-2), F(-1), F(-1, 2), F(0), F(1, 2), F(1), F(2))
+
+
+def mat(rows):
+    return ExactMatrix.from_rows([[F(x) for x in r] for r in rows])
+
+
+@st.composite
+def matrix_and_point(draw, max_dim=6):
+    """A rational d x d matrix (d <= max_dim) and a point, real or complex.
+
+    Half the draws plant the point as an eigenvalue: the matrix is P T P^-1
+    with P unimodular and T block upper triangular, its first diagonal
+    block the point (real) or [[re, -im], [im, re]] (complex)."""
+    d = draw(st.integers(1, max_dim))
+    re = draw(st.sampled_from(COORDS))
+    im = draw(st.sampled_from(COORDS)) if draw(st.booleans()) else F(0)
+    ints = st.integers(-2, 2)
+    rows = [[F(draw(ints)) for _ in range(d)] for _ in range(d)]
+    if not draw(st.booleans()):
+        return ExactMatrix.from_rows(rows), (re, im)
+    if d == 1:
+        im = F(0)
+    for i in range(d):
+        for j in range(i):
+            rows[i][j] = F(0)
+    if im:
+        rows[0][0], rows[0][1], rows[1][0], rows[1][1] = re, -im, im, re
+    else:
+        rows[0][0] = re
+    unit = st.integers(-1, 1)
+    lower = [[draw(unit) if j < i else int(i == j) for j in range(d)] for i in range(d)]
+    upper = [[draw(unit) if j > i else int(i == j) for j in range(d)] for i in range(d)]
+    p = mat(lower) @ mat(upper)
+    return p @ ExactMatrix.from_rows(rows) @ inverse(p), (re, im)
+
+
+def _slow_everywhere(mp):
+    """Force the exact Fitting path at every point."""
+    mp.setattr(ExactMatrix, "is_eigenvalue", lambda self, re, im=0: True)
+
+
+def test_char_poly_known():
+    assert mat([[0, -1], [1, 0]]).char_poly == (1, 0, 1)
+    assert mat([[2, 0], [0, 3]]).char_poly == (6, -5, 1)
+    assert mat([[0, 1, 0], [0, 0, 1], [0, 0, 0]]).char_poly == (0, 0, 0, 1)
+    assert mat([["1/2", 1], ["1/3", 0]]).char_poly == (F(-1, 3), F(-1, 2), 1)
+    # det(xI - M) at x = 0 is (-1)^d det(M)
+    assert mat([[1, 2, 3], [0, 1, 4], [5, 6, 0]]).char_poly[0] == -1
+
+
+def test_char_poly_computed_once():
+    m = mat([[1, 2], [3, 4]])
+    assert m.char_poly is m.char_poly
+
+
+def test_is_eigenvalue_known():
+    rot = mat([[0, -1], [1, 0]])
+    assert rot.is_eigenvalue(0, 1) and rot.is_eigenvalue(0, -1)
+    assert not rot.is_eigenvalue(0) and not rot.is_eigenvalue(1)
+    d = mat([[F(1, 2), 0], [0, -3]])
+    assert d.is_eigenvalue(F(1, 2)) and d.is_eigenvalue(-3)
+    assert not d.is_eigenvalue(F(1, 2), F(1, 2))
+
+
+def test_char_poly_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = Random(7)
+    for _ in range(60):
+        d = rng.randint(1, 7)
+        rows = [
+            [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(d)] for _ in range(d)
+        ]
+        expected = sympy.Matrix(
+            [[sympy.Rational(e.numerator, e.denominator) for e in r] for r in rows]
+        ).charpoly(x).all_coeffs()[::-1]
+        got = ExactMatrix.from_rows(rows).char_poly
+        assert [sympy.Rational(c.numerator, c.denominator) for c in got] == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrix_and_point())
+def test_is_eigenvalue_matches_realified_rank(mp):
+    m, (re, im) = mp
+    s, _ = realified(m, re, im)
+    assert m.is_eigenvalue(re, im) == (rank(s) < s.rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrix_and_point())
+def test_fast_atom_analysis_equals_fitting_split(mp):
+    m, lam = mp
+    atom = Atom("matrix", m)
+    slow = fitting_atom_analysis(atom, lam)
+    assert analyze_atom(atom, lam) == slow
+    assert atom_profile(atom, lam) == slow.profile
+    if not m.is_eigenvalue(*lam):
+        assert slow.profile == _invertible_profile()
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrix_and_point(), st.booleans())
+def test_classify_same_on_either_path(mp, with_shift):
+    m, lam = mp
+    atoms = (RIGHT_SHIFT, Atom("matrix", m)) if with_shift else (Atom("matrix", m),)
+    e = OperatorExpr(atoms)
+    fast = classify(e, lam)
+    with pytest.MonkeyPatch.context() as patch:
+        _slow_everywhere(patch)
+        slow = classify(OperatorExpr(atoms), lam)
+    assert fast == slow
+
+
+@settings(max_examples=25, deadline=None)
+@given(matrix_and_point())
+def test_scan_csv_same_on_either_path(mp):
+    m, _ = mp
+    # unit-step grid: holds 0, +-1, +-i, +-1+-i, where planted eigenvalues sit
+    grid = GridSpec(F(-1), F(1), F(-1), F(1), 3, 3)
+    fast = scan(OperatorExpr.of(RIGHT_SHIFT, Atom("matrix", m)), grid)
+    with pytest.MonkeyPatch.context() as patch:
+        _slow_everywhere(patch)
+        slow = scan(OperatorExpr.of(RIGHT_SHIFT, Atom("matrix", m)), grid)
+    assert fast.records == slow.records
+    assert scan_to_csv(fast) == scan_to_csv(slow)
+
+
+def test_only_eigenvalue_grid_points_take_the_fitting_path(monkeypatch):
+    # I + J3 has the single eigenvalue 1: one point of the unit-step grid
+    # on [-1,1]^2 runs the exact split, the other eight are shortcut
+    m = mat([[1, 1, 0], [0, 1, 1], [0, 0, 1]])
+    seen = []
+
+    def counting(atom, lam):
+        seen.append(lam)
+        return fitting_atom_analysis(atom, lam)
+
+    monkeypatch.setattr(structure, "fitting_atom_analysis", counting)
+    grid = GridSpec(F(-1), F(1), F(-1), F(1), 3, 3)
+    s = scan(OperatorExpr.of(RIGHT_SHIFT, Atom("matrix", m)), grid)
+    assert seen == [(F(1), F(0))]
+    at_one = s.records[s.points.index((F(1), F(0)))]
+    assert not at_one.invertible and at_one.nilpotent is False
+
+
+def test_scaled_odd_realified_dimension_is_internal_error():
+    assert _scaled(4, 2).value == 2
+    with pytest.raises(InternalInvariantError):
+        _scaled(3, 2)
+
+
+def test_matrix_profile_scaled_check_survives_any_optimization_level():
+    # the check is a raise, not an assert, so python -O keeps it
+    data = matrix_chain_data(mat([[0, 1, 0], [0, 0, 0], [0, 0, 1]]))
+    with pytest.raises(InternalInvariantError):
+        matrix_profile(data, 2)

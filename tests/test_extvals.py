@@ -33,6 +33,13 @@ def test_extnat_ordering_and_arithmetic():
         ExtNat(-1)
 
 
+@pytest.mark.parametrize("flag", [True, False])
+def test_extnat_rejects_bool(flag):
+    # bool is an int subclass; a flag passed where a dimension belongs is a bug
+    with pytest.raises(ValueError):
+        ExtNat(flag)
+
+
 def test_extnat_strings():
     assert ExtNat(4).to_str() == "4"
     assert INF.to_str() == "inf"
