@@ -94,7 +94,11 @@ def _exists_closed_pair_with_finite(closed: BoolSeq, chain: EvAffineSeq) -> bool
 
 
 def classify(e: OperatorExpr, lam: Point, power: int = 1) -> ClassificationRecord:
-    an = analyze_expr(e, lam, power)
+    return classify_analysis(analyze_expr(e, lam, power))
+
+
+def classify_analysis(an: ExprAnalysis) -> ClassificationRecord:
+    """The flags of an analysis, checked against the implication lattice."""
     rec = _record_from_analysis(an)
     problems = check_lattice(rec)
     if problems:

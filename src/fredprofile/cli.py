@@ -5,28 +5,17 @@ Commands: analyze (classify one operator document at one point), spectrum
 document), verify (randomized property suites).
 
 Exit codes: 0 success, 1 usage error, 2 document parse error,
-3 unsupported point, 4 drazin on a non-matrix document, 5 verify found a
-property violation, 6 internal invariant violated (a bug in this package),
-7 output file could not be written.
+4 drazin on a non-matrix document, 5 verify found a property violation,
+6 internal invariant violated (a bug in this package), 7 output file could
+not be written. Code 3 is not used.
 """
 from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
-from .docio import (
-    AnalysisReport,
-    build_report,
-    parse_document,
-    parse_rational,
-)
-from .errors import (
-    DocumentError,
-    InternalInvariantError,
-    OutputError,
-    UnsupportedPoint,
-)
+from .docio import build_report, parse_document, parse_rational
+from .errors import DocumentError, InternalInvariantError, OutputError
 from .model import Point
 from .spectra import GridSpec, SPECTRUM_NAMES, scan, scan_to_csv, scan_to_json
 from .structure import drazin_inverse
@@ -182,9 +171,6 @@ def main(argv=None) -> int:
     except DocumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except UnsupportedPoint as exc:
-        print(f"unsupported point: {exc}", file=sys.stderr)
-        return 3
     except InternalInvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 6

@@ -15,12 +15,12 @@ import re as _re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .classify import FLAG_NAMES, classify
+from .classify import FLAG_NAMES, classify_analysis
 from .errors import DocumentError
 from .extvals import BoolSeq, EvAffineSeq, ExtNat
 from .linalg import ExactMatrix, SubspaceBasis
-from .model import ATOM_KINDS, Atom, OperatorExpr, Point
-from .structure import analyze_expr, drazin_inverse, finiteness_quantities
+from .model import ATOM_KINDS, Atom, OperatorExpr, Point, realified
+from .structure import analyze_expr, split_drazin
 
 _RATIONAL_RE = _re.compile(r"-?\d+(/\d+)?\Z")
 
@@ -30,9 +30,10 @@ def parse_rational(value: object) -> Fraction:
     and zero denominators are rejected."""
     if not isinstance(value, str) or not _RATIONAL_RE.match(value):
         raise DocumentError(f"not a rational string: {value!r}")
-    if "/" in value and value.split("/")[1] == "0":
-        raise DocumentError(f"zero denominator: {value!r}")
-    return Fraction(value)
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise DocumentError(f"zero denominator: {value!r}") from None
 
 
 def rational_str(q: Fraction) -> str:
@@ -192,8 +193,8 @@ class AnalysisReport:
 
 def build_report(doc: OperatorDocument, lam: Point) -> AnalysisReport:
     e = doc.expr
-    rec = classify(e, lam)
     an = analyze_expr(e, lam)
+    rec = classify_analysis(an)
     s = an.summary
     shown = 2 * e.matrix_ambient() + 4
 
@@ -239,20 +240,20 @@ def build_report(doc: OperatorDocument, lam: Point) -> AnalysisReport:
             ],
         }
     matrix_atoms = []
-    for i, atom in enumerate(e.atoms):
+    for i, (atom, part) in enumerate(zip(e.atoms, an.parts)):
         if atom.kind != "matrix":
             continue
-        from .model import realified
-
         block, _scale = realified(atom.matrix, lam[0], lam[1])
-        meet, join = finiteness_quantities(block)
         matrix_atoms.append(
             {
                 "atom_index": i,
                 "shifted_block": _matrix_rows(block),
-                "drazin": _matrix_rows(drazin_inverse(block)),
-                "core_kernel_meet_dim": meet.to_str(),
-                "range_h0_join_codim": join.to_str(),
+                "drazin": _matrix_rows(split_drazin(part)),
+                # The block S is invertible on its Fitting core K, so
+                # K ∩ N(S) = 0, and R(S) contains S(K) = K, so R(S) + H0
+                # contains K + H0, the whole space.
+                "core_kernel_meet_dim": "0",
+                "range_h0_join_codim": "0",
             }
         )
     return AnalysisReport(

@@ -25,14 +25,6 @@ class NotPseudoFredholm(FredprofileError):
     """
 
 
-class UnsupportedPoint(FredprofileError):
-    """A requested evaluation point is outside an atom's closed-form table.
-
-    Unreachable with the current atom vocabulary, which admits every exact
-    rational pair; kept because the CLI contract reserves an exit code for it.
-    """
-
-
 class DocumentError(FredprofileError):
     """An operator document failed to parse or validate."""
 

@@ -15,8 +15,6 @@ from typing import Sequence
 
 from .errors import AmbientMismatch, NotContained, NotInvariant
 
-Rational = Fraction
-
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
@@ -344,13 +342,6 @@ class SubspaceBasis:
         if any(residue):
             return None
         return coords
-
-    def to_column_matrix(self) -> ExactMatrix:
-        return ExactMatrix(
-            self.ambient_dim,
-            self.dim,
-            tuple(v[i] for i in range(self.ambient_dim) for v in self.vectors),
-        )
 
 
 def kernel_basis(m: ExactMatrix) -> SubspaceBasis:

@@ -12,8 +12,9 @@ records, as symbolic chains over the power n:
 
 together with range closedness per power, quasi-nilpotence, nilpotency
 degree, and whether the point admits a generalized Kato decomposition.
-Matrix chains are computed by exact linear algebra; shift chains come from
-closed-form tables whose justification is noted inline.
+Matrix chains all follow from the exact ranks of the powers (rank_profile);
+shift chains come from closed-form tables whose justification is noted
+inline.
 """
 from __future__ import annotations
 
@@ -32,15 +33,7 @@ from .extvals import (
     LINEAR_SEQ,
     ZERO_SEQ,
 )
-from .linalg import (
-    ExactMatrix,
-    SubspaceBasis,
-    image_basis,
-    kernel_basis,
-    rref,
-    subspace_intersection,
-    subspace_sum,
-)
+from .linalg import ExactMatrix, SubspaceBasis, image_basis, kernel_basis, rref
 
 ATOM_KINDS = ("matrix", "right_shift", "left_shift", "qnil_shift", "qnil_shift_dual")
 
@@ -189,15 +182,29 @@ class MatrixChainData:
 
     powers[n] = S^n and ranks[n] = rank(S^n) for n = 0..nu+1, where nu is
     the least n with rank(S^n) = rank(S^(n+1)); for a square matrix the
-    kernel and image chains both freeze exactly at nu.
+    kernel and image chains both freeze exactly at nu. The profile needs
+    only the ranks and the Fitting split only the kernel and image of S^nu,
+    so the per-power kernels and images are built on access, for oracles.
     """
 
     matrix: ExactMatrix
     powers: tuple[ExactMatrix, ...]
     ranks: tuple[int, ...]
     nu: int
-    kernels: tuple[SubspaceBasis, ...]
-    images: tuple[SubspaceBasis, ...]
+
+    @property
+    def kernels(self) -> tuple[SubspaceBasis, ...]:
+        return tuple(kernel_basis(p) for p in self.powers)
+
+    @property
+    def images(self) -> tuple[SubspaceBasis, ...]:
+        return tuple(image_basis(p) for p in self.powers)
+
+    def fitting_split(self) -> tuple[SubspaceBasis, SubspaceBasis]:
+        """(K, H0) = (R(S^nu), N(S^nu)): the space is their direct sum, S
+        is invertible on the core K and nilpotent of degree nu on H0."""
+        top = self.powers[self.nu]
+        return image_basis(top), kernel_basis(top)
 
 
 def matrix_chain_data(s: ExactMatrix) -> MatrixChainData:
@@ -208,10 +215,7 @@ def matrix_chain_data(s: ExactMatrix) -> MatrixChainData:
     while ranks[-1] != ranks[-2]:
         powers.append(powers[-1] @ s)
         ranks.append(rref(powers[-1])[2])
-    nu = len(ranks) - 2
-    kernels = tuple(kernel_basis(p) for p in powers)
-    images = tuple(image_basis(p) for p in powers)
-    return MatrixChainData(s, tuple(powers), tuple(ranks), nu, kernels, images)
+    return MatrixChainData(s, tuple(powers), tuple(ranks), len(ranks) - 2)
 
 
 def _scaled(v: int, scale: int) -> ExtNat:
@@ -222,30 +226,35 @@ def _scaled(v: int, scale: int) -> ExtNat:
     return ExtNat(v // scale)
 
 
-def matrix_profile(data: MatrixChainData, scale: int = 1) -> StructuralProfile:
-    d = data.matrix.rows
-    nu = data.nu
-    a_vals = [_scaled(d - data.ranks[n], scale) for n in range(nu + 1)]
-    c_vals = [
-        _scaled(subspace_intersection(data.images[n], data.kernels[1]).dim, scale)
-        for n in range(nu + 1)
-    ]
-    b_vals = [
-        _scaled(d - subspace_sum(data.images[1], data.kernels[n]).dim, scale)
-        for n in range(nu + 1)
-    ]
+def rank_profile(d: int, ranks: Sequence[int], scale: int = 1) -> StructuralProfile:
+    """Profile of a d x d matrix S from ranks[n] = rank(S^n), n = 0..nu+1,
+    the last two equal.
+
+    a_n = d - rank(S^n), and r_n = a_n by rank-nullity. The meet and join
+    chains follow from the ranks, c_n = b_n = a_{n+1} - a_n: S^n maps
+    N(S^{n+1}) onto R(S^n) ∩ N(S) with kernel N(S^n), and S maps it onto
+    R(S) ∩ N(S^n) with kernel N(S), so by the dimension formula
+    codim(R(S) + N(S^n)) = a_1 - a_n + (a_{n+1} - a_1).
+    """
+    nu = len(ranks) - 2
+    a_vals = [_scaled(d - ranks[n], scale) for n in range(nu + 1)]
     a = EvAffineSeq.from_samples(a_vals, nu)
-    nilpotent = data.ranks[nu] == 0
+    c = _meet_from_kernel_chain(a)
+    nilpotent = ranks[nu] == 0
     return StructuralProfile(
         a=a,
-        r=a,  # rank-nullity: codim R(S^n) = dim N(S^n) for square S
-        c=EvAffineSeq.from_samples(c_vals, nu),
-        b=EvAffineSeq.from_samples(b_vals, nu),
+        r=a,
+        c=c,
+        b=c,
         range_closed=ALWAYS_CLOSED,
         is_quasinilpotent=nilpotent,
         nilpotency_degree=ExtNat(nu) if nilpotent else INF,
         is_pseudofredholm_point=True,
     )
+
+
+def matrix_profile(data: MatrixChainData, scale: int = 1) -> StructuralProfile:
+    return rank_profile(data.matrix.rows, data.ranks, scale)
 
 
 def _shift_profile(kind: str, re: Fraction, im: Fraction) -> StructuralProfile:

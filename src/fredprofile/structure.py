@@ -14,29 +14,27 @@ Matrix atoms are eigenvalue-first. When lam is not a root of the atom's
 characteristic polynomial (computed once per matrix), the shifted block is
 invertible: the atom has the invertible profile and the whole block is its
 semi-regular part. The exact Fitting split runs only at eigenvalues, at
-most d points for a d x d atom.
+most d points for a d x d atom, once per atom and point: the block
+profiles and the Drazin inverse are derived from it, not recomputed.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import NotPseudoFredholm
-from .extvals import EvAffineSeq, ExtIndex, ExtNat, INF, UNDEF_INDEX
+from .extvals import EvAffineSeq, ExtIndex, ExtNat, UNDEF_INDEX
 from .linalg import (
     ExactMatrix,
     SubspaceBasis,
     image_basis,
     inverse,
     kernel_basis,
-    rref,
     restrict,
     subspace_intersection,
     subspace_sum,
 )
 from .model import (
     Atom,
-    MatrixChainData,
     OperatorExpr,
     Point,
     StructuralProfile,
@@ -45,7 +43,9 @@ from .model import (
     direct_sum_profile,
     matrix_chain_data,
     matrix_profile,
+    point,
     power_profile,
+    rank_profile,
     realified,
 )
 
@@ -162,28 +162,26 @@ def _analyze_matrix_atom(atom: Atom, lam: Point) -> AtomAnalysis:
 
 
 def fitting_atom_analysis(atom: Atom, lam: Point) -> AtomAnalysis:
-    """The exact Fitting split of a matrix atom's shifted block at any
-    point; analyze_atom uses it only at eigenvalues."""
+    """The exact Fitting split of a matrix atom's shifted block S at any
+    point; analyze_atom uses it only at eigenvalues.
+
+    The block profiles come from the ranks of the powers of S, not from
+    the blocks: S is invertible on its core K, so the core block has the
+    invertible profile; S^n acts on K ⊕ H0 as an invertible map plus the
+    n-th power of the H0 block, so rank((S|H0)^n) = rank(S^n) - dim K.
+    """
     s, scale = realified(atom.matrix, lam[0], lam[1])
     data = matrix_chain_data(s)
     prof = matrix_profile(data, scale)
-    core = data.images[data.nu]
-    h0 = data.kernels[data.nu]
-    # Fitting: ambient = core ⊕ h0, S invertible on core, nilpotent on h0
-    assert core.dim + h0.dim == s.rows
-    assert subspace_sum(core, h0).dim == s.rows
+    core, h0 = data.fitting_split()
     m_atom = m_prof = None
     if core.dim:
-        blk = restrict(s, core)
-        m_atom = Atom("matrix", blk)
-        m_prof = matrix_profile(matrix_chain_data(blk), scale)
-        assert m_prof.a.at(1) == ExtNat(0) and m_prof.r.at(1) == ExtNat(0)
+        m_atom = Atom("matrix", restrict(s, core))
+        m_prof = _invertible_profile()
     n_atom = n_prof = None
     if h0.dim:
-        blk = restrict(s, h0)
-        n_atom = Atom("matrix", blk)
-        n_prof = matrix_profile(matrix_chain_data(blk), scale)
-        assert n_prof.nilpotency_degree == ExtNat(data.nu)
+        n_atom = Atom("matrix", restrict(s, h0))
+        n_prof = rank_profile(h0.dim, [r - core.dim for r in data.ranks], scale)
     return AtomAnalysis(atom, prof, m_prof, n_prof, m_atom, n_atom, core, h0)
 
 
@@ -202,11 +200,13 @@ def analyze_atom(atom: Atom, lam: Point) -> AtomAnalysis:
 
 @dataclass(frozen=True)
 class ExprAnalysis:
-    """Everything the classifier needs about (e - lam)^power."""
+    """Everything the classifier and the report need about (e - lam)^power,
+    with the per-atom analyses at lam (also where no decomposition exists)."""
 
     expr: OperatorExpr
     point: Point
     power: int
+    parts: tuple[AtomAnalysis, ...]
     full: StructuralProfile
     report: ChainReport
     decomposable: bool
@@ -217,13 +217,13 @@ class ExprAnalysis:
 
 
 def analyze_expr(e: OperatorExpr, lam: Point, power: int = 1) -> ExprAnalysis:
-    parts = [analyze_atom(a, lam) for a in e.atoms]
+    parts = tuple(analyze_atom(a, lam) for a in e.atoms)
     full = direct_sum_profile([p.profile for p in parts])
     full = power_profile(full, power)
     report = chains(full)
     if not full.is_pseudofredholm_point:
         summary = StructuralSummary(None, None, None, None, UNDEF_INDEX, report.dis)
-        return ExprAnalysis(e, lam, power, full, report, False, None, None, None, summary)
+        return ExprAnalysis(e, lam, power, parts, full, report, False, None, None, None, summary)
     m_prof = direct_sum_profile(
         [p.m_profile for p in parts if p.m_profile is not None] or [ZERO_DIM_PROFILE]
     )
@@ -255,7 +255,7 @@ def analyze_expr(e: OperatorExpr, lam: Point, power: int = 1) -> ExprAnalysis:
         index=ExtIndex.from_alpha_beta(alpha, beta),
         dis=report.dis,
     )
-    return ExprAnalysis(e, lam, power, full, report, True, m_prof, n_prof, pair, summary)
+    return ExprAnalysis(e, lam, power, parts, full, report, True, m_prof, n_prof, pair, summary)
 
 
 def canonical_gkd(e: OperatorExpr, lam: Point) -> GKDPair:
@@ -301,8 +301,8 @@ def index_with_nilpotent_regrouped(e: OperatorExpr, lam: Point) -> ExtIndex:
 def h0_and_core(m: ExactMatrix) -> tuple[SubspaceBasis, SubspaceBasis]:
     """(H0, K) of a square rational matrix at 0: the kernel and image of
     m^nu at the Fitting index nu."""
-    data = matrix_chain_data(m)
-    return data.kernels[data.nu], data.images[data.nu]
+    core, h0 = matrix_chain_data(m).fitting_split()
+    return h0, core
 
 
 def alpha_beta_core_oracle(m: ExactMatrix) -> tuple[ExtNat, ExtNat]:
@@ -315,36 +315,31 @@ def alpha_beta_core_oracle(m: ExactMatrix) -> tuple[ExtNat, ExtNat]:
     return ExtNat(alpha), ExtNat(beta)
 
 
-def finiteness_quantities(m: ExactMatrix) -> tuple[ExtNat, ExtNat]:
-    """dim(K ∩ N(m)) and codim(R(m) + H0), reported for documentation;
-    nothing in the library asserts a relation between them."""
-    return alpha_beta_core_oracle(m)
+def split_drazin(part: AtomAnalysis) -> ExactMatrix:
+    """Exact Drazin inverse of a matrix atom's shifted block S from its
+    split: with P = [K | H0] and A the core block, S^D = P diag(A^-1, 0)
+    P^-1. The Drazin inverse is unique, so any split gives the same one."""
+    core, h0 = part.m_basis, part.n_basis
+    d = core.ambient_dim
+    if not core.dim:
+        return ExactMatrix.zeros(d, d)
+    a_inv = inverse(part.m_atom.matrix)
+    if not h0.dim:
+        # the canonical basis of the whole space is the identity, so A = S
+        return a_inv
+    k = core.dim
+    cols = core.vectors + h0.vectors
+    p_inv = inverse(
+        ExactMatrix(d, d, tuple(cols[j][i] for i in range(d) for j in range(d)))
+    )
+    left = ExactMatrix(d, k, tuple(cols[j][i] for i in range(d) for j in range(k)))
+    return left @ a_inv @ ExactMatrix(k, d, p_inv.entries[: k * d])
 
 
 def drazin_inverse(m: ExactMatrix) -> ExactMatrix:
-    """Exact Drazin inverse via the Fitting split: invert the core block,
-    annihilate the nilpotent block, conjugate back."""
-    data = matrix_chain_data(m)
-    core = data.images[data.nu]
-    h0 = data.kernels[data.nu]
-    d = m.rows
-    cols = core.vectors + h0.vectors
-    p = ExactMatrix(d, d, tuple(cols[j][i] for i in range(d) for j in range(d)))
-    k = core.dim
-    blk = ExactMatrix.zeros(d, d)
-    if k:
-        a_inv = inverse(restrict(m, core))
-        ent = list(blk.entries)
-        for i in range(k):
-            for j in range(k):
-                ent[i * d + j] = a_inv.at(i, j)
-        blk = ExactMatrix(d, d, tuple(ent))
-    dz = p @ blk @ inverse(p)
-    # Drazin axioms, checked exactly
-    assert (dz @ m).entries == (m @ dz).entries
-    assert (dz @ m @ dz).entries == dz.entries
-    assert (m.power(data.nu + 1) @ dz).entries == m.power(data.nu).entries
-    return dz
+    """Exact Drazin inverse of a square rational matrix, from its split
+    at 0."""
+    return split_drazin(analyze_atom(Atom("matrix", m), point(0)))
 
 
 def restriction_profile(p: StructuralProfile, n: int) -> tuple[ExtNat, ExtNat, ExtIndex]:

@@ -11,10 +11,20 @@ from fractions import Fraction
 from random import Random
 
 from .catalog import CATALOG, J2
-from .extvals import ExtNat
-from .linalg import ExactMatrix, inverse, kernel_basis, rank, restrict, subspace_sum
+from .extvals import EvAffineSeq, ExtNat
+from .linalg import (
+    ExactMatrix,
+    image_basis,
+    inverse,
+    kernel_basis,
+    rank,
+    restrict,
+    subspace_intersection,
+    subspace_sum,
+)
 from .model import (
     Atom,
+    MatrixChainData,
     OperatorExpr,
     dual_expr,
     matrix_chain_data,
@@ -129,10 +139,21 @@ def _suite_rng(seed: int, name: str) -> Random:
     return Random(seed ^ zlib.crc32(name.encode()))
 
 
+def subspace_meet_join(data: MatrixChainData) -> tuple[EvAffineSeq, EvAffineSeq]:
+    """Independent route to the meet and join chains of a square matrix S,
+    which matrix_profile derives from the ranks: c_n = dim(R(S^n) ∩ N(S))
+    and b_n = codim(R(S) + N(S^n)), from subspace intersections and sums
+    of the kernels and images of the powers."""
+    d, nu, kernels, images = data.matrix.rows, data.nu, data.kernels, data.images
+    meet = [ExtNat(subspace_intersection(images[n], kernels[1]).dim) for n in range(nu + 1)]
+    join = [ExtNat(d - subspace_sum(images[1], kernels[n]).dim) for n in range(nu + 1)]
+    return EvAffineSeq.from_samples(meet, nu), EvAffineSeq.from_samples(join, nu)
+
+
 def _restriction_defects(m: ExactMatrix, data, n: int) -> tuple[int, int]:
     """Defects of m restricted to the range of its n-th power, computed
     from the restriction itself (independent of the chain profile)."""
-    img = data.images[min(n, data.nu)]
+    img = image_basis(data.powers[min(n, data.nu)])
     if img.dim == 0:
         return 0, 0
     sub = restrict(m, img)
@@ -212,8 +233,7 @@ def suite_gkd(cases: int, seed: int) -> SuiteResult:
         d = m.rows
         rep = _matrix_repr(m)
         data = matrix_chain_data(m)
-        core = data.images[data.nu]
-        h0 = data.kernels[data.nu]
+        core, h0 = data.fitting_split()
         res.count("fitting_direct_sum")
         if core.dim + h0.dim != d or subspace_sum(core, h0).dim != d:
             res.fail("fitting_direct_sum", d, ci, rep, "core + h0 is not the space")
@@ -324,15 +344,15 @@ def suite_duality(cases: int, seed: int) -> SuiteResult:
     for ci in range(cases):
         m = random_matrix(rng)
         rep = _matrix_repr(m)
-        prof = matrix_profile(matrix_chain_data(m))
-        dprof = matrix_profile(matrix_chain_data(m.transpose()))
+        data = matrix_chain_data(m)
+        ddata = matrix_chain_data(m.transpose())
+        prof, dprof = matrix_profile(data), matrix_profile(ddata)
+        # matrix_profile derives c and b from a, so the mirror of c and b
+        # is checked on the subspace chains
+        meet, join = subspace_meet_join(data)
+        dmeet, djoin = subspace_meet_join(ddata)
         res.count("transpose_chain_mirror", 4)
-        if (
-            prof.a != dprof.a
-            or prof.r != dprof.r
-            or prof.c != dprof.b
-            or prof.b != dprof.c
-        ):
+        if prof.a != dprof.a or prof.r != dprof.r or meet != djoin or join != dmeet:
             res.fail(
                 "transpose_chain_mirror",
                 m.rows,

@@ -8,7 +8,6 @@ import pytest
 import fredprofile
 from fredprofile.cli import main
 from fredprofile.docio import AnalysisReport
-from fredprofile.errors import UnsupportedPoint
 from fredprofile.spectra import CSV_HEADER
 
 R_DOC = '{"name": "shift", "atoms": [{"type": "right_shift"}]}'
@@ -83,7 +82,9 @@ def test_analyze_rational_point(shift_doc, capsys):
     assert rep.classification["invertible"] is True
 
 
-@pytest.mark.parametrize("lam", ["1", "1,2,3", "0.5,0", "a,b", "1/0,0"])
+@pytest.mark.parametrize(
+    "lam", ["1", "1,2,3", "0.5,0", "a,b", "1/0,0", "1/00,0", "0,-3/000"]
+)
 def test_analyze_bad_point_is_usage_error(shift_doc, lam, capsys):
     assert main(["analyze", "--in", shift_doc, f"--lambda={lam}"]) == 1
     capsys.readouterr()
@@ -216,15 +217,6 @@ def test_verify_corrupt_oracle_fails(capsys):
     assert "FAIL" in out
 
 
-def test_unsupported_point_exit_code(shift_doc, monkeypatch, capsys):
-    def boom(doc, lam):
-        raise UnsupportedPoint("injected")
-
-    monkeypatch.setattr("fredprofile.cli.build_report", boom)
-    assert main(["analyze", "--in", shift_doc]) == 3
-    assert "unsupported point" in capsys.readouterr().err
-
-
 def test_module_entry_point(shift_doc):
     proc = subprocess.run(
         [sys.executable, "-m", "fredprofile", "analyze", "--in", shift_doc],
@@ -266,8 +258,9 @@ def _run_module(flags, args):
     [
         ["spectrum", "--grid=-1,1,-1,1,5,5", "--format", "json"],
         ["analyze", "--lambda", "0,1"],
+        ["analyze", "--lambda", "1/2,0"],
     ],
-    ids=["spectrum", "analyze"],
+    ids=["spectrum", "analyze", "analyze-eigenvalue"],
 )
 def test_optimized_run_is_byte_identical(tmp_path, args):
     # no result may depend on an assert that python -O strips

@@ -1,6 +1,10 @@
 """Eigenvalue-first matrix atoms: the characteristic polynomial, the exact
 eigenvalue test, and differential checks of the shortcut it enables
-against the exact Fitting split."""
+against the exact Fitting split; and of what is derived from that one
+split (chains, block profiles, the Drazin inverse) against the routes
+that compute it a second way."""
+import json
+import sys
 from fractions import Fraction as F
 from random import Random
 
@@ -8,10 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fredprofile import structure
+from fredprofile import linalg, model, structure
 from fredprofile.classify import classify
+from fredprofile.cli import main
 from fredprofile.errors import InternalInvariantError
-from fredprofile.linalg import ExactMatrix, inverse, rank
+from fredprofile.extvals import ExtNat
+from fredprofile.linalg import ExactMatrix, inverse, rank, restrict
 from fredprofile.model import (
     Atom,
     OperatorExpr,
@@ -24,7 +30,14 @@ from fredprofile.model import (
     realified,
 )
 from fredprofile.spectra import GridSpec, scan, scan_to_csv
-from fredprofile.structure import analyze_atom, fitting_atom_analysis
+from fredprofile.structure import (
+    alpha_beta_core_oracle,
+    analyze_atom,
+    drazin_inverse,
+    fitting_atom_analysis,
+    split_drazin,
+)
+from fredprofile.verify import subspace_meet_join
 
 COORDS = (F(-2), F(-1), F(-1, 2), F(0), F(1, 2), F(1), F(2))
 
@@ -183,3 +196,112 @@ def test_matrix_profile_scaled_check_survives_any_optimization_level():
     data = matrix_chain_data(mat([[0, 1, 0], [0, 0, 0], [0, 0, 1]]))
     with pytest.raises(InternalInvariantError):
         matrix_profile(data, 2)
+
+
+def _reference_drazin(m):
+    """The Drazin inverse as P diag(A^-1, 0) P^-1, every factor built from
+    a fresh chain computation."""
+    data = matrix_chain_data(m)
+    core, h0 = data.images[data.nu], data.kernels[data.nu]
+    d = m.rows
+    cols = core.vectors + h0.vectors
+    p = ExactMatrix(d, d, tuple(cols[j][i] for i in range(d) for j in range(d)))
+    k = core.dim
+    blk = ExactMatrix.zeros(d, d)
+    if k:
+        a_inv = inverse(restrict(m, core))
+        ent = list(blk.entries)
+        for i in range(k):
+            for j in range(k):
+                ent[i * d + j] = a_inv.at(i, j)
+        blk = ExactMatrix(d, d, tuple(ent))
+    return p @ blk @ inverse(p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrix_and_point())
+def test_rank_derived_chains_equal_subspace_chains(mp):
+    m, lam = mp
+    s, _ = realified(m, *lam)
+    data = matrix_chain_data(s)
+    prof = matrix_profile(data)
+    assert (prof.c, prof.b) == subspace_meet_join(data)
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrix_and_point())
+def test_derived_block_profiles_equal_block_chains(mp):
+    m, lam = mp
+    part = fitting_atom_analysis(Atom("matrix", m), lam)
+    s, scale = realified(m, *lam)
+    for blk, basis, prof in (
+        (part.m_atom, part.m_basis, part.m_profile),
+        (part.n_atom, part.n_basis, part.n_profile),
+    ):
+        if basis.dim:
+            assert blk.matrix == restrict(s, basis)
+            assert prof == matrix_profile(matrix_chain_data(blk.matrix), scale)
+        else:
+            assert blk is None and prof is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrix_and_point())
+def test_split_drazin_equals_reference(mp):
+    m, lam = mp
+    s, _ = realified(m, *lam)
+    want = _reference_drazin(s)
+    assert split_drazin(analyze_atom(Atom("matrix", m), lam)) == want
+    assert split_drazin(fitting_atom_analysis(Atom("matrix", m), lam)) == want
+    assert drazin_inverse(s) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrix_and_point())
+def test_core_oracle_of_shifted_block_is_zero(mp):
+    # the report writes these two fields as constants
+    m, lam = mp
+    s, _ = realified(m, *lam)
+    assert alpha_beta_core_oracle(s) == (ExtNat(0), ExtNat(0))
+
+
+def _count_calls(monkeypatch, module, name):
+    """Record every call of module.name, through every fredprofile module
+    that imported it by name."""
+    orig = getattr(module, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return orig(*args, **kwargs)
+
+    for key, mod in list(sys.modules.items()):
+        if key.startswith("fredprofile") and vars(mod).get(name) is orig:
+            monkeypatch.setattr(mod, name, counting)
+    return calls
+
+
+def test_analyze_is_one_pass(tmp_path, monkeypatch, capsys):
+    # 1/2 is an eigenvalue of the second matrix atom only
+    doc = tmp_path / "op.json"
+    doc.write_text(
+        json.dumps(
+            {
+                "name": "two_matrices",
+                "atoms": [
+                    {"type": "right_shift"},
+                    {"type": "matrix", "entries": [["0", "-1"], ["1", "0"]]},
+                    {"type": "matrix", "entries": [["1/2", "1"], ["0", "1/2"]]},
+                ],
+            }
+        )
+    )
+    analyses = _count_calls(monkeypatch, structure, "analyze_expr")
+    chain_data = _count_calls(monkeypatch, model, "matrix_chain_data")
+    sums = _count_calls(monkeypatch, linalg, "subspace_sum")
+    meets = _count_calls(monkeypatch, linalg, "subspace_intersection")
+    assert main(["analyze", "--in", str(doc), "--lambda", "1/2,0"]) == 0
+    capsys.readouterr()
+    assert len(analyses) == 1
+    assert [c[0].rows for c in chain_data] == [2]
+    assert sums == [] and meets == []

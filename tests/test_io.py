@@ -39,7 +39,8 @@ def test_parse_rational():
 
 
 @pytest.mark.parametrize(
-    "bad", ["1.5", "1e3", "", "1/0", "3/-4", "/2", "1 / 2", 3, 0.5, None, [1]]
+    "bad",
+    ["1.5", "1e3", "", "1/0", "3/-4", "/2", "1 / 2", 3, 0.5, None, [1], "1/00", "-3/000"],
 )
 def test_parse_rational_rejects(bad):
     with pytest.raises(DocumentError):

@@ -24,7 +24,6 @@ from fredprofile.structure import (
     canonical_gkd,
     chains,
     drazin_inverse,
-    finiteness_quantities,
     h0_and_core,
     index,
     index_with_nilpotent_regrouped,
@@ -137,7 +136,6 @@ def test_h0_and_core():
 def test_core_oracle_zero_for_matrices():
     for m in (J2_DIAG2.matrix, J3.matrix, mat([[1, 2], [3, 4]])):
         assert alpha_beta_core_oracle(m) == (ExtNat(0), ExtNat(0))
-        assert finiteness_quantities(m) == (ExtNat(0), ExtNat(0))
 
 
 def test_drazin_diag():
