@@ -15,11 +15,11 @@ import re as _re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .classify import FLAG_NAMES, classify_analysis
+from .classify import classify_analysis
 from .errors import DocumentError
 from .extvals import BoolSeq, EvAffineSeq, ExtNat
 from .linalg import ExactMatrix, SubspaceBasis
-from .model import ATOM_KINDS, Atom, OperatorExpr, Point, realified
+from .model import ATOM_KINDS, Atom, OperatorExpr, Point
 from .structure import analyze_expr, split_drazin
 
 _RATIONAL_RE = _re.compile(r"-?\d+(/\d+)?\Z")
@@ -198,14 +198,7 @@ def build_report(doc: OperatorDocument, lam: Point) -> AnalysisReport:
     s = an.summary
     shown = 2 * e.matrix_ambient() + 4
 
-    summary = {
-        "alpha": "undef" if s.alpha is None else s.alpha.to_str(),
-        "beta": "undef" if s.beta is None else s.beta.to_str(),
-        "p": "undef" if s.p is None else s.p.to_str(),
-        "q": "undef" if s.q is None else s.q.to_str(),
-        "index": s.index.to_str(),
-        "dis": s.dis.to_str(),
-    }
+    summary = {**s.to_strs(), "dis": s.dis.to_str()}
     chains = {
         "display_length": shown,
         "a": _seq_block(an.report.a, shown),
@@ -240,14 +233,13 @@ def build_report(doc: OperatorDocument, lam: Point) -> AnalysisReport:
             ],
         }
     matrix_atoms = []
-    for i, (atom, part) in enumerate(zip(e.atoms, an.parts)):
-        if atom.kind != "matrix":
+    for i, part in enumerate(an.parts):
+        if part.block is None:
             continue
-        block, _scale = realified(atom.matrix, lam[0], lam[1])
         matrix_atoms.append(
             {
                 "atom_index": i,
-                "shifted_block": _matrix_rows(block),
+                "shifted_block": _matrix_rows(part.block),
                 "drazin": _matrix_rows(split_drazin(part)),
                 # The block S is invertible on its Fitting core K, so
                 # K ∩ N(S) = 0, and R(S) contains S(K) = K, so R(S) + H0
@@ -260,7 +252,7 @@ def build_report(doc: OperatorDocument, lam: Point) -> AnalysisReport:
         name=doc.name,
         re=rational_str(lam[0]),
         im=rational_str(lam[1]),
-        classification={n: rec.flag(n) for n in FLAG_NAMES},
+        classification=rec.flags(),
         summary=summary,
         chains=chains,
         gkd=gkd,

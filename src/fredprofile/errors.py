@@ -9,10 +9,6 @@ class AmbientMismatch(FredprofileError):
     """Two objects live in rational spaces of different dimensions."""
 
 
-class NotContained(FredprofileError):
-    """quotient_dim was asked for V/W with W not a subspace of V."""
-
-
 class NotInvariant(FredprofileError):
     """restrict was asked to restrict a matrix to a non-invariant subspace."""
 

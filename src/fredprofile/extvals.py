@@ -71,10 +71,6 @@ class ExtNat:
 INF = ExtNat(None)
 
 
-def nat(n: int) -> ExtNat:
-    return ExtNat(n)
-
-
 @dataclass(frozen=True)
 class ExtIndex:
     """An integer index, +/- infinity, or undefined.
@@ -109,10 +105,6 @@ class ExtIndex:
     @property
     def is_int(self) -> bool:
         return self.kind == "int"
-
-    @property
-    def is_defined(self) -> bool:
-        return self.kind != "undef"
 
     def add(self, other: "ExtIndex") -> "ExtIndex":
         if self.kind == "undef" or other.kind == "undef":

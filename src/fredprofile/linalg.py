@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import AmbientMismatch, NotContained, NotInvariant
+from .errors import AmbientMismatch, InternalInvariantError, NotInvariant
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -98,19 +98,6 @@ class ExactMatrix:
                         s += a * other.entries[k * ocols + j]
                 out.append(s)
         return ExactMatrix(self.rows, ocols, tuple(out))
-
-    def add(self, other: "ExactMatrix") -> "ExactMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise AmbientMismatch("add shape mismatch")
-        return ExactMatrix(
-            self.rows,
-            self.cols,
-            tuple(a + b for a, b in zip(self.entries, other.entries)),
-        )
-
-    def scale(self, q) -> "ExactMatrix":
-        q = _frac(q)
-        return ExactMatrix(self.rows, self.cols, tuple(q * a for a in self.entries))
 
     def minus_scalar(self, q) -> "ExactMatrix":
         """self - q*I on a square matrix."""
@@ -304,20 +291,8 @@ class SubspaceBasis:
     def _pivots(self) -> list[int]:
         return [next(j for j, x in enumerate(v) if x) for v in self.vectors]
 
-    def reduce(self, vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        """Residue of vec after eliminating against the stored echelon rows."""
-        v = list(_frac(x) for x in vec)
-        if len(v) != self.ambient_dim:
-            raise AmbientMismatch("vector length != ambient dimension")
-        for row, p in zip(self.vectors, self._pivots()):
-            f = v[p]
-            if f:
-                for j in range(self.ambient_dim):
-                    v[j] -= f * row[j]
-        return tuple(v)
-
     def contains(self, vec: Sequence[Fraction]) -> bool:
-        return all(not x for x in self.reduce(vec))
+        return self.coordinates(vec) is not None
 
     def is_subspace_of(self, other: "SubspaceBasis") -> bool:
         if self.ambient_dim != other.ambient_dim:
@@ -360,9 +335,10 @@ def kernel_basis(m: ExactMatrix) -> SubspaceBasis:
 
 
 def image_basis(m: ExactMatrix) -> SubspaceBasis:
-    """Column space of m as a canonical subspace of Q^rows."""
-    _, pivots, _ = rref(m)
-    return SubspaceBasis.from_vectors(m.rows, [m.column(j) for j in pivots])
+    """Column space of m as a canonical subspace of Q^rows: the nonzero
+    rows of the reduced echelon form of the transpose, so one reduction."""
+    red, _, rk = rref(m.transpose())
+    return SubspaceBasis(m.rows, tuple(red.row(i) for i in range(rk)))
 
 
 def subspace_sum(a: SubspaceBasis, b: SubspaceBasis) -> SubspaceBasis:
@@ -375,8 +351,8 @@ def subspace_intersection(a: SubspaceBasis, b: SubspaceBasis) -> SubspaceBasis:
     """Intersection via the kernel of the stacked column matrix.
 
     A kernel vector (u, w) of [A | B] gives A·u = -B·w, a point of the
-    intersection; those points span it. The modular law check
-    dim a + dim b = dim(a+b) + dim(a∩b) is asserted before returning.
+    intersection; those points span it. The modular law
+    dim a + dim b = dim(a+b) + dim(a∩b) is checked before returning.
     """
     if a.ambient_dim != b.ambient_dim:
         raise AmbientMismatch("intersection of subspaces of different ambient spaces")
@@ -402,18 +378,9 @@ def subspace_intersection(a: SubspaceBasis, b: SubspaceBasis) -> SubspaceBasis:
                     pt[i] += cf * a.vectors[j][i]
         pts.append(pt)
     inter = SubspaceBasis.from_vectors(a.ambient_dim, pts)
-    # dimension formula must hold exactly; a failure is an internal error
-    assert a.dim + b.dim == subspace_sum(a, b).dim + inter.dim
+    if a.dim + b.dim != subspace_sum(a, b).dim + inter.dim:
+        raise InternalInvariantError("modular law fails for a subspace intersection")
     return inter
-
-
-def quotient_dim(inner: SubspaceBasis, outer: SubspaceBasis) -> int:
-    """dim(outer/inner); raises NotContained unless inner <= outer."""
-    if inner.ambient_dim != outer.ambient_dim:
-        raise AmbientMismatch("quotient of subspaces of different ambient spaces")
-    if not inner.is_subspace_of(outer):
-        raise NotContained("inner is not a subspace of outer")
-    return outer.dim - inner.dim
 
 
 def restrict(m: ExactMatrix, b: SubspaceBasis) -> ExactMatrix:

@@ -179,17 +179,6 @@ def component_index_report(s: SpectrumScan, set_name: str) -> ComponentReport:
     return ComponentReport(set_name, tuple(out))
 
 
-def _summary_fields(rec: ClassificationRecord) -> list[str]:
-    s = rec.summary
-    return [
-        "undef" if s.alpha is None else s.alpha.to_str(),
-        "undef" if s.beta is None else s.beta.to_str(),
-        "undef" if s.p is None else s.p.to_str(),
-        "undef" if s.q is None else s.q.to_str(),
-        s.index.to_str(),
-    ]
-
-
 CSV_HEADER = "re,im," + ",".join(FLAG_NAMES) + ",alpha,beta,p,q,index"
 
 
@@ -197,8 +186,8 @@ def scan_to_csv(s: SpectrumScan) -> str:
     lines = [CSV_HEADER]
     for (re, im), rec in zip(s.points, s.records):
         cells = [str(re), str(im)]
-        cells += ["1" if rec.flag(name) else "0" for name in FLAG_NAMES]
-        cells += _summary_fields(rec)
+        cells += ["1" if v else "0" for v in rec.flags().values()]
+        cells += rec.summary.to_strs().values()
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
@@ -208,10 +197,8 @@ def scan_to_json(s: SpectrumScan, set_name: str) -> str:
     points = []
     for (re, im), rec in zip(s.points, s.records):
         row: dict[str, object] = {"re": str(re), "im": str(im)}
-        for name in FLAG_NAMES:
-            row[name] = rec.flag(name)
-        a, b, p, q, idx = _summary_fields(rec)
-        row.update(alpha=a, beta=b, p=p, q=q, index=idx)
+        row.update(rec.flags())
+        row.update(rec.summary.to_strs())
         points.append(row)
     doc = {
         "grid": {

@@ -40,6 +40,7 @@ from .model import (
     StructuralProfile,
     ZERO_DIM_PROFILE,
     _invertible_profile,
+    atom_profile,
     direct_sum_profile,
     matrix_chain_data,
     matrix_profile,
@@ -129,10 +130,19 @@ class StructuralSummary:
         elif self.index != UNDEF_INDEX:
             raise ValueError("index must be undefined without a decomposition")
 
+    def to_strs(self) -> dict[str, str]:
+        """alpha, beta, p, q and the index as output strings, each of the
+        first four "undef" when no decomposition exists."""
+        vals = {"alpha": self.alpha, "beta": self.beta, "p": self.p, "q": self.q}
+        out = {k: "undef" if v is None else v.to_str() for k, v in vals.items()}
+        out["index"] = self.index.to_str()
+        return out
+
 
 @dataclass(frozen=True)
 class AtomAnalysis:
-    """Per-atom pieces of the canonical decomposition at one point."""
+    """Per-atom pieces of the canonical decomposition at one point; for a
+    matrix atom, block is its shifted (realified) block S."""
 
     atom: Atom
     profile: StructuralProfile
@@ -142,6 +152,7 @@ class AtomAnalysis:
     n_atom: Atom | None
     m_basis: SubspaceBasis | None
     n_basis: SubspaceBasis | None
+    block: ExactMatrix | None = None
 
 
 def _analyze_matrix_atom(atom: Atom, lam: Point) -> AtomAnalysis:
@@ -158,6 +169,7 @@ def _analyze_matrix_atom(atom: Atom, lam: Point) -> AtomAnalysis:
         None,
         SubspaceBasis.full(s.rows),
         SubspaceBasis.zero(s.rows),
+        s,
     )
 
 
@@ -182,12 +194,10 @@ def fitting_atom_analysis(atom: Atom, lam: Point) -> AtomAnalysis:
     if h0.dim:
         n_atom = Atom("matrix", restrict(s, h0))
         n_prof = rank_profile(h0.dim, [r - core.dim for r in data.ranks], scale)
-    return AtomAnalysis(atom, prof, m_prof, n_prof, m_atom, n_atom, core, h0)
+    return AtomAnalysis(atom, prof, m_prof, n_prof, m_atom, n_atom, core, h0, s)
 
 
 def analyze_atom(atom: Atom, lam: Point) -> AtomAnalysis:
-    from .model import atom_profile  # local to keep module import light
-
     if atom.kind == "matrix":
         return _analyze_matrix_atom(atom, lam)
     prof = atom_profile(atom, lam)
@@ -323,10 +333,10 @@ def split_drazin(part: AtomAnalysis) -> ExactMatrix:
     d = core.ambient_dim
     if not core.dim:
         return ExactMatrix.zeros(d, d)
-    a_inv = inverse(part.m_atom.matrix)
     if not h0.dim:
         # the canonical basis of the whole space is the identity, so A = S
-        return a_inv
+        return inverse(part.block)
+    a_inv = inverse(part.m_atom.matrix)
     k = core.dim
     cols = core.vectors + h0.vectors
     p_inv = inverse(

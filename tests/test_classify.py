@@ -3,9 +3,12 @@ from fractions import Fraction as F
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fredprofile.catalog import CATALOG, by_name
-from fredprofile.classify import FLAG_NAMES, check_lattice, classify
+from fredprofile.classify import FLAG_NAMES, ClassificationRecord, check_lattice, classify
+from fredprofile.extvals import INF, UNDEF_INDEX, ExtIndex, ExtNat
 from fredprofile.model import (
     LEFT_SHIFT,
     OperatorExpr,
@@ -15,7 +18,10 @@ from fredprofile.model import (
     matrix_atom,
     point,
 )
+from fredprofile.structure import StructuralSummary
 from fredprofile.verify import random_matrix
+
+ZERO = ExtNat(0)
 
 
 def test_flag_names_fixed_order():
@@ -23,6 +29,8 @@ def test_flag_names_fixed_order():
     assert FLAG_NAMES[-1] == "gen_drazin"
     assert len(FLAG_NAMES) == 25
     assert len(set(FLAG_NAMES)) == 25
+    fields = [f.name for f in dataclasses.fields(ClassificationRecord)]
+    assert FLAG_NAMES == tuple(fields[:-1]) and fields[-1] == "summary"
 
 
 def test_right_shift_record():
@@ -159,3 +167,223 @@ def test_classify_powers():
     assert rec.bounded_below
     rec2 = classify(by_name("jordan3").expr, point(0), power=2)
     assert rec2.nilpotent and rec2.summary.index.is_zero()
+
+
+def _reference_check_lattice(rec):
+    """The hand-written checker the rule tables replaced, kept verbatim as
+    the reference."""
+    out: list[str] = []
+    f = rec.flag
+    idx = rec.summary.index
+
+    def implies(name: str, a: bool, b: bool):
+        if a and not b:
+            out.append(name)
+
+    def equiv(name: str, a: bool, b: bool):
+        if a != b:
+            out.append(name)
+
+    implies("invertible => bounded_below", f("invertible"), f("bounded_below"))
+    implies("invertible => surjective", f("invertible"), f("surjective"))
+    equiv(
+        "invertible <=> bounded_below and surjective",
+        f("invertible"),
+        f("bounded_below") and f("surjective"),
+    )
+    implies("bounded_below => upper_semi_fredholm", f("bounded_below"), f("upper_semi_fredholm"))
+    implies("bounded_below => semi_regular", f("bounded_below"), f("semi_regular"))
+    implies("bounded_below => left_gen_drazin", f("bounded_below"), f("left_gen_drazin"))
+    implies("surjective => lower_semi_fredholm", f("surjective"), f("lower_semi_fredholm"))
+    implies("surjective => semi_regular", f("surjective"), f("semi_regular"))
+    implies("surjective => right_gen_drazin", f("surjective"), f("right_gen_drazin"))
+    equiv(
+        "fredholm <=> upper and lower semi_fredholm",
+        f("fredholm"),
+        f("upper_semi_fredholm") and f("lower_semi_fredholm"),
+    )
+    equiv(
+        "weyl <=> fredholm with index 0",
+        f("weyl"),
+        f("fredholm") and idx.is_zero(),
+    )
+    equiv(
+        "upper_semi_weyl <=> upper_semi_fredholm with index <= 0",
+        f("upper_semi_weyl"),
+        f("upper_semi_fredholm") and idx.le_zero(),
+    )
+    equiv(
+        "lower_semi_weyl <=> lower_semi_fredholm with index >= 0",
+        f("lower_semi_weyl"),
+        f("lower_semi_fredholm") and idx.ge_zero(),
+    )
+    equiv(
+        "weyl <=> upper and lower semi_weyl",
+        f("weyl"),
+        f("upper_semi_weyl") and f("lower_semi_weyl"),
+    )
+    implies(
+        "upper_semi_fredholm => upper_semi_b_fredholm",
+        f("upper_semi_fredholm"),
+        f("upper_semi_b_fredholm"),
+    )
+    implies(
+        "lower_semi_fredholm => lower_semi_b_fredholm",
+        f("lower_semi_fredholm"),
+        f("lower_semi_b_fredholm"),
+    )
+    implies(
+        "upper_semi_b_fredholm => upper_pseudo_semi_b_fredholm",
+        f("upper_semi_b_fredholm"),
+        f("upper_pseudo_semi_b_fredholm"),
+    )
+    implies(
+        "lower_semi_b_fredholm => lower_pseudo_semi_b_fredholm",
+        f("lower_semi_b_fredholm"),
+        f("lower_pseudo_semi_b_fredholm"),
+    )
+    implies("fredholm => b_fredholm", f("fredholm"), f("b_fredholm"))
+    implies("b_fredholm => pseudo_b_fredholm", f("b_fredholm"), f("pseudo_b_fredholm"))
+    implies(
+        "b_fredholm => upper_semi_b_fredholm",
+        f("b_fredholm"),
+        f("upper_semi_b_fredholm"),
+    )
+    implies(
+        "b_fredholm => lower_semi_b_fredholm",
+        f("b_fredholm"),
+        f("lower_semi_b_fredholm"),
+    )
+    implies("semi_regular => pseudo_fredholm", f("semi_regular"), f("pseudo_fredholm"))
+    implies("nilpotent => quasi_nilpotent", f("nilpotent"), f("quasi_nilpotent"))
+    implies("nilpotent => b_fredholm", f("nilpotent"), f("b_fredholm"))
+    implies(
+        "quasi_nilpotent => pseudo_b_fredholm",
+        f("quasi_nilpotent"),
+        f("pseudo_b_fredholm"),
+    )
+    implies("quasi_nilpotent => gen_drazin", f("quasi_nilpotent"), f("gen_drazin"))
+    if f("quasi_nilpotent") and not idx.is_zero():
+        out.append("quasi_nilpotent => index 0")
+    equiv(
+        "pseudo_b_fredholm <=> upper and lower pseudo_semi_b_fredholm",
+        f("pseudo_b_fredholm"),
+        f("upper_pseudo_semi_b_fredholm") and f("lower_pseudo_semi_b_fredholm"),
+    )
+    equiv(
+        "pseudo_b_weyl <=> upper and lower pseudo_semi_b_weyl",
+        f("pseudo_b_weyl"),
+        f("upper_pseudo_semi_b_weyl") and f("lower_pseudo_semi_b_weyl"),
+    )
+    equiv(
+        "upper_pseudo_semi_b_weyl <=> upper_pseudo_semi_b_fredholm with index <= 0",
+        f("upper_pseudo_semi_b_weyl"),
+        f("upper_pseudo_semi_b_fredholm") and idx.le_zero(),
+    )
+    equiv(
+        "lower_pseudo_semi_b_weyl <=> lower_pseudo_semi_b_fredholm with index >= 0",
+        f("lower_pseudo_semi_b_weyl"),
+        f("lower_pseudo_semi_b_fredholm") and idx.ge_zero(),
+    )
+    equiv(
+        "pseudo_b_weyl <=> pseudo_b_fredholm with index 0",
+        f("pseudo_b_weyl"),
+        f("pseudo_b_fredholm") and idx.is_zero(),
+    )
+    implies(
+        "upper_pseudo_semi_b_fredholm => pseudo_fredholm",
+        f("upper_pseudo_semi_b_fredholm"),
+        f("pseudo_fredholm"),
+    )
+    implies(
+        "lower_pseudo_semi_b_fredholm => pseudo_fredholm",
+        f("lower_pseudo_semi_b_fredholm"),
+        f("pseudo_fredholm"),
+    )
+    equiv(
+        "pseudo_b_fredholm <=> some pseudo_semi_b flag with integer index",
+        f("pseudo_b_fredholm"),
+        (f("upper_pseudo_semi_b_fredholm") or f("lower_pseudo_semi_b_fredholm"))
+        and idx.is_int,
+    )
+    equiv(
+        "gen_drazin <=> left and right gen_drazin",
+        f("gen_drazin"),
+        f("left_gen_drazin") and f("right_gen_drazin"),
+    )
+    # summary consistency with the flags derived from it
+    s = rec.summary
+    if f("pseudo_fredholm"):
+        if s.alpha is None:
+            out.append("pseudo_fredholm point must carry a summary")
+        else:
+            equiv(
+                "upper_pseudo_semi_b_fredholm <=> finite alpha",
+                f("upper_pseudo_semi_b_fredholm"),
+                s.alpha.is_finite,
+            )
+            equiv(
+                "lower_pseudo_semi_b_fredholm <=> finite beta",
+                f("lower_pseudo_semi_b_fredholm"),
+                s.beta.is_finite,
+            )
+            equiv("left_gen_drazin <=> p == 0", f("left_gen_drazin"), s.p == ZERO)
+            equiv("right_gen_drazin <=> q == 0", f("right_gen_drazin"), s.q == ZERO)
+    else:
+        if s.alpha is not None or idx != UNDEF_INDEX:
+            out.append("non pseudo_fredholm point must have an undefined summary")
+        for name in (
+            "semi_regular",
+            "upper_pseudo_semi_b_fredholm",
+            "lower_pseudo_semi_b_fredholm",
+            "pseudo_b_fredholm",
+            "left_gen_drazin",
+            "right_gen_drazin",
+            "gen_drazin",
+        ):
+            if f(name):
+                out.append(f"{name} requires pseudo_fredholm")
+    return out
+
+
+_POINTS = [point(0), point(F(1, 2)), point(0, 1), point(F(3, 5), F(4, 5)), point(2), point(-1)]
+_NATS = st.sampled_from([ExtNat(0), ExtNat(1), ExtNat(2), INF])
+
+
+@st.composite
+def _summaries(draw):
+    """A defined summary (alpha, beta, p, q drawn freely) or the undefined one."""
+    dis = draw(_NATS)
+    if draw(st.booleans()):
+        return StructuralSummary(None, None, None, None, UNDEF_INDEX, dis)
+    alpha, beta = draw(_NATS), draw(_NATS)
+    return StructuralSummary(
+        alpha, beta, draw(_NATS), draw(_NATS), ExtIndex.from_alpha_beta(alpha, beta), dis
+    )
+
+
+@st.composite
+def _records(draw):
+    """classify output at a catalog or random-matrix point, then some flags
+    flipped and, sometimes, the summary replaced."""
+    lam = draw(st.sampled_from(_POINTS))
+    if draw(st.booleans()):
+        entry = draw(st.sampled_from(CATALOG))
+        rec = classify(entry.expr, lam, entry.power)
+    else:
+        m = random_matrix(Random(draw(st.integers(0, 10**6))))
+        rec = classify(OperatorExpr.of(RIGHT_SHIFT, matrix_atom(m.to_rows())), lam)
+    flips = draw(st.sets(st.sampled_from(FLAG_NAMES), max_size=4))
+    rec = dataclasses.replace(rec, **{n: not rec.flag(n) for n in flips})
+    if draw(st.booleans()):
+        rec = dataclasses.replace(rec, summary=draw(_summaries()))
+    return rec
+
+
+@settings(max_examples=300, deadline=None)
+@given(_records())
+def test_lattice_table_matches_reference_checker(rec):
+    got = check_lattice(rec)
+    want = _reference_check_lattice(rec)
+    assert len(got) == len(want), (got, want)
+    assert (got == []) == (want == [])

@@ -259,14 +259,15 @@ def _run_module(flags, args):
         ["spectrum", "--grid=-1,1,-1,1,5,5", "--format", "json"],
         ["analyze", "--lambda", "0,1"],
         ["analyze", "--lambda", "1/2,0"],
+        ["verify", "--suite", "all", "--cases", "20", "--seed", "42"],
     ],
-    ids=["spectrum", "analyze", "analyze-eigenvalue"],
+    ids=["spectrum", "analyze", "analyze-eigenvalue", "verify"],
 )
 def test_optimized_run_is_byte_identical(tmp_path, args):
     # no result may depend on an assert that python -O strips
     doc = tmp_path / "op.json"
     doc.write_text(SHIFT_ROT_DOC)
-    argv = [*args, "--in", str(doc)]
+    argv = args if args[0] == "verify" else [*args, "--in", str(doc)]
     plain = _run_module([], argv)
     optimized = _run_module(["-O"], argv)
     assert plain.returncode == 0 and optimized.returncode == 0

@@ -4,14 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fredprofile.errors import NotContained, NotInvariant
+from fredprofile import linalg
+from fredprofile.errors import InternalInvariantError, NotInvariant
 from fredprofile.linalg import (
     ExactMatrix,
     SubspaceBasis,
     image_basis,
     inverse,
     kernel_basis,
-    quotient_dim,
     rank,
     restrict,
     rref,
@@ -89,12 +89,13 @@ def test_subspace_membership_and_coordinates():
     assert b.coordinates((F(0), F(0), F(1))) is None
 
 
-def test_quotient_dim_requires_containment():
-    small = SubspaceBasis.from_vectors(2, [(F(1), F(0))])
-    other = SubspaceBasis.from_vectors(2, [(F(0), F(1))])
-    assert quotient_dim(small, SubspaceBasis.full(2)) == 1
-    with pytest.raises(NotContained):
-        quotient_dim(other, small)
+def test_intersection_checks_the_modular_law(monkeypatch):
+    a = SubspaceBasis.from_vectors(3, [(F(1), F(0), F(0)), (F(0), F(1), F(0))])
+    b = SubspaceBasis.from_vectors(3, [(F(0), F(1), F(0)), (F(0), F(0), F(1))])
+    assert subspace_intersection(a, b).dim == 1
+    monkeypatch.setattr(linalg, "subspace_sum", lambda x, y: SubspaceBasis.full(2))
+    with pytest.raises(InternalInvariantError):
+        subspace_intersection(a, b)
 
 
 def test_restrict_requires_invariance():
@@ -148,6 +149,27 @@ def test_grassmann_identity(pair):
     assert a.dim + b.dim == s.dim + i.dim
     assert i.is_subspace_of(a) and i.is_subspace_of(b)
     assert a.is_subspace_of(s) and b.is_subspace_of(s)
+
+
+def _image_basis_two_step(m):
+    # reference: reduce m for its pivot columns, then reduce those columns
+    _, pivots, _ = rref(m)
+    return SubspaceBasis.from_vectors(m.rows, [m.column(j) for j in pivots])
+
+
+@settings(max_examples=80)
+@given(
+    st.tuples(st.integers(1, 6), st.integers(1, 6)).flatmap(
+        lambda rc: st.lists(
+            st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=3),
+                     min_size=rc[1], max_size=rc[1]),
+            min_size=rc[0], max_size=rc[0],
+        )
+    )
+)
+def test_image_basis_matches_pivot_column_reduction(rows):
+    m = ExactMatrix.from_rows(rows)
+    assert image_basis(m) == _image_basis_two_step(m)
 
 
 @settings(max_examples=40)
