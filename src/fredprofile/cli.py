@@ -146,7 +146,9 @@ def _cmd_drazin(args) -> int:
     return 0
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(parser: _Parser, args) -> int:
+    if args.cases < 0:
+        parser.error(f"--cases must be >= 0, got {args.cases}")
     text, code = run_suites(args.suite, args.cases, args.seed, args.corrupt_oracle)
     sys.stdout.write(text)
     return code
@@ -165,7 +167,7 @@ def main(argv=None) -> int:
             return _cmd_spectrum(parser, args)
         if args.command == "drazin":
             return _cmd_drazin(args)
-        return _cmd_verify(args)
+        return _cmd_verify(parser, args)
     except SystemExit as exc:
         return int(exc.code or 0)
     except DocumentError as exc:

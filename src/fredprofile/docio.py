@@ -27,13 +27,17 @@ _RATIONAL_RE = _re.compile(r"-?\d+(/\d+)?\Z")
 
 def parse_rational(value: object) -> Fraction:
     """Exact rational from a quoted "p" or "p/q" string. Numbers, floats,
-    and zero denominators are rejected."""
+    zero denominators and integers longer than Python's int-string limit
+    are rejected."""
     if not isinstance(value, str) or not _RATIONAL_RE.match(value):
         raise DocumentError(f"not a rational string: {value!r}")
     try:
         return Fraction(value)
     except ZeroDivisionError:
         raise DocumentError(f"zero denominator: {value!r}") from None
+    except ValueError:
+        # more digits than Python's int-string limit
+        raise DocumentError(f"rational too long: {len(value)} characters") from None
 
 
 def rational_str(q: Fraction) -> str:
@@ -82,11 +86,17 @@ def _atom_to_record(a: Atom) -> dict:
     }
 
 
-def parse_document(text: str) -> OperatorDocument:
+def _load_json(text: str) -> object:
+    # ValueError covers JSONDecodeError and a number literal longer than
+    # the int-string limit; RecursionError is nesting deeper than the stack
     try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
         raise DocumentError(f"invalid JSON: {exc}") from None
+
+
+def parse_document(text: str) -> OperatorDocument:
+    obj = _load_json(text)
     if not isinstance(obj, dict):
         raise DocumentError("document must be a JSON object")
     extra = set(obj) - {"name", "atoms"}
@@ -169,10 +179,7 @@ class AnalysisReport:
 
     @staticmethod
     def from_json(text: str) -> "AnalysisReport":
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise DocumentError(f"invalid JSON: {exc}") from None
+        obj = _load_json(text)
         try:
             return AnalysisReport(
                 name=obj["name"],
@@ -196,21 +203,25 @@ def build_report(doc: OperatorDocument, lam: Point) -> AnalysisReport:
     an = analyze_expr(e, lam)
     rec = classify_analysis(an)
     s = an.summary
+    full = an.full
     shown = 2 * e.matrix_ambient() + 4
 
     summary = {**s.to_strs(), "dis": s.dis.to_str()}
     chains = {
         "display_length": shown,
-        "a": _seq_block(an.report.a, shown),
-        "r": _seq_block(an.report.r, shown),
-        "c": _seq_block(an.report.c, shown),
-        "b": _seq_block(an.report.b, shown),
-        "k": _seq_block(an.report.k, shown),
-        "range_closed": _bool_block(an.full.range_closed, shown),
-        "fitting_index": an.report.fitting_index.to_str(),
-        "nilpotency_degree": an.full.nilpotency_degree.to_str(),
-        "quasi_nilpotent": an.full.is_quasinilpotent,
-        "pseudo_fredholm_point": an.full.is_pseudofredholm_point,
+        "a": _seq_block(full.a, shown),
+        "r": _seq_block(full.r, shown),
+        "c": _seq_block(full.c, shown),
+        "b": _seq_block(full.b, shown),
+        # defect chain k_n = c_n - c_{n+1}
+        "k": _seq_block(full.c.diff(), shown),
+        "range_closed": _bool_block(full.range_closed, shown),
+        # stabilization point of the kernel chain: the Fitting index for
+        # matrix expressions
+        "fitting_index": full.a.stabilization_point().to_str(),
+        "nilpotency_degree": full.nilpotency_degree.to_str(),
+        "quasi_nilpotent": full.is_quasinilpotent,
+        "pseudo_fredholm_point": full.is_pseudofredholm_point,
     }
     if an.pair is None:
         gkd: dict = {"decomposable": False}

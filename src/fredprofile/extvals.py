@@ -252,9 +252,12 @@ class EvAffineSeq:
         prefix = tuple(self.at(i).sub(self.at(i + 1)) for i in range(self.tail_start))
         return EvAffineSeq(prefix, ExtNat(0), 0)
 
-    @staticmethod
-    def constant(v: ExtNat | int) -> "EvAffineSeq":
-        return EvAffineSeq((), v if isinstance(v, ExtNat) else ExtNat(v), 0)
+    def steps(self) -> "EvAffineSeq":
+        """n -> at(n+1) - at(n) for a nondecreasing sequence, infinite where
+        at(n+1) is."""
+        prefix = tuple(self.at(i + 1).sub(self.at(i)) for i in range(self.tail_start))
+        base = ExtNat(self.tail_slope) if self.tail_base.is_finite else INF
+        return EvAffineSeq(prefix, base, 0)
 
     @staticmethod
     def from_samples(samples: list[ExtNat], stable_from: int) -> "EvAffineSeq":

@@ -11,13 +11,15 @@ records, as symbolic chains over the power n:
     b_n = codim(R(e-lam) + N((e-lam)^n))      join codimension chain
 
 together with range closedness per power, quasi-nilpotence, nilpotency
-degree, and whether the point admits a generalized Kato decomposition.
-Matrix chains all follow from the exact ranks of the powers (rank_profile);
-shift chains come from closed-form tables whose justification is noted
-inline.
+degree, and whether the point admits a generalized Kato decomposition. A
+profile stores a and r only: c and b are their step sizes, derived once on
+access. Matrix kernel chains follow from the exact ranks of the powers
+(rank_profile); shift chains come from closed-form tables whose
+justification is noted inline.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -114,33 +116,38 @@ def dual_expr(e: OperatorExpr) -> OperatorExpr:
 
 @dataclass(frozen=True)
 class StructuralProfile:
-    """Chains and point flags of one operator (or direct sum) at one point."""
+    """Kernel and range chains and point flags of one operator (or direct
+    sum) at one point; the meet and join chains are derived from them."""
 
     a: EvAffineSeq
     r: EvAffineSeq
-    c: EvAffineSeq
-    b: EvAffineSeq
     range_closed: BoolSeq
     is_quasinilpotent: bool
     nilpotency_degree: ExtNat
     is_pseudofredholm_point: bool
 
     def __post_init__(self):
-        # self-consistency of any valid profile
         if self.a.at(0) != ExtNat(0) or self.r.at(0) != ExtNat(0):
             raise ValueError("chains must start at 0 for the identity power")
-        if self.c.at(0) != self.a.at(1):
-            raise ValueError("c_0 must equal a_1")
-        if self.b.at(0) != self.r.at(1):
-            raise ValueError("b_0 must equal r_1")
+
+    @functools.cached_property
+    def c(self) -> EvAffineSeq:
+        """Meet chain c_n = a_{n+1} - a_n: the operator maps N(S^{n+1})
+        onto R(S^n) ∩ N(S) with kernel N(S^n)."""
+        return self.a.steps()
+
+    @functools.cached_property
+    def b(self) -> EvAffineSeq:
+        """Join chain b_n = r_{n+1} - r_n, infinite where r_{n+1} is: with
+        finite-dimensional kernels, a finite-dimensional enlargement cannot
+        fix infinite codimension."""
+        return self.r.steps()
 
 
 # Identity-on-nothing profile: neutral element for direct sums. Internal only.
 ZERO_DIM_PROFILE = StructuralProfile(
     a=ZERO_SEQ,
     r=ZERO_SEQ,
-    c=ZERO_SEQ,
-    b=ZERO_SEQ,
     range_closed=ALWAYS_CLOSED,
     is_quasinilpotent=True,
     nilpotency_degree=ExtNat(0),
@@ -230,22 +237,16 @@ def rank_profile(d: int, ranks: Sequence[int], scale: int = 1) -> StructuralProf
     """Profile of a d x d matrix S from ranks[n] = rank(S^n), n = 0..nu+1,
     the last two equal.
 
-    a_n = d - rank(S^n), and r_n = a_n by rank-nullity. The meet and join
-    chains follow from the ranks, c_n = b_n = a_{n+1} - a_n: S^n maps
-    N(S^{n+1}) onto R(S^n) ∩ N(S) with kernel N(S^n), and S maps it onto
-    R(S) ∩ N(S^n) with kernel N(S), so by the dimension formula
-    codim(R(S) + N(S^n)) = a_1 - a_n + (a_{n+1} - a_1).
+    a_n = d - rank(S^n), and r_n = a_n by rank-nullity, so the derived
+    meet and join chains agree too: c_n = b_n = a_{n+1} - a_n.
     """
     nu = len(ranks) - 2
     a_vals = [_scaled(d - ranks[n], scale) for n in range(nu + 1)]
     a = EvAffineSeq.from_samples(a_vals, nu)
-    c = _meet_from_kernel_chain(a)
     nilpotent = ranks[nu] == 0
     return StructuralProfile(
         a=a,
         r=a,
-        c=c,
-        b=c,
         range_closed=ALWAYS_CLOSED,
         is_quasinilpotent=nilpotent,
         nilpotency_degree=ExtNat(nu) if nilpotent else INF,
@@ -286,8 +287,6 @@ def _shift_profile(kind: str, re: Fraction, im: Fraction) -> StructuralProfile:
             return StructuralProfile(
                 a=ZERO_SEQ,
                 r=inf_tail,
-                c=ZERO_SEQ,
-                b=EvAffineSeq.constant(INF),
                 range_closed=CLOSED_ONLY_AT_ZERO,
                 is_quasinilpotent=False,
                 nilpotency_degree=INF,
@@ -297,8 +296,6 @@ def _shift_profile(kind: str, re: Fraction, im: Fraction) -> StructuralProfile:
             return StructuralProfile(
                 a=ZERO_SEQ,
                 r=LINEAR_SEQ,
-                c=ZERO_SEQ,
-                b=EvAffineSeq.constant(1),
                 range_closed=ALWAYS_CLOSED,
                 is_quasinilpotent=False,
                 nilpotency_degree=INF,
@@ -307,8 +304,6 @@ def _shift_profile(kind: str, re: Fraction, im: Fraction) -> StructuralProfile:
         return StructuralProfile(
             a=LINEAR_SEQ,
             r=ZERO_SEQ,
-            c=EvAffineSeq.constant(1),
-            b=ZERO_SEQ,
             range_closed=ALWAYS_CLOSED,
             is_quasinilpotent=False,
             nilpotency_degree=INF,
@@ -321,8 +316,6 @@ def _shift_profile(kind: str, re: Fraction, im: Fraction) -> StructuralProfile:
         return StructuralProfile(
             a=ZERO_SEQ,
             r=inf_tail,
-            c=ZERO_SEQ,
-            b=EvAffineSeq.constant(INF),
             range_closed=CLOSED_ONLY_AT_ZERO,
             is_quasinilpotent=True,
             nilpotency_degree=INF,
@@ -331,8 +324,6 @@ def _shift_profile(kind: str, re: Fraction, im: Fraction) -> StructuralProfile:
     return StructuralProfile(
         a=LINEAR_SEQ,
         r=inf_tail,
-        c=EvAffineSeq.constant(1),
-        b=EvAffineSeq.constant(INF),
         range_closed=CLOSED_ONLY_AT_ZERO,
         is_quasinilpotent=True,
         nilpotency_degree=INF,
@@ -344,8 +335,6 @@ def _invertible_profile() -> StructuralProfile:
     return StructuralProfile(
         a=ZERO_SEQ,
         r=ZERO_SEQ,
-        c=ZERO_SEQ,
-        b=ZERO_SEQ,
         range_closed=ALWAYS_CLOSED,
         is_quasinilpotent=False,
         nilpotency_degree=INF,
@@ -365,7 +354,8 @@ def atom_profile(atom: Atom, lam: Point) -> StructuralProfile:
 
 
 def direct_sum_profile(profiles: Sequence[StructuralProfile]) -> StructuralProfile:
-    """Profile of a direct sum: chains add pointwise, closedness and the
+    """Profile of a direct sum: kernel and range chains add pointwise (and
+    with them the derived meet and join chains), closedness and the
     decomposition flag are conjunctions, nilpotency degree is the maximum."""
     if not profiles:
         raise ValueError("direct sum of no profiles")
@@ -374,8 +364,6 @@ def direct_sum_profile(profiles: Sequence[StructuralProfile]) -> StructuralProfi
         out = StructuralProfile(
             a=out.a.add(p.a),
             r=out.r.add(p.r),
-            c=out.c.add(p.c),
-            b=out.b.add(p.b),
             range_closed=out.range_closed.and_with(p.range_closed),
             is_quasinilpotent=out.is_quasinilpotent and p.is_quasinilpotent,
             nilpotency_degree=max(out.nilpotency_degree, p.nilpotency_degree),
@@ -389,42 +377,19 @@ def expr_profile(e: OperatorExpr, lam: Point) -> StructuralProfile:
     return direct_sum_profile([atom_profile(a, lam) for a in e.atoms])
 
 
-def _meet_from_kernel_chain(a: EvAffineSeq) -> EvAffineSeq:
-    # c_n = a_{n+1} - a_n: the operator maps N(S^{n+1}) onto R(S^n) ∩ N(S)
-    # with kernel N(S^n); valid whenever the kernel chain is finite.
-    prefix = tuple(a.at(i + 1).sub(a.at(i)) for i in range(a.tail_start))
-    return EvAffineSeq(prefix, ExtNat(a.tail_slope), 0)
-
-
-def _join_from_range_chain(r: EvAffineSeq) -> EvAffineSeq:
-    # b_n = r_{n+1} - r_n in the finite case; an infinite step stays
-    # infinite because kernels in this model are finite-dimensional and a
-    # finite-dimensional enlargement cannot fix infinite codimension.
-    vals = []
-    for i in range(r.tail_start):
-        nxt = r.at(i + 1)
-        vals.append(INF if not nxt.is_finite else nxt.sub(r.at(i)))
-    base = ExtNat(r.tail_slope) if r.tail_base.is_finite else INF
-    return EvAffineSeq(tuple(vals), base, 0)
-
-
 def power_profile(p: StructuralProfile, k: int) -> StructuralProfile:
     """Profile of S^k given the profile of S (chains subsample at step k)."""
     if k < 1:
         raise ValueError("power must be >= 1")
     if k == 1:
         return p
-    a = p.a.subsample(k)
-    r = p.r.subsample(k)
     if p.nilpotency_degree.is_finite:
         deg = ExtNat((p.nilpotency_degree.value + k - 1) // k)
     else:
         deg = INF
     return StructuralProfile(
-        a=a,
-        r=r,
-        c=_meet_from_kernel_chain(a),
-        b=_join_from_range_chain(r),
+        a=p.a.subsample(k),
+        r=p.r.subsample(k),
         range_closed=p.range_closed.subsample(k),
         is_quasinilpotent=p.is_quasinilpotent,
         nilpotency_degree=deg,

@@ -1,5 +1,5 @@
-"""Structural invariants: chain reports, canonical Kato-type decompositions,
-defect numbers, ascent/descent-style stabilization points, Drazin inverses.
+"""Structural invariants: canonical Kato-type decompositions, defect
+numbers, ascent/descent-style stabilization points, Drazin inverses.
 
 The canonical decomposition splits each atom of e - lam into a semi-regular
 part and a quasi-nilpotent part: matrix atoms via the Fitting split at the
@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotPseudoFredholm
-from .extvals import EvAffineSeq, ExtIndex, ExtNat, UNDEF_INDEX
+from .extvals import ExtIndex, ExtNat, UNDEF_INDEX
 from .linalg import (
     ExactMatrix,
     SubspaceBasis,
@@ -49,33 +49,6 @@ from .model import (
     rank_profile,
     realified,
 )
-
-
-@dataclass(frozen=True)
-class ChainReport:
-    """The four chains with the derived defect chain k_n = c_n - c_{n+1},
-    the stabilization point dis of the meet chain, and the stabilization
-    point of the kernel chain (the Fitting index for matrix expressions)."""
-
-    a: EvAffineSeq
-    r: EvAffineSeq
-    c: EvAffineSeq
-    b: EvAffineSeq
-    k: EvAffineSeq
-    dis: ExtNat
-    fitting_index: ExtNat
-
-
-def chains(p: StructuralProfile) -> ChainReport:
-    return ChainReport(
-        a=p.a,
-        r=p.r,
-        c=p.c,
-        b=p.b,
-        k=p.c.diff(),
-        dis=p.c.stabilization_point(),
-        fitting_index=p.a.stabilization_point(),
-    )
 
 
 @dataclass(frozen=True)
@@ -218,22 +191,24 @@ class ExprAnalysis:
     power: int
     parts: tuple[AtomAnalysis, ...]
     full: StructuralProfile
-    report: ChainReport
-    decomposable: bool
     m_profile: StructuralProfile | None
     n_profile: StructuralProfile | None
     pair: GKDPair | None
     summary: StructuralSummary
+
+    @property
+    def decomposable(self) -> bool:
+        return self.pair is not None
 
 
 def analyze_expr(e: OperatorExpr, lam: Point, power: int = 1) -> ExprAnalysis:
     parts = tuple(analyze_atom(a, lam) for a in e.atoms)
     full = direct_sum_profile([p.profile for p in parts])
     full = power_profile(full, power)
-    report = chains(full)
+    dis = full.c.stabilization_point()
     if not full.is_pseudofredholm_point:
-        summary = StructuralSummary(None, None, None, None, UNDEF_INDEX, report.dis)
-        return ExprAnalysis(e, lam, power, parts, full, report, False, None, None, None, summary)
+        summary = StructuralSummary(None, None, None, None, UNDEF_INDEX, dis)
+        return ExprAnalysis(e, lam, power, parts, full, None, None, None, summary)
     m_prof = direct_sum_profile(
         [p.m_profile for p in parts if p.m_profile is not None] or [ZERO_DIM_PROFILE]
     )
@@ -263,9 +238,9 @@ def analyze_expr(e: OperatorExpr, lam: Point, power: int = 1) -> ExprAnalysis:
         p=m_prof.a.stabilization_point(),
         q=m_prof.r.stabilization_point(),
         index=ExtIndex.from_alpha_beta(alpha, beta),
-        dis=report.dis,
+        dis=dis,
     )
-    return ExprAnalysis(e, lam, power, parts, full, report, True, m_prof, n_prof, pair, summary)
+    return ExprAnalysis(e, lam, power, parts, full, m_prof, n_prof, pair, summary)
 
 
 def canonical_gkd(e: OperatorExpr, lam: Point) -> GKDPair:

@@ -83,7 +83,11 @@ def test_analyze_rational_point(shift_doc, capsys):
 
 
 @pytest.mark.parametrize(
-    "lam", ["1", "1,2,3", "0.5,0", "a,b", "1/0,0", "1/00,0", "0,-3/000"]
+    "lam",
+    [
+        "1", "1,2,3", "0.5,0", "a,b", "1/0,0", "1/00,0", "0,-3/000",
+        pytest.param("1" * 5000 + ",0", id="5000-digits"),
+    ],
 )
 def test_analyze_bad_point_is_usage_error(shift_doc, lam, capsys):
     assert main(["analyze", "--in", shift_doc, f"--lambda={lam}"]) == 1
@@ -100,6 +104,21 @@ def test_analyze_bad_document(tmp_path, capsys):
     f.write_text('{"name": "x", "atoms": [{"type": "matrix", "entries": [["1/0"]]}]}')
     assert main(["analyze", "--in", str(f)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[" * 100000,
+        '{"name": "x", "atoms": [{"type": "matrix", "entries": [["%s"]]}]}' % ("1" * 5000),
+    ],
+    ids=["deeply-nested", "5000-digit-entry"],
+)
+def test_analyze_unreadable_document_is_exit_2(tmp_path, text, capsys):
+    f = tmp_path / "bad.json"
+    f.write_text(text)
+    assert main(["analyze", "--in", str(f)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_spectrum_csv(shift_doc, tmp_path):
@@ -205,6 +224,13 @@ def test_verify_ok(capsys):
     out = capsys.readouterr().out
     assert "suite chains: ok" in out
     assert "verify: 1 suites ok" in out
+
+
+def test_verify_negative_cases_is_usage_error(capsys):
+    assert main(["verify", "--cases", "-3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--cases" in captured.err
 
 
 def test_verify_corrupt_oracle_fails(capsys):

@@ -174,6 +174,29 @@ def test_add_agrees_pointwise(p1, b1, p2, b2):
         assert total.at(n) == s1.at(n) + s2.at(n)
 
 
+@settings(max_examples=60)
+@given(
+    st.lists(st.integers(0, 3), max_size=4),
+    st.integers(0, 3),
+    st.integers(0, 3),
+    st.booleans(),
+)
+def test_steps_agree_pointwise(jumps, base_jump, slope, infinite_tail):
+    # a nondecreasing sequence: partial sums of the jumps, then an affine
+    # or infinite tail
+    prefix = [sum(jumps[:i]) for i in range(len(jumps))]
+    start = sum(jumps) + base_jump
+    seq = EvAffineSeq(
+        tuple(ExtNat(v) for v in prefix),
+        INF if infinite_tail else ExtNat(start),
+        0 if infinite_tail else slope,
+    )
+    steps = seq.steps()
+    for n in range(10):
+        nxt = seq.at(n + 1)
+        assert steps.at(n) == (nxt if not nxt.is_finite else nxt.sub(seq.at(n)))
+
+
 def test_bool_seq():
     assert ALWAYS_CLOSED.at(0) and ALWAYS_CLOSED.at(9)
     assert CLOSED_ONLY_AT_ZERO.at(0) and not CLOSED_ONLY_AT_ZERO.at(1)

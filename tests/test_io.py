@@ -40,7 +40,11 @@ def test_parse_rational():
 
 @pytest.mark.parametrize(
     "bad",
-    ["1.5", "1e3", "", "1/0", "3/-4", "/2", "1 / 2", 3, 0.5, None, [1], "1/00", "-3/000"],
+    [
+        "1.5", "1e3", "", "1/0", "3/-4", "/2", "1 / 2", 3, 0.5, None, [1], "1/00", "-3/000",
+        # more digits than Python's int-string limit
+        pytest.param("1" * 5000, id="5000-digits"),
+    ],
 )
 def test_parse_rational_rejects(bad):
     with pytest.raises(DocumentError):
@@ -89,6 +93,10 @@ def test_document_parse_matrix_entries():
         '{"name": "x", "atoms": [{"type": "matrix", "entries": [["1/0"]]}]}',
         '{"name": "x", "atoms": [{"type": "matrix", "entries": [["0.5"]]}]}',
         '{"name": "x", "atoms": [{"type": "matrix", "entries": "1"}]}',
+        pytest.param(
+            '{"name": "x", "atoms": [{"type": "matrix", "entries": [[%s]]}]}' % ("1" * 5000),
+            id="5000-digit-number",
+        ),
     ],
 )
 def test_document_rejects(text):
@@ -205,7 +213,10 @@ def test_report_chain_reconstruction():
     assert back.chain("b").tail_formula() == "0 for n >= 3"
 
 
-@pytest.mark.parametrize("text", ["nope", "{}", '{"name": "x"}', "[]"])
+@pytest.mark.parametrize(
+    "text",
+    ["nope", "{}", '{"name": "x"}', "[]", pytest.param("[" * 100000, id="deeply-nested")],
+)
 def test_report_from_json_rejects(text):
     with pytest.raises(DocumentError):
         AnalysisReport.from_json(text)

@@ -1,8 +1,18 @@
 from fractions import Fraction as F
+from functools import reduce
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fredprofile.extvals import ALWAYS_CLOSED, CLOSED_ONLY_AT_ZERO, INF, ExtNat
+from fredprofile.extvals import (
+    ALWAYS_CLOSED,
+    CLOSED_ONLY_AT_ZERO,
+    INF,
+    LINEAR_SEQ,
+    EvAffineSeq,
+    ExtNat,
+)
 from fredprofile.model import (
     Atom,
     LEFT_SHIFT,
@@ -58,6 +68,7 @@ def test_right_shift_on_circle():
     p = atom_profile(RIGHT_SHIFT, point(F(3, 5), F(4, 5)))
     assert vals(p.a) == ["0", "0", "0", "0", "0"]
     assert vals(p.r) == ["0", "inf", "inf", "inf", "inf"]
+    assert vals(p.c) == ["0", "0", "0", "0", "0"]
     assert vals(p.b) == ["inf", "inf", "inf", "inf", "inf"]
     assert p.range_closed == CLOSED_ONLY_AT_ZERO
     assert not p.is_pseudofredholm_point
@@ -68,6 +79,8 @@ def test_right_shift_outside_disk_invertible():
     p = atom_profile(RIGHT_SHIFT, point(2))
     assert vals(p.a) == ["0", "0", "0", "0", "0"]
     assert vals(p.r) == ["0", "0", "0", "0", "0"]
+    assert vals(p.c) == ["0", "0", "0", "0", "0"]
+    assert vals(p.b) == ["0", "0", "0", "0", "0"]
     assert p.range_closed == ALWAYS_CLOSED
     assert p.is_pseudofredholm_point
 
@@ -79,13 +92,19 @@ def test_left_shift_mirrors_right_shift():
     assert vals(p.c) == ["1", "1", "1", "1", "1"]
     assert vals(p.b) == ["0", "0", "0", "0", "0"]
     assert p.is_pseudofredholm_point
-    assert not atom_profile(LEFT_SHIFT, point(F(4, 5), F(3, 5))).is_pseudofredholm_point
+    on_circle = atom_profile(LEFT_SHIFT, point(F(4, 5), F(3, 5)))
+    assert vals(on_circle.a) == ["0", "0", "0", "0", "0"]
+    assert vals(on_circle.r) == ["0", "inf", "inf", "inf", "inf"]
+    assert vals(on_circle.c) == ["0", "0", "0", "0", "0"]
+    assert vals(on_circle.b) == ["inf", "inf", "inf", "inf", "inf"]
+    assert not on_circle.is_pseudofredholm_point
 
 
 def test_qnil_shift_at_zero():
     p = atom_profile(QNIL_SHIFT, point(0))
     assert vals(p.a) == ["0", "0", "0", "0", "0"]
     assert vals(p.r) == ["0", "inf", "inf", "inf", "inf"]
+    assert vals(p.c) == ["0", "0", "0", "0", "0"]
     assert vals(p.b) == ["inf", "inf", "inf", "inf", "inf"]
     assert p.range_closed == CLOSED_ONLY_AT_ZERO
     assert p.is_quasinilpotent
@@ -98,6 +117,8 @@ def test_qnil_shift_elsewhere_invertible():
         p = atom_profile(QNIL_SHIFT, lam)
         assert vals(p.a) == ["0", "0", "0", "0", "0"]
         assert vals(p.r) == ["0", "0", "0", "0", "0"]
+        assert vals(p.c) == ["0", "0", "0", "0", "0"]
+        assert vals(p.b) == ["0", "0", "0", "0", "0"]
         assert not p.is_quasinilpotent
 
 
@@ -106,6 +127,7 @@ def test_qnil_dual_at_zero():
     assert vals(p.a) == ["0", "1", "2", "3", "4"]
     assert vals(p.r) == ["0", "inf", "inf", "inf", "inf"]
     assert vals(p.c) == ["1", "1", "1", "1", "1"]
+    assert vals(p.b) == ["inf", "inf", "inf", "inf", "inf"]
     assert p.is_quasinilpotent
     assert p.is_pseudofredholm_point
 
@@ -226,18 +248,68 @@ def test_power_nilpotency_degree_divides():
 
 
 def test_profile_consistency_enforced():
-    base = atom_profile(RIGHT_SHIFT, point(0))
-    with pytest.raises(ValueError):
-        StructuralProfile(
-            a=base.a,
-            r=base.r,
-            c=base.b,  # c_0 must equal a_1, which fails here
-            b=base.b,
-            range_closed=base.range_closed,
-            is_quasinilpotent=False,
-            nilpotency_degree=INF,
-            is_pseudofredholm_point=True,
-        )
+    # a_0 and r_0 describe the identity power, which is injective and onto
+    shifted = EvAffineSeq((), ExtNat(1), 1)
+    for a, r in ((shifted, LINEAR_SEQ), (LINEAR_SEQ, shifted)):
+        with pytest.raises(ValueError):
+            StructuralProfile(
+                a=a,
+                r=r,
+                range_closed=ALWAYS_CLOSED,
+                is_quasinilpotent=False,
+                nilpotency_degree=INF,
+                is_pseudofredholm_point=True,
+            )
+
+
+# points inside, on and outside the unit circle; matrices may have them as
+# eigenvalues
+POINTS = (
+    point(0),
+    point(F(1, 2), F(1, 3)),
+    point(1),
+    point(F(3, 5), F(4, 5)),
+    point(0, -1),
+    point(2),
+    point(F(-1, 2), F(3, 2)),
+)
+SHIFTS = ("right_shift", "left_shift", "qnil_shift", "qnil_shift_dual")
+
+
+@st.composite
+def atoms_at_point(draw):
+    """One to four atoms, shifts or upper triangular d <= 4 matrices, and a
+    point. A matrix's diagonal draws from the point's real part and 0; at
+    a complex point its leading 2 x 2 block may be [[re, -im], [im, re]],
+    so the point is an eigenvalue of it."""
+    lam = draw(st.sampled_from(POINTS))
+    re, im = lam
+    atoms = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(("matrix",) + SHIFTS))
+        if kind != "matrix":
+            atoms.append(Atom(kind))
+            continue
+        d = draw(st.integers(1, 4))
+        rows = [
+            [draw(st.integers(-1, 1)) if j > i else 0 for j in range(d)] for i in range(d)
+        ]
+        for i in range(d):
+            rows[i][i] = draw(st.sampled_from((re, F(0))))
+        if im and d >= 2 and draw(st.booleans()):
+            rows[0][0], rows[0][1], rows[1][0], rows[1][1] = re, -im, im, re
+        atoms.append(matrix_atom(rows))
+    return atoms, lam
+
+
+@settings(max_examples=200, deadline=None)
+@given(atoms_at_point())
+def test_derived_chains_commute_with_direct_sums(case):
+    atoms, lam = case
+    ps = [atom_profile(a, lam) for a in atoms]
+    total = direct_sum_profile(ps)
+    assert total.c == reduce(EvAffineSeq.add, [p.c for p in ps])
+    assert total.b == reduce(EvAffineSeq.add, [p.b for p in ps])
 
 
 def test_matrix_ambient():

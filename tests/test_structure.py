@@ -22,7 +22,6 @@ from fredprofile.structure import (
     alpha_beta_pq,
     analyze_expr,
     canonical_gkd,
-    chains,
     drazin_inverse,
     h0_and_core,
     index,
@@ -40,13 +39,13 @@ def mat(rows):
     return ExactMatrix.from_rows([[F(x) for x in r] for r in rows])
 
 
-def test_chain_report_jordan3():
-    rep = chains(expr_profile(OperatorExpr.of(J3), point(0)))
-    assert [v.to_str() for v in rep.a.values(5)] == ["0", "1", "2", "3", "3"]
-    assert [v.to_str() for v in rep.c.values(5)] == ["1", "1", "1", "0", "0"]
-    assert [v.to_str() for v in rep.k.values(5)] == ["0", "0", "1", "0", "0"]
-    assert rep.dis == ExtNat(3)
-    assert rep.fitting_index == ExtNat(3)
+def test_jordan3_chains():
+    p = expr_profile(OperatorExpr.of(J3), point(0))
+    assert [v.to_str() for v in p.a.values(5)] == ["0", "1", "2", "3", "3"]
+    assert [v.to_str() for v in p.c.values(5)] == ["1", "1", "1", "0", "0"]
+    assert [v.to_str() for v in p.c.diff().values(5)] == ["0", "0", "1", "0", "0"]
+    assert p.c.stabilization_point() == ExtNat(3)  # dis
+    assert p.a.stabilization_point() == ExtNat(3)  # the Fitting index
 
 
 def test_gkd_nilpotent_matrix_is_all_nilpotent_part():
