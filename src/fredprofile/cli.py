@@ -4,17 +4,19 @@ Commands: analyze (classify one operator document at one point), spectrum
 (grid scan to CSV or JSON), drazin (Drazin inverse of a single matrix
 document), verify (randomized property suites).
 
-Exit codes: 0 success, 1 usage error, 2 document parse error,
-4 drazin on a non-matrix document, 5 verify found a property violation,
-6 internal invariant violated (a bug in this package), 7 output file could
-not be written. Code 3 is not used.
+Exit codes: 0 success, 1 usage error (including a grid of more than
+MAX_GRID_POINTS points), 2 document parse error, 4 drazin on a non-matrix
+document, 5 verify found a property violation, 6 internal invariant
+violated (a bug in this package), 7 an output could not be produced or
+written (an unwritable output file, or a rational too long to print).
+Code 3 is not used.
 """
 from __future__ import annotations
 
 import argparse
 import sys
 
-from .docio import build_report, parse_document, parse_rational
+from .docio import build_report, parse_document, parse_rational, rational_str
 from .errors import DocumentError, InternalInvariantError, OutputError
 from .model import Point
 from .spectra import GridSpec, SPECTRUM_NAMES, scan, scan_to_csv, scan_to_json
@@ -141,8 +143,9 @@ def _cmd_drazin(args) -> int:
         print("drazin needs a document with a single matrix atom", file=sys.stderr)
         return 4
     dz = drazin_inverse(atoms[0].matrix)
-    for i in range(dz.rows):
-        print(" ".join(str(dz.at(i, j)) for j in range(dz.cols)))
+    sys.stdout.write(
+        "".join(" ".join(rational_str(x) for x in dz.row(i)) + "\n" for i in range(dz.rows))
+    )
     return 0
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .classify import classify_analysis
-from .errors import DocumentError
+from .errors import DocumentError, OutputError
 from .extvals import BoolSeq, EvAffineSeq, ExtNat
 from .linalg import ExactMatrix, SubspaceBasis
 from .model import ATOM_KINDS, Atom, OperatorExpr, Point
@@ -41,7 +41,14 @@ def parse_rational(value: object) -> Fraction:
 
 
 def rational_str(q: Fraction) -> str:
-    return str(q)
+    """The "p" or "p/q" text of q. A numerator or denominator longer than
+    Python's int-string limit raises OutputError; the limit is kept."""
+    try:
+        return str(q)
+    except ValueError:
+        raise OutputError(
+            "rational too long to print: more digits than Python's int-string limit"
+        ) from None
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ class DocumentError(FredprofileError):
 
 
 class OutputError(FredprofileError):
-    """An output file could not be written."""
+    """An output could not be produced or written."""
 
 
 class InternalInvariantError(FredprofileError):

@@ -1,9 +1,19 @@
 """Exact dense linear algebra over the rationals.
 
-Entries are fractions.Fraction throughout, ranks and dimensions come from
-exact comparisons, and no tolerance appears anywhere. Subspaces are stored
-in a canonical reduced echelon form, so two independent computations of the
-same subspace yield identical objects and equality is plain ==.
+Entries are fractions.Fraction at the interface, ranks and dimensions come
+from exact comparisons, and no tolerance appears anywhere. Subspaces are
+stored in a canonical reduced echelon form, so two independent computations
+of the same subspace yield identical objects and equality is plain ==.
+
+Inside, rref, rank, the matrix product and restrict compute on integers.
+Elimination scales each row by the lcm of its denominators, which keeps the
+row space, the kernel and the pivot columns, and then runs Bareiss's
+fraction-free elimination (Bareiss, Math. Comp. 22, 1968): every entry it
+holds is a minor of the scaled matrix, so each division by the previous
+pivot is exact. The reduced echelon form of a matrix is unique, so rref
+returns exactly the Fraction result of plain Gauss-Jordan; a product is
+formed on integer entries over one common denominator per operand. The
+outputs are therefore the same Fractions that Fraction arithmetic gives.
 """
 from __future__ import annotations
 
@@ -11,6 +21,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from .errors import AmbientMismatch, InternalInvariantError, NotInvariant
@@ -27,6 +38,23 @@ def _frac(x) -> Fraction:
     if isinstance(x, str):
         return Fraction(x)
     raise TypeError(f"not an exact rational: {x!r}")
+
+
+def _integer_entries(m: "ExactMatrix") -> tuple[list[int], int]:
+    """(N, D) with D the lcm of m's denominators and N = D*m, row-major."""
+    den = math.lcm(*(e.denominator for e in m.entries))
+    return [e.numerator * (den // e.denominator) for e in m.entries], den
+
+
+def _integer_rows(m: "ExactMatrix") -> list[list[int]]:
+    """Each row of m times the lcm of its denominators: the same row space,
+    kernel and pivot columns, in integers."""
+    out = []
+    for i in range(m.rows):
+        row = m.row(i)
+        den = math.lcm(*(e.denominator for e in row))
+        out.append([e.numerator * (den // e.denominator) for e in row])
+    return out
 
 
 @dataclass(frozen=True)
@@ -84,19 +112,18 @@ class ExactMatrix:
         )
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
+        """(A/Da)(B/Db) = AB/(Da*Db) for integer A and B: integer inner
+        products and one Fraction per output entry."""
         if self.cols != other.rows:
             raise AmbientMismatch("matmul shape mismatch")
+        a, da = _integer_entries(self)
+        b, db = _integer_entries(other)
+        n, ocols, den = self.cols, other.cols, da * db
+        bcols = [b[j::ocols] for j in range(ocols)]
         out: list[Fraction] = []
-        ocols = other.cols
         for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(ocols):
-                s = _ZERO
-                for k in range(self.cols):
-                    a = ri[k]
-                    if a:
-                        s += a * other.entries[k * ocols + j]
-                out.append(s)
+            ai = a[i * n : (i + 1) * n]
+            out.extend(Fraction(sum(map(mul, ai, bj)), den) for bj in bcols)
         return ExactMatrix(self.rows, ocols, tuple(out))
 
     def minus_scalar(self, q) -> "ExactMatrix":
@@ -145,11 +172,8 @@ class ExactMatrix:
         if self.rows != self.cols:
             raise ValueError("char_poly needs a square matrix")
         n = self.rows
-        den = math.lcm(*(e.denominator for e in self.entries))
-        a = [
-            [e.numerator * (den // e.denominator) for e in self.row(i)]
-            for i in range(n)
-        ]
+        flat, den = _integer_entries(self)
+        a = [flat[i * n : (i + 1) * n] for i in range(n)]
         p = [1]  # det(xI - A_k), constant term first
         for k in range(n):
             r = a[k][:k]
@@ -179,36 +203,59 @@ class ExactMatrix:
 
 
 def rref(m: ExactMatrix) -> tuple[ExactMatrix, tuple[int, ...], int]:
-    """Reduced row echelon form. Returns (R, pivot columns, rank)."""
-    data = m.to_rows()
+    """Reduced row echelon form. Returns (R, pivot columns, rank).
+
+    Fraction-free Gauss-Jordan on the integer rows: each pivot step sets
+    every other row to (pv*row - f*pivot_row) // prev, prev the previous
+    pivot. After a step every pivot row holds pv at its pivot, so the
+    pivot rows are divided by the last pivot once, at the end.
+    """
+    a = _integer_rows(m)
     pivots: list[int] = []
-    pr = 0
+    prev = 1
     for pc in range(m.cols):
-        sel = None
-        for r in range(pr, m.rows):
-            if data[r][pc]:
-                sel = r
-                break
+        pr = len(pivots)
+        sel = next((r for r in range(pr, m.rows) if a[r][pc]), None)
         if sel is None:
             continue
-        data[pr], data[sel] = data[sel], data[pr]
-        pv = data[pr][pc]
-        if pv != 1:
-            data[pr] = [x / pv for x in data[pr]]
-        for r in range(m.rows):
-            if r != pr and data[r][pc]:
-                f = data[r][pc]
-                data[r] = [x - f * y for x, y in zip(data[r], data[pr])]
+        a[pr], a[sel] = a[sel], a[pr]
+        prow = a[pr]
+        pv = prow[pc]
+        for r, row in enumerate(a):
+            if r == pr:
+                continue
+            f = row[pc]
+            if f:
+                a[r] = [(pv * x - f * y) // prev for x, y in zip(row, prow)]
+            elif pv != prev:
+                a[r] = [pv * x // prev for x in row]
+        prev = pv
         pivots.append(pc)
-        pr += 1
-        if pr == m.rows:
+        if len(pivots) == m.rows:
             break
-    out = ExactMatrix.from_rows(data) if m.rows else m
-    return out, tuple(pivots), len(pivots)
+    rk = len(pivots)
+    ent = [Fraction(x, prev) for row in a[:rk] for x in row]
+    ent.extend([_ZERO] * ((m.rows - rk) * m.cols))
+    return ExactMatrix(m.rows, m.cols, tuple(ent)), tuple(pivots), rk
 
 
 def rank(m: ExactMatrix) -> int:
-    return rref(m)[2]
+    """Rank by forward-only fraction-free elimination on the integer rows,
+    with no back-substitution. rows holds the columns not yet eliminated
+    of the rows not yet used as pivots."""
+    rows = _integer_rows(m)
+    rk, prev = 0, 1
+    while rows and rows[0]:
+        k = next((i for i, r in enumerate(rows) if r[0]), None)
+        if k is None:
+            rows = [r[1:] for r in rows]
+            continue
+        piv = rows.pop(k)
+        pv, tail = piv[0], piv[1:]
+        rows = [[(pv * x - r[0] * y) // prev for x, y in zip(r[1:], tail)] for r in rows]
+        prev = pv
+        rk += 1
+    return rk
 
 
 def inverse(m: ExactMatrix) -> ExactMatrix:
@@ -384,17 +431,21 @@ def subspace_intersection(a: SubspaceBasis, b: SubspaceBasis) -> SubspaceBasis:
 
 
 def restrict(m: ExactMatrix, b: SubspaceBasis) -> ExactMatrix:
-    """Matrix of m restricted to the m-invariant subspace b, in b's basis."""
+    """Matrix of m restricted to the m-invariant subspace b, in b's basis.
+
+    With b's vectors as the columns of B and P their pivot columns, the
+    block is R = the rows of M B at P, since each basis vector is 1 at its
+    own pivot and 0 at the others'. b is invariant exactly when B R = M B.
+    """
     if m.rows != m.cols:
         raise ValueError("restrict needs a square matrix")
     if m.cols != b.ambient_dim:
         raise AmbientMismatch("matrix and subspace ambient dimensions differ")
-    cols: list[tuple[Fraction, ...]] = []
-    for v in b.vectors:
-        w = m.apply(v)
-        coords = b.coordinates(w)
-        if coords is None:
-            raise NotInvariant("subspace is not invariant under the matrix")
-        cols.append(coords)
     k = b.dim
-    return ExactMatrix(k, k, tuple(cols[j][i] for i in range(k) for j in range(k)))
+    basis = ExactMatrix(k, b.ambient_dim, tuple(x for v in b.vectors for x in v))
+    cols = basis.transpose()
+    image = m @ cols
+    block = ExactMatrix(k, k, tuple(x for p in b._pivots() for x in image.row(p)))
+    if cols @ block != image:
+        raise NotInvariant("subspace is not invariant under the matrix")
+    return block

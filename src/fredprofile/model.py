@@ -35,7 +35,7 @@ from .extvals import (
     LINEAR_SEQ,
     ZERO_SEQ,
 )
-from .linalg import ExactMatrix, SubspaceBasis, image_basis, kernel_basis, rref
+from .linalg import ExactMatrix, SubspaceBasis, image_basis, kernel_basis, rank
 
 ATOM_KINDS = ("matrix", "right_shift", "left_shift", "qnil_shift", "qnil_shift_dual")
 
@@ -218,10 +218,10 @@ def matrix_chain_data(s: ExactMatrix) -> MatrixChainData:
     if s.rows != s.cols:
         raise AmbientMismatch("operator matrices must be square")
     powers = [ExactMatrix.identity(s.rows), s]
-    ranks = [s.rows, rref(s)[2]]
+    ranks = [s.rows, rank(s)]
     while ranks[-1] != ranks[-2]:
         powers.append(powers[-1] @ s)
-        ranks.append(rref(powers[-1])[2])
+        ranks.append(rank(powers[-1]))
     return MatrixChainData(s, tuple(powers), tuple(ranks), len(ranks) - 2)
 
 

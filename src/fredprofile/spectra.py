@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .classify import FLAG_NAMES, ClassificationRecord, classify
+from .docio import rational_str
 from .model import OperatorExpr, Point
 
 SPECTRUM_NAMES: tuple[str, ...] = (
@@ -39,6 +40,9 @@ _SET_FLAGS: dict[str, tuple[str, ...]] = {
     "pbw": ("pseudo_b_weyl",),
 }
 
+# scans hold every point and record in memory, so the grid size is bounded
+MAX_GRID_POINTS = 10**6
+
 
 def spectrum_membership(rec: ClassificationRecord, name: str) -> bool:
     """True when the point belongs to the named spectrum, i.e. the
@@ -57,8 +61,8 @@ def spectrum_membership_at(e: OperatorExpr, lam: Point, name: str) -> bool:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Rectangular rational grid. Steps count points per axis; an axis with
-    one step collapses to its minimum."""
+    """Rectangular rational grid of at most MAX_GRID_POINTS points. Steps
+    count points per axis; an axis with one step collapses to its minimum."""
 
     re_min: Fraction
     re_max: Fraction
@@ -70,6 +74,11 @@ class GridSpec:
     def __post_init__(self):
         if self.re_steps < 1 or self.im_steps < 1:
             raise ValueError("grid needs at least one step per axis")
+        if self.re_steps * self.im_steps > MAX_GRID_POINTS:
+            raise ValueError(
+                f"grid has {self.re_steps * self.im_steps} points, "
+                f"more than the limit of {MAX_GRID_POINTS}"
+            )
         if self.re_max < self.re_min or self.im_max < self.im_min:
             raise ValueError("grid bounds out of order")
 
@@ -172,7 +181,7 @@ def component_index_report(s: SpectrumScan, set_name: str) -> ComponentReport:
                 id=cid,
                 index=keys[cells[0]] if len(vals) == 1 else "nonconstant",
                 point_count=len(cells),
-                first_point=(str(first[0]), str(first[1])),
+                first_point=(rational_str(first[0]), rational_str(first[1])),
                 index_constant=len(vals) == 1,
             )
         )
@@ -185,7 +194,7 @@ CSV_HEADER = "re,im," + ",".join(FLAG_NAMES) + ",alpha,beta,p,q,index"
 def scan_to_csv(s: SpectrumScan) -> str:
     lines = [CSV_HEADER]
     for (re, im), rec in zip(s.points, s.records):
-        cells = [str(re), str(im)]
+        cells = [rational_str(re), rational_str(im)]
         cells += ["1" if v else "0" for v in rec.flags().values()]
         cells += rec.summary.to_strs().values()
         lines.append(",".join(cells))
@@ -196,16 +205,16 @@ def scan_to_json(s: SpectrumScan, set_name: str) -> str:
     report = component_index_report(s, set_name)
     points = []
     for (re, im), rec in zip(s.points, s.records):
-        row: dict[str, object] = {"re": str(re), "im": str(im)}
+        row: dict[str, object] = {"re": rational_str(re), "im": rational_str(im)}
         row.update(rec.flags())
         row.update(rec.summary.to_strs())
         points.append(row)
     doc = {
         "grid": {
-            "re_min": str(s.grid.re_min),
-            "re_max": str(s.grid.re_max),
-            "im_min": str(s.grid.im_min),
-            "im_max": str(s.grid.im_max),
+            "re_min": rational_str(s.grid.re_min),
+            "re_max": rational_str(s.grid.re_max),
+            "im_min": rational_str(s.grid.im_min),
+            "im_max": rational_str(s.grid.im_max),
             "re_steps": s.grid.re_steps,
             "im_steps": s.grid.im_steps,
         },

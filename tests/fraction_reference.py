@@ -1,0 +1,77 @@
+"""Fraction-arithmetic reference for the integer kernels of fredprofile.linalg.
+
+These are the Fraction-entry rref, matrix product and restriction that
+linalg used before it moved to integer elimination, kept verbatim as the
+oracle for the differential tests. Nothing in the package imports them.
+"""
+from __future__ import annotations
+
+from fractions import Fraction
+
+from fredprofile.errors import AmbientMismatch, NotInvariant
+from fredprofile.linalg import ExactMatrix, SubspaceBasis
+
+_ZERO = Fraction(0)
+
+
+def matmul(self: ExactMatrix, other: ExactMatrix) -> ExactMatrix:
+    if self.cols != other.rows:
+        raise AmbientMismatch("matmul shape mismatch")
+    out: list[Fraction] = []
+    ocols = other.cols
+    for i in range(self.rows):
+        ri = self.row(i)
+        for j in range(ocols):
+            s = _ZERO
+            for k in range(self.cols):
+                a = ri[k]
+                if a:
+                    s += a * other.entries[k * ocols + j]
+            out.append(s)
+    return ExactMatrix(self.rows, ocols, tuple(out))
+
+
+def rref(m: ExactMatrix) -> tuple[ExactMatrix, tuple[int, ...], int]:
+    """Reduced row echelon form. Returns (R, pivot columns, rank)."""
+    data = m.to_rows()
+    pivots: list[int] = []
+    pr = 0
+    for pc in range(m.cols):
+        sel = None
+        for r in range(pr, m.rows):
+            if data[r][pc]:
+                sel = r
+                break
+        if sel is None:
+            continue
+        data[pr], data[sel] = data[sel], data[pr]
+        pv = data[pr][pc]
+        if pv != 1:
+            data[pr] = [x / pv for x in data[pr]]
+        for r in range(m.rows):
+            if r != pr and data[r][pc]:
+                f = data[r][pc]
+                data[r] = [x - f * y for x, y in zip(data[r], data[pr])]
+        pivots.append(pc)
+        pr += 1
+        if pr == m.rows:
+            break
+    out = ExactMatrix.from_rows(data) if m.rows else m
+    return out, tuple(pivots), len(pivots)
+
+
+def restrict(m: ExactMatrix, b: SubspaceBasis) -> ExactMatrix:
+    """Matrix of m restricted to the m-invariant subspace b, in b's basis."""
+    if m.rows != m.cols:
+        raise ValueError("restrict needs a square matrix")
+    if m.cols != b.ambient_dim:
+        raise AmbientMismatch("matrix and subspace ambient dimensions differ")
+    cols: list[tuple[Fraction, ...]] = []
+    for v in b.vectors:
+        w = m.apply(v)
+        coords = b.coordinates(w)
+        if coords is None:
+            raise NotInvariant("subspace is not invariant under the matrix")
+        cols.append(coords)
+    k = b.dim
+    return ExactMatrix(k, k, tuple(cols[j][i] for i in range(k) for j in range(k)))

@@ -164,6 +164,15 @@ def test_spectrum_bad_grid_is_usage_error(shift_doc, grid, capsys):
     capsys.readouterr()
 
 
+def test_spectrum_grid_too_large_is_usage_error(shift_doc, monkeypatch, capsys):
+    def no_scan(*args):
+        raise AssertionError("an oversized grid reached the scan")
+
+    monkeypatch.setattr(fredprofile.cli, "scan", no_scan)
+    assert main(["spectrum", "--in", shift_doc, "--grid=0,1,0,1,1001,1000"]) == 1
+    assert "more than the limit of 1000000" in capsys.readouterr().err
+
+
 def test_spectrum_unknown_set(shift_doc, capsys):
     assert main(["spectrum", "--in", shift_doc, "--grid=0,1,0,1,2,2", "--set", "zzz"]) == 1
     capsys.readouterr()
@@ -210,6 +219,39 @@ def test_drazin_rejects_multi_atom_document(tmp_path, capsys):
     )
     assert main(["drazin", "--in", str(f)]) == 4
     capsys.readouterr()
+
+
+BIG = json.dumps(
+    {
+        "name": "big",
+        "atoms": [{"type": "matrix", "entries": [["1" * 2500, "2" * 2500], ["2" * 2500, "3"]]}],
+    }
+)
+
+
+@pytest.mark.parametrize(
+    "args", [["drazin"], ["analyze", "--lambda", "0,0"]], ids=["drazin", "analyze"]
+)
+def test_output_past_the_int_string_limit_is_exit_7(tmp_path, args, capsys):
+    """The inverse's entries have about 5000 digits, past Python's 4300-digit
+    int-string limit, which stays in force."""
+    f = tmp_path / "big.json"
+    f.write_text(BIG)
+    assert main(args + ["--in", str(f)]) == 7
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: rational too long to print")
+
+
+def test_grid_coordinate_past_the_int_string_limit_is_exit_7(shift_doc, capsys):
+    # the midpoint of 1/(10^3999 + 3) and 1/(10^3999 + 1) has a denominator
+    # of about 8000 digits
+    lo, hi = "1/1" + "0" * 3998 + "3", "1/1" + "0" * 3998 + "1"
+    code = main(["spectrum", "--in", shift_doc, f"--grid={lo},{hi},0,0,3,1"])
+    assert code == 7
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: rational too long to print")
 
 
 def test_usage_errors(capsys):

@@ -1,6 +1,9 @@
+import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fredprofile.docio import (
     AnalysisReport,
@@ -220,3 +223,64 @@ def test_report_chain_reconstruction():
 def test_report_from_json_rejects(text):
     with pytest.raises(DocumentError):
         AnalysisReport.from_json(text)
+
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=12),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=16,
+)
+VALID_DOCUMENT = {
+    "name": "op",
+    "atoms": [
+        {"type": "matrix", "entries": [["0", "1/2"], ["-3", "4"]]},
+        {"type": "right_shift"},
+    ],
+}
+VALID_REPORT = json.loads(
+    build_report(OperatorDocument("j3", OperatorExpr.of(J3, RIGHT_SHIFT)), point(0)).to_json()
+)
+READERS = (parse_document, AnalysisReport.from_json)
+
+
+def _parses_or_document_error(reader, text):
+    try:
+        reader(text)
+    except DocumentError:
+        pass
+
+
+def _replace_somewhere(data, obj, value):
+    """A copy of obj with one node, chosen by data, replaced by value."""
+    if not isinstance(obj, (dict, list)) or not obj or data.draw(st.integers(0, 3)) == 0:
+        return value
+    key = data.draw(st.sampled_from(sorted(obj) if isinstance(obj, dict) else range(len(obj))))
+    out = dict(obj) if isinstance(obj, dict) else list(obj)
+    out[key] = _replace_somewhere(data, obj[key], value)
+    return out
+
+
+@settings(max_examples=150)
+@given(st.text())
+def test_readers_on_any_text(text):
+    for reader in READERS:
+        _parses_or_document_error(reader, text)
+
+
+@settings(max_examples=150)
+@given(JSON_VALUES)
+def test_readers_on_any_json_value(value):
+    for reader in READERS:
+        _parses_or_document_error(reader, json.dumps(value))
+
+
+@settings(max_examples=150)
+@given(st.data(), JSON_VALUES)
+def test_readers_on_valid_inputs_with_one_node_replaced(data, value):
+    for reader, base in zip(READERS, (VALID_DOCUMENT, VALID_REPORT)):
+        _parses_or_document_error(reader, json.dumps(_replace_somewhere(data, base, value)))

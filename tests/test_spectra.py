@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -13,6 +14,7 @@ from fredprofile.model import (
 )
 from fredprofile.spectra import (
     CSV_HEADER,
+    MAX_GRID_POINTS,
     GridSpec,
     SPECTRUM_NAMES,
     component_index_report,
@@ -55,6 +57,14 @@ def test_grid_validation():
         GridSpec(F(0), F(1), F(0), F(1), 0, 3)
     with pytest.raises(ValueError):
         GridSpec(F(1), F(0), F(0), F(1), 3, 3)
+    # the point count is checked before any point is built
+    side = math.isqrt(MAX_GRID_POINTS)
+    assert side * side == MAX_GRID_POINTS
+    GridSpec(F(0), F(1), F(0), F(1), side, side)
+    with pytest.raises(ValueError, match="more than the limit"):
+        GridSpec(F(0), F(1), F(0), F(1), side + 1, side)
+    with pytest.raises(ValueError, match="more than the limit"):
+        GridSpec(F(0), F(1), F(0), F(1), 10**9, 10**9)
 
 
 def test_spectrum_names():
