@@ -171,11 +171,9 @@ _EQUIVALENT: tuple[tuple[str, tuple[str, ...], str | None], ...] = (
     ("gen_drazin", ("left_gen_drazin", "right_gen_drazin"), None),
 )
 
-# the flags a point without a decomposition cannot carry
+# the flags a point without a decomposition cannot carry, besides those
+# whose "X => pseudo_fredholm" row in _IMPLIES already reports them
 _NEED_PSEUDO_FREDHOLM = (
-    "semi_regular",
-    "upper_pseudo_semi_b_fredholm",
-    "lower_pseudo_semi_b_fredholm",
     "pseudo_b_fredholm",
     "left_gen_drazin",
     "right_gen_drazin",

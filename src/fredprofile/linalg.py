@@ -146,14 +146,6 @@ class ExactMatrix:
             acc = acc @ self
         return acc
 
-    def apply(self, vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        if len(vec) != self.cols:
-            raise AmbientMismatch("vector length mismatch")
-        return tuple(
-            sum((self.at(i, j) * vec[j] for j in range(self.cols)), _ZERO)
-            for i in range(self.rows)
-        )
-
     def is_zero(self) -> bool:
         return all(not e for e in self.entries)
 
@@ -337,33 +329,6 @@ class SubspaceBasis:
 
     def _pivots(self) -> list[int]:
         return [next(j for j, x in enumerate(v) if x) for v in self.vectors]
-
-    def contains(self, vec: Sequence[Fraction]) -> bool:
-        return self.coordinates(vec) is not None
-
-    def is_subspace_of(self, other: "SubspaceBasis") -> bool:
-        if self.ambient_dim != other.ambient_dim:
-            raise AmbientMismatch("subspaces in different ambient spaces")
-        return all(other.contains(v) for v in self.vectors)
-
-    def coordinates(self, vec: Sequence[Fraction]) -> tuple[Fraction, ...] | None:
-        """Coordinates of vec in the stored basis, or None if outside.
-
-        Reduced echelon rows make this a read-off: the coefficient of row i
-        is vec[pivot_i] because no other row has support on that pivot.
-        """
-        v = tuple(_frac(x) for x in vec)
-        if len(v) != self.ambient_dim:
-            raise AmbientMismatch("vector length != ambient dimension")
-        coords = tuple(v[p] for p in self._pivots())
-        residue = list(v)
-        for cf, row in zip(coords, self.vectors):
-            if cf:
-                for j in range(self.ambient_dim):
-                    residue[j] -= cf * row[j]
-        if any(residue):
-            return None
-        return coords
 
 
 def kernel_basis(m: ExactMatrix) -> SubspaceBasis:

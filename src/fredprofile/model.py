@@ -14,8 +14,8 @@ together with range closedness per power, quasi-nilpotence, nilpotency
 degree, and whether the point admits a generalized Kato decomposition. A
 profile stores a and r only: c and b are their step sizes, derived once on
 access. Matrix kernel chains follow from the exact ranks of the powers
-(rank_profile); shift chains come from closed-form tables whose
-justification is noted inline.
+(rank_profile); shift chains come from closed-form tables, one profile per
+region of the plane (atom_region), whose justification is noted inline.
 """
 from __future__ import annotations
 
@@ -258,99 +258,82 @@ def matrix_profile(data: MatrixChainData, scale: int = 1) -> StructuralProfile:
     return rank_profile(data.matrix.rows, data.ranks, scale)
 
 
-def _shift_profile(kind: str, re: Fraction, im: Fraction) -> StructuralProfile:
-    """Closed-form tables for the model shifts at an exact rational point.
+INVERTIBLE_PROFILE = StructuralProfile(
+    a=ZERO_SEQ,
+    r=ZERO_SEQ,
+    range_closed=ALWAYS_CLOSED,
+    is_quasinilpotent=False,
+    nilpotency_degree=INF,
+    is_pseudofredholm_point=True,
+)
 
-    Plain shifts, with q2 = re^2 + im^2:
-      q2 < 1: right shift minus lam is injective with closed range of
-        codimension n at the n-th power; left shift minus lam is surjective
-        with kernel dimension n at the n-th power.
-      q2 = 1: both are injective with dense, non-closed range at every
-        power >= 1; a dense non-closed operator range has infinite linear
-        codimension (finite codimension would force closedness), and no
-        generalized Kato decomposition exists at these points.
-      q2 > 1: resolvent point, all chains vanish.
+_PLAIN_SHIFTS = ("right_shift", "left_shift")
+_INF_TAIL = EvAffineSeq((ExtNat(0),), INF, 0)
 
-    Weighted shifts (weights 1/(k+1)): spectral radius 0 because the n-th
-    power has norm 1/n!, so any nonzero point is a resolvent point. At 0 the
-    forward one is injective and the backward one has kernel dimension n at
-    the n-th power; both have dense non-closed ranges at every power >= 1,
-    hence infinite range codimension, but being quasi-nilpotent they do
-    admit the trivial decomposition, so the point flag stays true.
-    """
-    inf_tail = EvAffineSeq((ExtNat(0),), INF, 0)
-    if kind in ("right_shift", "left_shift"):
-        q2 = re * re + im * im
-        if q2 > 1:
-            return _invertible_profile()
-        if q2 == 1:
-            return StructuralProfile(
-                a=ZERO_SEQ,
-                r=inf_tail,
-                range_closed=CLOSED_ONLY_AT_ZERO,
-                is_quasinilpotent=False,
-                nilpotency_degree=INF,
-                is_pseudofredholm_point=False,
-            )
-        if kind == "right_shift":
-            return StructuralProfile(
-                a=ZERO_SEQ,
-                r=LINEAR_SEQ,
-                range_closed=ALWAYS_CLOSED,
-                is_quasinilpotent=False,
-                nilpotency_degree=INF,
-                is_pseudofredholm_point=True,
-            )
-        return StructuralProfile(
-            a=LINEAR_SEQ,
-            r=ZERO_SEQ,
-            range_closed=ALWAYS_CLOSED,
-            is_quasinilpotent=False,
-            nilpotency_degree=INF,
-            is_pseudofredholm_point=True,
-        )
-    # weighted quasi-nilpotent shifts
-    if re != 0 or im != 0:
-        return _invertible_profile()
-    if kind == "qnil_shift":
-        return StructuralProfile(
-            a=ZERO_SEQ,
-            r=inf_tail,
-            range_closed=CLOSED_ONLY_AT_ZERO,
-            is_quasinilpotent=True,
-            nilpotency_degree=INF,
-            is_pseudofredholm_point=True,
-        )
-    return StructuralProfile(
-        a=LINEAR_SEQ,
-        r=inf_tail,
-        range_closed=CLOSED_ONLY_AT_ZERO,
-        is_quasinilpotent=True,
-        nilpotency_degree=INF,
-        is_pseudofredholm_point=True,
-    )
+# Closed-form tables for the model shifts, keyed by (kind, atom_region).
+#
+# Plain shifts, by the sign of q2 - 1 with q2 = re^2 + im^2:
+#   -1: right shift minus lam is injective with closed range of codimension
+#     n at the n-th power; left shift minus lam is surjective with kernel
+#     dimension n at the n-th power.
+#   0: both are injective with dense, non-closed range at every power >= 1;
+#     a dense non-closed operator range has infinite linear codimension
+#     (finite codimension would force closedness), and no generalized Kato
+#     decomposition exists at these points.
+#   1: resolvent point, all chains vanish.
+#
+# Weighted shifts (weights 1/(k+1)), by whether lam = 0: spectral radius 0
+# because the n-th power has norm 1/n!, so any nonzero point is a resolvent
+# point. At 0 the forward one is injective and the backward one has kernel
+# dimension n at the n-th power; both have dense non-closed ranges at every
+# power >= 1, hence infinite range codimension, but being quasi-nilpotent
+# they do admit the trivial decomposition, so the point flag stays true.
+#
+# No shift is nilpotent. Columns: a, r, range_closed, is_quasinilpotent,
+# nilpotency_degree, is_pseudofredholm_point.
+_ON_CIRCLE = StructuralProfile(ZERO_SEQ, _INF_TAIL, CLOSED_ONLY_AT_ZERO, False, INF, False)
+_SHIFT_PROFILES: dict[tuple[str, int | bool], StructuralProfile] = {
+    ("right_shift", -1): StructuralProfile(ZERO_SEQ, LINEAR_SEQ, ALWAYS_CLOSED, False, INF, True),
+    ("left_shift", -1): StructuralProfile(LINEAR_SEQ, ZERO_SEQ, ALWAYS_CLOSED, False, INF, True),
+    ("right_shift", 0): _ON_CIRCLE,
+    ("left_shift", 0): _ON_CIRCLE,
+    ("right_shift", 1): INVERTIBLE_PROFILE,
+    ("left_shift", 1): INVERTIBLE_PROFILE,
+    ("qnil_shift", True): StructuralProfile(
+        ZERO_SEQ, _INF_TAIL, CLOSED_ONLY_AT_ZERO, True, INF, True
+    ),
+    ("qnil_shift_dual", True): StructuralProfile(
+        LINEAR_SEQ, _INF_TAIL, CLOSED_ONLY_AT_ZERO, True, INF, True
+    ),
+    ("qnil_shift", False): INVERTIBLE_PROFILE,
+    ("qnil_shift_dual", False): INVERTIBLE_PROFILE,
+}
 
 
-def _invertible_profile() -> StructuralProfile:
-    return StructuralProfile(
-        a=ZERO_SEQ,
-        r=ZERO_SEQ,
-        range_closed=ALWAYS_CLOSED,
-        is_quasinilpotent=False,
-        nilpotency_degree=INF,
-        is_pseudofredholm_point=True,
-    )
+def atom_region(atom: Atom, lam: Point, q2: Fraction) -> object:
+    """The region of lam, given q2 = |lam|^2, on which atom - lam has one
+    fixed profile: the sign of q2 - 1 for a plain shift, whether lam = 0
+    for a weighted one; for a matrix atom None off its eigenvalues (the
+    invertible profile) and the point itself at one, so that no two
+    eigenvalues share a region."""
+    if atom.kind == "matrix":
+        return lam if atom.matrix.is_eigenvalue(*lam) else None
+    if atom.kind in _PLAIN_SHIFTS:
+        # the denominator is positive, so q2 - 1 has the sign of n - d
+        n, d = q2.numerator, q2.denominator
+        return (n > d) - (n < d)
+    return q2 == 0
 
 
 def atom_profile(atom: Atom, lam: Point) -> StructuralProfile:
     """Structural profile of (atom - lam)."""
     re, im = lam
-    if atom.kind == "matrix":
-        if not atom.matrix.is_eigenvalue(re, im):
-            return _invertible_profile()
-        s, scale = realified(atom.matrix, re, im)
-        return matrix_profile(matrix_chain_data(s), scale)
-    return _shift_profile(atom.kind, re, im)
+    if atom.kind != "matrix":
+        return _SHIFT_PROFILES[atom.kind, atom_region(atom, lam, re * re + im * im)]
+    if not atom.matrix.is_eigenvalue(re, im):
+        return INVERTIBLE_PROFILE
+    s, scale = realified(atom.matrix, re, im)
+    return matrix_profile(matrix_chain_data(s), scale)
 
 
 def direct_sum_profile(profiles: Sequence[StructuralProfile]) -> StructuralProfile:

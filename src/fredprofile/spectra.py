@@ -3,6 +3,11 @@ grid, report membership in the eight pseudo-Fredholm-type spectra, and
 split the complement of a chosen spectrum into connected components of
 constant index.
 
+Scans are region-keyed: a point's record depends only on the tuple of its
+atoms' exact regions (model.atom_region), so a scan computes that tuple at
+every point, classifies once per distinct tuple, shares the record among
+its points and renders each distinct record's cells once.
+
 Adjacency for components is 4-neighbour adjacency refined by equal index:
 two neighbouring grid points belong to the same component only when their
 index values agree. On coarse grids the refinement is what keeps regions
@@ -13,10 +18,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, Sequence, TypeVar
 
 from .classify import FLAG_NAMES, ClassificationRecord, classify
 from .docio import rational_str
-from .model import OperatorExpr, Point
+from .model import OperatorExpr, Point, atom_region
+
+T = TypeVar("T")
 
 SPECTRUM_NAMES: tuple[str, ...] = (
     "upbf",
@@ -40,7 +48,7 @@ _SET_FLAGS: dict[str, tuple[str, ...]] = {
     "pbw": ("pseudo_b_weyl",),
 }
 
-# scans hold every point and record in memory, so the grid size is bounded
+# scans hold every point and a reference to its record, so the grid is bounded
 MAX_GRID_POINTS = 10**6
 
 
@@ -110,9 +118,38 @@ class SpectrumScan:
 
 
 def scan(e: OperatorExpr, grid: GridSpec) -> SpectrumScan:
-    pts = grid.points()
-    recs = tuple(classify(e, lam) for lam in pts)
-    return SpectrumScan(grid, tuple(pts), recs)
+    """Classify every grid point, once per distinct tuple of atom regions:
+    the record made at the first point of a key serves every later point
+    with that key."""
+    res = grid.re_values()
+    re_sq = [re * re for re in res]
+    pts: list[Point] = []
+    recs: list[ClassificationRecord] = []
+    by_key: dict[tuple, ClassificationRecord] = {}
+    for im in grid.im_values():
+        im_sq = im * im
+        for re, r2 in zip(res, re_sq):
+            lam = (re, im)
+            q2 = r2 + im_sq
+            key = tuple(atom_region(a, lam, q2) for a in e.atoms)
+            rec = by_key.get(key)
+            if rec is None:
+                rec = by_key[key] = classify(e, lam)
+            pts.append(lam)
+            recs.append(rec)
+    return SpectrumScan(grid, tuple(pts), tuple(recs))
+
+
+def _per_record(
+    records: Sequence[ClassificationRecord], render: Callable[[ClassificationRecord], T]
+) -> list[T]:
+    """render(rec) for every record, called once per distinct record object:
+    a scan shares one record among the points of a region."""
+    done: dict[int, T] = {}
+    for rec in records:
+        if id(rec) not in done:
+            done[id(rec)] = render(rec)
+    return [done[id(rec)] for rec in records]
 
 
 @dataclass(frozen=True)
@@ -169,8 +206,8 @@ def grouped_cells(
 
 
 def component_index_report(s: SpectrumScan, set_name: str) -> ComponentReport:
-    mask = [not spectrum_membership(rec, set_name) for rec in s.records]
-    keys = [rec.summary.index.to_str() for rec in s.records]
+    mask = _per_record(s.records, lambda rec: not spectrum_membership(rec, set_name))
+    keys = _per_record(s.records, lambda rec: rec.summary.index.to_str())
     comps = grouped_cells(mask, keys, s.grid.re_steps, s.grid.im_steps)
     out = []
     for cid, cells in enumerate(comps):
@@ -191,25 +228,34 @@ def component_index_report(s: SpectrumScan, set_name: str) -> ComponentReport:
 CSV_HEADER = "re,im," + ",".join(FLAG_NAMES) + ",alpha,beta,p,q,index"
 
 
+def _csv_tail(rec: ClassificationRecord) -> str:
+    cells = ["1" if v else "0" for v in rec.flags().values()]
+    return ",".join(cells + list(rec.summary.to_strs().values()))
+
+
 def scan_to_csv(s: SpectrumScan) -> str:
+    tails = _per_record(s.records, _csv_tail)
     lines = [CSV_HEADER]
-    for (re, im), rec in zip(s.points, s.records):
-        cells = [rational_str(re), rational_str(im)]
-        cells += ["1" if v else "0" for v in rec.flags().values()]
-        cells += rec.summary.to_strs().values()
-        lines.append(",".join(cells))
+    for (re, im), tail in zip(s.points, tails):
+        lines.append(f"{rational_str(re)},{rational_str(im)},{tail}")
     return "\n".join(lines) + "\n"
 
 
+# the start of a points row as json.dumps(..., indent=2) lays it out
+_ROW_HEAD = '\n      "re": {},\n      "im": {}'
+
+
+def _json_row_tail(rec: ClassificationRecord) -> str:
+    """The items of a points row after "re" and "im", laid out as _ROW_HEAD."""
+    vals: dict[str, object] = {**rec.flags(), **rec.summary.to_strs()}
+    return "".join(f",\n      {json.dumps(k)}: {json.dumps(v)}" for k, v in vals.items())
+
+
 def scan_to_json(s: SpectrumScan, set_name: str) -> str:
+    """The scan as json.dumps(doc, indent=2) + "\n" writes it, with each
+    distinct record's row items rendered once and shared by its points."""
     report = component_index_report(s, set_name)
-    points = []
-    for (re, im), rec in zip(s.points, s.records):
-        row: dict[str, object] = {"re": rational_str(re), "im": rational_str(im)}
-        row.update(rec.flags())
-        row.update(rec.summary.to_strs())
-        points.append(row)
-    doc = {
+    head = {
         "grid": {
             "re_min": rational_str(s.grid.re_min),
             "re_max": rational_str(s.grid.re_max),
@@ -229,6 +275,13 @@ def scan_to_json(s: SpectrumScan, set_name: str) -> str:
             }
             for c in report.components
         ],
-        "points": points,
     }
-    return json.dumps(doc, indent=2) + "\n"
+    # the points list is the last member, so it goes where head's "\n}" was
+    parts = [json.dumps(head, indent=2)[:-2], ',\n  "points": [\n    {']
+    sep = ""
+    for (re, im), tail in zip(s.points, _per_record(s.records, _json_row_tail)):
+        coords = _ROW_HEAD.format(json.dumps(rational_str(re)), json.dumps(rational_str(im)))
+        parts += (sep, coords, tail)
+        sep = "\n    },\n    {"
+    parts.append("\n    }\n  ]\n}\n")
+    return "".join(parts)

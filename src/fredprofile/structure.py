@@ -35,11 +35,11 @@ from .linalg import (
 )
 from .model import (
     Atom,
+    INVERTIBLE_PROFILE,
     OperatorExpr,
     Point,
     StructuralProfile,
     ZERO_DIM_PROFILE,
-    _invertible_profile,
     atom_profile,
     direct_sum_profile,
     matrix_chain_data,
@@ -132,7 +132,7 @@ def _analyze_matrix_atom(atom: Atom, lam: Point) -> AtomAnalysis:
     if atom.matrix.is_eigenvalue(*lam):
         return fitting_atom_analysis(atom, lam)
     s, _ = realified(atom.matrix, lam[0], lam[1])
-    prof = _invertible_profile()
+    prof = INVERTIBLE_PROFILE
     return AtomAnalysis(
         atom,
         prof,
@@ -162,7 +162,7 @@ def fitting_atom_analysis(atom: Atom, lam: Point) -> AtomAnalysis:
     m_atom = m_prof = None
     if core.dim:
         m_atom = Atom("matrix", restrict(s, core))
-        m_prof = _invertible_profile()
+        m_prof = INVERTIBLE_PROFILE
     n_atom = n_prof = None
     if h0.dim:
         n_atom = Atom("matrix", restrict(s, h0))

@@ -2,16 +2,58 @@
 
 These are the Fraction-entry rref, matrix product and restriction that
 linalg used before it moved to integer elimination, kept verbatim as the
-oracle for the differential tests. Nothing in the package imports them.
+oracle for the differential tests, with the matrix-vector product and the
+subspace membership tests they are built on. Nothing in the package
+imports them.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Sequence
 
 from fredprofile.errors import AmbientMismatch, NotInvariant
-from fredprofile.linalg import ExactMatrix, SubspaceBasis
+from fredprofile.linalg import ExactMatrix, SubspaceBasis, _frac
 
 _ZERO = Fraction(0)
+
+
+def apply(m: ExactMatrix, vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    if len(vec) != m.cols:
+        raise AmbientMismatch("vector length mismatch")
+    return tuple(
+        sum((m.at(i, j) * vec[j] for j in range(m.cols)), _ZERO)
+        for i in range(m.rows)
+    )
+
+
+def coordinates(b: SubspaceBasis, vec: Sequence[Fraction]) -> tuple[Fraction, ...] | None:
+    """Coordinates of vec in b's stored basis, or None if outside.
+
+    Reduced echelon rows make this a read-off: the coefficient of row i
+    is vec[pivot_i] because no other row has support on that pivot.
+    """
+    v = tuple(_frac(x) for x in vec)
+    if len(v) != b.ambient_dim:
+        raise AmbientMismatch("vector length != ambient dimension")
+    coords = tuple(v[p] for p in b._pivots())
+    residue = list(v)
+    for cf, row in zip(coords, b.vectors):
+        if cf:
+            for j in range(b.ambient_dim):
+                residue[j] -= cf * row[j]
+    if any(residue):
+        return None
+    return coords
+
+
+def contains(b: SubspaceBasis, vec: Sequence[Fraction]) -> bool:
+    return coordinates(b, vec) is not None
+
+
+def is_subspace_of(a: SubspaceBasis, b: SubspaceBasis) -> bool:
+    if a.ambient_dim != b.ambient_dim:
+        raise AmbientMismatch("subspaces in different ambient spaces")
+    return all(contains(b, v) for v in a.vectors)
 
 
 def matmul(self: ExactMatrix, other: ExactMatrix) -> ExactMatrix:
@@ -68,8 +110,8 @@ def restrict(m: ExactMatrix, b: SubspaceBasis) -> ExactMatrix:
         raise AmbientMismatch("matrix and subspace ambient dimensions differ")
     cols: list[tuple[Fraction, ...]] = []
     for v in b.vectors:
-        w = m.apply(v)
-        coords = b.coordinates(w)
+        w = apply(m, v)
+        coords = coordinates(b, w)
         if coords is None:
             raise NotInvariant("subspace is not invariant under the matrix")
         cols.append(coords)

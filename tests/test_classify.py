@@ -346,6 +346,11 @@ def _reference_check_lattice(rec):
     return out
 
 
+_REPORTED_BY_IMPLIES = (
+    "semi_regular",
+    "upper_pseudo_semi_b_fredholm",
+    "lower_pseudo_semi_b_fredholm",
+)
 _POINTS = [point(0), point(F(1, 2)), point(0, 1), point(F(3, 5), F(4, 5)), point(2), point(-1)]
 _NATS = st.sampled_from([ExtNat(0), ExtNat(1), ExtNat(2), INF])
 
@@ -385,5 +390,13 @@ def _records(draw):
 def test_lattice_table_matches_reference_checker(rec):
     got = check_lattice(rec)
     want = _reference_check_lattice(rec)
-    assert len(got) == len(want), (got, want)
+    # the reference reports each of these flags twice on a point without a
+    # decomposition: as "X => pseudo_fredholm" and as "X requires
+    # pseudo_fredholm"; the table reports it once
+    twice = (
+        0
+        if rec.pseudo_fredholm
+        else sum(rec.flag(n) for n in _REPORTED_BY_IMPLIES)
+    )
+    assert len(got) == len(want) - twice, (got, want)
     assert (got == []) == (want == [])

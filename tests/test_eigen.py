@@ -20,9 +20,9 @@ from fredprofile.extvals import ExtNat
 from fredprofile.linalg import ExactMatrix, inverse, rank, restrict
 from fredprofile.model import (
     Atom,
+    INVERTIBLE_PROFILE,
     OperatorExpr,
     RIGHT_SHIFT,
-    _invertible_profile,
     _scaled,
     atom_profile,
     matrix_chain_data,
@@ -137,7 +137,7 @@ def test_fast_atom_analysis_equals_fitting_split(mp):
     assert analyze_atom(atom, lam) == slow
     assert atom_profile(atom, lam) == slow.profile
     if not m.is_eigenvalue(*lam):
-        assert slow.profile == _invertible_profile()
+        assert slow.profile == INVERTIBLE_PROFILE
 
 
 @settings(max_examples=60, deadline=None)

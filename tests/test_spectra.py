@@ -1,22 +1,34 @@
+import json
 import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fredprofile import spectra
 from fredprofile.catalog import by_name
 from fredprofile.classify import FLAG_NAMES, classify
+from fredprofile.docio import rational_str
+from fredprofile.linalg import ExactMatrix, inverse
 from fredprofile.model import (
+    ATOM_KINDS,
+    Atom,
     LEFT_SHIFT,
     OperatorExpr,
     RIGHT_SHIFT,
+    atom_region,
     matrix_atom,
     point,
 )
 from fredprofile.spectra import (
     CSV_HEADER,
     MAX_GRID_POINTS,
+    Component,
+    ComponentReport,
     GridSpec,
     SPECTRUM_NAMES,
+    SpectrumScan,
     component_index_report,
     grouped_cells,
     scan,
@@ -216,3 +228,202 @@ def test_scan_serialization_deterministic():
     b = scan_to_json(scan(R, grid(5)), "pbf")
     assert a == b
     assert scan_to_csv(scan(R, grid(5))) == scan_to_csv(scan(R, grid(5)))
+
+
+# Per-point references: a scan that classifies every point, and the
+# renderers that format every row from its record, kept verbatim from
+# before scans were keyed by region.
+
+
+def _reference_scan(e, grid):
+    pts = grid.points()
+    recs = tuple(classify(e, lam) for lam in pts)
+    return SpectrumScan(grid, tuple(pts), recs)
+
+
+def _reference_component_index_report(s, set_name):
+    mask = [not spectrum_membership(rec, set_name) for rec in s.records]
+    keys = [rec.summary.index.to_str() for rec in s.records]
+    comps = grouped_cells(mask, keys, s.grid.re_steps, s.grid.im_steps)
+    out = []
+    for cid, cells in enumerate(comps):
+        vals = {keys[c] for c in cells}
+        first = s.points[cells[0]]
+        out.append(
+            Component(
+                id=cid,
+                index=keys[cells[0]] if len(vals) == 1 else "nonconstant",
+                point_count=len(cells),
+                first_point=(rational_str(first[0]), rational_str(first[1])),
+                index_constant=len(vals) == 1,
+            )
+        )
+    return ComponentReport(set_name, tuple(out))
+
+
+def _reference_csv(s):
+    lines = [CSV_HEADER]
+    for (re, im), rec in zip(s.points, s.records):
+        cells = [rational_str(re), rational_str(im)]
+        cells += ["1" if v else "0" for v in rec.flags().values()]
+        cells += rec.summary.to_strs().values()
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def _reference_json(s, set_name):
+    report = _reference_component_index_report(s, set_name)
+    points = []
+    for (re, im), rec in zip(s.points, s.records):
+        row: dict[str, object] = {"re": rational_str(re), "im": rational_str(im)}
+        row.update(rec.flags())
+        row.update(rec.summary.to_strs())
+        points.append(row)
+    doc = {
+        "grid": {
+            "re_min": rational_str(s.grid.re_min),
+            "re_max": rational_str(s.grid.re_max),
+            "im_min": rational_str(s.grid.im_min),
+            "im_max": rational_str(s.grid.im_max),
+            "re_steps": s.grid.re_steps,
+            "im_steps": s.grid.im_steps,
+        },
+        "set": set_name,
+        "component_report": [
+            {
+                "id": c.id,
+                "index": c.index,
+                "point_count": c.point_count,
+                "first_point": {"re": c.first_point[0], "im": c.first_point[1]},
+                "index_constant": c.index_constant,
+            }
+            for c in report.components
+        ],
+        "points": points,
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+@st.composite
+def _axis_bounds(draw):
+    """(lo, hi, steps) of an axis with step 1/m from -k/m to k/m, k >= m, so
+    the axis holds 0 and +-1; or the single value 0."""
+    if draw(st.integers(0, 4)) == 0:
+        return F(0), F(0), 1
+    m = draw(st.sampled_from([1, 2, 5]))
+    k = draw(st.integers(m, m + 1))
+    return F(-k, m), F(k, m), 2 * k + 1
+
+
+@st.composite
+def _planted_matrix(draw, g):
+    """A d x d matrix (d <= 4), P T P^-1 with P unimodular and T block upper
+    triangular whose diagonal blocks are real values of the grid, often
+    repeated, or [[a, -b], [b, a]] for a grid point (a, b) with b != 0 (the
+    pair a +- bi); or, now and then, a random integer matrix."""
+    d = draw(st.integers(1, 4))
+    ints = st.integers(-2, 2)
+    rows = [[F(draw(ints)) for _ in range(d)] for _ in range(d)]
+    if draw(st.integers(0, 3)) == 0:
+        return ExactMatrix.from_rows(rows)
+    imags = [x for x in g.im_values() if x]
+    i, a = 0, None
+    while i < d:
+        for r in range(i, d):
+            for c in range(i):
+                rows[r][c] = F(0)
+        # repeating a value lets the entries above the diagonal chain it
+        if a is None or draw(st.booleans()):
+            a = draw(st.sampled_from(g.re_values()))
+        if imags and i + 1 < d and draw(st.booleans()):
+            b = draw(st.sampled_from(imags))
+            rows[i][i], rows[i][i + 1], rows[i + 1][i], rows[i + 1][i + 1] = a, -b, b, a
+            i += 2
+        else:
+            rows[i][i] = a
+            i += 1
+    unit = st.integers(-1, 1)
+    lower = [[draw(unit) if j < i else int(i == j) for j in range(d)] for i in range(d)]
+    p = ExactMatrix.from_rows(lower)
+    return p @ ExactMatrix.from_rows(rows) @ inverse(p)
+
+
+@st.composite
+def _expr_and_grid(draw):
+    re_lo, re_hi, re_steps = draw(_axis_bounds())
+    if draw(st.booleans()):
+        im_lo, im_hi, im_steps = re_lo, re_hi, re_steps
+    else:
+        im_lo, im_hi, im_steps = draw(_axis_bounds())
+    g = GridSpec(re_lo, re_hi, im_lo, im_hi, re_steps, im_steps)
+    shift_kinds = [k for k in ATOM_KINDS if k != "matrix"]
+    atoms = [Atom(k) for k in draw(st.lists(st.sampled_from(shift_kinds), max_size=3))]
+    atoms += [Atom("matrix", draw(_planted_matrix(g))) for _ in range(draw(st.integers(0, 2)))]
+    if not atoms:
+        atoms = [Atom(draw(st.sampled_from(shift_kinds)))]
+    return OperatorExpr(tuple(draw(st.permutations(atoms)))), g
+
+
+@settings(max_examples=60, deadline=None)
+@given(_expr_and_grid())
+def test_keyed_scan_equals_per_point_classification(eg):
+    e, g = eg
+    s = scan(e, g)
+    assert s.grid == g
+    assert s.points == tuple(g.points())
+    assert s.records == tuple(classify(e, lam) for lam in g.points())
+
+
+@settings(max_examples=25, deadline=None)
+@given(_expr_and_grid(), st.sampled_from(SPECTRUM_NAMES))
+def test_keyed_renderers_are_byte_equal_to_per_point_ones(eg, set_name):
+    e, g = eg
+    s, ref = scan(e, g), _reference_scan(e, g)
+    assert scan_to_csv(s) == _reference_csv(ref) == _reference_csv(s)
+    assert scan_to_json(s, set_name) == _reference_json(ref, set_name)
+    assert component_index_report(s, set_name) == _reference_component_index_report(
+        ref, set_name
+    )
+
+
+def test_keyed_renderers_on_catalog_scans():
+    for name in ("right_right_left", "left_plus_qnil", "right_jordan3_qnil", "jordan2_diag2"):
+        e = by_name(name).expr
+        s, ref = scan(e, grid(9)), _reference_scan(e, grid(9))
+        assert scan_to_csv(s) == _reference_csv(ref)
+        for set_name in SPECTRUM_NAMES:
+            assert scan_to_json(s, set_name) == _reference_json(ref, set_name)
+
+
+@pytest.mark.parametrize(
+    "name, keys",
+    [
+        # inside, on and outside the unit circle
+        ("right_right_left", 3),
+        # the same three, with the inside split at 0 by the weighted shift
+        ("left_plus_qnil", 4),
+        # J3's one eigenvalue 0 adds one key inside the circle
+        ("right_jordan3_qnil", 4),
+        # off the eigenvalues, at the double eigenvalue 0, at the simple 2
+        ("jordan2_diag2", 3),
+    ],
+)
+def test_scan_classifies_once_per_key(monkeypatch, name, keys):
+    e = by_name(name).expr
+    g = grid(41)
+    calls = []
+
+    def counting(e, lam, power=1):
+        calls.append(lam)
+        return classify(e, lam, power)
+
+    monkeypatch.setattr(spectra, "classify", counting)
+    s = scan(e, g)
+    assert len(s.records) == 41 * 41
+    assert len(calls) == keys
+    assert len({id(rec) for rec in s.records}) == keys
+    distinct = {
+        tuple(atom_region(a, lam, lam[0] ** 2 + lam[1] ** 2) for a in e.atoms)
+        for lam in g.points()
+    }
+    assert len(distinct) == keys
