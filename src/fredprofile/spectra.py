@@ -112,6 +112,8 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class SpectrumScan:
+    """A scan's records, one per point; points are grid.points()."""
+
     grid: GridSpec
     points: tuple[Point, ...]
     records: tuple[ClassificationRecord, ...]
@@ -138,6 +140,12 @@ def scan(e: OperatorExpr, grid: GridSpec) -> SpectrumScan:
             pts.append(lam)
             recs.append(rec)
     return SpectrumScan(grid, tuple(pts), tuple(recs))
+
+
+def _coord_strs(grid: GridSpec) -> list[tuple[str, str]]:
+    """The (re, im) text of grid.points(), one rational_str per axis value."""
+    res = [rational_str(re) for re in grid.re_values()]
+    return [(re, im) for im in map(rational_str, grid.im_values()) for re in res]
 
 
 def _per_record(
@@ -236,13 +244,14 @@ def _csv_tail(rec: ClassificationRecord) -> str:
 def scan_to_csv(s: SpectrumScan) -> str:
     tails = _per_record(s.records, _csv_tail)
     lines = [CSV_HEADER]
-    for (re, im), tail in zip(s.points, tails):
-        lines.append(f"{rational_str(re)},{rational_str(im)},{tail}")
+    for (re, im), tail in zip(_coord_strs(s.grid), tails):
+        lines.append(f"{re},{im},{tail}")
     return "\n".join(lines) + "\n"
 
 
-# the start of a points row as json.dumps(..., indent=2) lays it out
-_ROW_HEAD = '\n      "re": {},\n      "im": {}'
+# the start of a points row as json.dumps(..., indent=2) lays it out; the
+# text of a rational needs no JSON escaping
+_ROW_HEAD = '\n      "re": "{}",\n      "im": "{}"'
 
 
 def _json_row_tail(rec: ClassificationRecord) -> str:
@@ -279,9 +288,9 @@ def scan_to_json(s: SpectrumScan, set_name: str) -> str:
     # the points list is the last member, so it goes where head's "\n}" was
     parts = [json.dumps(head, indent=2)[:-2], ',\n  "points": [\n    {']
     sep = ""
-    for (re, im), tail in zip(s.points, _per_record(s.records, _json_row_tail)):
-        coords = _ROW_HEAD.format(json.dumps(rational_str(re)), json.dumps(rational_str(im)))
-        parts += (sep, coords, tail)
+    tails = _per_record(s.records, _json_row_tail)
+    for (re, im), tail in zip(_coord_strs(s.grid), tails):
+        parts += (sep, _ROW_HEAD.format(re, im), tail)
         sep = "\n    },\n    {"
     parts.append("\n    }\n  ]\n}\n")
     return "".join(parts)

@@ -10,12 +10,12 @@ stabilization points of that part's kernel and range chains (0 or infinity,
 since a semi-regular operator has exactly linear chains); dis is the
 stabilization point of the full meet chain.
 
-Matrix atoms are eigenvalue-first. When lam is not a root of the atom's
-characteristic polynomial (computed once per matrix), the shifted block is
-invertible: the atom has the invertible profile and the whole block is its
-semi-regular part. The exact Fitting split runs only at eigenvalues, at
-most d points for a d x d atom, once per atom and point: the block
-profiles and the Drazin inverse are derived from it, not recomputed.
+These are dimensions, so every profile comes from ranks. Matrix atoms are
+eigenvalue-first: off the roots of the atom's characteristic polynomial
+the shifted block is invertible; at an eigenvalue (at most d points for a
+d x d atom) the ranks of the block's powers give all three profiles. The
+Fitting split, its bases and blocks, is built from the same chain data
+only on request (gkd_pair), for reports and Drazin inverses.
 """
 from __future__ import annotations
 
@@ -36,6 +36,7 @@ from .linalg import (
 from .model import (
     Atom,
     INVERTIBLE_PROFILE,
+    MatrixChainData,
     OperatorExpr,
     Point,
     StructuralProfile,
@@ -53,14 +54,18 @@ from .model import (
 
 @dataclass(frozen=True)
 class MatrixSplit:
-    """Fitting split of one matrix atom's shifted block: the ambient space
-    is the exact direct sum of m_basis (restriction invertible) and n_basis
-    (restriction nilpotent). Bases live in the realified space when the
-    point has a nonzero imaginary part."""
+    """Fitting split of one matrix atom's shifted block S: the ambient space
+    is the exact direct sum of m_basis, on which S restricts to the
+    invertible m_atom, and n_basis, on which it restricts to the nilpotent
+    n_atom (None for an empty basis). S and the bases live in the
+    realified space when the point has a nonzero imaginary part."""
 
     atom_index: int
+    block: ExactMatrix
     m_basis: SubspaceBasis
     n_basis: SubspaceBasis
+    m_atom: Atom | None
+    n_atom: Atom | None
 
 
 @dataclass(frozen=True)
@@ -71,7 +76,7 @@ class GKDPair:
     and quasi-nilpotent sides; matrix atoms appear as restrictions of the
     shifted block (so those pieces are understood at 0), shift atoms appear
     as themselves (understood at the stored point). None encodes a trivial
-    part. Splits record the bases for every matrix atom.
+    part. splits holds the Fitting split of every matrix atom.
     """
 
     point: Point
@@ -114,77 +119,67 @@ class StructuralSummary:
 
 @dataclass(frozen=True)
 class AtomAnalysis:
-    """Per-atom pieces of the canonical decomposition at one point; for a
-    matrix atom, block is its shifted (realified) block S."""
+    """Profiles of one atom at one point: the atom's own and those of its
+    semi-regular (m) and quasi-nilpotent (n) pieces, None for an empty
+    piece and both None where no decomposition exists. data is the chain
+    data of a matrix atom's shifted block at an eigenvalue, else None."""
 
     atom: Atom
+    point: Point
     profile: StructuralProfile
     m_profile: StructuralProfile | None
     n_profile: StructuralProfile | None
-    m_atom: Atom | None
-    n_atom: Atom | None
-    m_basis: SubspaceBasis | None
-    n_basis: SubspaceBasis | None
-    block: ExactMatrix | None = None
-
-
-def _analyze_matrix_atom(atom: Atom, lam: Point) -> AtomAnalysis:
-    if atom.matrix.is_eigenvalue(*lam):
-        return fitting_atom_analysis(atom, lam)
-    s, _ = realified(atom.matrix, lam[0], lam[1])
-    prof = INVERTIBLE_PROFILE
-    return AtomAnalysis(
-        atom,
-        prof,
-        prof,
-        None,
-        Atom("matrix", s),
-        None,
-        SubspaceBasis.full(s.rows),
-        SubspaceBasis.zero(s.rows),
-        s,
-    )
-
-
-def fitting_atom_analysis(atom: Atom, lam: Point) -> AtomAnalysis:
-    """The exact Fitting split of a matrix atom's shifted block S at any
-    point; analyze_atom uses it only at eigenvalues.
-
-    The block profiles come from the ranks of the powers of S, not from
-    the blocks: S is invertible on its core K, so the core block has the
-    invertible profile; S^n acts on K ⊕ H0 as an invertible map plus the
-    n-th power of the H0 block, so rank((S|H0)^n) = rank(S^n) - dim K.
-    """
-    s, scale = realified(atom.matrix, lam[0], lam[1])
-    data = matrix_chain_data(s)
-    prof = matrix_profile(data, scale)
-    core, h0 = data.fitting_split()
-    m_atom = m_prof = None
-    if core.dim:
-        m_atom = Atom("matrix", restrict(s, core))
-        m_prof = INVERTIBLE_PROFILE
-    n_atom = n_prof = None
-    if h0.dim:
-        n_atom = Atom("matrix", restrict(s, h0))
-        n_prof = rank_profile(h0.dim, [r - core.dim for r in data.ranks], scale)
-    return AtomAnalysis(atom, prof, m_prof, n_prof, m_atom, n_atom, core, h0, s)
+    data: MatrixChainData | None = None
 
 
 def analyze_atom(atom: Atom, lam: Point) -> AtomAnalysis:
+    """The profiles of one atom at lam, from ranks alone.
+
+    At an eigenvalue the block profiles come from the ranks of the powers
+    of the shifted block S: S is invertible on its core K = R(S^nu), so
+    the core block has the invertible profile; S^n acts on K ⊕ H0 as an
+    invertible map plus the n-th power of the H0 block, so
+    rank((S|H0)^n) = rank(S^n) - dim K.
+    """
     if atom.kind == "matrix":
-        return _analyze_matrix_atom(atom, lam)
+        if not atom.matrix.is_eigenvalue(*lam):
+            return AtomAnalysis(atom, lam, INVERTIBLE_PROFILE, INVERTIBLE_PROFILE, None)
+        s, scale = realified(atom.matrix, *lam)
+        data = matrix_chain_data(s)
+        k = data.ranks[data.nu]  # dim K
+        m_prof = INVERTIBLE_PROFILE if k else None
+        n_prof = None
+        if k < s.rows:
+            n_prof = rank_profile(s.rows - k, [r - k for r in data.ranks], scale)
+        return AtomAnalysis(atom, lam, matrix_profile(data, scale), m_prof, n_prof, data)
     prof = atom_profile(atom, lam)
     if not prof.is_pseudofredholm_point:
-        return AtomAnalysis(atom, prof, None, None, None, None, None, None)
+        return AtomAnalysis(atom, lam, prof, None, None)
     if prof.is_quasinilpotent:
-        return AtomAnalysis(atom, prof, None, prof, None, atom, None, None)
-    return AtomAnalysis(atom, prof, prof, None, atom, None, None, None)
+        return AtomAnalysis(atom, lam, prof, None, prof)
+    return AtomAnalysis(atom, lam, prof, prof, None)
+
+
+def matrix_split(part: AtomAnalysis, atom_index: int) -> MatrixSplit:
+    """The Fitting split of a matrix atom's shifted block S at the part's
+    point. Off an eigenvalue S is invertible and is its own core; at one,
+    K = R(S^nu) and H0 = N(S^nu) come from the part's chain data."""
+    if part.data is None:
+        s, _ = realified(part.atom.matrix, *part.point)
+        whole, none = SubspaceBasis.full(s.rows), SubspaceBasis.zero(s.rows)
+        return MatrixSplit(atom_index, s, whole, none, Atom("matrix", s), None)
+    s = part.data.matrix
+    core, h0 = part.data.fitting_split()
+    m_atom = Atom("matrix", restrict(s, core)) if core.dim else None
+    n_atom = Atom("matrix", restrict(s, h0)) if h0.dim else None
+    return MatrixSplit(atom_index, s, core, h0, m_atom, n_atom)
 
 
 @dataclass(frozen=True)
 class ExprAnalysis:
-    """Everything the classifier and the report need about (e - lam)^power,
-    with the per-atom analyses at lam (also where no decomposition exists)."""
+    """The profiles and summary of (e - lam)^power, with the per-atom
+    analyses at lam (also where no decomposition exists); gkd_pair builds
+    the splits from them on request."""
 
     expr: OperatorExpr
     point: Point
@@ -193,12 +188,11 @@ class ExprAnalysis:
     full: StructuralProfile
     m_profile: StructuralProfile | None
     n_profile: StructuralProfile | None
-    pair: GKDPair | None
     summary: StructuralSummary
 
     @property
     def decomposable(self) -> bool:
-        return self.pair is not None
+        return self.full.is_pseudofredholm_point
 
 
 def analyze_expr(e: OperatorExpr, lam: Point, power: int = 1) -> ExprAnalysis:
@@ -208,7 +202,7 @@ def analyze_expr(e: OperatorExpr, lam: Point, power: int = 1) -> ExprAnalysis:
     dis = full.c.stabilization_point()
     if not full.is_pseudofredholm_point:
         summary = StructuralSummary(None, None, None, None, UNDEF_INDEX, dis)
-        return ExprAnalysis(e, lam, power, parts, full, None, None, None, summary)
+        return ExprAnalysis(e, lam, power, parts, full, None, None, summary)
     m_prof = direct_sum_profile(
         [p.m_profile for p in parts if p.m_profile is not None] or [ZERO_DIM_PROFILE]
     )
@@ -217,19 +211,6 @@ def analyze_expr(e: OperatorExpr, lam: Point, power: int = 1) -> ExprAnalysis:
     )
     m_prof = power_profile(m_prof, power)
     n_prof = power_profile(n_prof, power)
-    m_atoms = tuple(p.m_atom for p in parts if p.m_atom is not None)
-    n_atoms = tuple(p.n_atom for p in parts if p.n_atom is not None)
-    splits = tuple(
-        MatrixSplit(i, p.m_basis, p.n_basis)
-        for i, p in enumerate(parts)
-        if p.m_basis is not None
-    )
-    pair = GKDPair(
-        point=lam,
-        m_part=OperatorExpr(m_atoms) if m_atoms else None,
-        n_part=OperatorExpr(n_atoms) if n_atoms else None,
-        splits=splits,
-    )
     alpha = m_prof.a.at(1)
     beta = m_prof.r.at(1)
     summary = StructuralSummary(
@@ -240,14 +221,35 @@ def analyze_expr(e: OperatorExpr, lam: Point, power: int = 1) -> ExprAnalysis:
         index=ExtIndex.from_alpha_beta(alpha, beta),
         dis=dis,
     )
-    return ExprAnalysis(e, lam, power, parts, full, m_prof, n_prof, pair, summary)
+    return ExprAnalysis(e, lam, power, parts, full, m_prof, n_prof, summary)
+
+
+def gkd_pair(an: ExprAnalysis) -> GKDPair:
+    """The split of every matrix atom, and the pieces of each side: a matrix
+    atom's split restrictions, a shift atom wholesale on the side its
+    profile names. The canonical decomposition where an.decomposable."""
+    m_atoms, n_atoms, splits = [], [], []
+    for i, p in enumerate(an.parts):
+        sp = matrix_split(p, i) if p.atom.kind == "matrix" else None
+        if sp is not None:
+            splits.append(sp)
+        if p.m_profile is not None:
+            m_atoms.append(p.atom if sp is None else sp.m_atom)
+        if p.n_profile is not None:
+            n_atoms.append(p.atom if sp is None else sp.n_atom)
+    return GKDPair(
+        point=an.point,
+        m_part=OperatorExpr(tuple(m_atoms)) if m_atoms else None,
+        n_part=OperatorExpr(tuple(n_atoms)) if n_atoms else None,
+        splits=tuple(splits),
+    )
 
 
 def canonical_gkd(e: OperatorExpr, lam: Point) -> GKDPair:
     an = analyze_expr(e, lam)
     if not an.decomposable:
         raise NotPseudoFredholm(f"no decomposition at point {lam}")
-    return an.pair
+    return gkd_pair(an)
 
 
 def alpha_beta_pq(e: OperatorExpr, lam: Point) -> StructuralSummary:
@@ -283,35 +285,28 @@ def index_with_nilpotent_regrouped(e: OperatorExpr, lam: Point) -> ExtIndex:
     return ExtIndex.from_alpha_beta(m_prof.a.at(1), m_prof.r.at(1))
 
 
-def h0_and_core(m: ExactMatrix) -> tuple[SubspaceBasis, SubspaceBasis]:
-    """(H0, K) of a square rational matrix at 0: the kernel and image of
-    m^nu at the Fitting index nu."""
-    core, h0 = matrix_chain_data(m).fitting_split()
-    return h0, core
-
-
 def alpha_beta_core_oracle(m: ExactMatrix) -> tuple[ExtNat, ExtNat]:
     """Independent route to the defect numbers of a matrix at 0:
     dim(K ∩ N(m)) and codim(R(m) + H0). For matrices both are 0 because the
     restriction to the core is invertible; this is a consistency oracle."""
-    h0, core = h0_and_core(m)
+    core, h0 = matrix_chain_data(m).fitting_split()
     alpha = subspace_intersection(core, kernel_basis(m)).dim
     beta = m.rows - subspace_sum(image_basis(m), h0).dim
     return ExtNat(alpha), ExtNat(beta)
 
 
-def split_drazin(part: AtomAnalysis) -> ExactMatrix:
+def split_drazin(split: MatrixSplit) -> ExactMatrix:
     """Exact Drazin inverse of a matrix atom's shifted block S from its
     split: with P = [K | H0] and A the core block, S^D = P diag(A^-1, 0)
     P^-1. The Drazin inverse is unique, so any split gives the same one."""
-    core, h0 = part.m_basis, part.n_basis
+    core, h0 = split.m_basis, split.n_basis
     d = core.ambient_dim
     if not core.dim:
         return ExactMatrix.zeros(d, d)
+    a_inv = inverse(split.m_atom.matrix)
     if not h0.dim:
-        # the canonical basis of the whole space is the identity, so A = S
-        return inverse(part.block)
-    a_inv = inverse(part.m_atom.matrix)
+        # the canonical basis of the whole space is the identity, so P = I
+        return a_inv
     k = core.dim
     cols = core.vectors + h0.vectors
     p_inv = inverse(
@@ -324,7 +319,7 @@ def split_drazin(part: AtomAnalysis) -> ExactMatrix:
 def drazin_inverse(m: ExactMatrix) -> ExactMatrix:
     """Exact Drazin inverse of a square rational matrix, from its split
     at 0."""
-    return split_drazin(analyze_atom(Atom("matrix", m), point(0)))
+    return split_drazin(matrix_split(analyze_atom(Atom("matrix", m), point(0)), 0))
 
 
 def restriction_profile(p: StructuralProfile, n: int) -> tuple[ExtNat, ExtNat, ExtIndex]:

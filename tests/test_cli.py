@@ -111,8 +111,9 @@ def test_analyze_bad_document(tmp_path, capsys):
     [
         "[" * 100000,
         '{"name": "x", "atoms": [{"type": "matrix", "entries": [["%s"]]}]}' % ("1" * 5000),
+        json.dumps({"name": "x", "atoms": [{"type": "matrix", "entries": [["0"] * 65] * 65}]}),
     ],
-    ids=["deeply-nested", "5000-digit-entry"],
+    ids=["deeply-nested", "5000-digit-entry", "65x65-matrix"],
 )
 def test_analyze_unreadable_document_is_exit_2(tmp_path, text, capsys):
     f = tmp_path / "bad.json"

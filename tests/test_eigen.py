@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fredprofile import linalg, model, structure
+from fredprofile import linalg, model, structure, verify
 from fredprofile.classify import classify
 from fredprofile.cli import main
 from fredprofile.errors import InternalInvariantError
@@ -31,10 +31,11 @@ from fredprofile.model import (
 )
 from fredprofile.spectra import GridSpec, scan, scan_to_csv
 from fredprofile.structure import (
+    MatrixSplit,
     alpha_beta_core_oracle,
     analyze_atom,
     drazin_inverse,
-    fitting_atom_analysis,
+    matrix_split,
     split_drazin,
 )
 from fredprofile.verify import subspace_meet_join
@@ -77,8 +78,18 @@ def matrix_and_point(draw, max_dim=6):
 
 
 def _slow_everywhere(mp):
-    """Force the exact Fitting path at every point."""
+    """Force the eigenvalue path, chain data and all, at every point."""
     mp.setattr(ExactMatrix, "is_eigenvalue", lambda self, re, im=0: True)
+
+
+def _fitting_reference(m, lam):
+    """The exact Fitting split of m's shifted block S at any point,
+    eigenvalue or not: K = R(S^nu) and H0 = N(S^nu) from a fresh chain
+    computation, and S restricted to each."""
+    s, _ = realified(m, *lam)
+    core, h0 = matrix_chain_data(s).fitting_split()
+    m_atom, n_atom = (Atom("matrix", restrict(s, b)) if b.dim else None for b in (core, h0))
+    return MatrixSplit(0, s, core, h0, m_atom, n_atom)
 
 
 def test_char_poly_known():
@@ -133,11 +144,13 @@ def test_is_eigenvalue_matches_realified_rank(mp):
 def test_fast_atom_analysis_equals_fitting_split(mp):
     m, lam = mp
     atom = Atom("matrix", m)
-    slow = fitting_atom_analysis(atom, lam)
-    assert analyze_atom(atom, lam) == slow
-    assert atom_profile(atom, lam) == slow.profile
+    part = analyze_atom(atom, lam)
+    assert matrix_split(part, 0) == _fitting_reference(m, lam)
+    s, scale = realified(m, *lam)
+    assert part.profile == atom_profile(atom, lam)
+    assert part.profile == matrix_profile(matrix_chain_data(s), scale)
     if not m.is_eigenvalue(*lam):
-        assert slow.profile == INVERTIBLE_PROFILE
+        assert part.profile == INVERTIBLE_PROFILE
 
 
 @settings(max_examples=60, deadline=None)
@@ -165,24 +178,6 @@ def test_scan_csv_same_on_either_path(mp):
         slow = scan(OperatorExpr.of(RIGHT_SHIFT, Atom("matrix", m)), grid)
     assert fast.records == slow.records
     assert scan_to_csv(fast) == scan_to_csv(slow)
-
-
-def test_only_eigenvalue_grid_points_take_the_fitting_path(monkeypatch):
-    # I + J3 has the single eigenvalue 1: one point of the unit-step grid
-    # on [-1,1]^2 runs the exact split, the other eight are shortcut
-    m = mat([[1, 1, 0], [0, 1, 1], [0, 0, 1]])
-    seen = []
-
-    def counting(atom, lam):
-        seen.append(lam)
-        return fitting_atom_analysis(atom, lam)
-
-    monkeypatch.setattr(structure, "fitting_atom_analysis", counting)
-    grid = GridSpec(F(-1), F(1), F(-1), F(1), 3, 3)
-    s = scan(OperatorExpr.of(RIGHT_SHIFT, Atom("matrix", m)), grid)
-    assert seen == [(F(1), F(0))]
-    at_one = s.records[s.points.index((F(1), F(0)))]
-    assert not at_one.invertible and at_one.nilpotent is False
 
 
 def test_scaled_odd_realified_dimension_is_internal_error():
@@ -232,17 +227,22 @@ def test_rank_derived_chains_equal_subspace_chains(mp):
 @given(matrix_and_point())
 def test_derived_block_profiles_equal_block_chains(mp):
     m, lam = mp
-    part = fitting_atom_analysis(Atom("matrix", m), lam)
     s, scale = realified(m, *lam)
-    for blk, basis, prof in (
-        (part.m_atom, part.m_basis, part.m_profile),
-        (part.n_atom, part.n_basis, part.n_profile),
-    ):
-        if basis.dim:
-            assert blk.matrix == restrict(s, basis)
-            assert prof == matrix_profile(matrix_chain_data(blk.matrix), scale)
-        else:
-            assert blk is None and prof is None
+    for slow in (False, True):
+        with pytest.MonkeyPatch.context() as patch:
+            if slow:
+                _slow_everywhere(patch)
+            part = analyze_atom(Atom("matrix", m), lam)
+        split = matrix_split(part, 0)
+        for blk, basis, prof in (
+            (split.m_atom, split.m_basis, part.m_profile),
+            (split.n_atom, split.n_basis, part.n_profile),
+        ):
+            if basis.dim:
+                assert blk.matrix == restrict(s, basis)
+                assert prof == matrix_profile(matrix_chain_data(blk.matrix), scale)
+            else:
+                assert blk is None and prof is None
 
 
 @settings(max_examples=100, deadline=None)
@@ -251,8 +251,8 @@ def test_split_drazin_equals_reference(mp):
     m, lam = mp
     s, _ = realified(m, *lam)
     want = _reference_drazin(s)
-    assert split_drazin(analyze_atom(Atom("matrix", m), lam)) == want
-    assert split_drazin(fitting_atom_analysis(Atom("matrix", m), lam)) == want
+    assert split_drazin(matrix_split(analyze_atom(Atom("matrix", m), lam), 0)) == want
+    assert split_drazin(_fitting_reference(m, lam)) == want
     assert drazin_inverse(s) == want
 
 
@@ -305,3 +305,34 @@ def test_analyze_is_one_pass(tmp_path, monkeypatch, capsys):
     assert len(analyses) == 1
     assert [c[0].rows for c in chain_data] == [2]
     assert sums == [] and meets == []
+
+
+def _count_basis_calls(monkeypatch):
+    return [
+        _count_calls(monkeypatch, linalg, name)
+        for name in ("restrict", "kernel_basis", "image_basis")
+    ]
+
+
+def test_classify_and_scan_build_no_basis(monkeypatch):
+    # I + J3 has the single eigenvalue 1: one point of the unit-step grid
+    # on [-1,1]^2 takes the rank path, the other eight are shortcut; no
+    # point, eigenvalue or not, builds a basis or a restricted block
+    m = mat([[1, 1, 0], [0, 1, 1], [0, 0, 1]])
+    e = OperatorExpr.of(RIGHT_SHIFT, Atom("matrix", m))
+    chain_data = _count_calls(monkeypatch, model, "matrix_chain_data")
+    built = _count_basis_calls(monkeypatch)
+    s = scan(e, GridSpec(F(-1), F(1), F(-1), F(1), 3, 3))
+    at_one = classify(e, (F(1), F(0)))
+    assert [c[0].rows for c in chain_data] == [3, 3]
+    assert built == [[], [], []]
+    assert s.records[s.points.index((F(1), F(0)))] == at_one
+    assert not at_one.invertible and at_one.nilpotent is False
+
+
+def test_summary_only_verify_suites_build_no_basis(monkeypatch):
+    # the catalog's Jordan atoms put eigenvalues at 0
+    built = _count_basis_calls(monkeypatch)
+    for suite in (verify.suite_index_laws, verify.suite_punctured, verify.suite_spectra):
+        assert suite(1, 0).ok
+    assert built == [[], [], []]

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fredprofile.docio import (
+    MAX_MATRIX_DIM,
     AnalysisReport,
     OperatorDocument,
     build_report,
@@ -105,6 +106,16 @@ def test_document_parse_matrix_entries():
 def test_document_rejects(text):
     with pytest.raises(DocumentError):
         parse_document(text)
+
+
+def test_matrix_dimension_is_bounded_before_entries_are_parsed():
+    zeros = [["0"] * MAX_MATRIX_DIM] * MAX_MATRIX_DIM
+    doc = parse_document(doc_text({"type": "matrix", "entries": zeros}))
+    assert doc.expr.atoms[0].matrix.rows == 64
+    # entries that would not parse: the row count is refused first
+    floats = [[0.5] * 65] * 65
+    with pytest.raises(DocumentError, match="65 rows, more than the limit of 64"):
+        parse_document(doc_text({"type": "matrix", "entries": floats}))
 
 
 def test_report_round_trip_is_lossless():

@@ -23,7 +23,6 @@ from fredprofile.structure import (
     analyze_expr,
     canonical_gkd,
     drazin_inverse,
-    h0_and_core,
     index,
     index_with_nilpotent_regrouped,
     restriction_profile,
@@ -125,10 +124,10 @@ def test_index_shortcuts():
 
 
 def test_h0_and_core():
-    h0, core = h0_and_core(J2_DIAG2.matrix)
+    core, h0 = matrix_chain_data(J2_DIAG2.matrix).fitting_split()
     assert h0.vectors == ((F(1), F(0), F(0)), (F(0), F(1), F(0)))
     assert core.vectors == ((F(0), F(0), F(1)),)
-    h0i, corei = h0_and_core(mat([[1, 0], [0, 1]]))
+    corei, h0i = matrix_chain_data(mat([[1, 0], [0, 1]])).fitting_split()
     assert h0i.dim == 0 and corei.dim == 2
 
 
