@@ -5,10 +5,12 @@ Commands: analyze (classify one operator document at one point), spectrum
 document), verify (randomized property suites).
 
 Exit codes: 0 success, 1 usage error (including a grid of more than
-MAX_GRID_POINTS points), 2 document parse error, 4 drazin on a non-matrix
-document, 5 verify found a property violation, 6 internal invariant
-violated (a bug in this package), 7 an output could not be produced or
-written (an unwritable output file, or a rational too long to print).
+MAX_GRID_POINTS points), 2 document parse error (including a document of
+more than MAX_DOCUMENT_BYTES bytes or not in UTF-8), 4 drazin on a
+non-matrix document, 5 verify found a property violation, 6 internal
+invariant violated (a bug in this package), 7 an output could not be
+produced or written (an unwritable output file, or a rational too long
+to print).
 Code 3 is not used.
 """
 from __future__ import annotations
@@ -16,7 +18,13 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .docio import build_report, parse_document, parse_rational, rational_str
+from .docio import (
+    MAX_DOCUMENT_BYTES,
+    build_report,
+    matrix_rows,
+    parse_document,
+    parse_rational,
+)
 from .errors import DocumentError, InternalInvariantError, OutputError
 from .model import Point
 from .spectra import GridSpec, SPECTRUM_NAMES, scan, scan_to_csv, scan_to_json
@@ -98,11 +106,18 @@ def _parse_grid(parser: _Parser, text: str) -> GridSpec:
 
 
 def _read_document(path: str):
+    # one byte past the limit is enough to tell that a document is too long
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read(MAX_DOCUMENT_BYTES + 1)
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from None
+    if len(data) > MAX_DOCUMENT_BYTES:
+        raise DocumentError(f"{path} is larger than {MAX_DOCUMENT_BYTES} bytes")
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DocumentError(f"{path} is not UTF-8: {exc}") from None
     return parse_document(text)
 
 
@@ -143,9 +158,7 @@ def _cmd_drazin(args) -> int:
         print("drazin needs a document with a single matrix atom", file=sys.stderr)
         return 4
     dz = drazin_inverse(atoms[0].matrix)
-    sys.stdout.write(
-        "".join(" ".join(rational_str(x) for x in dz.row(i)) + "\n" for i in range(dz.rows))
-    )
+    sys.stdout.write("".join(" ".join(row) + "\n" for row in matrix_rows(dz)))
     return 0
 
 

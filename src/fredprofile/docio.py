@@ -11,6 +11,7 @@ reconstructs it exactly.
 from __future__ import annotations
 
 import json
+import math
 import re as _re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,7 +19,7 @@ from fractions import Fraction
 from .classify import classify_analysis
 from .errors import DocumentError, OutputError
 from .extvals import BoolSeq, EvAffineSeq, ExtNat
-from .linalg import ExactMatrix, SubspaceBasis
+from .linalg import ExactMatrix
 from .model import ATOM_KINDS, Atom, OperatorExpr, Point
 from .structure import analyze_expr, gkd_pair, split_drazin
 
@@ -28,31 +29,62 @@ _RATIONAL_RE = _re.compile(r"-?\d+(/\d+)?\Z")
 # and 4.5 s at d = 96 under CPython 3.11 on a 2-core Xeon
 MAX_MATRIX_DIM = 64
 
+# A 64 x 64 matrix document as serialize_document writes it takes 79 KB with
+# one-digit entries, 317 KB with 30-digit numerators and denominators and
+# 890 KB with 100-digit ones, so 1 MiB holds the largest matrix atom with
+# entries of up to about 100 digits over 100 digits. A longer document is
+# refused before json.loads builds anything from it.
+MAX_DOCUMENT_BYTES = 2**20
 
-def parse_rational(value: object) -> Fraction:
-    """Exact rational from a quoted "p" or "p/q" string. Numbers, floats,
+
+def _parse_ratio(value: object) -> tuple[int, int]:
+    """(p, q) from a quoted "p" or "p/q" string, q > 0. Numbers, floats,
     zero denominators and integers longer than Python's int-string limit
     are rejected."""
     if not isinstance(value, str) or not _RATIONAL_RE.match(value):
         raise DocumentError(f"not a rational string: {value!r}")
+    num, _, den = value.partition("/")
     try:
-        return Fraction(value)
-    except ZeroDivisionError:
-        raise DocumentError(f"zero denominator: {value!r}") from None
+        p, q = int(num), int(den or 1)
     except ValueError:
         # more digits than Python's int-string limit
         raise DocumentError(f"rational too long: {len(value)} characters") from None
+    if not q:
+        raise DocumentError(f"zero denominator: {value!r}")
+    return p, q
 
 
-def rational_str(q: Fraction) -> str:
-    """The "p" or "p/q" text of q. A numerator or denominator longer than
-    Python's int-string limit raises OutputError; the limit is kept."""
+def parse_rational(value: object) -> Fraction:
+    """Exact rational from a quoted "p" or "p/q" string, as _parse_ratio
+    reads it."""
+    return Fraction(*_parse_ratio(value))
+
+
+def _ratio_str(n: int, d: int) -> str:
+    """The "p" or "p/q" text of n/d, d > 0, as str(Fraction(n, d)) gives
+    it. A numerator or denominator longer than Python's int-string limit
+    raises OutputError; the limit is kept."""
+    g = math.gcd(n, d)
+    if g != 1:
+        n, d = n // g, d // g
     try:
-        return str(q)
+        return str(n) if d == 1 else f"{n}/{d}"
     except ValueError:
         raise OutputError(
             "rational too long to print: more digits than Python's int-string limit"
         ) from None
+
+
+def rational_str(q: Fraction) -> str:
+    """The "p" or "p/q" text of q; OutputError past the int-string limit."""
+    return _ratio_str(q.numerator, q.denominator)
+
+
+def matrix_rows(m: ExactMatrix) -> list[list[str]]:
+    """The rendered entries of m, row by row, straight from its integer
+    numerators and common denominator."""
+    c, den = m.cols, m.den
+    return [[_ratio_str(x, den) for x in m.num[i * c : (i + 1) * c]] for i in range(m.rows)]
 
 
 @dataclass(frozen=True)
@@ -83,14 +115,14 @@ def _atom_from_record(rec: object) -> Atom:
         raise DocumentError(f"matrix has {n} rows, more than the limit of {MAX_MATRIX_DIM}")
     if any(len(r) != n for r in rows):
         raise DocumentError("matrix atoms must be square")
-    parsed = [[parse_rational(v) for v in r] for r in rows]
-    return Atom("matrix", ExactMatrix.from_rows(parsed))
+    pairs = [_parse_ratio(v) for r in rows for v in r]
+    return Atom("matrix", ExactMatrix.from_ratios(n, n, pairs))
 
 
 def _atom_to_record(a: Atom) -> dict:
     if a.kind != "matrix":
         return {"type": a.kind}
-    return {"type": "matrix", "entries": _matrix_rows(a.matrix)}
+    return {"type": "matrix", "entries": matrix_rows(a.matrix)}
 
 
 def _load_json(text: str) -> object:
@@ -103,6 +135,13 @@ def _load_json(text: str) -> object:
 
 
 def parse_document(text: str) -> OperatorDocument:
+    # a character takes at least one UTF-8 byte, so the first test spares
+    # encoding an overlong text
+    if (
+        len(text) > MAX_DOCUMENT_BYTES
+        or len(text.encode("utf-8", "surrogatepass")) > MAX_DOCUMENT_BYTES
+    ):
+        raise DocumentError(f"document is larger than {MAX_DOCUMENT_BYTES} bytes")
     obj = _load_json(text)
     if not isinstance(obj, dict):
         raise DocumentError("document must be a JSON object")
@@ -147,14 +186,6 @@ def _bool_block(seq: BoolSeq, shown: int) -> dict:
         "tail": seq.tail,
         "shown": [seq.at(n) for n in range(shown)],
     }
-
-
-def _basis_rows(b: SubspaceBasis) -> list:
-    return [[rational_str(x) for x in v] for v in b.vectors]
-
-
-def _matrix_rows(m: ExactMatrix) -> list:
-    return [[rational_str(m.at(i, j)) for j in range(m.cols)] for i in range(m.rows)]
 
 
 @dataclass(frozen=True)
@@ -243,8 +274,8 @@ def build_report(doc: OperatorDocument, lam: Point) -> AnalysisReport:
             "splits": [
                 {
                     "atom_index": sp.atom_index,
-                    "m_basis": _basis_rows(sp.m_basis),
-                    "n_basis": _basis_rows(sp.n_basis),
+                    "m_basis": matrix_rows(sp.m_basis.matrix),
+                    "n_basis": matrix_rows(sp.n_basis.matrix),
                 }
                 for sp in pair.splits
             ],
@@ -252,8 +283,8 @@ def build_report(doc: OperatorDocument, lam: Point) -> AnalysisReport:
     matrix_atoms = [
         {
             "atom_index": sp.atom_index,
-            "shifted_block": _matrix_rows(sp.block),
-            "drazin": _matrix_rows(split_drazin(sp)),
+            "shifted_block": matrix_rows(sp.block),
+            "drazin": matrix_rows(split_drazin(sp)),
             # The block S is invertible on its Fitting core K, so
             # K ∩ N(S) = 0, and R(S) contains S(K) = K, so R(S) + H0
             # contains K + H0, the whole space.

@@ -1,19 +1,30 @@
 """Exact dense linear algebra over the rationals.
 
-Entries are fractions.Fraction at the interface, ranks and dimensions come
-from exact comparisons, and no tolerance appears anywhere. Subspaces are
-stored in a canonical reduced echelon form, so two independent computations
-of the same subspace yield identical objects and equality is plain ==.
+A matrix is stored as integer numerators over one positive common
+denominator: ExactMatrix(rows, cols, num, den) holds the entries
+num[k] / den, row-major. The constructor brings (num, den) to lowest
+terms, gcd(den, *num) = 1 with den > 0, which is the one such form of a
+rational matrix, so == and hash are exact. A subspace is stored as the
+nonzero rows of the reduced echelon form of any spanning set, held as such
+a matrix, so two computations of the same subspace give equal objects.
+Ranks and dimensions come from exact comparisons; no tolerance appears
+anywhere.
 
-Inside, rref, rank, the matrix product and restrict compute on integers.
-Elimination scales each row by the lcm of its denominators, which keeps the
-row space, the kernel and the pivot columns, and then runs Bareiss's
-fraction-free elimination (Bareiss, Math. Comp. 22, 1968): every entry it
-holds is a minor of the scaled matrix, so each division by the previous
-pivot is exact. The reduced echelon form of a matrix is unique, so rref
-returns exactly the Fraction result of plain Gauss-Jordan; a product is
-formed on integer entries over one common denominator per operand. The
-outputs are therefore the same Fractions that Fraction arithmetic gives.
+Every kernel computes on integers: rref, rank, the product, inverse,
+restrict and the subspace operations take and return the stored form.
+Elimination runs Bareiss's fraction-free elimination (Bareiss, Math.
+Comp. 22, 1968) on the numerator rows, each divided by the gcd of its
+entries, which keeps the row space, the kernel and the pivot columns:
+every entry it holds is a minor of that integer matrix, so each division
+by the previous pivot is exact. The reduced echelon form of a matrix is
+unique, so rref returns exactly what Gauss-Jordan over the rationals
+gives.
+
+Fractions appear only at the boundary: from_rows and from_vectors accept
+them (from_ratios takes the integer pairs a parsed document gives),
+minus_scalar and is_eigenvalue read a Fraction's numerator and
+denominator, and the read-only views at, row, column, entries, to_rows,
+char_poly and SubspaceBasis.vectors return them. No kernel builds one.
 """
 from __future__ import annotations
 
@@ -26,9 +37,6 @@ from typing import Sequence
 
 from .errors import AmbientMismatch, InternalInvariantError, NotInvariant
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 
 def _frac(x) -> Fraction:
     if isinstance(x, Fraction):
@@ -40,101 +48,102 @@ def _frac(x) -> Fraction:
     raise TypeError(f"not an exact rational: {x!r}")
 
 
-def _integer_entries(m: "ExactMatrix") -> tuple[list[int], int]:
-    """(N, D) with D the lcm of m's denominators and N = D*m, row-major."""
-    den = math.lcm(*(e.denominator for e in m.entries))
-    return [e.numerator * (den // e.denominator) for e in m.entries], den
-
-
-def _integer_rows(m: "ExactMatrix") -> list[list[int]]:
-    """Each row of m times the lcm of its denominators: the same row space,
-    kernel and pivot columns, in integers."""
-    out = []
-    for i in range(m.rows):
-        row = m.row(i)
-        den = math.lcm(*(e.denominator for e in row))
-        out.append([e.numerator * (den // e.denominator) for e in row])
-    return out
-
-
 @dataclass(frozen=True)
 class ExactMatrix:
-    """Immutable rational matrix, row-major entries."""
+    """Immutable rational matrix: entry (i, j) is num[i*cols + j] / den.
+
+    The constructor divides out gcd(den, *num) and moves the sign of den
+    into the numerators, so every rational matrix has one stored form.
+    """
 
     rows: int
     cols: int
-    entries: tuple[Fraction, ...]
+    num: tuple[int, ...]
+    den: int = 1
 
     def __post_init__(self):
         if self.rows < 0 or self.cols < 0:
             raise ValueError("negative dimensions")
-        if len(self.entries) != self.rows * self.cols:
+        if len(self.num) != self.rows * self.cols:
             raise ValueError("entry count does not match shape")
+        if not self.den:
+            raise ZeroDivisionError("zero denominator")
+        g = math.gcd(self.den, *self.num)
+        if self.den < 0:
+            g = -g
+        if g != 1:
+            object.__setattr__(self, "num", tuple([x // g for x in self.num]))
+            object.__setattr__(self, "den", self.den // g)
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence]) -> "ExactMatrix":
+        """The matrix with these rows of ints, Fractions or rational strings."""
         r = len(rows)
         c = len(rows[0]) if r else 0
-        flat: list[Fraction] = []
-        for row in rows:
-            if len(row) != c:
-                raise ValueError("ragged rows")
-            flat.extend(_frac(x) for x in row)
-        return ExactMatrix(r, c, tuple(flat))
+        if any(len(row) != c for row in rows):
+            raise ValueError("ragged rows")
+        vals = [x if isinstance(x, int) else _frac(x) for row in rows for x in row]
+        return ExactMatrix.from_ratios(r, c, [(v.numerator, v.denominator) for v in vals])
+
+    @staticmethod
+    def from_ratios(rows: int, cols: int, pairs: Sequence[tuple[int, int]]) -> "ExactMatrix":
+        """The matrix whose entries, row-major, are p/q for the integer
+        pairs (p, q), q nonzero."""
+        den = math.lcm(*(q for _, q in pairs))
+        return ExactMatrix(rows, cols, tuple([p * (den // q) for p, q in pairs]), den)
 
     @staticmethod
     def identity(n: int) -> "ExactMatrix":
-        return ExactMatrix(
-            n, n, tuple(_ONE if i == j else _ZERO for i in range(n) for j in range(n))
-        )
+        return ExactMatrix(n, n, tuple(int(i == j) for i in range(n) for j in range(n)))
 
     @staticmethod
     def zeros(r: int, c: int) -> "ExactMatrix":
-        return ExactMatrix(r, c, (_ZERO,) * (r * c))
+        return ExactMatrix(r, c, (0,) * (r * c))
 
     def at(self, i: int, j: int) -> Fraction:
-        return self.entries[i * self.cols + j]
+        return Fraction(self.num[i * self.cols + j], self.den)
 
     def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
+        return tuple(
+            Fraction(x, self.den) for x in self.num[i * self.cols : (i + 1) * self.cols]
+        )
 
     def column(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
+        return tuple(Fraction(x, self.den) for x in self.num[j :: self.cols])
+
+    @property
+    def entries(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(x, self.den) for x in self.num)
 
     def to_rows(self) -> list[list[Fraction]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(
-            self.cols,
-            self.rows,
-            tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows)),
-        )
+        c = self.cols
+        num = tuple(x for j in range(c) for x in self.num[j::c])
+        return ExactMatrix(c, self.rows, num, self.den)
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        """(A/Da)(B/Db) = AB/(Da*Db) for integer A and B: integer inner
-        products and one Fraction per output entry."""
+        """(A/Da)(B/Db) = AB/(Da*Db): integer inner products."""
         if self.cols != other.rows:
             raise AmbientMismatch("matmul shape mismatch")
-        a, da = _integer_entries(self)
-        b, db = _integer_entries(other)
-        n, ocols, den = self.cols, other.cols, da * db
-        bcols = [b[j::ocols] for j in range(ocols)]
-        out: list[Fraction] = []
-        for i in range(self.rows):
-            ai = a[i * n : (i + 1) * n]
-            out.extend(Fraction(sum(map(mul, ai, bj)), den) for bj in bcols)
-        return ExactMatrix(self.rows, ocols, tuple(out))
+        a, n, ocols = self.num, self.cols, other.cols
+        arows = [a[i * n : (i + 1) * n] for i in range(self.rows)]
+        bcols = [other.num[j::ocols] for j in range(ocols)]
+        out = tuple([sum(map(mul, ai, bj)) for ai in arows for bj in bcols])
+        return ExactMatrix(self.rows, ocols, out, self.den * other.den)
 
     def minus_scalar(self, q) -> "ExactMatrix":
-        """self - q*I on a square matrix."""
+        """self - q*I on a square matrix, q an int or a Fraction."""
         if self.rows != self.cols:
             raise ValueError("minus_scalar needs a square matrix")
-        q = _frac(q)
-        ent = list(self.entries)
-        for i in range(self.rows):
-            ent[i * self.cols + i] -= q
-        return ExactMatrix(self.rows, self.cols, tuple(ent))
+        den = math.lcm(self.den, q.denominator)
+        f = den // self.den
+        num = [x * f for x in self.num]
+        sub = q.numerator * (den // q.denominator)
+        for k in range(0, len(num), self.cols + 1):
+            num[k] -= sub
+        return ExactMatrix(self.rows, self.cols, tuple(num), den)
 
     def power(self, k: int) -> "ExactMatrix":
         if self.rows != self.cols:
@@ -147,25 +156,23 @@ class ExactMatrix:
         return acc
 
     def is_zero(self) -> bool:
-        return all(not e for e in self.entries)
+        return not any(self.num)
 
     @functools.cached_property
-    def char_poly(self) -> tuple[Fraction, ...]:
-        """Coefficients c_0, ..., c_d of det(xI - self), constant term first.
+    def _scaled_char_poly(self) -> tuple[int, ...]:
+        """Coefficients e_0, ..., e_d of det(xI - A) for the integer matrix
+        A = den*self, constant term first.
 
-        Berkowitz's division-free recurrence (Berkowitz, IPL 18, 1984) runs
-        on the integer matrix A = D*self, D the common denominator of the
-        entries: bordering the leading k x k block A_k by a column c, a row
-        r and a corner a gives det(xI - A_{k+1}) = (x - a) det(xI - A_k)
+        Berkowitz's division-free recurrence (Berkowitz, IPL 18, 1984):
+        bordering the leading k x k block A_k by a column c, a row r and a
+        corner a gives det(xI - A_{k+1}) = (x - a) det(xI - A_k)
         - r adj(xI - A_k) c, and adj(xI - A_k) expands in powers of A_k
-        with the coefficients of det(xI - A_k). Then c_m = e_m / D^(d-m)
-        for the coefficients e_m of det(xI - A). Computed once per matrix.
+        with the coefficients of det(xI - A_k). Computed once per matrix.
         """
         if self.rows != self.cols:
             raise ValueError("char_poly needs a square matrix")
         n = self.rows
-        flat, den = _integer_entries(self)
-        a = [flat[i * n : (i + 1) * n] for i in range(n)]
+        a = [self.num[i * n : (i + 1) * n] for i in range(n)]
         p = [1]  # det(xI - A_k), constant term first
         for k in range(n):
             r = a[k][:k]
@@ -180,34 +187,65 @@ class ExactMatrix:
             for j in range(k):
                 nxt[j] -= sum(p[m] * w[m - j - 1] for m in range(j + 1, k + 1))
             p = nxt
-        return tuple(Fraction(e, den ** (n - m)) for m, e in enumerate(p))
+        return tuple(p)
+
+    @functools.cached_property
+    def char_poly(self) -> tuple[Fraction, ...]:
+        """Coefficients c_0, ..., c_d of det(xI - self), constant term
+        first: c_m = e_m / den^(d-m) for the coefficients e_m of the
+        integer matrix's polynomial."""
+        n = self.rows
+        return tuple(
+            Fraction(e, self.den ** (n - m)) for m, e in enumerate(self._scaled_char_poly)
+        )
 
     def is_eigenvalue(self, re, im=0) -> bool:
         """True when re + i*im is a root of char_poly, i.e. self minus that
-        scalar is singular over the complex numbers. Horner's rule in exact
-        Gaussian rationals, so the zero test is exact."""
-        re, im = _frac(re), _frac(im)
-        coeffs = self.char_poly
-        x, y = coeffs[-1], _ZERO
-        for c in reversed(coeffs[:-1]):
-            x, y = x * re - y * im + c, x * im + y * re
+        scalar is singular over the complex numbers.
+
+        With re = a/q, im = b/q over a common denominator q and e_m the
+        coefficients of det(xI - A), A = den*self, the root test is
+        sum_m e_m z^m q^(d-m) == 0 for the Gaussian integer
+        z = den*(a + b*i): that sum is q^d den^d det(λI - self). Horner's
+        rule evaluates it in ints, so the zero test is exact. re and im are
+        ints or Fractions.
+        """
+        q = math.lcm(re.denominator, im.denominator)
+        zr = self.den * re.numerator * (q // re.denominator)
+        zi = self.den * im.numerator * (q // im.denominator)
+        coeffs = self._scaled_char_poly
+        x, y, qk = coeffs[-1], 0, 1
+        for e in reversed(coeffs[:-1]):
+            qk *= q
+            x, y = x * zr - y * zi + e * qk, x * zi + y * zr
         return not x and not y
 
 
-def rref(m: ExactMatrix) -> tuple[ExactMatrix, tuple[int, ...], int]:
-    """Reduced row echelon form. Returns (R, pivot columns, rank).
+def _content_rows(m: ExactMatrix) -> list[list[int]]:
+    """The numerator rows of m, each divided by the gcd of its entries: the
+    same row space, kernel and pivot columns, in smaller integers."""
+    c, out = m.cols, []
+    for i in range(m.rows):
+        row = m.num[i * c : (i + 1) * c]
+        g = math.gcd(*row)
+        out.append([x // g for x in row] if g > 1 else list(row))
+    return out
 
-    Fraction-free Gauss-Jordan on the integer rows: each pivot step sets
-    every other row to (pv*row - f*pivot_row) // prev, prev the previous
-    pivot. After a step every pivot row holds pv at its pivot, so the
-    pivot rows are divided by the last pivot once, at the end.
+
+def _gauss_jordan(a: list[list[int]], cols: int) -> tuple[tuple[int, ...], int]:
+    """Fraction-free Gauss-Jordan on the integer rows a, in place. Returns
+    the pivot columns and the last pivot p; the reduced echelon form is
+    then the first len(pivots) rows of a divided by p.
+
+    Each pivot step sets every other row to (pv*row - f*pivot_row) // prev,
+    prev the previous pivot. After a step every pivot row holds pv at its
+    pivot, so the division by the last pivot is left to the caller.
     """
-    a = _integer_rows(m)
     pivots: list[int] = []
     prev = 1
-    for pc in range(m.cols):
+    for pc in range(cols):
         pr = len(pivots)
-        sel = next((r for r in range(pr, m.rows) if a[r][pc]), None)
+        sel = next((r for r in range(pr, len(a)) if a[r][pc]), None)
         if sel is None:
             continue
         a[pr], a[sel] = a[sel], a[pr]
@@ -223,19 +261,26 @@ def rref(m: ExactMatrix) -> tuple[ExactMatrix, tuple[int, ...], int]:
                 a[r] = [pv * x // prev for x in row]
         prev = pv
         pivots.append(pc)
-        if len(pivots) == m.rows:
+        if len(pivots) == len(a):
             break
+    return tuple(pivots), prev
+
+
+def rref(m: ExactMatrix) -> tuple[ExactMatrix, tuple[int, ...], int]:
+    """Reduced row echelon form. Returns (R, pivot columns, rank)."""
+    a = _content_rows(m)
+    pivots, prev = _gauss_jordan(a, m.cols)
     rk = len(pivots)
-    ent = [Fraction(x, prev) for row in a[:rk] for x in row]
-    ent.extend([_ZERO] * ((m.rows - rk) * m.cols))
-    return ExactMatrix(m.rows, m.cols, tuple(ent)), tuple(pivots), rk
+    num = [x for row in a[:rk] for x in row]
+    num.extend([0] * ((m.rows - rk) * m.cols))
+    return ExactMatrix(m.rows, m.cols, tuple(num), prev), pivots, rk
 
 
 def rank(m: ExactMatrix) -> int:
     """Rank by forward-only fraction-free elimination on the integer rows,
     with no back-substitution. rows holds the columns not yet eliminated
     of the rows not yet used as pivots."""
-    rows = _integer_rows(m)
+    rows = _content_rows(m)
     rk, prev = 0, 1
     while rows and rows[0]:
         k = next((i for i, r in enumerate(rows) if r[0]), None)
@@ -251,112 +296,130 @@ def rank(m: ExactMatrix) -> int:
 
 
 def inverse(m: ExactMatrix) -> ExactMatrix:
-    """Exact inverse of a square invertible matrix (Gauss-Jordan)."""
+    """Exact inverse of a square invertible matrix m = N/D: Gauss-Jordan
+    on the integer [N | I] ends at [p*I | p*N^-1], p the last pivot, and
+    m^-1 = D*N^-1."""
     if m.rows != m.cols:
         raise ValueError("inverse needs a square matrix")
     n = m.rows
-    aug = ExactMatrix(
-        n,
-        2 * n,
-        tuple(
-            m.at(i, j) if j < n else (_ONE if j - n == i else _ZERO)
-            for i in range(n)
-            for j in range(2 * n)
-        ),
-    )
-    red, pivots, rk = rref(aug)
-    if rk != n or any(p >= n for p in pivots):
+    a = [list(m.num[i * n : (i + 1) * n]) + [int(i == j) for j in range(n)] for i in range(n)]
+    pivots, prev = _gauss_jordan(a, 2 * n)
+    if len(pivots) != n or any(p >= n for p in pivots):
         raise ValueError("matrix is singular")
-    return ExactMatrix(
-        n, n, tuple(red.at(i, n + j) for i in range(n) for j in range(n))
-    )
+    return ExactMatrix(n, n, tuple(m.den * x for row in a for x in row[n:]), prev)
+
+
+def stack(top: ExactMatrix, bottom: ExactMatrix) -> ExactMatrix:
+    """The rows of top above the rows of bottom."""
+    if top.cols != bottom.cols:
+        raise AmbientMismatch("stacked matrices differ in column count")
+    den = math.lcm(top.den, bottom.den)
+    ft, fb = den // top.den, den // bottom.den
+    num = tuple(x * ft for x in top.num) + tuple(x * fb for x in bottom.num)
+    return ExactMatrix(top.rows + bottom.rows, top.cols, num, den)
 
 
 @dataclass(frozen=True)
 class SubspaceBasis:
     """A subspace of Q^ambient_dim in canonical reduced echelon form.
 
-    The stored vectors are the nonzero rows of the reduced echelon form of
-    any spanning set, so two bases of the same subspace compare equal. Build
-    through from_vectors; the constructor validates the canonical shape.
+    matrix is dim x ambient_dim; its rows are the nonzero rows of the
+    reduced echelon form of any spanning set, so two bases of the same
+    subspace compare equal. Build through from_vectors or the functions
+    below; the constructor validates the canonical shape.
     """
 
-    ambient_dim: int
-    vectors: tuple[tuple[Fraction, ...], ...]
+    matrix: ExactMatrix
 
     def __post_init__(self):
-        if self.ambient_dim < 0:
-            raise ValueError("negative ambient dimension")
-        last_pivot = -1
-        for v in self.vectors:
-            if len(v) != self.ambient_dim:
-                raise AmbientMismatch("vector length != ambient dimension")
-            p = next((j for j, x in enumerate(v) if x), None)
+        m = self.matrix
+        c, pivots = m.cols, self._pivots()
+        for i, p in enumerate(pivots):
             if p is None:
                 raise ValueError("zero vector stored in basis")
-            if p <= last_pivot or v[p] != 1:
+            if (i and p <= pivots[i - 1]) or m.num[i * c + p] != m.den:
                 raise ValueError("basis not in canonical echelon form")
-            for w in self.vectors:
-                if w is not v and w[p]:
-                    raise ValueError("basis not fully reduced")
-            last_pivot = p
+            # the pivot is the only nonzero entry of its column
+            if m.num[p::c].count(0) != m.rows - 1:
+                raise ValueError("basis not fully reduced")
 
     @staticmethod
     def from_vectors(ambient_dim: int, vectors: Sequence[Sequence]) -> "SubspaceBasis":
-        vecs = [tuple(_frac(x) for x in v) for v in vectors]
-        for v in vecs:
-            if len(v) != ambient_dim:
-                raise AmbientMismatch("vector length != ambient dimension")
-        if not vecs:
-            return SubspaceBasis(ambient_dim, ())
-        red, _, rk = rref(ExactMatrix.from_rows(vecs))
-        return SubspaceBasis(ambient_dim, tuple(red.row(i) for i in range(rk)))
+        """The span of vectors of ints, Fractions or rational strings."""
+        if any(len(v) != ambient_dim for v in vectors):
+            raise AmbientMismatch("vector length != ambient dimension")
+        if not vectors:
+            return SubspaceBasis.zero(ambient_dim)
+        return _span(ExactMatrix.from_rows(vectors))
 
     @staticmethod
     def zero(ambient_dim: int) -> "SubspaceBasis":
-        return SubspaceBasis(ambient_dim, ())
+        return SubspaceBasis(ExactMatrix.zeros(0, ambient_dim))
 
     @staticmethod
     def full(ambient_dim: int) -> "SubspaceBasis":
-        ident = ExactMatrix.identity(ambient_dim)
-        return SubspaceBasis(
-            ambient_dim, tuple(ident.row(i) for i in range(ambient_dim))
-        )
+        return SubspaceBasis(ExactMatrix.identity(ambient_dim))
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.matrix.cols
 
     @property
     def dim(self) -> int:
-        return len(self.vectors)
+        return self.matrix.rows
 
-    def _pivots(self) -> list[int]:
-        return [next(j for j, x in enumerate(v) if x) for v in self.vectors]
+    @property
+    def vectors(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(self.matrix.row(i) for i in range(self.dim))
+
+    def _pivots(self) -> list[int | None]:
+        m, c = self.matrix, self.matrix.cols
+        return [
+            next((j for j, x in enumerate(m.num[i * c : (i + 1) * c]) if x), None)
+            for i in range(m.rows)
+        ]
+
+
+def _span(m: ExactMatrix) -> SubspaceBasis:
+    """The row space of m."""
+    red, _, rk = rref(m)
+    return SubspaceBasis(ExactMatrix(rk, m.cols, red.num[: rk * m.cols], red.den))
 
 
 def kernel_basis(m: ExactMatrix) -> SubspaceBasis:
-    """Null space of m as a canonical subspace of Q^cols."""
-    red, pivots, rk = rref(m)
+    """Null space of m as a canonical subspace of Q^cols, from one reduction.
+
+    m is reduced with its columns in reverse order, R = N/D. There each
+    free column f gives the kernel vector e_f minus the sum of R[i][f]
+    e_(pivot i) over the pivots before f. Back in the original order the
+    vector is 1 at f, 0 at every other free column and nonzero elsewhere
+    only after f, so these vectors, ordered by f, are already the reduced
+    echelon basis of the kernel. They are held here times D.
+    """
+    c = m.cols
+    rev = tuple(x for i in range(m.rows) for x in m.num[i * c : (i + 1) * c][::-1])
+    red, pivots, _ = rref(ExactMatrix(m.rows, c, rev, m.den))
     pivset = set(pivots)
-    free = [j for j in range(m.cols) if j not in pivset]
-    vecs = []
-    for f in free:
-        v = [_ZERO] * m.cols
-        v[f] = _ONE
+    free = [f for f in range(c - 1, -1, -1) if f not in pivset]
+    num = [0] * (len(free) * c)
+    for k, f in enumerate(free):
+        row = k * c + c - 1  # reversed column j lands at row - j
+        num[row - f] = red.den
         for i, p in enumerate(pivots):
-            v[p] = -red.at(i, f)
-        vecs.append(v)
-    return SubspaceBasis.from_vectors(m.cols, vecs)
+            num[row - p] = -red.num[i * c + f]
+    return SubspaceBasis(ExactMatrix(len(free), c, tuple(num), red.den))
 
 
 def image_basis(m: ExactMatrix) -> SubspaceBasis:
-    """Column space of m as a canonical subspace of Q^rows: the nonzero
-    rows of the reduced echelon form of the transpose, so one reduction."""
-    red, _, rk = rref(m.transpose())
-    return SubspaceBasis(m.rows, tuple(red.row(i) for i in range(rk)))
+    """Column space of m as a canonical subspace of Q^rows: the row space
+    of the transpose, so one reduction."""
+    return _span(m.transpose())
 
 
 def subspace_sum(a: SubspaceBasis, b: SubspaceBasis) -> SubspaceBasis:
     if a.ambient_dim != b.ambient_dim:
         raise AmbientMismatch("sum of subspaces of different ambient spaces")
-    return SubspaceBasis.from_vectors(a.ambient_dim, a.vectors + b.vectors)
+    return _span(stack(a.matrix, b.matrix))
 
 
 def subspace_intersection(a: SubspaceBasis, b: SubspaceBasis) -> SubspaceBasis:
@@ -370,26 +433,10 @@ def subspace_intersection(a: SubspaceBasis, b: SubspaceBasis) -> SubspaceBasis:
         raise AmbientMismatch("intersection of subspaces of different ambient spaces")
     if a.dim == 0 or b.dim == 0:
         return SubspaceBasis.zero(a.ambient_dim)
-    stacked = ExactMatrix(
-        a.ambient_dim,
-        a.dim + b.dim,
-        tuple(
-            (a.vectors[j][i] if j < a.dim else b.vectors[j - a.dim][i])
-            for i in range(a.ambient_dim)
-            for j in range(a.dim + b.dim)
-        ),
-    )
-    ker = kernel_basis(stacked)
-    pts = []
-    for kv in ker.vectors:
-        pt = [_ZERO] * a.ambient_dim
-        for j in range(a.dim):
-            cf = kv[j]
-            if cf:
-                for i in range(a.ambient_dim):
-                    pt[i] += cf * a.vectors[j][i]
-        pts.append(pt)
-    inter = SubspaceBasis.from_vectors(a.ambient_dim, pts)
+    ker = kernel_basis(stack(a.matrix, b.matrix).transpose()).matrix
+    w, ka = ker.cols, a.dim
+    u = tuple(x for i in range(ker.rows) for x in ker.num[i * w : i * w + ka])
+    inter = _span(ExactMatrix(ker.rows, ka, u, ker.den) @ a.matrix)
     if a.dim + b.dim != subspace_sum(a, b).dim + inter.dim:
         raise InternalInvariantError("modular law fails for a subspace intersection")
     return inter
@@ -407,10 +454,10 @@ def restrict(m: ExactMatrix, b: SubspaceBasis) -> ExactMatrix:
     if m.cols != b.ambient_dim:
         raise AmbientMismatch("matrix and subspace ambient dimensions differ")
     k = b.dim
-    basis = ExactMatrix(k, b.ambient_dim, tuple(x for v in b.vectors for x in v))
-    cols = basis.transpose()
+    cols = b.matrix.transpose()
     image = m @ cols
-    block = ExactMatrix(k, k, tuple(x for p in b._pivots() for x in image.row(p)))
+    num = tuple(x for p in b._pivots() for x in image.num[p * k : (p + 1) * k])
+    block = ExactMatrix(k, k, num, image.den)
     if cols @ block != image:
         raise NotInvariant("subspace is not invariant under the matrix")
     return block

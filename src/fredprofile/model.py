@@ -20,6 +20,7 @@ region of the plane (atom_region), whose justification is noted inline.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -165,22 +166,22 @@ def realified(m: ExactMatrix, re: Fraction, im: Fraction) -> tuple[ExactMatrix, 
     intersection and sum it produces carries even rational dimension, and
     dividing by 2 recovers the complex dimension exactly.
     """
-    if im == 0:
-        return m.minus_scalar(re), 1
-    d = m.rows
     s = m.minus_scalar(re)
-    ent = []
-    for i in range(2 * d):
-        for j in range(2 * d):
-            bi, bj = i // d, j // d
-            ii, jj = i % d, j % d
-            if bi == bj:
-                ent.append(s.at(ii, jj))
-            elif bi == 0:
-                ent.append(Fraction(im if ii == jj else 0))
-            else:
-                ent.append(Fraction(-im if ii == jj else 0))
-    return ExactMatrix(2 * d, 2 * d, tuple(ent)), 2
+    if im == 0:
+        return s, 1
+    d = s.rows
+    den = math.lcm(s.den, im.denominator)
+    f = den // s.den
+    v = im.numerator * (den // im.denominator)
+    top, bottom = [], []
+    for i in range(d):
+        row = [x * f for x in s.num[i * d : (i + 1) * d]]
+        off = [0] * d
+        off[i] = v
+        top += row + off
+        off[i] = -v
+        bottom += off + row
+    return ExactMatrix(2 * d, 2 * d, tuple(top + bottom), den), 2
 
 
 @dataclass(frozen=True)
@@ -325,15 +326,23 @@ def atom_region(atom: Atom, lam: Point, q2: Fraction) -> object:
     return q2 == 0
 
 
+def matrix_data_at(m: ExactMatrix, lam: Point) -> tuple[MatrixChainData | None, int]:
+    """Eigenvalue-first: (None, 1) when lam is not an eigenvalue of m, so
+    that m - lam is invertible and has the invertible profile; else the
+    chain data of the realified block S ~ m - lam and its dimension scale."""
+    if not m.is_eigenvalue(*lam):
+        return None, 1
+    s, scale = realified(m, *lam)
+    return matrix_chain_data(s), scale
+
+
 def atom_profile(atom: Atom, lam: Point) -> StructuralProfile:
     """Structural profile of (atom - lam)."""
-    re, im = lam
     if atom.kind != "matrix":
+        re, im = lam
         return _SHIFT_PROFILES[atom.kind, atom_region(atom, lam, re * re + im * im)]
-    if not atom.matrix.is_eigenvalue(re, im):
-        return INVERTIBLE_PROFILE
-    s, scale = realified(atom.matrix, re, im)
-    return matrix_profile(matrix_chain_data(s), scale)
+    data, scale = matrix_data_at(atom.matrix, lam)
+    return INVERTIBLE_PROFILE if data is None else matrix_profile(data, scale)
 
 
 def direct_sum_profile(profiles: Sequence[StructuralProfile]) -> StructuralProfile:

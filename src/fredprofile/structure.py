@@ -30,6 +30,7 @@ from .linalg import (
     inverse,
     kernel_basis,
     restrict,
+    stack,
     subspace_intersection,
     subspace_sum,
 )
@@ -44,6 +45,7 @@ from .model import (
     atom_profile,
     direct_sum_profile,
     matrix_chain_data,
+    matrix_data_at,
     matrix_profile,
     point,
     power_profile,
@@ -142,15 +144,15 @@ def analyze_atom(atom: Atom, lam: Point) -> AtomAnalysis:
     rank((S|H0)^n) = rank(S^n) - dim K.
     """
     if atom.kind == "matrix":
-        if not atom.matrix.is_eigenvalue(*lam):
+        data, scale = matrix_data_at(atom.matrix, lam)
+        if data is None:
             return AtomAnalysis(atom, lam, INVERTIBLE_PROFILE, INVERTIBLE_PROFILE, None)
-        s, scale = realified(atom.matrix, *lam)
-        data = matrix_chain_data(s)
+        d = data.matrix.rows
         k = data.ranks[data.nu]  # dim K
         m_prof = INVERTIBLE_PROFILE if k else None
         n_prof = None
-        if k < s.rows:
-            n_prof = rank_profile(s.rows - k, [r - k for r in data.ranks], scale)
+        if k < d:
+            n_prof = rank_profile(d - k, [r - k for r in data.ranks], scale)
         return AtomAnalysis(atom, lam, matrix_profile(data, scale), m_prof, n_prof, data)
     prof = atom_profile(atom, lam)
     if not prof.is_pseudofredholm_point:
@@ -307,13 +309,10 @@ def split_drazin(split: MatrixSplit) -> ExactMatrix:
     if not h0.dim:
         # the canonical basis of the whole space is the identity, so P = I
         return a_inv
+    p_inv = inverse(stack(core.matrix, h0.matrix).transpose())
     k = core.dim
-    cols = core.vectors + h0.vectors
-    p_inv = inverse(
-        ExactMatrix(d, d, tuple(cols[j][i] for i in range(d) for j in range(d)))
-    )
-    left = ExactMatrix(d, k, tuple(cols[j][i] for i in range(d) for j in range(k)))
-    return left @ a_inv @ ExactMatrix(k, d, p_inv.entries[: k * d])
+    top = ExactMatrix(k, d, p_inv.num[: k * d], p_inv.den)
+    return core.matrix.transpose() @ a_inv @ top
 
 
 def drazin_inverse(m: ExactMatrix) -> ExactMatrix:

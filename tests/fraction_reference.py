@@ -3,8 +3,10 @@
 These are the Fraction-entry rref, matrix product and restriction that
 linalg used before it moved to integer elimination, kept verbatim as the
 oracle for the differential tests, with the matrix-vector product and the
-subspace membership tests they are built on. Nothing in the package
-imports them.
+subspace membership tests they are built on; and, on top of that rref,
+Fraction versions of the kernel, image, subspace sum and intersection,
+the realified block and the Horner eigenvalue test. Nothing in the
+package imports them.
 """
 from __future__ import annotations
 
@@ -15,6 +17,12 @@ from fredprofile.errors import AmbientMismatch, NotInvariant
 from fredprofile.linalg import ExactMatrix, SubspaceBasis, _frac
 
 _ZERO = Fraction(0)
+
+
+def _matrix(rows: int, cols: int, flat: Sequence[Fraction]) -> ExactMatrix:
+    if not rows:
+        return ExactMatrix.zeros(0, cols)
+    return ExactMatrix.from_rows([flat[i * cols : (i + 1) * cols] for i in range(rows)])
 
 
 def apply(m: ExactMatrix, vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
@@ -70,7 +78,7 @@ def matmul(self: ExactMatrix, other: ExactMatrix) -> ExactMatrix:
                 if a:
                     s += a * other.entries[k * ocols + j]
             out.append(s)
-    return ExactMatrix(self.rows, ocols, tuple(out))
+    return _matrix(self.rows, ocols, out)
 
 
 def rref(m: ExactMatrix) -> tuple[ExactMatrix, tuple[int, ...], int]:
@@ -116,4 +124,68 @@ def restrict(m: ExactMatrix, b: SubspaceBasis) -> ExactMatrix:
             raise NotInvariant("subspace is not invariant under the matrix")
         cols.append(coords)
     k = b.dim
-    return ExactMatrix(k, k, tuple(cols[j][i] for i in range(k) for j in range(k)))
+    return _matrix(k, k, [cols[j][i] for i in range(k) for j in range(k)])
+
+
+# Subspaces as the Fraction rows of their canonical reduced echelon basis,
+# built only from the reference rref above.
+
+Rows = tuple[tuple[Fraction, ...], ...]
+
+
+def span(ambient_dim: int, vectors: Sequence[Sequence[Fraction]]) -> Rows:
+    if not vectors:
+        return ()
+    red, _, rk = rref(ExactMatrix.from_rows([list(v) for v in vectors]))
+    return tuple(red.row(i) for i in range(rk))
+
+
+def kernel_basis(m: ExactMatrix) -> Rows:
+    red, pivots, _ = rref(m)
+    vecs = []
+    for f in (j for j in range(m.cols) if j not in pivots):
+        v = [_ZERO] * m.cols
+        v[f] = Fraction(1)
+        for i, p in enumerate(pivots):
+            v[p] = -red.at(i, f)
+        vecs.append(v)
+    return span(m.cols, vecs)
+
+
+def image_basis(m: ExactMatrix) -> Rows:
+    return span(m.rows, [m.column(j) for j in range(m.cols)])
+
+
+def subspace_sum(n: int, a: Rows, b: Rows) -> Rows:
+    return span(n, a + b)
+
+
+def subspace_intersection(n: int, a: Rows, b: Rows) -> Rows:
+    """Points A·u of the kernel vectors (u, w) of [A | B]."""
+    if not a or not b:
+        return ()
+    stacked = _matrix(n, len(a) + len(b), [v[i] for i in range(n) for v in a + b])
+    pts = []
+    for kv in kernel_basis(stacked):
+        pts.append([sum((kv[j] * a[j][i] for j in range(len(a))), _ZERO) for i in range(n)])
+    return span(n, pts)
+
+
+def realified(m: ExactMatrix, re: Fraction, im: Fraction) -> ExactMatrix:
+    """[[m - re*I, im*I], [-im*I, m - re*I]], or m - re*I when im == 0."""
+    d = m.rows
+    s = [[m.at(i, j) - (re if i == j else 0) for j in range(d)] for i in range(d)]
+    if im == 0:
+        return ExactMatrix.from_rows(s)
+    top = [s[i] + [im if j == i else _ZERO for j in range(d)] for i in range(d)]
+    bottom = [[-im if j == i else _ZERO for j in range(d)] + s[i] for i in range(d)]
+    return ExactMatrix.from_rows(top + bottom)
+
+
+def is_eigenvalue(m: ExactMatrix, re: Fraction, im: Fraction) -> bool:
+    """Horner's rule on m.char_poly in Gaussian rationals."""
+    coeffs = m.char_poly
+    x, y = coeffs[-1], _ZERO
+    for c in reversed(coeffs[:-1]):
+        x, y = x * re - y * im + c, x * im + y * re
+    return not x and not y

@@ -7,7 +7,7 @@ import pytest
 
 import fredprofile
 from fredprofile.cli import main
-from fredprofile.docio import AnalysisReport
+from fredprofile.docio import MAX_DOCUMENT_BYTES, AnalysisReport
 from fredprofile.spectra import CSV_HEADER
 
 R_DOC = '{"name": "shift", "atoms": [{"type": "right_shift"}]}'
@@ -120,6 +120,44 @@ def test_analyze_unreadable_document_is_exit_2(tmp_path, text, capsys):
     f.write_text(text)
     assert main(["analyze", "--in", str(f)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_document_past_the_size_limit_is_exit_2(tmp_path, monkeypatch, capsys):
+    f = tmp_path / "op.json"
+    f.write_text(R_DOC + " " * (MAX_DOCUMENT_BYTES - len(R_DOC)))
+    assert main(["analyze", "--in", str(f)]) == 0
+    capsys.readouterr()
+    # one byte more, in a file ten times the limit: refused after reading
+    # at most the limit plus one byte
+    f.write_text(R_DOC + " " * (10 * MAX_DOCUMENT_BYTES))
+    sizes = []
+    real_open = open
+
+    def recording_open(*args, **kwargs):
+        fh = real_open(*args, **kwargs)
+        read = fh.read
+
+        def recording_read(n=-1):
+            data = read(n)
+            sizes.append(len(data))
+            return data
+
+        fh.read = recording_read
+        return fh
+
+    monkeypatch.setattr("builtins.open", recording_open)
+    assert main(["analyze", "--in", str(f)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {f} is larger than {MAX_DOCUMENT_BYTES} bytes\n"
+    )
+    assert sizes == [MAX_DOCUMENT_BYTES + 1]
+
+
+def test_document_not_in_utf8_is_exit_2(tmp_path, capsys):
+    f = tmp_path / "op.json"
+    f.write_bytes(R_DOC.replace("shift", "shift\xff", 1).encode("latin-1"))
+    assert main(["analyze", "--in", str(f)]) == 2
+    assert "is not UTF-8" in capsys.readouterr().err
 
 
 def test_spectrum_csv(shift_doc, tmp_path):

@@ -200,16 +200,16 @@ def _reference_drazin(m):
     core, h0 = data.images[data.nu], data.kernels[data.nu]
     d = m.rows
     cols = core.vectors + h0.vectors
-    p = ExactMatrix(d, d, tuple(cols[j][i] for i in range(d) for j in range(d)))
+    p = ExactMatrix.from_rows([[cols[j][i] for j in range(d)] for i in range(d)])
     k = core.dim
     blk = ExactMatrix.zeros(d, d)
     if k:
         a_inv = inverse(restrict(m, core))
-        ent = list(blk.entries)
+        ent = blk.to_rows()
         for i in range(k):
             for j in range(k):
-                ent[i * d + j] = a_inv.at(i, j)
-        blk = ExactMatrix(d, d, tuple(ent))
+                ent[i][j] = a_inv.at(i, j)
+        blk = ExactMatrix.from_rows(ent)
     return p @ blk @ inverse(p)
 
 
@@ -328,6 +328,35 @@ def test_classify_and_scan_build_no_basis(monkeypatch):
     assert built == [[], [], []]
     assert s.records[s.points.index((F(1), F(0)))] == at_one
     assert not at_one.invertible and at_one.nilpotent is False
+
+
+def test_engine_builds_no_fraction_between_parse_and_render(monkeypatch):
+    # I + J3 at its eigenvalue 1 (chain data, split, restriction), off it
+    # at a real and a complex point (the realified block), and on a scan
+    # through all three kinds; beside it a block with a core at 1, whose
+    # Drazin inverse goes through both inverses
+    m = mat([[1, 1, 0], [0, 1, 1], [0, 0, 1]])
+    mixed = mat([[1, 1, 0], [0, 1, 0], [0, 0, 2]])
+    e = OperatorExpr.of(RIGHT_SHIFT, Atom("matrix", m), Atom("matrix", mixed))
+    points = [(F(1), F(0)), (F(1, 2), F(0)), (F(1, 2), F(-1, 3))]
+    grid = GridSpec(F(-1), F(1), F(-1), F(1), 3, 3)
+    built = []
+
+    class CountingFraction(F):
+        def __new__(cls, *args, **kwargs):
+            built.append(args)
+            return F(*args, **kwargs)
+
+    for mod in (linalg, model, structure):
+        monkeypatch.setattr(mod, "Fraction", CountingFraction, raising=False)
+    for lam in points:
+        pair = structure.gkd_pair(structure.analyze_expr(e, lam))
+        for sp in pair.splits:
+            split_drazin(sp)
+    scan(e, grid)
+    assert built == []
+    # the read-only views are where Fractions are built
+    assert m.at(0, 1) == 1 and built == [(1, 1)]
 
 
 def test_summary_only_verify_suites_build_no_basis(monkeypatch):

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fredprofile import docio
 from fredprofile.docio import (
+    MAX_DOCUMENT_BYTES,
     MAX_MATRIX_DIM,
     AnalysisReport,
     OperatorDocument,
@@ -116,6 +118,25 @@ def test_matrix_dimension_is_bounded_before_entries_are_parsed():
     floats = [[0.5] * 65] * 65
     with pytest.raises(DocumentError, match="65 rows, more than the limit of 64"):
         parse_document(doc_text({"type": "matrix", "entries": floats}))
+
+
+def test_document_size_is_bounded_before_json_is_parsed(monkeypatch):
+    # the largest matrix atom with 100-digit numerators and denominators fits
+    big = F(-(10**100 - 1), 10**100 + 1)
+    rows = [[big] * MAX_MATRIX_DIM] * MAX_MATRIX_DIM
+    doc = OperatorDocument("m", OperatorExpr.of(matrix_atom(rows)))
+    text = serialize_document(doc)
+    assert len(text.encode()) <= MAX_DOCUMENT_BYTES
+    assert parse_document(text) == doc
+    loads = []
+    monkeypatch.setattr(docio.json, "loads", lambda *args, **kwargs: loads.append(args))
+    padded = text + " " * (MAX_DOCUMENT_BYTES + 1 - len(text.encode()))
+    # two-byte characters: under the limit in characters, over it in bytes
+    wide = doc_text(name="\u00e9" * (MAX_DOCUMENT_BYTES // 2))
+    for over in (padded, wide):
+        with pytest.raises(DocumentError, match=f"larger than {MAX_DOCUMENT_BYTES} bytes"):
+            parse_document(over)
+    assert loads == []
 
 
 def test_report_round_trip_is_lossless():

@@ -1,6 +1,7 @@
 """Differential tests of linalg's integer kernels against the Fraction
 reference in fraction_reference.py, with sympy as a third oracle for rank
-and the reduced echelon form."""
+and the reduced echelon form, and tests of the stored form itself."""
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -18,7 +19,10 @@ from fredprofile.linalg import (
     rank,
     restrict,
     rref,
+    subspace_intersection,
+    subspace_sum,
 )
+from fredprofile.model import realified
 
 ENTRIES = st.one_of(
     st.just(F(0)),
@@ -27,8 +31,14 @@ ENTRIES = st.one_of(
 )
 
 
+# every pivot of its elimination is negative, and one denominator has 31 digits
+NEGATIVE_PIVOTS = ExactMatrix.from_rows(
+    [[-3, 1, F(2, 7)], [F(5, -11), -2, 0], [0, F(-(10**30), 10**30 + 7), -1]]
+)
+
+
 def _from_rows(rows, cols):
-    return ExactMatrix(len(rows), cols, tuple(x for r in rows for x in r))
+    return ExactMatrix.from_rows(rows) if rows else ExactMatrix.zeros(0, cols)
 
 
 @st.composite
@@ -68,6 +78,8 @@ def square_matrices(max_dim=6):
 
 @settings(max_examples=150, deadline=None)
 @given(matrices())
+@example(NEGATIVE_PIVOTS)
+@example(ExactMatrix.zeros(2, 3))
 def test_rref_matches_fraction_reference(m):
     red, pivots, rk = rref(m)
     ref_red, ref_pivots, ref_rk = ref.rref(m)
@@ -167,3 +179,102 @@ def test_rref_and_rank_match_sympy(m):
     assert pivots == tuple(spivots)
     assert rk == rank(m) == len(spivots)
     assert list(red.entries) == [F(int(x.p), int(x.q)) for x in sred]
+
+
+@settings(max_examples=30, deadline=None)
+@given(matrices(), st.integers(-(10**30), 10**30).filter(bool))
+@example(NEGATIVE_PIVOTS, -1)
+@example(ExactMatrix.zeros(2, 3), -(10**30))
+def test_stored_form_is_canonical(m, k):
+    """The same rational matrix from numerators and a denominator scaled by
+    k (negative k gives a negative denominator), from its Fraction rows and
+    from its rational strings: equal, equally hashed, in lowest terms."""
+    scaled = ExactMatrix(m.rows, m.cols, tuple(k * x for x in m.num), k * m.den)
+    texts = [[str(x) for x in row] for row in m.to_rows()]
+    for other in (scaled, ExactMatrix.from_rows(m.to_rows()), ExactMatrix.from_rows(texts)):
+        assert other == m and hash(other) == hash(m)
+        assert (other.num, other.den) == (m.num, m.den)
+    assert m.den > 0 and math.gcd(m.den, *m.num) == 1
+    b = image_basis(m)
+    again = SubspaceBasis.from_vectors(m.rows, [[k * x for x in v] for v in b.vectors])
+    assert again == b and hash(again) == hash(b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(matrices())
+@example(NEGATIVE_PIVOTS)
+@example(ExactMatrix.zeros(3, 2))
+@example(ExactMatrix.identity(3))
+def test_kernel_and_image_match_fraction_reference(m):
+    # zero and invertible matrices give empty kernels or images
+    assert kernel_basis(m).vectors == ref.kernel_basis(m)
+    assert image_basis(m).vectors == ref.image_basis(m)
+
+
+def spanning_pairs():
+    """An ambient dimension n and two spanning sets of n-vectors, as the
+    rows of matrices with up to n + 1 rows; zeroed rows give empty spans."""
+    def pair(n):
+        rows = st.integers(1, n + 1)
+        return st.tuples(
+            st.just(n),
+            rows.flatmap(lambda r: matrices(shape=(r, n))),
+            rows.flatmap(lambda r: matrices(shape=(r, n))),
+        )
+
+    return st.integers(1, 6).flatmap(pair)
+
+
+@settings(max_examples=40, deadline=None)
+@given(spanning_pairs())
+@example((3, ExactMatrix.zeros(2, 3), NEGATIVE_PIVOTS))
+@example((3, NEGATIVE_PIVOTS, NEGATIVE_PIVOTS.power(2)))
+def test_subspace_sum_and_intersection_match_fraction_reference(case):
+    n, x, y = case
+    a = SubspaceBasis.from_vectors(n, x.to_rows())
+    b = SubspaceBasis.from_vectors(n, y.to_rows())
+    ra, rb = ref.span(n, x.to_rows()), ref.span(n, y.to_rows())
+    assert a.vectors == ra and b.vectors == rb
+    assert subspace_sum(a, b).vectors == ref.subspace_sum(n, ra, rb)
+    assert subspace_intersection(a, b).vectors == ref.subspace_intersection(n, ra, rb)
+
+
+COORDS = st.one_of(
+    st.just(F(0)),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    st.builds(F, st.integers(-(10**30), 10**30), st.integers(1, 10**30)),
+)
+
+
+@st.composite
+def matrix_and_point(draw, max_dim=5):
+    """A square matrix, a real or complex point, and whether the point was
+    planted as an eigenvalue: then the matrix is upper block triangular,
+    its first block the point or, for a complex one, [[re, -im], [im, re]]."""
+    d = draw(st.integers(1, max_dim))
+    m = draw(matrices(shape=(d, d)))
+    re = draw(COORDS)
+    im = draw(COORDS) if d > 1 and draw(st.booleans()) else F(0)
+    planted = draw(st.booleans())
+    if planted:
+        rows = [[x if j >= i else F(0) for j, x in enumerate(r)] for i, r in enumerate(m.to_rows())]
+        if im:
+            rows[0][:2], rows[1][:2] = [re, -im], [im, re]
+        else:
+            rows[0][0] = re
+        m = ExactMatrix.from_rows(rows)
+    return m, re, im, planted
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrix_and_point())
+@example((NEGATIVE_PIVOTS, F(-3), F(0), False))
+@example((ExactMatrix.zeros(2, 2), F(0), F(0), True))
+def test_realified_and_is_eigenvalue_match_fraction_reference(case):
+    m, re, im, planted = case
+    s, scale = realified(m, re, im)
+    assert s == ref.realified(m, re, im)
+    assert scale == (2 if im else 1)
+    assert m.is_eigenvalue(re, im) == ref.is_eigenvalue(m, re, im)
+    if planted:
+        assert m.is_eigenvalue(re, im)
