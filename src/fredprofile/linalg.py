@@ -38,12 +38,12 @@ from typing import Sequence
 from .errors import AmbientMismatch, InternalInvariantError, NotInvariant
 
 
-def _frac(x) -> Fraction:
+def exact_rational(x) -> Fraction:
+    """An int, a Fraction or a "p/q" string as a Fraction. Anything else,
+    a float above all (0.1 is not 1/10), is a TypeError."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, (int, str)):
         return Fraction(x)
     raise TypeError(f"not an exact rational: {x!r}")
 
@@ -82,7 +82,7 @@ class ExactMatrix:
         c = len(rows[0]) if r else 0
         if any(len(row) != c for row in rows):
             raise ValueError("ragged rows")
-        vals = [x if isinstance(x, int) else _frac(x) for row in rows for x in row]
+        vals = [x if isinstance(x, int) else exact_rational(x) for row in rows for x in row]
         return ExactMatrix.from_ratios(r, c, [(v.numerator, v.denominator) for v in vals])
 
     @staticmethod

@@ -36,7 +36,7 @@ from .extvals import (
     LINEAR_SEQ,
     ZERO_SEQ,
 )
-from .linalg import ExactMatrix, SubspaceBasis, image_basis, kernel_basis, rank
+from .linalg import ExactMatrix, SubspaceBasis, exact_rational, image_basis, kernel_basis, rank
 
 ATOM_KINDS = ("matrix", "right_shift", "left_shift", "qnil_shift", "qnil_shift_dual")
 
@@ -51,7 +51,8 @@ Point = tuple[Fraction, Fraction]
 
 
 def point(re, im=0) -> Point:
-    return (Fraction(re), Fraction(im))
+    """The point re + i*im, each part exact (linalg.exact_rational)."""
+    return (exact_rational(re), exact_rational(im))
 
 
 @dataclass(frozen=True)

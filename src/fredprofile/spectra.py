@@ -22,6 +22,7 @@ from typing import Callable, Sequence, TypeVar
 
 from .classify import FLAG_NAMES, ClassificationRecord, classify
 from .docio import rational_str
+from .linalg import exact_rational
 from .model import OperatorExpr, Point, atom_region
 
 T = TypeVar("T")
@@ -70,7 +71,8 @@ def spectrum_membership_at(e: OperatorExpr, lam: Point, name: str) -> bool:
 @dataclass(frozen=True)
 class GridSpec:
     """Rectangular rational grid of at most MAX_GRID_POINTS points. Steps
-    count points per axis; an axis with one step collapses to its minimum."""
+    count points per axis; an axis with one step collapses to its minimum.
+    The bounds are made Fractions by linalg.exact_rational."""
 
     re_min: Fraction
     re_max: Fraction
@@ -80,6 +82,8 @@ class GridSpec:
     im_steps: int
 
     def __post_init__(self):
+        for name in ("re_min", "re_max", "im_min", "im_max"):
+            object.__setattr__(self, name, exact_rational(getattr(self, name)))
         if self.re_steps < 1 or self.im_steps < 1:
             raise ValueError("grid needs at least one step per axis")
         if self.re_steps * self.im_steps > MAX_GRID_POINTS:

@@ -47,15 +47,6 @@ from .structure import (
     split_drazin,
 )
 
-SUITE_NAMES: tuple[str, ...] = (
-    "chains",
-    "gkd",
-    "index-laws",
-    "duality",
-    "punctured",
-    "spectra",
-)
-
 _JORDAN_EIGENVALUES = [
     Fraction(0),
     Fraction(0),
@@ -118,11 +109,16 @@ class SuiteResult:
     checks: dict[str, int] = field(default_factory=dict)
     failures: list[Failure] = field(default_factory=list)
 
-    def count(self, prop: str, n: int = 1):
+    def check(self, prop: str, ok: bool, size: int, case_id: int, case, detail, n=1) -> bool:
+        """Count n checks of prop and return ok. Only a failure renders its
+        case, an ExactMatrix or a label, and its detail, a string or a
+        function that formats one."""
         self.checks[prop] = self.checks.get(prop, 0) + n
-
-    def fail(self, prop: str, size: int, case_id: int, case_repr: str, detail: str):
-        self.failures.append(Failure(prop, size, case_id, case_repr, detail))
+        if not ok:
+            rep = _matrix_repr(case) if isinstance(case, ExactMatrix) else case
+            text = detail if isinstance(detail, str) else detail()
+            self.failures.append(Failure(prop, size, case_id, rep, text))
+        return ok
 
     @property
     def ok(self) -> bool:
@@ -145,15 +141,13 @@ def subspace_meet_join(data: MatrixChainData) -> tuple[EvAffineSeq, EvAffineSeq]
 
 
 def _restriction_defects(m: ExactMatrix, data, n: int) -> tuple[int, int]:
-    """Defects of m restricted to the range of its n-th power, computed
+    """Defects of m restricted to the range of its n-th power, n <= nu, computed
     from the restriction itself (independent of the chain profile)."""
-    img = image_basis(data.powers[min(n, data.nu)])
+    img = image_basis(data.powers[n])
     if img.dim == 0:
         return 0, 0
     sub = restrict(m, img)
-    al = kernel_basis(sub).dim
-    be = img.dim - rank(sub)
-    return al, be
+    return kernel_basis(sub).dim, img.dim - rank(sub)
 
 
 def suite_chains(cases: int, seed: int, corrupt_oracle: bool = False) -> SuiteResult:
@@ -166,157 +160,138 @@ def suite_chains(cases: int, seed: int, corrupt_oracle: bool = False) -> SuiteRe
         prof = matrix_profile(data)
         k = prof.c.diff()
         # restrictions are constant once the image chain stabilizes
-        by_level = [_restriction_defects(m, data, n) for n in range(min(d + 4, data.nu + 1))]
-        alphas = []
-        betas = []
-        for n in range(d + 4):
-            al, be = by_level[min(n, data.nu)]
-            if corrupt_oracle and ci == 0 and n == 0:
-                al += 1
-            alphas.append(al)
-            betas.append(be)
-        rep = _matrix_repr(m)
+        levels = [_restriction_defects(m, data, n) for n in range(data.nu + 1)]
+        alphas = [levels[min(n, data.nu)][0] for n in range(d + 4)]
+        betas = [levels[min(n, data.nu)][1] for n in range(d + 4)]
+        if corrupt_oracle and ci == 0:
+            alphas[0] += 1
         for n in range(d + 3):
-            res.count("restriction_defects_match_profile")
-            if ExtNat(alphas[n]) != prof.c.at(n) or ExtNat(betas[n]) != prof.b.at(n):
-                res.fail(
-                    "restriction_defects_match_profile",
-                    d,
-                    ci,
-                    rep,
-                    f"n={n} restriction gives ({alphas[n]},{betas[n]}), "
-                    f"profile gives ({prof.c.at(n)},{prof.b.at(n)})",
-                )
+            al, be, cn, bn = alphas[n], betas[n], prof.c.at(n), prof.b.at(n)
+            if not res.check(
+                "restriction_defects_match_profile",
+                ExtNat(al) == cn and ExtNat(be) == bn,
+                d,
+                ci,
+                m,
+                lambda: f"n={n} restriction gives ({al},{be}), profile gives ({cn},{bn})",
+            ):
                 continue
-            res.count("defect_steps_equal_k")
             kn = int(k.at(n))
-            if alphas[n] - alphas[n + 1] != kn or betas[n] - betas[n + 1] != kn:
-                res.fail(
-                    "defect_steps_equal_k",
-                    d,
-                    ci,
-                    rep,
-                    f"n={n} steps ({alphas[n]-alphas[n+1]},{betas[n]-betas[n+1]}) vs k={kn}",
-                )
-            res.count("k_bounded_by_defects")
-            if kn > min(alphas[n], betas[n]):
-                res.fail(
-                    "k_bounded_by_defects",
-                    d,
-                    ci,
-                    rep,
-                    f"n={n} k={kn} exceeds min({alphas[n]},{betas[n]})",
-                )
-            res.count("restriction_index_zero")
-            if alphas[n] != betas[n]:
-                res.fail(
-                    "restriction_index_zero",
-                    d,
-                    ci,
-                    rep,
-                    f"n={n} index {alphas[n]-betas[n]} nonzero",
-                )
+            da, db = al - alphas[n + 1], be - betas[n + 1]
+            res.check(
+                "defect_steps_equal_k",
+                da == kn and db == kn,
+                d,
+                ci,
+                m,
+                lambda: f"n={n} steps ({da},{db}) vs k={kn}",
+            )
+            res.check(
+                "k_bounded_by_defects",
+                kn <= min(al, be),
+                d,
+                ci,
+                m,
+                lambda: f"n={n} k={kn} exceeds min({al},{be})",
+            )
+            res.check(
+                "restriction_index_zero",
+                al == be,
+                d,
+                ci,
+                m,
+                lambda: f"n={n} index {al - be} nonzero",
+            )
     return res
 
 
 def suite_gkd(cases: int, seed: int) -> SuiteResult:
+    """Checks the Fitting split and Drazin inverse that reports and `drazin`
+    use at 0: matrix_split of the analysed atom and split_drazin of it."""
     res = SuiteResult("gkd", cases)
     rng = _suite_rng(seed, "gkd")
     for ci in range(cases):
         m = random_matrix(rng)
         d = m.rows
-        rep = _matrix_repr(m)
-        data = matrix_chain_data(m)
-        core, h0 = data.fitting_split()
-        res.count("fitting_direct_sum")
-        if core.dim + h0.dim != d or subspace_sum(core, h0).dim != d:
-            res.fail("fitting_direct_sum", d, ci, rep, "core + h0 is not the space")
-        if core.dim:
-            res.count("core_restriction_invertible")
-            if rank(restrict(m, core)) != core.dim:
-                res.fail("core_restriction_invertible", d, ci, rep, "singular core block")
-        if h0.dim:
-            res.count("h0_restriction_nilpotent_degree")
-            blk = restrict(m, h0)
-            if not blk.power(data.nu).is_zero() or (
-                data.nu >= 1 and blk.power(data.nu - 1).is_zero()
-            ):
-                res.fail(
-                    "h0_restriction_nilpotent_degree",
-                    d,
-                    ci,
-                    rep,
-                    f"nilpotency degree differs from fitting index {data.nu}",
-                )
         an = analyze_expr(OperatorExpr.of(Atom("matrix", m)), point(0))
-        dz = split_drazin(matrix_split(an.parts[0], 0))
-        res.count("drazin_axioms", 3)
-        if (
-            dz @ m != m @ dz
-            or dz @ m @ dz != dz
-            or data.powers[data.nu + 1] @ dz != data.powers[data.nu]
-        ):
-            res.fail("drazin_axioms", d, ci, rep, "a Drazin axiom failed")
-        al, be = alpha_beta_core_oracle(m)
-        res.count("core_oracle_matches_summary", 2)
-        if an.summary.alpha != al or an.summary.beta != be:
-            res.fail(
-                "core_oracle_matches_summary",
+        split = matrix_split(an.parts[0], 0)
+        # off an eigenvalue analyze_atom keeps no chain data (m is invertible)
+        data = an.parts[0].data or matrix_chain_data(m)
+        core, h0, nu = split.m_basis, split.n_basis, data.nu
+        ok = core.dim + h0.dim == d and subspace_sum(core, h0).dim == d
+        res.check("fitting_direct_sum", ok, d, ci, m, "core + h0 is not the space")
+        if core.dim:
+            ok = rank(split.m_atom.matrix) == core.dim
+            res.check("core_restriction_invertible", ok, d, ci, m, "singular core block")
+        if h0.dim:
+            blk = split.n_atom.matrix
+            ok = blk.power(nu).is_zero() and not (nu >= 1 and blk.power(nu - 1).is_zero())
+            res.check(
+                "h0_restriction_nilpotent_degree",
+                ok,
                 d,
                 ci,
-                rep,
-                f"summary ({an.summary.alpha},{an.summary.beta}) vs oracle ({al},{be})",
+                m,
+                lambda: f"nilpotency degree differs from fitting index {nu}",
             )
+        dz = split_drazin(split)
+        ok = dz @ m == m @ dz and dz @ m @ dz == dz and data.powers[nu + 1] @ dz == data.powers[nu]
+        res.check("drazin_axioms", ok, d, ci, m, "a Drazin axiom failed", 3)
+        al, be = alpha_beta_core_oracle(m)
+        s = an.summary
+        res.check(
+            "core_oracle_matches_summary",
+            s.alpha == al and s.beta == be,
+            d,
+            ci,
+            m,
+            lambda: f"summary ({s.alpha},{s.beta}) vs oracle ({al},{be})",
+            2,
+        )
     return res
 
 
 def suite_index_laws(cases: int, seed: int) -> SuiteResult:
     res = SuiteResult("index-laws", cases)
-    pts = [point(0), point(Fraction(1, 10))]
     simple = [e for e in CATALOG if e.power == 1]
-    for lam in pts:
-        idx = {
-            e.name: analyze_expr(e.expr, lam, e.power).summary.index for e in CATALOG
-        }
+    for lam in (point(0), point(Fraction(1, 10))):
+        idx = {e.name: analyze_expr(e.expr, lam, e.power).summary.index for e in CATALOG}
         for i, e1 in enumerate(simple):
             for e2 in simple[i:]:
                 combined = analyze_expr(e1.expr + e2.expr, lam).summary.index
-                res.count("direct_sum_additivity")
-                if combined != idx[e1.name].add(idx[e2.name]):
-                    res.fail(
-                        "direct_sum_additivity",
-                        0,
-                        i,
-                        f"{e1.name} + {e2.name} at {lam}",
-                        f"{combined.to_str()} vs "
-                        f"{idx[e1.name].to_str()} + {idx[e2.name].to_str()}",
-                    )
+                res.check(
+                    "direct_sum_additivity",
+                    combined == idx[e1.name].add(idx[e2.name]),
+                    0,
+                    i,
+                    f"{e1.name} + {e2.name} at {lam}",
+                    lambda: f"{combined.to_str()} vs "
+                    f"{idx[e1.name].to_str()} + {idx[e2.name].to_str()}",
+                )
         for e in CATALOG:
             base = idx[e.name]
             for k in range(2, 5):
                 powered = analyze_expr(e.expr, lam, e.power * k).summary.index
-                res.count("power_scaling")
-                if powered != base.times(k):
-                    res.fail(
-                        "power_scaling",
-                        0,
-                        k,
-                        f"{e.name}^{k} at {lam}",
-                        f"{powered.to_str()} vs {k}*{base.to_str()}",
-                    )
+                res.check(
+                    "power_scaling",
+                    powered == base.times(k),
+                    0,
+                    k,
+                    f"{e.name}^{k} at {lam}",
+                    lambda: f"{powered.to_str()} vs {k}*{base.to_str()}",
+                )
     for e in simple:
         expr = e.expr + OperatorExpr.of(J2)
         got = index_with_nilpotent_regrouped(expr, point(0))
         want = analyze_expr(expr, point(0)).summary.index
-        res.count("nilpotent_regrouping_invariance")
-        if got != want:
-            res.fail(
-                "nilpotent_regrouping_invariance",
-                0,
-                0,
-                f"{e.name} + jordan2",
-                f"{got.to_str()} vs {want.to_str()}",
-            )
+        res.check(
+            "nilpotent_regrouping_invariance",
+            got == want,
+            0,
+            0,
+            f"{e.name} + jordan2",
+            lambda: f"{got.to_str()} vs {want.to_str()}",
+        )
     return res
 
 
@@ -324,20 +299,16 @@ def suite_duality(cases: int, seed: int) -> SuiteResult:
     res = SuiteResult("duality", cases)
     rng = _suite_rng(seed, "duality")
     for e in CATALOG:
-        an = analyze_expr(e.expr, point(0), e.power)
-        du = analyze_expr(dual_expr(e.expr), point(0), e.power)
-        res.count("defect_swap", 2)
-        if an.summary.alpha != du.summary.beta or an.summary.beta != du.summary.alpha:
-            res.fail("defect_swap", 0, 0, e.name, "alpha/beta do not swap under duality")
-        res.count("stabilization_swap", 2)
-        if an.summary.p != du.summary.q or an.summary.q != du.summary.p:
-            res.fail("stabilization_swap", 0, 0, e.name, "p/q do not swap under duality")
-        res.count("index_negation")
-        if an.summary.index != du.summary.index.neg():
-            res.fail("index_negation", 0, 0, e.name, "index does not negate under duality")
+        s = analyze_expr(e.expr, point(0), e.power).summary
+        ds = analyze_expr(dual_expr(e.expr), point(0), e.power).summary
+        ok = s.alpha == ds.beta and s.beta == ds.alpha
+        res.check("defect_swap", ok, 0, 0, e.name, "alpha/beta do not swap under duality", 2)
+        ok = s.p == ds.q and s.q == ds.p
+        res.check("stabilization_swap", ok, 0, 0, e.name, "p/q do not swap under duality", 2)
+        ok = s.index == ds.index.neg()
+        res.check("index_negation", ok, 0, 0, e.name, "index does not negate under duality")
     for ci in range(cases):
         m = random_matrix(rng)
-        rep = _matrix_repr(m)
         data = matrix_chain_data(m)
         ddata = matrix_chain_data(m.transpose())
         prof, dprof = matrix_profile(data), matrix_profile(ddata)
@@ -345,28 +316,20 @@ def suite_duality(cases: int, seed: int) -> SuiteResult:
         # is checked on the subspace chains
         meet, join = subspace_meet_join(data)
         dmeet, djoin = subspace_meet_join(ddata)
-        res.count("transpose_chain_mirror", 4)
-        if prof.a != dprof.a or prof.r != dprof.r or meet != djoin or join != dmeet:
-            res.fail(
-                "transpose_chain_mirror",
-                m.rows,
-                ci,
-                rep,
-                "transpose chains are not the mirror of the original chains",
-            )
+        res.check(
+            "transpose_chain_mirror",
+            prof.a == dprof.a and prof.r == dprof.r and meet == djoin and join == dmeet,
+            m.rows,
+            ci,
+            m,
+            "transpose chains are not the mirror of the original chains",
+            4,
+        )
     return res
 
 
-_OFFSETS = [
-    point(Fraction(1, 10)),
-    point(Fraction(-1, 10)),
-    point(Fraction(1, 100)),
-    point(Fraction(-1, 100)),
-    point(0, Fraction(1, 10)),
-    point(0, Fraction(-1, 10)),
-    point(0, Fraction(1, 100)),
-    point(0, Fraction(-1, 100)),
-]
+_STEPS = (Fraction(1, 10), Fraction(-1, 10), Fraction(1, 100), Fraction(-1, 100))
+_OFFSETS = [point(t) for t in _STEPS] + [point(0, t) for t in _STEPS]
 
 
 def suite_punctured(cases: int, seed: int) -> SuiteResult:
@@ -375,16 +338,16 @@ def suite_punctured(cases: int, seed: int) -> SuiteResult:
         at0 = analyze_expr(e.expr, point(0), e.power).summary
         for lam in _OFFSETS:
             s = analyze_expr(e.expr, lam, e.power).summary
-            res.count("punctured_neighborhood_constancy", 3)
-            if s.alpha != at0.alpha or s.beta != at0.beta or s.index != at0.index:
-                res.fail(
-                    "punctured_neighborhood_constancy",
-                    0,
-                    0,
-                    f"{e.name} at ({lam[0]},{lam[1]})",
-                    f"({s.alpha},{s.beta},{s.index.to_str()}) vs "
-                    f"({at0.alpha},{at0.beta},{at0.index.to_str()})",
-                )
+            res.check(
+                "punctured_neighborhood_constancy",
+                s.alpha == at0.alpha and s.beta == at0.beta and s.index == at0.index,
+                0,
+                0,
+                f"{e.name} at ({lam[0]},{lam[1]})",
+                lambda: f"({s.alpha},{s.beta},{s.index.to_str()}) vs "
+                f"({at0.alpha},{at0.beta},{at0.index.to_str()})",
+                3,
+            )
     return res
 
 
@@ -395,30 +358,21 @@ def suite_spectra(cases: int, seed: int) -> SuiteResult:
         s = scan(e.expr, grid)
         for rec in s.records:
             for full, up, lo in (("pbf", "upbf", "lpbf"), ("pbw", "upbw", "lpbw")):
-                res.count("semi_union_identity")
                 in_union = spectrum_membership(rec, up) or spectrum_membership(rec, lo)
-                if spectrum_membership(rec, full) != in_union:
-                    res.fail(
-                        "semi_union_identity",
-                        0,
-                        0,
-                        e.name,
-                        f"{full} spectrum is not the union of the one-sided spectra",
-                    )
-        rep = component_index_report(s, "pbf")
-        for comp in rep.components:
-            res.count("component_index_constant")
-            if not comp.index_constant:
-                res.fail(
-                    "component_index_constant",
+                res.check(
+                    "semi_union_identity",
+                    spectrum_membership(rec, full) == in_union,
                     0,
-                    comp.id,
+                    0,
                     e.name,
-                    f"component {comp.id} mixes index values",
+                    lambda: f"{full} spectrum is not the union of the one-sided spectra",
                 )
-        res.count("scan_determinism")
-        if scan_to_csv(s) != scan_to_csv(scan(e.expr, grid)):
-            res.fail("scan_determinism", 0, 0, e.name, "repeated scans differ")
+        for comp in component_index_report(s, "pbf").components:
+            ok = comp.index_constant
+            detail = f"component {comp.id} mixes index values"
+            res.check("component_index_constant", ok, 0, comp.id, e.name, detail)
+        ok = scan_to_csv(s) == scan_to_csv(scan(e.expr, grid))
+        res.check("scan_determinism", ok, 0, 0, e.name, "repeated scans differ")
     return res
 
 
@@ -431,10 +385,12 @@ _SUITES = {
     "spectra": suite_spectra,
 }
 
+SUITE_NAMES: tuple[str, ...] = tuple(_SUITES)
+
 
 def run(suite: str, cases: int, seed: int, corrupt_oracle: bool = False) -> tuple[str, int]:
     """Run one suite (or all) and return (report text, exit code)."""
-    names = list(SUITE_NAMES) if suite == "all" else [suite]
+    names = SUITE_NAMES if suite == "all" else (suite,)
     lines: list[str] = []
     results: list[SuiteResult] = []
     for name in names:

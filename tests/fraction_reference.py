@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from fredprofile.errors import AmbientMismatch, NotInvariant
-from fredprofile.linalg import ExactMatrix, SubspaceBasis, _frac
+from fredprofile.linalg import ExactMatrix, SubspaceBasis, exact_rational
 
 _ZERO = Fraction(0)
 
@@ -40,7 +40,7 @@ def coordinates(b: SubspaceBasis, vec: Sequence[Fraction]) -> tuple[Fraction, ..
     Reduced echelon rows make this a read-off: the coefficient of row i
     is vec[pivot_i] because no other row has support on that pivot.
     """
-    v = tuple(_frac(x) for x in vec)
+    v = tuple(exact_rational(x) for x in vec)
     if len(v) != b.ambient_dim:
         raise AmbientMismatch("vector length != ambient dimension")
     coords = tuple(v[p] for p in b._pivots())

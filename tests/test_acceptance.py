@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction as F
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -267,4 +268,6 @@ def test_criterion_9_verify_cli_deterministic():
         assert elapsed < 60.0
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
+    pinned = Path(__file__).resolve().parent / "demo_outputs" / "verify_all_500_seed42.txt"
+    assert outputs[0] == pinned.read_bytes()
     print("criterion 9: PASS (verify all/500/seed42 exit 0, byte-identical, <60s)")

@@ -1,13 +1,16 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
 import fredprofile
+from fredprofile import verify
 from fredprofile.cli import main
 from fredprofile.docio import MAX_DOCUMENT_BYTES, AnalysisReport
+from fredprofile.linalg import ExactMatrix
 from fredprofile.spectra import CSV_HEADER
 
 R_DOC = '{"name": "shift", "atoms": [{"type": "right_shift"}]}'
@@ -322,6 +325,31 @@ def test_verify_corrupt_oracle_fails(capsys):
     out = capsys.readouterr().out
     assert "minimal failing case:" in out
     assert "FAIL" in out
+
+
+def _assert_verify_failure(out: str, prop: str):
+    lines = out.splitlines()
+    assert any(line.startswith(f"FAIL {prop}: ") for line in lines), out
+    case = [line for line in lines if line.startswith("minimal failing case: ")]
+    assert len(case) == 1 and re.fullmatch(r"minimal failing case: \[\[.*\]\]", case[0]), out
+
+
+def test_verify_gkd_reports_a_wrong_drazin_inverse(monkeypatch, capsys):
+    # the library's Drazin inverse replaced by the zero matrix: S^(nu+1) S^D = S^nu fails
+    monkeypatch.setattr(
+        verify, "split_drazin", lambda split: ExactMatrix.zeros(split.block.rows, split.block.rows)
+    )
+    code = main(["verify", "--suite", "gkd", "--cases", "5", "--seed", "1"])
+    assert code == 5
+    _assert_verify_failure(capsys.readouterr().out, "drazin_axioms")
+
+
+def test_verify_duality_reports_a_broken_oracle(monkeypatch, capsys):
+    # an oracle that takes sums for intersections misses the transpose mirror
+    monkeypatch.setattr(verify, "subspace_intersection", verify.subspace_sum)
+    code = main(["verify", "--suite", "duality", "--cases", "5", "--seed", "1"])
+    assert code == 5
+    _assert_verify_failure(capsys.readouterr().out, "transpose_chain_mirror")
 
 
 def test_module_entry_point(shift_doc):

@@ -41,6 +41,16 @@ def vals(seq, n=5):
     return [v.to_str() for v in seq.values(n)]
 
 
+def test_point_parts_are_exact_rationals():
+    assert point(1, "-2/3") == (F(1), F(-2, 3))
+    assert point(F(1, 10)) == (F(1, 10), F(0))
+    # 0.1 is the binary double 3602879701896397/36028797018963968, not 1/10
+    with pytest.raises(TypeError, match="not an exact rational"):
+        point(0.1)
+    with pytest.raises(TypeError, match="not an exact rational"):
+        point(0, 0.5)
+
+
 def test_atom_validation():
     with pytest.raises(ValueError):
         Atom("matrix")  # matrix atom needs a matrix

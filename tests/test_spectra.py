@@ -79,6 +79,18 @@ def test_grid_validation():
         GridSpec(F(0), F(1), F(0), F(1), 10**9, 10**9)
 
 
+def test_grid_bounds_are_exact_rationals():
+    # int and "p/q" bounds become Fractions, so the axis values stay exact
+    ints = GridSpec(-2, 2, -2, 2, 5, 5)
+    fracs = GridSpec(F(-2), F(2), F(-2), F(2), 5, 5)
+    assert ints == fracs
+    assert GridSpec("-1/2", "1/2", 0, 0, 3, 1).re_values() == [F(-1, 2), F(0), F(1, 2)]
+    e = OperatorExpr.of(RIGHT_SHIFT, J2)
+    assert scan_to_csv(scan(e, ints)) == scan_to_csv(scan(e, fracs))
+    with pytest.raises(TypeError, match="not an exact rational"):
+        GridSpec(-2, 2, -0.5, 0.5, 5, 5)
+
+
 def test_spectrum_names():
     assert SPECTRUM_NAMES == (
         "upbf", "lpbf", "spbf", "pbf", "upbw", "lpbw", "spbw", "pbw",
