@@ -53,13 +53,11 @@ from .spectra import (
 from .structure import (
     GKDPair,
     StructuralSummary,
-    alpha_beta_core_oracle,
     alpha_beta_pq,
     analyze_expr,
     canonical_gkd,
     drazin_inverse,
     index,
-    index_with_nilpotent_regrouped,
     restriction_profile,
 )
 
@@ -98,7 +96,6 @@ __all__ = [
     "StructuralProfile",
     "StructuralSummary",
     "SubspaceBasis",
-    "alpha_beta_core_oracle",
     "alpha_beta_pq",
     "analyze_expr",
     "build_report",
@@ -111,7 +108,6 @@ __all__ = [
     "dual_expr",
     "expr_profile",
     "index",
-    "index_with_nilpotent_regrouped",
     "matrix_atom",
     "parse_document",
     "parse_rational",

@@ -74,9 +74,6 @@ def _build_parser() -> _Parser:
     pv.add_argument("--suite", default="all", choices=SUITE_NAMES + ("all",))
     pv.add_argument("--cases", type=int, default=200)
     pv.add_argument("--seed", type=int, default=0)
-    pv.add_argument(
-        "--corrupt-oracle", action="store_true", help=argparse.SUPPRESS
-    )
     return p
 
 
@@ -165,7 +162,7 @@ def _cmd_drazin(args) -> int:
 def _cmd_verify(parser: _Parser, args) -> int:
     if args.cases < 0:
         parser.error(f"--cases must be >= 0, got {args.cases}")
-    text, code = run_suites(args.suite, args.cases, args.seed, args.corrupt_oracle)
+    text, code = run_suites(args.suite, args.cases, args.seed)
     sys.stdout.write(text)
     return code
 

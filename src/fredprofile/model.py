@@ -189,42 +189,33 @@ def realified(m: ExactMatrix, re: Fraction, im: Fraction) -> tuple[ExactMatrix, 
 class MatrixChainData:
     """Shared exact computations for one square rational matrix S.
 
-    powers[n] = S^n and ranks[n] = rank(S^n) for n = 0..nu+1, where nu is
-    the least n with rank(S^n) = rank(S^(n+1)); for a square matrix the
-    kernel and image chains both freeze exactly at nu. The profile needs
-    only the ranks and the Fitting split only the kernel and image of S^nu,
-    so the per-power kernels and images are built on access, for oracles.
+    ranks[n] = rank(S^n) for n = 0..nu+1, where nu is the least n with
+    rank(S^n) = rank(S^(n+1)); for a square matrix the kernel and image
+    chains both freeze exactly at nu. The profile needs only the ranks and
+    the Fitting split only the kernel and image of top = S^nu, so no other
+    power is kept.
     """
 
     matrix: ExactMatrix
-    powers: tuple[ExactMatrix, ...]
     ranks: tuple[int, ...]
     nu: int
-
-    @property
-    def kernels(self) -> tuple[SubspaceBasis, ...]:
-        return tuple(kernel_basis(p) for p in self.powers)
-
-    @property
-    def images(self) -> tuple[SubspaceBasis, ...]:
-        return tuple(image_basis(p) for p in self.powers)
+    top: ExactMatrix
 
     def fitting_split(self) -> tuple[SubspaceBasis, SubspaceBasis]:
         """(K, H0) = (R(S^nu), N(S^nu)): the space is their direct sum, S
         is invertible on the core K and nilpotent of degree nu on H0."""
-        top = self.powers[self.nu]
-        return image_basis(top), kernel_basis(top)
+        return image_basis(self.top), kernel_basis(self.top)
 
 
 def matrix_chain_data(s: ExactMatrix) -> MatrixChainData:
     if s.rows != s.cols:
         raise AmbientMismatch("operator matrices must be square")
-    powers = [ExactMatrix.identity(s.rows), s]
+    top, nxt = ExactMatrix.identity(s.rows), s
     ranks = [s.rows, rank(s)]
     while ranks[-1] != ranks[-2]:
-        powers.append(powers[-1] @ s)
-        ranks.append(rank(powers[-1]))
-    return MatrixChainData(s, tuple(powers), tuple(ranks), len(ranks) - 2)
+        top, nxt = nxt, nxt @ s
+        ranks.append(rank(nxt))
+    return MatrixChainData(s, tuple(ranks), len(ranks) - 2, top)
 
 
 def _scaled(v: int, scale: int) -> ExtNat:

@@ -84,6 +84,8 @@ class GridSpec:
     def __post_init__(self):
         for name in ("re_min", "re_max", "im_min", "im_max"):
             object.__setattr__(self, name, exact_rational(getattr(self, name)))
+        if type(self.re_steps) is not int or type(self.im_steps) is not int:
+            raise TypeError("grid step counts must be ints")
         if self.re_steps < 1 or self.im_steps < 1:
             raise ValueError("grid needs at least one step per axis")
         if self.re_steps * self.im_steps > MAX_GRID_POINTS:

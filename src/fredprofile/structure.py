@@ -26,13 +26,9 @@ from .extvals import ExtIndex, ExtNat, UNDEF_INDEX
 from .linalg import (
     ExactMatrix,
     SubspaceBasis,
-    image_basis,
     inverse,
-    kernel_basis,
     restrict,
     stack,
-    subspace_intersection,
-    subspace_sum,
 )
 from .model import (
     Atom,
@@ -44,7 +40,6 @@ from .model import (
     ZERO_DIM_PROFILE,
     atom_profile,
     direct_sum_profile,
-    matrix_chain_data,
     matrix_data_at,
     matrix_profile,
     point,
@@ -264,37 +259,6 @@ def alpha_beta_pq(e: OperatorExpr, lam: Point) -> StructuralSummary:
 def index(e: OperatorExpr, lam: Point) -> ExtIndex:
     """Index at lam; undefined when no decomposition exists there."""
     return analyze_expr(e, lam).summary.index
-
-
-def index_with_nilpotent_regrouped(e: OperatorExpr, lam: Point) -> ExtIndex:
-    """Index computed with every nilpotent matrix atom counted on the
-    semi-regular side as a finite-dimensional (hence Fredholm) summand
-    instead of the quasi-nilpotent side. Must agree with index(e, lam)."""
-    parts = [analyze_atom(a, lam) for a in e.atoms]
-    if any(p.m_profile is None and p.n_profile is None for p in parts):
-        raise NotPseudoFredholm(f"no decomposition at point {lam}")
-    profs = []
-    moved = False
-    for p in parts:
-        if p.atom.kind == "matrix" and p.profile.nilpotency_degree.is_finite:
-            profs.append(p.profile)
-            moved = True
-        elif p.m_profile is not None:
-            profs.append(p.m_profile)
-    if not moved:
-        raise ValueError("no nilpotent matrix atom to regroup")
-    m_prof = direct_sum_profile(profs or [ZERO_DIM_PROFILE])
-    return ExtIndex.from_alpha_beta(m_prof.a.at(1), m_prof.r.at(1))
-
-
-def alpha_beta_core_oracle(m: ExactMatrix) -> tuple[ExtNat, ExtNat]:
-    """Independent route to the defect numbers of a matrix at 0:
-    dim(K ∩ N(m)) and codim(R(m) + H0). For matrices both are 0 because the
-    restriction to the core is invertible; this is a consistency oracle."""
-    core, h0 = matrix_chain_data(m).fitting_split()
-    alpha = subspace_intersection(core, kernel_basis(m)).dim
-    beta = m.rows - subspace_sum(image_basis(m), h0).dim
-    return ExtNat(alpha), ExtNat(beta)
 
 
 def split_drazin(split: MatrixSplit) -> ExactMatrix:

@@ -3,13 +3,15 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import fredprofile
 from fredprofile import verify
-from fredprofile.cli import main
+from fredprofile.cli import entry, main
 from fredprofile.docio import MAX_DOCUMENT_BYTES, AnalysisReport
+from fredprofile.extvals import ExtIndex, ExtNat
 from fredprofile.linalg import ExactMatrix
 from fredprofile.spectra import CSV_HEADER
 
@@ -317,21 +319,46 @@ def test_verify_negative_cases_is_usage_error(capsys):
     assert "--cases" in captured.err
 
 
-def test_verify_corrupt_oracle_fails(capsys):
-    code = main(
-        ["verify", "--suite", "chains", "--cases", "3", "--seed", "1", "--corrupt-oracle"]
-    )
-    assert code == 5
-    out = capsys.readouterr().out
-    assert "minimal failing case:" in out
-    assert "FAIL" in out
-
-
-def _assert_verify_failure(out: str, prop: str):
+def _assert_verify_failure(out: str, prop: str, case: str = r"\[\[.*\]\]"):
     lines = out.splitlines()
     assert any(line.startswith(f"FAIL {prop}: ") for line in lines), out
-    case = [line for line in lines if line.startswith("minimal failing case: ")]
-    assert len(case) == 1 and re.fullmatch(r"minimal failing case: \[\[.*\]\]", case[0]), out
+    shown = [line for line in lines if line.startswith("minimal failing case: ")]
+    assert len(shown) == 1 and re.fullmatch(f"minimal failing case: {case}", shown[0]), out
+
+
+def test_verify_corrupt_oracle_fails(monkeypatch, capsys):
+    # a restriction oracle that counts one kernel dimension too many
+    real = verify._restriction_defects
+
+    def off_by_one(m, power):
+        al, be = real(m, power)
+        return al + 1, be
+
+    monkeypatch.setattr(verify, "_restriction_defects", off_by_one)
+    code = main(["verify", "--suite", "chains", "--cases", "3", "--seed", "1"])
+    assert code == 5
+    _assert_verify_failure(capsys.readouterr().out, "restriction_defects_match_profile")
+
+
+def test_verify_corrupt_oracle_flag_is_usage_error(capsys):
+    assert main(["verify", "--suite", "chains", "--corrupt-oracle"]) == 1
+    assert "--corrupt-oracle" in capsys.readouterr().err
+
+
+def test_verify_gkd_reports_a_wrong_core_oracle(monkeypatch, capsys):
+    monkeypatch.setattr(verify, "alpha_beta_core_oracle", lambda split: (ExtNat(1), ExtNat(0)))
+    code = main(["verify", "--suite", "gkd", "--cases", "5", "--seed", "1"])
+    assert code == 5
+    _assert_verify_failure(capsys.readouterr().out, "core_oracle_matches_summary")
+
+
+def test_verify_index_laws_reports_a_wrong_regrouped_index(monkeypatch, capsys):
+    monkeypatch.setattr(verify, "index_with_nilpotent_regrouped", lambda e, lam: ExtIndex.of(7))
+    code = main(["verify", "--suite", "index-laws", "--cases", "1", "--seed", "1"])
+    assert code == 5
+    _assert_verify_failure(
+        capsys.readouterr().out, "nilpotent_regrouping_invariance", r"\w+ \+ jordan2"
+    )
 
 
 def test_verify_gkd_reports_a_wrong_drazin_inverse(monkeypatch, capsys):
@@ -350,6 +377,16 @@ def test_verify_duality_reports_a_broken_oracle(monkeypatch, capsys):
     code = main(["verify", "--suite", "duality", "--cases", "5", "--seed", "1"])
     assert code == 5
     _assert_verify_failure(capsys.readouterr().out, "transpose_chain_mirror")
+
+
+def test_console_script_entry(monkeypatch, capsys):
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    assert 'fredprofile = "fredprofile.cli:entry"' in pyproject.read_text().splitlines()
+    monkeypatch.setattr(sys, "argv", ["fredprofile", "verify", "--cases", "3"])
+    with pytest.raises(SystemExit) as exc:
+        entry()
+    assert exc.value.code == 0
+    assert "suite chains: ok" in capsys.readouterr().out.splitlines()
 
 
 def test_module_entry_point(shift_doc):

@@ -17,7 +17,7 @@ from fredprofile.classify import classify
 from fredprofile.cli import main
 from fredprofile.errors import InternalInvariantError
 from fredprofile.extvals import ExtNat
-from fredprofile.linalg import ExactMatrix, inverse, rank, restrict
+from fredprofile.linalg import ExactMatrix, image_basis, inverse, kernel_basis, rank, restrict
 from fredprofile.model import (
     Atom,
     INVERTIBLE_PROFILE,
@@ -32,13 +32,12 @@ from fredprofile.model import (
 from fredprofile.spectra import GridSpec, scan, scan_to_csv
 from fredprofile.structure import (
     MatrixSplit,
-    alpha_beta_core_oracle,
     analyze_atom,
     drazin_inverse,
     matrix_split,
     split_drazin,
 )
-from fredprofile.verify import subspace_meet_join
+from fredprofile.verify import alpha_beta_core_oracle, raw_powers, subspace_meet_join
 
 COORDS = (F(-2), F(-1), F(-1, 2), F(0), F(1, 2), F(1), F(2))
 
@@ -195,9 +194,10 @@ def test_matrix_profile_scaled_check_survives_any_optimization_level():
 
 def _reference_drazin(m):
     """The Drazin inverse as P diag(A^-1, 0) P^-1, every factor built from
-    a fresh chain computation."""
+    a fresh chain computation and the raw powers."""
     data = matrix_chain_data(m)
-    core, h0 = data.images[data.nu], data.kernels[data.nu]
+    top = m.power(data.nu)
+    core, h0 = image_basis(top), kernel_basis(top)
     d = m.rows
     cols = core.vectors + h0.vectors
     p = ExactMatrix.from_rows([[cols[j][i] for j in range(d)] for i in range(d)])
@@ -220,7 +220,7 @@ def test_rank_derived_chains_equal_subspace_chains(mp):
     s, _ = realified(m, *lam)
     data = matrix_chain_data(s)
     prof = matrix_profile(data)
-    assert (prof.c, prof.b) == subspace_meet_join(data)
+    assert (prof.c, prof.b) == subspace_meet_join(raw_powers(s, data.nu))
 
 
 @settings(max_examples=100, deadline=None)
@@ -261,8 +261,11 @@ def test_split_drazin_equals_reference(mp):
 def test_core_oracle_of_shifted_block_is_zero(mp):
     # the report writes these two fields as constants
     m, lam = mp
-    s, _ = realified(m, *lam)
-    assert alpha_beta_core_oracle(s) == (ExtNat(0), ExtNat(0))
+    for split in (
+        matrix_split(analyze_atom(Atom("matrix", m), lam), 0),
+        _fitting_reference(m, lam),
+    ):
+        assert alpha_beta_core_oracle(split) == (ExtNat(0), ExtNat(0))
 
 
 def _count_calls(monkeypatch, module, name):

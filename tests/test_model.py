@@ -171,8 +171,12 @@ def test_matrix_chain_data_fitting_index():
     data = matrix_chain_data(J3.matrix)
     assert data.nu == 3
     assert data.ranks == (3, 2, 1, 0, 0)  # recorded through the stabilized power
+    assert data.top == J3.matrix.power(3)  # top is S^nu
     data2 = matrix_chain_data(matrix_atom([[2, 0], [0, 3]]).matrix)
     assert data2.nu == 0
+    assert data2.top == data2.matrix.power(0)
+    data3 = matrix_chain_data(matrix_atom([[0, 0], [0, 1]]).matrix)
+    assert (data3.nu, data3.top) == (1, data3.matrix)
 
 
 def test_realified_even_and_halved():

@@ -79,6 +79,13 @@ def test_grid_validation():
         GridSpec(F(0), F(1), F(0), F(1), 10**9, 10**9)
 
 
+@pytest.mark.parametrize("steps", [(5.0, 5), (5.5, 5), (5, True), (10.0**9, 10**9)])
+def test_grid_step_counts_must_be_ints(steps):
+    # checked before the point count, so a huge float count is a TypeError too
+    with pytest.raises(TypeError, match="step counts must be ints"):
+        GridSpec(-2, 2, -2, 2, *steps)
+
+
 def test_grid_bounds_are_exact_rationals():
     # int and "p/q" bounds become Fractions, so the axis values stay exact
     ints = GridSpec(-2, 2, -2, 2, 5, 5)

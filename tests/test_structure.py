@@ -18,16 +18,20 @@ from fredprofile.model import (
 )
 from fredprofile.structure import (
     StructuralSummary,
-    alpha_beta_core_oracle,
     alpha_beta_pq,
+    analyze_atom,
     analyze_expr,
     canonical_gkd,
     drazin_inverse,
     index,
-    index_with_nilpotent_regrouped,
+    matrix_split,
     restriction_profile,
 )
-from fredprofile.verify import random_matrix
+from fredprofile.verify import (
+    alpha_beta_core_oracle,
+    index_with_nilpotent_regrouped,
+    random_matrix,
+)
 
 J2 = matrix_atom([[0, 1], [0, 0]])
 J3 = matrix_atom([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
@@ -133,7 +137,8 @@ def test_h0_and_core():
 
 def test_core_oracle_zero_for_matrices():
     for m in (J2_DIAG2.matrix, J3.matrix, mat([[1, 2], [3, 4]])):
-        assert alpha_beta_core_oracle(m) == (ExtNat(0), ExtNat(0))
+        split = matrix_split(analyze_atom(matrix_atom(m.to_rows()), point(0)), 0)
+        assert alpha_beta_core_oracle(split) == (ExtNat(0), ExtNat(0))
 
 
 def test_drazin_diag():
