@@ -15,7 +15,9 @@ degree, and whether the point admits a generalized Kato decomposition. A
 profile stores a and r only: c and b are their step sizes, derived once on
 access. Matrix kernel chains follow from the exact ranks of the powers
 (rank_profile); shift chains come from closed-form tables, one profile per
-region of the plane (atom_region), whose justification is noted inline.
+region of the plane, whose justification is noted inline. A shift's region
+(shift_region) is the sign of |lam|^2 - 1 or whether lam = 0, which a
+grid scan finds by integer comparisons.
 """
 from __future__ import annotations
 
@@ -263,7 +265,7 @@ INVERTIBLE_PROFILE = StructuralProfile(
 _PLAIN_SHIFTS = ("right_shift", "left_shift")
 _INF_TAIL = EvAffineSeq((ExtNat(0),), INF, 0)
 
-# Closed-form tables for the model shifts, keyed by (kind, atom_region).
+# Closed-form tables for the model shifts, keyed by (kind, shift_region).
 #
 # Plain shifts, by the sign of q2 - 1 with q2 = re^2 + im^2:
 #   -1: right shift minus lam is injective with closed range of codimension
@@ -303,19 +305,23 @@ _SHIFT_PROFILES: dict[tuple[str, int | bool], StructuralProfile] = {
 }
 
 
-def atom_region(atom: Atom, lam: Point, q2: Fraction) -> object:
-    """The region of lam, given q2 = |lam|^2, on which atom - lam has one
-    fixed profile: the sign of q2 - 1 for a plain shift, whether lam = 0
-    for a weighted one; for a matrix atom None off its eigenvalues (the
-    invertible profile) and the point itself at one, so that no two
+def shift_region(kind: str, circle: int, at_zero: bool) -> int | bool:
+    """The region of lam on which the shift kind minus lam has one fixed
+    profile, its key in _SHIFT_PROFILES: circle, the sign of |lam|^2 - 1,
+    for a plain shift; at_zero, whether lam = 0, for a weighted one."""
+    return circle if kind in _PLAIN_SHIFTS else at_zero
+
+
+def atom_region(atom: Atom, lam: Point) -> object:
+    """The region of lam on which atom - lam has one fixed profile:
+    shift_region for a shift; for a matrix atom None off its eigenvalues
+    (the invertible profile) and the point itself at one, so that no two
     eigenvalues share a region."""
     if atom.kind == "matrix":
         return lam if atom.matrix.is_eigenvalue(*lam) else None
-    if atom.kind in _PLAIN_SHIFTS:
-        # the denominator is positive, so q2 - 1 has the sign of n - d
-        n, d = q2.numerator, q2.denominator
-        return (n > d) - (n < d)
-    return q2 == 0
+    re, im = lam
+    q2 = re * re + im * im
+    return shift_region(atom.kind, (q2 > 1) - (q2 < 1), not q2)
 
 
 def matrix_data_at(m: ExactMatrix, lam: Point) -> tuple[MatrixChainData | None, int]:
@@ -331,8 +337,7 @@ def matrix_data_at(m: ExactMatrix, lam: Point) -> tuple[MatrixChainData | None, 
 def atom_profile(atom: Atom, lam: Point) -> StructuralProfile:
     """Structural profile of (atom - lam)."""
     if atom.kind != "matrix":
-        re, im = lam
-        return _SHIFT_PROFILES[atom.kind, atom_region(atom, lam, re * re + im * im)]
+        return _SHIFT_PROFILES[atom.kind, atom_region(atom, lam)]
     data, scale = matrix_data_at(atom.matrix, lam)
     return INVERTIBLE_PROFILE if data is None else matrix_profile(data, scale)
 

@@ -6,7 +6,9 @@ constant index.
 Scans are region-keyed: a point's record depends only on the tuple of its
 atoms' exact regions (model.atom_region), so a scan computes that tuple at
 every point, classifies once per distinct tuple, shares the record among
-its points and renders each distinct record's cells once.
+its points and renders each distinct record's cells once. The shifts'
+regions come from integer keys: each axis is integers over one common
+denominator, and no Fraction is built per point.
 
 Adjacency for components is 4-neighbour adjacency refined by equal index:
 two neighbouring grid points belong to the same component only when their
@@ -16,6 +18,7 @@ whose indices differ from being glued through gaps in the spectrum.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence, TypeVar
@@ -23,7 +26,7 @@ from typing import Callable, Sequence, TypeVar
 from .classify import FLAG_NAMES, ClassificationRecord, classify
 from .docio import rational_str
 from .linalg import exact_rational
-from .model import OperatorExpr, Point, atom_region
+from .model import OperatorExpr, Point, atom_region, shift_region
 
 T = TypeVar("T")
 
@@ -97,17 +100,26 @@ class GridSpec:
             raise ValueError("grid bounds out of order")
 
     @staticmethod
-    def _axis(lo: Fraction, hi: Fraction, steps: int) -> list[Fraction]:
-        if steps == 1:
-            return [lo]
-        h = (hi - lo) / (steps - 1)
-        return [lo + i * h for i in range(steps)]
+    def _axis(lo: Fraction, hi: Fraction, steps: int) -> tuple[list[int], int]:
+        """The axis values as integer numerators over one common denominator."""
+        h = (hi - lo) / max(steps - 1, 1)
+        den = math.lcm(lo.denominator, h.denominator)
+        start, step = lo.numerator * den // lo.denominator, h.numerator * den // h.denominator
+        return [start + i * step for i in range(steps)], den
 
-    def re_values(self) -> list[Fraction]:
+    def re_axis(self) -> tuple[list[int], int]:
         return self._axis(self.re_min, self.re_max, self.re_steps)
 
-    def im_values(self) -> list[Fraction]:
+    def im_axis(self) -> tuple[list[int], int]:
         return self._axis(self.im_min, self.im_max, self.im_steps)
+
+    def re_values(self) -> list[Fraction]:
+        nums, den = self.re_axis()
+        return [Fraction(n, den) for n in nums]
+
+    def im_values(self) -> list[Fraction]:
+        nums, den = self.im_axis()
+        return [Fraction(n, den) for n in nums]
 
     def points(self) -> list[Point]:
         """Row-major: imaginary part ascending in the outer loop, real part
@@ -128,24 +140,34 @@ class SpectrumScan:
 def scan(e: OperatorExpr, grid: GridSpec) -> SpectrumScan:
     """Classify every grid point, once per distinct tuple of atom regions:
     the record made at the first point of a key serves every later point
-    with that key."""
-    res = grid.re_values()
-    re_sq = [re * re for re in res]
-    pts: list[Point] = []
+    with that key. With re = R_k / D_r and im = I_j / D_i on the integer
+    axes, |lam|^2 - 1 has the sign of a_k - t_j, a_k = R_k^2 D_i^2 and t_j =
+    D_r^2 D_i^2 - I_j^2 D_r^2, and lam = 0 is R_k = I_j = 0: the shifts'
+    regions take integer comparisons, a matrix atom's its exact
+    is_eigenvalue test."""
+    (re_nums, re_den), (im_nums, im_den) = grid.re_axis(), grid.im_axis()
+    res, ims = grid.re_values(), grid.im_values()
+    a = [r * r * im_den * im_den for r in re_nums]
+    c = re_den * re_den * im_den * im_den
+    kinds = [at.kind for at in e.atoms if at.kind != "matrix"]
+    mats = [at for at in e.atoms if at.kind == "matrix"]
+    # the shifts' regions, indexed by the circle sign (0, 1, -1), and at lam = 0
+    keys = [tuple(shift_region(k, sign, False) for k in kinds) for sign in (0, 1, -1)]
+    zero_key = tuple(shift_region(k, -1, True) for k in kinds)
     recs: list[ClassificationRecord] = []
     by_key: dict[tuple, ClassificationRecord] = {}
-    for im in grid.im_values():
-        im_sq = im * im
-        for re, r2 in zip(res, re_sq):
-            lam = (re, im)
-            q2 = r2 + im_sq
-            key = tuple(atom_region(a, lam, q2) for a in e.atoms)
+    for im, i_num in zip(ims, im_nums):
+        t = c - i_num * i_num * re_den * re_den
+        for re, x in zip(res, a):
+            key = zero_key if not (i_num or x) else keys[(x > t) - (x < t)]
+            if mats:
+                key += tuple(atom_region(m, (re, im)) for m in mats)
             rec = by_key.get(key)
             if rec is None:
-                rec = by_key[key] = classify(e, lam)
-            pts.append(lam)
+                rec = by_key[key] = classify(e, (re, im))
             recs.append(rec)
-    return SpectrumScan(grid, tuple(pts), tuple(recs))
+    pts = tuple((re, im) for im in ims for re in res)
+    return SpectrumScan(grid, pts, tuple(recs))
 
 
 def _coord_strs(grid: GridSpec) -> list[tuple[str, str]]:

@@ -260,9 +260,9 @@ def suite_gkd(cases: int, seed: int) -> SuiteResult:
         d = m.rows
         an = analyze_expr(OperatorExpr.of(Atom("matrix", m)), point(0))
         split = matrix_split(an.parts[0], 0)
-        # off an eigenvalue analyze_atom keeps no chain data (m is invertible)
-        data = an.parts[0].data or matrix_chain_data(m)
-        core, h0, nu = split.m_basis, split.n_basis, data.nu
+        # off an eigenvalue analyze_atom keeps no chain data: m is invertible
+        data = an.parts[0].data
+        core, h0, nu = split.m_basis, split.n_basis, data.nu if data else 0
         ok = core.dim + h0.dim == d and subspace_sum(core, h0).dim == d
         res.check("fitting_direct_sum", ok, d, ci, m, "core + h0 is not the space")
         if core.dim:

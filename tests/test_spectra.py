@@ -16,6 +16,8 @@ from fredprofile.model import (
     Atom,
     LEFT_SHIFT,
     OperatorExpr,
+    QNIL_SHIFT,
+    QNIL_SHIFT_DUAL,
     RIGHT_SHIFT,
     atom_region,
     matrix_atom,
@@ -323,15 +325,35 @@ def _reference_json(s, set_name):
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _reference_axis(lo, hi, steps):
+    """The axis values in Fraction arithmetic, as grids made them before
+    they were stored as integers over one denominator."""
+    if steps == 1:
+        return [lo]
+    h = (hi - lo) / (steps - 1)
+    return [lo + i * h for i in range(steps)]
+
+
 @st.composite
 def _axis_bounds(draw):
-    """(lo, hi, steps) of an axis with step 1/m from -k/m to k/m, k >= m, so
-    the axis holds 0 and +-1; or the single value 0."""
-    if draw(st.integers(0, 4)) == 0:
-        return F(0), F(0), 1
-    m = draw(st.sampled_from([1, 2, 5]))
-    k = draw(st.integers(m, m + 1))
-    return F(-k, m), F(k, m), 2 * k + 1
+    """(lo, hi, steps) of an axis with step 1/m, m in 1..5: from -k/m to
+    k/m, k >= m, so the axis holds 0 and +-1; or from i/m to j/m, often
+    asymmetric or missing 0, now and then one step long; or with lo's
+    denominator other than the step's; or a single value, often 0."""
+    shape = draw(st.integers(0, 9))
+    if shape == 0:
+        v = draw(st.sampled_from([F(0), F(0), F(1), F(-3, 5), F(4, 5), F(2, 3)]))
+        return v, v, 1
+    m = draw(st.integers(1, 5))
+    if shape <= 4:
+        k = draw(st.integers(m, m + 1))
+        return F(-k, m), F(k, m), 2 * k + 1
+    i = draw(st.integers(-2 * m, m))
+    steps = draw(st.integers(2, 2 * m + 2))
+    lo = F(i, m)
+    if shape == 9:
+        lo += F(1, draw(st.sampled_from([2, 3, 4])))
+    return lo, lo + F(steps - 1, m), steps
 
 
 @st.composite
@@ -389,6 +411,8 @@ def test_keyed_scan_equals_per_point_classification(eg):
     e, g = eg
     s = scan(e, g)
     assert s.grid == g
+    assert g.re_values() == _reference_axis(g.re_min, g.re_max, g.re_steps)
+    assert g.im_values() == _reference_axis(g.im_min, g.im_max, g.im_steps)
     assert s.points == tuple(g.points())
     assert s.records == tuple(classify(e, lam) for lam in g.points())
 
@@ -412,6 +436,55 @@ def test_keyed_renderers_on_catalog_scans():
         assert scan_to_csv(s) == _reference_csv(ref)
         for set_name in SPECTRUM_NAMES:
             assert scan_to_json(s, set_name) == _reference_json(ref, set_name)
+
+
+# re in fifths from -1 to 1; im from -1/3 to 1 in fifteenths, so lo's
+# denominator is not the step's; both axes hold 0, and the grid holds the
+# unit-circle points (3/5, 4/5) and (-4/5, 3/5)
+_CIRCLE_GRID = GridSpec(-1, 1, F(-1, 3), 1, 11, 21)
+
+
+_P = ExactMatrix.from_rows([[1, 0, 0], [1, 1, 0], [0, -1, 1]])
+
+
+@pytest.mark.parametrize(
+    "atoms, eigenvalues",
+    [
+        # a rotation whose eigenvalues 3/5 +- 4/5 i lie on the unit circle
+        (
+            (RIGHT_SHIFT, QNIL_SHIFT, matrix_atom([[F(3, 5), F(-4, 5)], [F(4, 5), F(3, 5)]])),
+            [(F(3, 5), F(4, 5))],
+        ),
+        # -4/5 +- 3/5 i and 3/5 planted by conjugation
+        (
+            (
+                LEFT_SHIFT,
+                QNIL_SHIFT_DUAL,
+                Atom(
+                    "matrix",
+                    _P
+                    @ ExactMatrix.from_rows(
+                        [[F(-4, 5), F(-3, 5), 1], [F(3, 5), F(-4, 5), 0], [0, 0, F(3, 5)]]
+                    )
+                    @ inverse(_P),
+                ),
+            ),
+            [(F(-4, 5), F(3, 5)), (F(3, 5), F(0))],
+        ),
+    ],
+)
+def test_keyed_scan_at_unit_circle_points_off_the_integers(atoms, eigenvalues):
+    e, g = OperatorExpr(atoms), _CIRCLE_GRID
+    s, ref = scan(e, g), _reference_scan(e, g)
+    assert s.records == ref.records
+    assert scan_to_csv(s) == _reference_csv(ref)
+    for set_name in SPECTRUM_NAMES:
+        assert scan_to_json(s, set_name) == _reference_json(ref, set_name)
+    recs = dict(zip(s.points, s.records))
+    for lam in ((F(3, 5), F(4, 5)), (F(-4, 5), F(3, 5))):
+        assert not recs[lam].pseudo_fredholm
+    for lam in eigenvalues:
+        assert atom_region(atoms[2], lam) == lam
 
 
 @pytest.mark.parametrize(
@@ -441,8 +514,5 @@ def test_scan_classifies_once_per_key(monkeypatch, name, keys):
     assert len(s.records) == 41 * 41
     assert len(calls) == keys
     assert len({id(rec) for rec in s.records}) == keys
-    distinct = {
-        tuple(atom_region(a, lam, lam[0] ** 2 + lam[1] ** 2) for a in e.atoms)
-        for lam in g.points()
-    }
+    distinct = {tuple(atom_region(a, lam) for a in e.atoms) for lam in g.points()}
     assert len(distinct) == keys
