@@ -5,9 +5,10 @@ Commands: analyze (classify one operator document at one point), spectrum
 document), verify (randomized property suites).
 
 Exit codes: 0 success, 1 usage error (including a grid of more than
-MAX_GRID_POINTS points), 2 document parse error (including a document of
-more than MAX_DOCUMENT_BYTES bytes or not in UTF-8), 4 drazin on a
-non-matrix document, 5 verify found a property violation, 6 internal
+MAX_GRID_POINTS points and a verify --cases count past verify.MAX_CASES),
+2 document parse error (including a document of more than
+MAX_DOCUMENT_BYTES bytes or not in UTF-8), 4 drazin on a non-matrix
+document, 5 verify found a property violation, 6 internal
 invariant violated (a bug in this package), 7 an output could not be
 produced or written (an unwritable output file, or a rational too long
 to print).
@@ -29,7 +30,7 @@ from .errors import DocumentError, InternalInvariantError, OutputError
 from .model import Point
 from .spectra import GridSpec, SPECTRUM_NAMES, scan, scan_to_csv, scan_to_json
 from .structure import drazin_inverse
-from .verify import SUITE_NAMES, run as run_suites
+from .verify import MAX_CASES, SUITE_NAMES, run as run_suites
 
 
 class _Parser(argparse.ArgumentParser):
@@ -162,13 +163,20 @@ def _cmd_drazin(args) -> int:
 def _cmd_verify(parser: _Parser, args) -> int:
     if args.cases < 0:
         parser.error(f"--cases must be >= 0, got {args.cases}")
+    if args.cases > MAX_CASES:
+        parser.error(f"--cases must be <= {MAX_CASES}, got {args.cases}")
     text, code = run_suites(args.suite, args.cases, args.seed)
     sys.stdout.write(text)
     return code
 
 
+# built once per process: parse_args keeps no state between calls, and help
+# text is formatted (and COLUMNS read) when it is printed
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser = _PARSER
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

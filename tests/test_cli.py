@@ -299,9 +299,73 @@ def test_grid_coordinate_past_the_int_string_limit_is_exit_7(shift_doc, capsys):
 
 
 def test_usage_errors(capsys):
-    assert main([]) == 1
-    assert main(["frobnicate"]) == 1
-    assert main(["analyze"]) == 1  # --in is required
+    # the usage line and the error prefix only: argparse's message wording
+    # differs between Python versions
+    for argv, prog in [
+        ([], "fredprofile"),
+        (["frobnicate"], "fredprofile"),
+        (["analyze"], "fredprofile analyze"),  # --in is required
+        (["verify", "--cases", "x"], "fredprofile verify"),
+    ]:
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        lines = err.splitlines()
+        assert lines[0].startswith(f"usage: {prog} "), err
+        assert lines[-1].startswith(f"{prog}: error: "), err
+
+
+def _outcomes(argvs, capsys):
+    results = []
+    for argv in argvs:
+        code = main(argv)
+        out, err = capsys.readouterr()
+        results.append((code, out, err))
+    return results
+
+
+def test_shared_parser_keeps_no_state_between_calls(shift_doc, tmp_path, monkeypatch, capsys):
+    # main parses with one parser per process: each call must give what a
+    # parser built for that call alone gives, whatever ran before it; the
+    # help text must follow COLUMNS when printed, not when the parser was built
+    monkeypatch.setenv("COLUMNS", "50")
+    monkeypatch.setattr(
+        fredprofile.cli, "run_suites", lambda suite, cases, seed: (f"{suite} {cases} {seed}\n", 0)
+    )
+    grid = "--grid=-1,1,0,0,3,1"
+    argvs = [
+        ["spectrum", "--in", shift_doc, grid, "--set", "upbf", "--format", "json"],
+        ["spectrum", "--in", shift_doc, grid],
+        ["analyze", "--in", shift_doc, "--lambda", "1/2,0", "--out", str(tmp_path / "r.json")],
+        ["analyze", "--in", shift_doc],
+        ["verify", "--suite", "gkd", "--cases", "7", "--seed", "3"],
+        ["verify"],
+        ["analyze", "--in", shift_doc, "--lambda", "1/0,0"],
+        ["spectrum", "--in", shift_doc],
+        ["--help"],
+        ["spectrum", "--help"],
+    ]
+    forward = _outcomes(argvs, capsys)
+    assert _outcomes(argvs[::-1], capsys)[::-1] == forward
+    fresh = []
+    for argv in argvs:
+        monkeypatch.setattr(fredprofile.cli, "_PARSER", fredprofile.cli._build_parser())
+        fresh += _outcomes([argv], capsys)
+    assert fresh == forward
+    assert [code for code, _, _ in forward] == [0, 0, 0, 0, 0, 0, 1, 1, 0, 0]
+    assert forward[2][1] == "" and forward[3][1].startswith("{")
+    assert forward[4][1] == "gkd 7 3\n" and forward[5][1] == "all 200 0\n"
+
+
+def test_main_builds_no_parser(shift_doc, monkeypatch, capsys):
+    def no_build():
+        raise AssertionError("main built a parser")
+
+    monkeypatch.setattr(fredprofile.cli, "_build_parser", no_build)
+    assert main(["analyze", "--in", shift_doc]) == 0
+    assert main(["spectrum", "--in", shift_doc, "--grid=-1,1,0,0,3,1"]) == 0
+    assert main(["verify", "--suite", "chains", "--cases", "2", "--seed", "1"]) == 0
+    assert main(["analyze"]) == 1
     capsys.readouterr()
 
 
@@ -317,6 +381,24 @@ def test_verify_negative_cases_is_usage_error(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--cases" in captured.err
+
+
+def test_verify_cases_past_the_bound_is_usage_error(monkeypatch, capsys):
+    monkeypatch.setattr(fredprofile.cli, "MAX_CASES", 3)
+    assert main(["verify", "--suite", "chains", "--cases", "3", "--seed", "1"]) == 0
+    assert "verify: 1 suites ok" in capsys.readouterr().out
+
+    def no_run(*args):
+        raise AssertionError("a count past the bound reached the suites")
+
+    monkeypatch.setattr(fredprofile.cli, "run_suites", no_run)
+    assert main(["verify", "--suite", "chains", "--cases", "4"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1] == "fredprofile: error: --cases must be <= 3, got 4"
+    monkeypatch.setattr(fredprofile.cli, "MAX_CASES", verify.MAX_CASES)
+    assert main(["verify", "--cases", str(verify.MAX_CASES + 1)]) == 1
+    assert capsys.readouterr().out == ""
 
 
 def _assert_verify_failure(out: str, prop: str, case: str = r"\[\[.*\]\]"):
