@@ -21,9 +21,8 @@ from fredprofile import (
     component_index_report,
     parse_rational,
     scan,
-    spectrum_membership,
 )
-from fredprofile.spectra import grouped_cells
+from fredprofile.spectra import component_runs
 
 
 def main():
@@ -45,13 +44,10 @@ def main():
     grid = GridSpec(*(parse_rational(t) for t in parts[:4]), int(parts[4]), int(parts[5]))
 
     s = scan(entry.expr, grid)
-    mask = [not spectrum_membership(rec, args.set_name) for rec in s.records]
-    keys = [rec.summary.index.to_str() for rec in s.records]
-    comps = grouped_cells(mask, keys, grid.re_steps, grid.im_steps)
-    owner = {}
-    for cid, cells in enumerate(comps):
-        for c in cells:
-            owner[c] = cid
+    # a cell of the spectrum stays '#'; the runs outside it carry their component
+    cells = ["#"] * len(s.ids)
+    for first, n, cid, _ in component_runs(s, args.set_name):
+        cells[first : first + n] = [str(cid % 10)] * n
 
     print(f"operator {entry.name}, spectrum sigma_{args.set_name}, "
           f"{grid.re_steps}x{grid.im_steps} points on "
@@ -59,15 +55,10 @@ def main():
     print()
     # top row = largest imaginary part
     for i in reversed(range(grid.im_steps)):
-        cells = []
-        for j in range(grid.re_steps):
-            n = i * grid.re_steps + j
-            cells.append(str(owner[n] % 10) if mask[n] else "#")
-        print("   " + " ".join(cells))
+        print("   " + " ".join(cells[i * grid.re_steps : (i + 1) * grid.re_steps]))
     print()
     rep = component_index_report(s, args.set_name)
-    in_spectrum = sum(1 for m in mask if not m)
-    print(f"{in_spectrum} of {len(mask)} points lie in sigma_{args.set_name}")
+    print(f"{cells.count('#')} of {len(cells)} points lie in sigma_{args.set_name}")
     for c in rep.components:
         print(f"  component {c.id}: index {c.index}, {c.point_count} points, "
               f"first at ({c.first_point[0]}, {c.first_point[1]})")

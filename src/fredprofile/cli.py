@@ -10,8 +10,8 @@ MAX_GRID_POINTS points and a verify --cases count past verify.MAX_CASES),
 MAX_DOCUMENT_BYTES bytes or not in UTF-8), 4 drazin on a non-matrix
 document, 5 verify found a property violation, 6 internal
 invariant violated (a bug in this package), 7 an output could not be
-produced or written (an unwritable output file, or a rational too long
-to print).
+produced or written (an unwritable output file or stdout, or a rational
+too long to print).
 Code 3 is not used.
 """
 from __future__ import annotations
@@ -119,15 +119,19 @@ def _read_document(path: str):
     return parse_document(text)
 
 
-def _emit(text: str, outfile: str | None):
-    if outfile is None:
-        sys.stdout.write(text)
-    else:
-        try:
+def _emit(text: str, outfile: str | None = None):
+    """Write text to outfile, or to stdout when it is None. Stdout is flushed
+    here, so that a failed write is an OutputError and not an error at exit."""
+    try:
+        if outfile is None:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
             with open(outfile, "w", encoding="utf-8") as fh:
                 fh.write(text)
-        except OSError as exc:
-            raise OutputError(f"cannot write {outfile}: {exc}") from None
+    except OSError as exc:
+        where = "stdout" if outfile is None else outfile
+        raise OutputError(f"cannot write {where}: {exc}") from None
 
 
 def _cmd_analyze(parser: _Parser, args) -> int:
@@ -156,7 +160,7 @@ def _cmd_drazin(args) -> int:
         print("drazin needs a document with a single matrix atom", file=sys.stderr)
         return 4
     dz = drazin_inverse(atoms[0].matrix)
-    sys.stdout.write("".join(" ".join(row) + "\n" for row in matrix_rows(dz)))
+    _emit("".join(" ".join(row) + "\n" for row in matrix_rows(dz)))
     return 0
 
 
@@ -166,7 +170,7 @@ def _cmd_verify(parser: _Parser, args) -> int:
     if args.cases > MAX_CASES:
         parser.error(f"--cases must be <= {MAX_CASES}, got {args.cases}")
     text, code = run_suites(args.suite, args.cases, args.seed)
-    sys.stdout.write(text)
+    _emit(text)
     return code
 
 

@@ -5,15 +5,22 @@ constant index.
 
 Scans are region-keyed: a point's record depends only on the tuple of its
 atoms' exact regions (model.atom_region), so a scan computes that tuple at
-every point, classifies once per distinct tuple, shares the record among
-its points and renders each distinct record's cells once. The shifts'
-regions come from integer keys: each axis is integers over one common
-denominator, and no Fraction is built per point.
+every point and classifies once per distinct tuple. It keeps the distinct
+records in first-seen order and one integer id per point, the position of
+its record among them; the renderers render each distinct record once and
+index that list by id. The shifts' regions come from integer keys: each
+axis is integers over one common denominator, and no Fraction is built per
+point.
 
 Adjacency for components is 4-neighbour adjacency refined by equal index:
 two neighbouring grid points belong to the same component only when their
 index values agree. On coarse grids the refinement is what keeps regions
 whose indices differ from being glued through gaps in the spectrum.
+Components are labelled on runs (Hoshen and Kopelman, Phys. Rev. B 14,
+3438, 1976): a run is a maximal stretch of a row outside the set with one
+index; union-find joins it to the equal-index runs it touches in the row
+before, and a component is numbered by its first run in row-major order,
+which holds its smallest cell.
 """
 from __future__ import annotations
 
@@ -21,14 +28,13 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence, TypeVar
+from itertools import groupby
+from typing import Iterator
 
 from .classify import FLAG_NAMES, ClassificationRecord, classify
 from .docio import rational_str
 from .linalg import exact_rational
 from .model import OperatorExpr, Point, atom_region, shift_region
-
-T = TypeVar("T")
 
 SPECTRUM_NAMES: tuple[str, ...] = (
     "upbf",
@@ -52,7 +58,7 @@ _SET_FLAGS: dict[str, tuple[str, ...]] = {
     "pbw": ("pseudo_b_weyl",),
 }
 
-# scans hold every point and a reference to its record, so the grid is bounded
+# scans hold an id per point and render every point, so the grid is bounded
 MAX_GRID_POINTS = 10**6
 
 
@@ -130,11 +136,20 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class SpectrumScan:
-    """A scan's records, one per point; points are grid.points()."""
+    """A scan's distinct records in first-seen order, and for each point of
+    grid.points() the id of its record: its position in distinct."""
 
     grid: GridSpec
-    points: tuple[Point, ...]
-    records: tuple[ClassificationRecord, ...]
+    distinct: tuple[ClassificationRecord, ...]
+    ids: tuple[int, ...]
+
+    @property
+    def records(self) -> tuple[ClassificationRecord, ...]:
+        return tuple(map(self.distinct.__getitem__, self.ids))
+
+    @property
+    def points(self) -> tuple[Point, ...]:
+        return tuple(self.grid.points())
 
 
 def scan(e: OperatorExpr, grid: GridSpec) -> SpectrumScan:
@@ -154,45 +169,37 @@ def scan(e: OperatorExpr, grid: GridSpec) -> SpectrumScan:
     # the shifts' regions, indexed by the circle sign (0, 1, -1), and at lam = 0
     keys = [tuple(shift_region(k, sign, False) for k in kinds) for sign in (0, 1, -1)]
     zero_key = tuple(shift_region(k, -1, True) for k in kinds)
-    recs: list[ClassificationRecord] = []
-    by_key: dict[tuple, ClassificationRecord] = {}
+    distinct: list[ClassificationRecord] = []
+    ids: list[int] = []
+    by_key: dict[tuple, int] = {}
     for im, i_num in zip(ims, im_nums):
         t = c - i_num * i_num * re_den * re_den
         for re, x in zip(res, a):
             key = zero_key if not (i_num or x) else keys[(x > t) - (x < t)]
             if mats:
                 key += tuple(atom_region(m, (re, im)) for m in mats)
-            rec = by_key.get(key)
-            if rec is None:
-                rec = by_key[key] = classify(e, (re, im))
-            recs.append(rec)
-    pts = tuple((re, im) for im in ims for re in res)
-    return SpectrumScan(grid, pts, tuple(recs))
+            rid = by_key.get(key)
+            if rid is None:
+                rid = by_key[key] = len(distinct)
+                distinct.append(classify(e, (re, im)))
+            ids.append(rid)
+    return SpectrumScan(grid, tuple(distinct), tuple(ids))
 
 
-def _coord_strs(grid: GridSpec) -> list[tuple[str, str]]:
-    """The (re, im) text of grid.points(), one rational_str per axis value."""
-    res = [rational_str(re) for re in grid.re_values()]
-    return [(re, im) for im in map(rational_str, grid.im_values()) for re in res]
-
-
-def _per_record(
-    records: Sequence[ClassificationRecord], render: Callable[[ClassificationRecord], T]
-) -> list[T]:
-    """render(rec) for every record, called once per distinct record object:
-    a scan shares one record among the points of a region."""
-    done: dict[int, T] = {}
-    for rec in records:
-        if id(rec) not in done:
-            done[id(rec)] = render(rec)
-    return [done[id(rec)] for rec in records]
+def _coord_rows(s: SpectrumScan) -> Iterator[tuple[str, list[str], tuple[int, ...]]]:
+    """(im text, re texts, ids) of each grid row, one rational_str per axis value."""
+    res = [rational_str(re) for re in s.grid.re_values()]
+    w = len(res)
+    for j, im in enumerate(map(rational_str, s.grid.im_values())):
+        yield im, res, s.ids[j * w : (j + 1) * w]
 
 
 @dataclass(frozen=True)
 class Component:
     """A maximal equal-index 4-connected patch of the scanned region that
     lies outside the chosen spectrum. Ids follow row-major discovery
-    order. index_constant is rechecked after the fact and recorded."""
+    order. index_constant holds by construction, since runs and unions
+    join only points of equal index; the JSON report still records it."""
 
     id: int
     index: str
@@ -207,57 +214,63 @@ class ComponentReport:
     components: tuple[Component, ...]
 
 
-def grouped_cells(
-    mask: list[bool], keys: list[str], re_steps: int, im_steps: int
-) -> list[list[int]]:
-    """Connected components of the masked cells of an im_steps x re_steps
-    row-major grid under 4-adjacency refined by equal keys. Returned in
-    row-major discovery order; each component lists cell indices sorted."""
-    n = re_steps * im_steps
-    if len(mask) != n or len(keys) != n:
-        raise ValueError("mask/keys length must match the grid")
-    seen = [False] * n
-    comps: list[list[int]] = []
-    for start in range(n):
-        if seen[start] or not mask[start]:
-            continue
-        todo = [start]
-        seen[start] = True
-        cells = []
-        while todo:
-            cur = todo.pop()
-            cells.append(cur)
-            i, j = divmod(cur, re_steps)
-            for di, dj in ((-1, 0), (1, 0), (0, -1), (0, 1)):
-                ni, nj = i + di, j + dj
-                if not (0 <= ni < im_steps and 0 <= nj < re_steps):
-                    continue
-                nb = ni * re_steps + nj
-                if seen[nb] or not mask[nb] or keys[nb] != keys[cur]:
-                    continue
-                seen[nb] = True
-                todo.append(nb)
-        comps.append(sorted(cells))
-    return comps
+def component_runs(s: SpectrumScan, set_name: str) -> list[tuple[int, int, int, str]]:
+    """The runs of points outside the named spectrum in row-major order, as
+    (first cell, length, component id, index), cells numbered as in
+    grid.points(). A run is a maximal stretch of a row whose points share
+    their index; ids number the components by their first run."""
+    # a point's class: None in the set, else its index
+    cls = [
+        None if spectrum_membership(rec, set_name) else rec.summary.index.to_str()
+        for rec in s.distinct
+    ]
+    w = s.grid.re_steps
+    runs: list[tuple[int, int, str]] = []  # (first cell, length, index)
+    parent: list[int] = []
+
+    def find(r: int) -> int:
+        while parent[r] != r:
+            parent[r] = r = parent[parent[r]]
+        return r
+
+    above: list[tuple[int, int, str, int]] = []  # (lo, hi, index, run) of the row before
+    for start in range(0, len(s.ids), w):
+        row, lo, k = [], 0, 0
+        for c, same in groupby(map(cls.__getitem__, s.ids[start : start + w])):
+            hi = lo + len(list(same))
+            if c is not None:
+                r = len(runs)
+                runs.append((start + lo, hi - lo, c))
+                parent.append(r)
+                row.append((lo, hi, c, r))
+                # the runs above that overlap [lo, hi) start at above[k]
+                while k < len(above) and above[k][1] <= lo:
+                    k += 1
+                i = k
+                while i < len(above) and above[i][0] < hi:
+                    if above[i][2] == c:
+                        parent[find(r)] = find(above[i][3])
+                    i += 1
+            lo = hi
+        above = row
+    comp: dict[int, int] = {}  # root run -> component id, numbered at its first run
+    return [
+        (first, n, comp.setdefault(find(r), len(comp)), c) for r, (first, n, c) in enumerate(runs)
+    ]
 
 
 def component_index_report(s: SpectrumScan, set_name: str) -> ComponentReport:
-    mask = _per_record(s.records, lambda rec: not spectrum_membership(rec, set_name))
-    keys = _per_record(s.records, lambda rec: rec.summary.index.to_str())
-    comps = grouped_cells(mask, keys, s.grid.re_steps, s.grid.im_steps)
+    comps: list[list] = []  # [first cell, point count, index] by component id
+    for first, n, cid, index in component_runs(s, set_name):
+        if cid == len(comps):
+            comps.append([first, 0, index])
+        comps[cid][1] += n
+    (re_nums, re_den), (im_nums, im_den) = s.grid.re_axis(), s.grid.im_axis()
     out = []
-    for cid, cells in enumerate(comps):
-        vals = {keys[c] for c in cells}
-        first = s.points[cells[0]]
-        out.append(
-            Component(
-                id=cid,
-                index=keys[cells[0]] if len(vals) == 1 else "nonconstant",
-                point_count=len(cells),
-                first_point=(rational_str(first[0]), rational_str(first[1])),
-                index_constant=len(vals) == 1,
-            )
-        )
+    for cid, (first, n, index) in enumerate(comps):
+        j, k = divmod(first, s.grid.re_steps)
+        at = rational_str(Fraction(re_nums[k], re_den)), rational_str(Fraction(im_nums[j], im_den))
+        out.append(Component(cid, index, n, at, True))
     return ComponentReport(set_name, tuple(out))
 
 
@@ -270,10 +283,10 @@ def _csv_tail(rec: ClassificationRecord) -> str:
 
 
 def scan_to_csv(s: SpectrumScan) -> str:
-    tails = _per_record(s.records, _csv_tail)
+    tails = [_csv_tail(rec) for rec in s.distinct]
     lines = [CSV_HEADER]
-    for (re, im), tail in zip(_coord_strs(s.grid), tails):
-        lines.append(f"{re},{im},{tail}")
+    for im, res, ids in _coord_rows(s):
+        lines += [f"{re},{im},{tails[i]}" for re, i in zip(res, ids)]
     return "\n".join(lines) + "\n"
 
 
@@ -316,9 +329,10 @@ def scan_to_json(s: SpectrumScan, set_name: str) -> str:
     # the points list is the last member, so it goes where head's "\n}" was
     parts = [json.dumps(head, indent=2)[:-2], ',\n  "points": [\n    {']
     sep = ""
-    tails = _per_record(s.records, _json_row_tail)
-    for (re, im), tail in zip(_coord_strs(s.grid), tails):
-        parts += (sep, _ROW_HEAD.format(re, im), tail)
-        sep = "\n    },\n    {"
+    tails = [_json_row_tail(rec) for rec in s.distinct]
+    for im, res, ids in _coord_rows(s):
+        for re, i in zip(res, ids):
+            parts += (sep, _ROW_HEAD.format(re, im), tails[i])
+            sep = "\n    },\n    {"
     parts.append("\n    }\n  ]\n}\n")
     return "".join(parts)

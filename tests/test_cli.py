@@ -1,3 +1,5 @@
+import errno
+import io
 import json
 import os
 import re
@@ -459,6 +461,76 @@ def test_verify_duality_reports_a_broken_oracle(monkeypatch, capsys):
     code = main(["verify", "--suite", "duality", "--cases", "5", "--seed", "1"])
     assert code == 5
     _assert_verify_failure(capsys.readouterr().out, "transpose_chain_mirror")
+
+
+class _FailingStdout(io.StringIO):
+    """A stdout whose write or flush fails as on a full device."""
+
+    def __init__(self, failing):
+        super().__init__()
+        self.failing = failing
+
+    def write(self, text):
+        if self.failing == "write":
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return super().write(text)
+
+    def flush(self):
+        if self.failing == "flush":
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@pytest.mark.parametrize("failing", ["write", "flush"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--in", "{shift}"],
+        ["spectrum", "--in", "{shift}", "--grid=-2,2,-2,2,3,3"],
+        ["spectrum", "--in", "{shift}", "--grid=-2,2,-2,2,3,3", "--format", "json"],
+        ["drazin", "--in", "{j3}"],
+        ["verify", "--suite", "chains", "--cases", "2"],
+    ],
+    ids=["analyze", "spectrum-csv", "spectrum-json", "drazin", "verify"],
+)
+def test_failed_stdout_write_is_exit_7(shift_doc, j3_doc, monkeypatch, capsys, argv, failing):
+    argv = [a.format(shift=shift_doc, j3=j3_doc) for a in argv]
+    monkeypatch.setattr(sys, "stdout", _FailingStdout(failing))
+    assert main(argv) == 7
+    assert capsys.readouterr().err == (
+        f"error: cannot write stdout: [Errno {errno.ENOSPC}] No space left on device\n"
+    )
+
+
+def test_verify_violation_with_failed_stdout_write_is_exit_7(monkeypatch, capsys):
+    # exit 5 needs its report written; without it the run is an output error
+    monkeypatch.setattr(verify, "subspace_intersection", verify.subspace_sum)
+    monkeypatch.setattr(sys, "stdout", _FailingStdout("flush"))
+    assert main(["verify", "--suite", "duality", "--cases", "5", "--seed", "1"]) == 7
+    assert capsys.readouterr().err.startswith("error: cannot write stdout: ")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+@pytest.mark.parametrize(
+    "args",
+    [["verify", "--suite", "chains", "--cases", "2"], ["spectrum", "--grid=-2,2,-2,2,2,1"]],
+    ids=["verify", "spectrum"],
+)
+def test_stdout_on_a_full_device_is_exit_7(shift_doc, args):
+    argv = args if args[0] == "verify" else [*args, "--in", shift_doc]
+    src = os.path.dirname(os.path.dirname(fredprofile.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "fredprofile", *argv],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+    assert proc.returncode == 7
+    assert proc.stderr.startswith("error: cannot write stdout: ")
+    assert "Traceback" not in proc.stderr and len(proc.stderr.splitlines()) == 1
 
 
 def test_console_script_entry(monkeypatch, capsys):

@@ -1,5 +1,6 @@
 import json
 import math
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -32,7 +33,7 @@ from fredprofile.spectra import (
     SPECTRUM_NAMES,
     SpectrumScan,
     component_index_report,
-    grouped_cells,
+    component_runs,
     scan,
     scan_to_csv,
     scan_to_json,
@@ -253,13 +254,53 @@ def test_scan_serialization_deterministic():
 
 # Per-point references: a scan that classifies every point, and the
 # renderers that format every row from its record, kept verbatim from
-# before scans were keyed by region.
+# before scans were keyed by region; and the per-cell component search,
+# kept verbatim from before components were labelled on runs.
+
+
+def _scan_of(grid, recs):
+    """A SpectrumScan of per-point records: equal records share one id."""
+    first: dict = {}
+    ids = tuple(first.setdefault(rec, len(first)) for rec in recs)
+    return SpectrumScan(grid, tuple(first), ids)
 
 
 def _reference_scan(e, grid):
-    pts = grid.points()
-    recs = tuple(classify(e, lam) for lam in pts)
-    return SpectrumScan(grid, tuple(pts), recs)
+    return _scan_of(grid, [classify(e, lam) for lam in grid.points()])
+
+
+def grouped_cells(
+    mask: list[bool], keys: list[str], re_steps: int, im_steps: int
+) -> list[list[int]]:
+    """Connected components of the masked cells of an im_steps x re_steps
+    row-major grid under 4-adjacency refined by equal keys. Returned in
+    row-major discovery order; each component lists cell indices sorted."""
+    n = re_steps * im_steps
+    if len(mask) != n or len(keys) != n:
+        raise ValueError("mask/keys length must match the grid")
+    seen = [False] * n
+    comps: list[list[int]] = []
+    for start in range(n):
+        if seen[start] or not mask[start]:
+            continue
+        todo = [start]
+        seen[start] = True
+        cells = []
+        while todo:
+            cur = todo.pop()
+            cells.append(cur)
+            i, j = divmod(cur, re_steps)
+            for di, dj in ((-1, 0), (1, 0), (0, -1), (0, 1)):
+                ni, nj = i + di, j + dj
+                if not (0 <= ni < im_steps and 0 <= nj < re_steps):
+                    continue
+                nb = ni * re_steps + nj
+                if seen[nb] or not mask[nb] or keys[nb] != keys[cur]:
+                    continue
+                seen[nb] = True
+                todo.append(nb)
+        comps.append(sorted(cells))
+    return comps
 
 
 def _reference_component_index_report(s, set_name):
@@ -516,3 +557,129 @@ def test_scan_classifies_once_per_key(monkeypatch, name, keys):
     assert len({id(rec) for rec in s.records}) == keys
     distinct = {tuple(atom_region(a, lam) for a in e.atoms) for lam in g.points()}
     assert len(distinct) == keys
+
+
+@pytest.mark.parametrize(
+    "name", ["right_right_left", "left_plus_qnil", "right_jordan3_qnil", "jordan2_diag2"]
+)
+def test_record_work_runs_once_per_distinct_record(monkeypatch, name):
+    e, g = by_name(name).expr, grid(41)
+    ref = _reference_scan(e, g)
+    calls = Counter()
+
+    def counting(fn):
+        def wrapped(*args, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    for fn in ("classify", "_csv_tail", "_json_row_tail", "spectrum_membership"):
+        monkeypatch.setattr(spectra, fn, counting(getattr(spectra, fn)))
+    s = scan(e, g)
+    n = len(s.distinct)
+    assert calls == {"classify": n}
+    for work, want in (
+        (lambda: scan_to_csv(s), {"_csv_tail": n}),
+        (lambda: component_index_report(s, "pbf"), {"spectrum_membership": n}),
+        (lambda: scan_to_json(s, "pbf"), {"_json_row_tail": n, "spectrum_membership": n}),
+    ):
+        calls.clear()
+        work()
+        assert calls == want
+    assert len(s.ids) == 41 * 41 and set(s.ids) == set(range(n))
+    assert s.records == ref.records
+    assert s.points == ref.points == tuple(g.points())
+
+
+# Labelling against the per-cell search: records from a palette, drawn as
+# rows of characters, row 0 first. '#' lies in every spectrum; the letters
+# lie outside pbf, with 'b' and 'c' different records of equal index.
+_PALETTE = {
+    "#": classify(R, point(1)),
+    "a": classify(R, point(0)),
+    "b": classify(R, point(2)),
+    "c": classify(OperatorExpr.of(J2), point(0)),
+    "d": classify(OperatorExpr.of(LEFT_SHIFT), point(0)),
+    "e": classify(OperatorExpr.of(RIGHT_SHIFT, RIGHT_SHIFT), point(0)),
+}
+
+
+def test_palette_membership_and_index():
+    assert [spectrum_membership(rec, "pbf") for rec in _PALETTE.values()] == [True] + [False] * 5
+    index = {ch: rec.summary.index.to_str() for ch, rec in _PALETTE.items() if ch != "#"}
+    assert index == {"a": "-1", "b": "0", "c": "0", "d": "1", "e": "-2"}
+    assert _PALETTE["b"] != _PALETTE["c"]
+
+
+def _art_scan(rows):
+    w, h = len(rows[0]), len(rows)
+    g = GridSpec(F(-1, 2), F(-1, 2) + F(w - 1, 3), F(1, 5), F(1, 5) + F(h - 1, 7), w, h)
+    return _scan_of(g, [_PALETTE[ch] for row in rows for ch in row])
+
+
+def _check_labelling(s, set_name="pbf"):
+    """component_index_report and component_runs against grouped_cells."""
+    assert component_index_report(s, set_name) == _reference_component_index_report(s, set_name)
+    w, h = s.grid.re_steps, s.grid.im_steps
+    mask = [not spectrum_membership(rec, set_name) for rec in s.records]
+    keys = [rec.summary.index.to_str() for rec in s.records]
+    want = [None] * (w * h)
+    for cid, cells in enumerate(grouped_cells(mask, keys, w, h)):
+        for c in cells:
+            want[c] = cid
+    owner = [None] * (w * h)
+    for first, n, cid, index in component_runs(s, set_name):
+        assert first // w == (first + n - 1) // w  # a run stays in its row
+        assert {keys[c] for c in range(first, first + n)} == {index}
+        owner[first : first + n] = [cid] * n
+    assert owner == want
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        ["aa#abbcc#d"],
+        list("aa#bbcda"),
+        # a U whose arms meet in its last row, and a W of three arms
+        ["a#a", "a#a", "aaa"],
+        ["#a#a", "#a#a", "#aaa"],
+        ["a#a#a", "a#a#a", "a#aaa", "aaaaa"],
+        # arms that meet above, then below a run that joined them
+        ["aaaaa", "a#a#a", "a#a#a"],
+        # a spiral path of 'a' walled by '#', with other indices inside
+        [
+            "aaaaaaa",
+            "######a",
+            "aaaa#da",
+            "a##a#da",
+            "a#da#da",
+            "a####da",
+            "aaaaaaa",
+        ],
+        # equal index touching only diagonally stays apart
+        ["a#", "#a"],
+        ["#ee#", "ee##", "#e#e"],
+        # different records of one index join
+        ["bc", "cb"],
+        ["ad", "da"],
+        ["#"],
+        ["b"],
+    ],
+)
+def test_labelling_fixed_shapes(rows):
+    _check_labelling(_art_scan(rows))
+
+
+@st.composite
+def _art(draw):
+    w, h = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    inks = draw(st.lists(st.sampled_from(sorted(_PALETTE)), min_size=1, max_size=3, unique=True))
+    cells = draw(st.lists(st.sampled_from(inks), min_size=w * h, max_size=w * h))
+    return ["".join(cells[j * w : (j + 1) * w]) for j in range(h)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_art())
+def test_labelling_equals_per_cell_search(rows):
+    _check_labelling(_art_scan(rows))
