@@ -17,6 +17,8 @@ Code 3 is not used.
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 
 from .docio import (
@@ -124,6 +126,8 @@ def _emit(text: str, outfile: str | None = None):
     here, so that a failed write is an OutputError and not an error at exit."""
     try:
         if outfile is None:
+            if sys.stdout is None:  # the process started with stdout closed
+                raise OSError(errno.EBADF, "stdout is closed")
             sys.stdout.write(text)
             sys.stdout.flush()
         else:
@@ -207,7 +211,18 @@ def main(argv=None) -> int:
 
 
 def entry():
-    sys.exit(main())
+    code = main()
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError:
+        # a failed write leaves its bytes in stdout's buffer; the flush at
+        # interpreter exit would fail on them again, print a second error and
+        # exit 120. Stdout is pointed at devnull, so that they go nowhere.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

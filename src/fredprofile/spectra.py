@@ -198,14 +198,14 @@ def _coord_rows(s: SpectrumScan) -> Iterator[tuple[str, list[str], tuple[int, ..
 class Component:
     """A maximal equal-index 4-connected patch of the scanned region that
     lies outside the chosen spectrum. Ids follow row-major discovery
-    order. index_constant holds by construction, since runs and unions
-    join only points of equal index; the JSON report still records it."""
+    order. Its index is constant by construction, since runs and unions
+    join only points of equal index; the JSON report records that as
+    "index_constant": true."""
 
     id: int
     index: str
     point_count: int
     first_point: tuple[str, str]
-    index_constant: bool
 
 
 @dataclass(frozen=True)
@@ -270,7 +270,7 @@ def component_index_report(s: SpectrumScan, set_name: str) -> ComponentReport:
     for cid, (first, n, index) in enumerate(comps):
         j, k = divmod(first, s.grid.re_steps)
         at = rational_str(Fraction(re_nums[k], re_den)), rational_str(Fraction(im_nums[j], im_den))
-        out.append(Component(cid, index, n, at, True))
+        out.append(Component(cid, index, n, at))
     return ComponentReport(set_name, tuple(out))
 
 
@@ -321,7 +321,7 @@ def scan_to_json(s: SpectrumScan, set_name: str) -> str:
                 "index": c.index,
                 "point_count": c.point_count,
                 "first_point": {"re": c.first_point[0], "im": c.first_point[1]},
-                "index_constant": c.index_constant,
+                "index_constant": True,
             }
             for c in report.components
         ],

@@ -39,6 +39,7 @@ from .model import (
 from .spectra import (
     GridSpec,
     component_index_report,
+    component_runs,
     scan,
     scan_to_csv,
     spectrum_membership,
@@ -418,8 +419,13 @@ def suite_spectra(cases: int, seed: int) -> SuiteResult:
                     e.name,
                     lambda: f"{full} spectrum is not the union of the one-sided spectra",
                 )
+        # the indices of each component's points, read from the scan
+        index = [rec.summary.index.to_str() for rec in s.distinct]
+        seen: dict[int, set[str]] = {}
+        for first, n, cid, _ in component_runs(s, "pbf"):
+            seen.setdefault(cid, set()).update(index[i] for i in s.ids[first : first + n])
         for comp in component_index_report(s, "pbf").components:
-            ok = comp.index_constant
+            ok = seen[comp.id] == {comp.index}
             detail = f"component {comp.id} mixes index values"
             res.check("component_index_constant", ok, 0, comp.id, e.name, detail)
         ok = scan_to_csv(s) == scan_to_csv(scan(e.expr, grid))

@@ -32,6 +32,7 @@ from fredprofile.spectra import (
     GridSpec,
     SPECTRUM_NAMES,
     component_index_report,
+    component_runs,
     scan,
     spectrum_membership,
 )
@@ -228,7 +229,11 @@ def test_criterion_7_golden_scan():
     assert not off_grid.pseudo_fredholm
     for name in SPECTRUM_NAMES:
         rep = component_index_report(s, name)
-        assert rep.components and all(c.index_constant for c in rep.components)
+        assert rep.components
+        # every point of a component carries the component's index
+        index = {c.id: c.index for c in rep.components}
+        for first, n, cid, _ in component_runs(s, name):
+            assert {r.summary.index.to_str() for r in s.records[first : first + n]} == {index[cid]}
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0
     print(f"criterion 7: PASS (33x33 golden scan regions and components, {elapsed:.2f}s)")

@@ -515,11 +515,19 @@ def test_verify_violation_with_failed_stdout_write_is_exit_7(monkeypatch, capsys
     [["verify", "--suite", "chains", "--cases", "2"], ["spectrum", "--grid=-2,2,-2,2,2,1"]],
     ids=["verify", "spectrum"],
 )
-def test_stdout_on_a_full_device_is_exit_7(shift_doc, args):
+@pytest.mark.parametrize("stdout", ["full", "full-unbuffered", "closed"])
+def test_unwritable_stdout_is_exit_7(shift_doc, args, stdout):
+    # a buffered stdout keeps the bytes of a failed write and flushes them
+    # again at interpreter exit, which must not print a second error or
+    # change the exit code; a process started with stdout closed has
+    # sys.stdout None
     argv = args if args[0] == "verify" else [*args, "--in", shift_doc]
     src = os.path.dirname(os.path.dirname(fredprofile.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    env.pop("PYTHONUNBUFFERED", None)
+    if stdout == "full-unbuffered":
+        env["PYTHONUNBUFFERED"] = "1"
     with open("/dev/full", "w") as full:
         proc = subprocess.run(
             [sys.executable, "-m", "fredprofile", *argv],
@@ -527,6 +535,8 @@ def test_stdout_on_a_full_device_is_exit_7(shift_doc, args):
             stderr=subprocess.PIPE,
             text=True,
             env=env,
+            # runs in the child after full is made its stdout
+            preexec_fn=(lambda: os.close(1)) if stdout == "closed" else None,
         )
     assert proc.returncode == 7
     assert proc.stderr.startswith("error: cannot write stdout: ")

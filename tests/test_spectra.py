@@ -149,7 +149,6 @@ def test_component_report_right_shift():
     assert [(c.id, c.index) for c in rep.components] == [(0, "0"), (1, "-1")]
     outside, inside = rep.components
     assert outside.first_point == ("-2", "-2")
-    assert all(c.index_constant for c in rep.components)
     assert outside.point_count + inside.point_count == 81 - 4  # four circle points
 
 
@@ -317,7 +316,6 @@ def _reference_component_index_report(s, set_name):
                 index=keys[cells[0]] if len(vals) == 1 else "nonconstant",
                 point_count=len(cells),
                 first_point=(rational_str(first[0]), rational_str(first[1])),
-                index_constant=len(vals) == 1,
             )
         )
     return ComponentReport(set_name, tuple(out))
@@ -357,7 +355,7 @@ def _reference_json(s, set_name):
                 "index": c.index,
                 "point_count": c.point_count,
                 "first_point": {"re": c.first_point[0], "im": c.first_point[1]},
-                "index_constant": c.index_constant,
+                "index_constant": c.index != "nonconstant",
             }
             for c in report.components
         ],
