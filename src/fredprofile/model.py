@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -38,7 +38,7 @@ from .extvals import (
     LINEAR_SEQ,
     ZERO_SEQ,
 )
-from .linalg import ExactMatrix, SubspaceBasis, exact_rational, image_basis, kernel_basis, rank
+from .linalg import ExactMatrix, exact_rational, rank
 
 ATOM_KINDS = ("matrix", "right_shift", "left_shift", "qnil_shift", "qnil_shift_dual")
 
@@ -167,7 +167,9 @@ def realified(m: ExactMatrix, re: Fraction, im: Fraction) -> tuple[ExactMatrix, 
     [[m - re*I, im*I], [-im*I, m - re*I]] with scale 2: the realification
     commutes with the complex-structure matrix, so every kernel, image,
     intersection and sum it produces carries even rational dimension, and
-    dividing by 2 recovers the complex dimension exactly.
+    dividing by 2 recovers the complex dimension exactly. Only reports
+    build it at a complex point (structure.matrix_split); the ranks that
+    classify come from the d x d matrix q(m) (matrix_data_at).
     """
     s = m.minus_scalar(re)
     if im == 0:
@@ -187,6 +189,23 @@ def realified(m: ExactMatrix, re: Fraction, im: Fraction) -> tuple[ExactMatrix, 
     return ExactMatrix(2 * d, 2 * d, tuple(top + bottom), den), 2
 
 
+def real_quadratic(m: ExactMatrix, re: Fraction, im: Fraction) -> ExactMatrix:
+    """q(m) = (m - re*I)^2 + im^2*I, where q(x) = (x - lam)(x - conj(lam))
+    is the minimal polynomial over Q of lam = re + i*im, im != 0.
+
+    With m - re*I = N/D (one product of integer matrices gives N^2/D^2) and
+    im = c/e, q(m) = (e^2 N^2 + c^2 D^2 I) / (e^2 D^2): no Fraction is built.
+    """
+    s = m.minus_scalar(re)
+    sq = s @ s
+    e2 = im.denominator * im.denominator
+    num = [x * e2 for x in sq.num]
+    c2d = im.numerator * im.numerator * sq.den
+    for k in range(0, len(num), sq.cols + 1):
+        num[k] += c2d
+    return ExactMatrix(sq.rows, sq.cols, tuple(num), sq.den * e2)
+
+
 @dataclass(frozen=True)
 class MatrixChainData:
     """Shared exact computations for one square rational matrix S.
@@ -194,19 +213,18 @@ class MatrixChainData:
     ranks[n] = rank(S^n) for n = 0..nu+1, where nu is the least n with
     rank(S^n) = rank(S^(n+1)); for a square matrix the kernel and image
     chains both freeze exactly at nu. The profile needs only the ranks and
-    the Fitting split only the kernel and image of top = S^nu, so no other
-    power is kept.
+    the Fitting split (K, H0) = (R(S^nu), N(S^nu)) only the image and
+    kernel of top = S^nu, so no other power is kept.
+
+    At a complex point matrix_data_at walks the powers of q(m) instead of
+    those of the realified block S: matrix and top are then q(m) and
+    q(m)^nu, while ranks and nu stay S's, rank(S^n) = d + rank(q(m)^n).
     """
 
     matrix: ExactMatrix
     ranks: tuple[int, ...]
     nu: int
     top: ExactMatrix
-
-    def fitting_split(self) -> tuple[SubspaceBasis, SubspaceBasis]:
-        """(K, H0) = (R(S^nu), N(S^nu)): the space is their direct sum, S
-        is invertible on the core K and nilpotent of degree nu on H0."""
-        return image_basis(self.top), kernel_basis(self.top)
 
 
 def matrix_chain_data(s: ExactMatrix) -> MatrixChainData:
@@ -250,7 +268,7 @@ def rank_profile(d: int, ranks: Sequence[int], scale: int = 1) -> StructuralProf
 
 
 def matrix_profile(data: MatrixChainData, scale: int = 1) -> StructuralProfile:
-    return rank_profile(data.matrix.rows, data.ranks, scale)
+    return rank_profile(data.ranks[0], data.ranks, scale)
 
 
 INVERTIBLE_PROFILE = StructuralProfile(
@@ -327,11 +345,22 @@ def atom_region(atom: Atom, lam: Point) -> object:
 def matrix_data_at(m: ExactMatrix, lam: Point) -> tuple[MatrixChainData | None, int]:
     """Eigenvalue-first: (None, 1) when lam is not an eigenvalue of m, so
     that m - lam is invertible and has the invertible profile; else the
-    chain data of the realified block S ~ m - lam and its dimension scale."""
+    chain data of the shifted block S ~ m - lam and its dimension scale.
+
+    At a real lam, S = m - lam and the scale is 1. At lam = re + i*im with
+    im != 0 the ranks come from q(m) (real_quadratic), d x d, not from the
+    2d x 2d realified block S. Over C, q(m)^n = (m - lam)^n (m - conj(lam))^n
+    and the two generalized eigenspaces meet only in 0, so N(q(m)^n) is
+    N((m - lam)^n) plus its conjugate: dim_Q N(q(m)^n) = 2 a_n = dim_Q N(S^n).
+    Hence rank(S^n) = d + rank(q(m)^n), with the same nu, and the scale is 2.
+    """
     if not m.is_eigenvalue(*lam):
         return None, 1
-    s, scale = realified(m, *lam)
-    return matrix_chain_data(s), scale
+    re, im = lam
+    if not im:
+        return matrix_chain_data(m.minus_scalar(re)), 1
+    data = matrix_chain_data(real_quadratic(m, re, im))
+    return replace(data, ranks=tuple([m.rows + r for r in data.ranks])), 2
 
 
 def atom_profile(atom: Atom, lam: Point) -> StructuralProfile:

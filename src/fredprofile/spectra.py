@@ -293,12 +293,16 @@ def scan_to_csv(s: SpectrumScan) -> str:
 # the start of a points row as json.dumps(..., indent=2) lays it out; the
 # text of a rational needs no JSON escaping
 _ROW_HEAD = '\n      "re": "{}",\n      "im": "{}"'
+# the flag items' keys as the row lays them out, each followed by true or false
+_FLAG_HEADS = tuple(f",\n      {json.dumps(name)}: " for name in FLAG_NAMES)
 
 
 def _json_row_tail(rec: ClassificationRecord) -> str:
     """The items of a points row after "re" and "im", laid out as _ROW_HEAD."""
-    vals: dict[str, object] = {**rec.flags(), **rec.summary.to_strs()}
-    return "".join(f",\n      {json.dumps(k)}: {json.dumps(v)}" for k, v in vals.items())
+    flags = rec.flags().values()
+    out = [h + ("true" if v else "false") for h, v in zip(_FLAG_HEADS, flags)]
+    out += [f",\n      {json.dumps(k)}: {json.dumps(v)}" for k, v in rec.summary.to_strs().items()]
+    return "".join(out)
 
 
 def scan_to_json(s: SpectrumScan, set_name: str) -> str:

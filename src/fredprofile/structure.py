@@ -13,9 +13,13 @@ stabilization point of the full meet chain.
 These are dimensions, so every profile comes from ranks. Matrix atoms are
 eigenvalue-first: off the roots of the atom's characteristic polynomial
 the shifted block is invertible; at an eigenvalue (at most d points for a
-d x d atom) the ranks of the block's powers give all three profiles. The
-Fitting split, its bases and blocks, is built from the same chain data
-only on request (gkd_pair), for reports and Drazin inverses.
+d x d atom) the ranks of the block's powers give all three profiles. At a
+complex eigenvalue those ranks come from the d x d matrix q(m), the
+atom's image under the eigenvalue's minimal polynomial over Q
+(model.matrix_data_at), so classifying builds no realified block. The
+Fitting split, its bases and blocks, is built only on request (gkd_pair),
+for reports and Drazin inverses: from the same chain data at a real point,
+and at a complex one from the realified block and its nu-th power.
 """
 from __future__ import annotations
 
@@ -26,7 +30,9 @@ from .extvals import ExtIndex, ExtNat, UNDEF_INDEX
 from .linalg import (
     ExactMatrix,
     SubspaceBasis,
+    image_basis,
     inverse,
+    kernel_basis,
     restrict,
     stack,
 )
@@ -119,7 +125,9 @@ class AtomAnalysis:
     """Profiles of one atom at one point: the atom's own and those of its
     semi-regular (m) and quasi-nilpotent (n) pieces, None for an empty
     piece and both None where no decomposition exists. data is the chain
-    data of a matrix atom's shifted block at an eigenvalue, else None."""
+    data of a matrix atom at an eigenvalue (model.matrix_data_at: ranks of
+    the shifted block S, powers of S or, at a complex point, of q(m)),
+    else None."""
 
     atom: Atom
     point: Point
@@ -133,17 +141,17 @@ def analyze_atom(atom: Atom, lam: Point) -> AtomAnalysis:
     """The profiles of one atom at lam, from ranks alone.
 
     At an eigenvalue the block profiles come from the ranks of the powers
-    of the shifted block S: S is invertible on its core K = R(S^nu), so
-    the core block has the invertible profile; S^n acts on K ⊕ H0 as an
-    invertible map plus the n-th power of the H0 block, so
-    rank((S|H0)^n) = rank(S^n) - dim K.
+    of the shifted block S, read from the chain data (at a complex point
+    they are derived from q(m) and S is never built): S is invertible on
+    its core K = R(S^nu), so the core block has the invertible profile;
+    S^n acts on K ⊕ H0 as an invertible map plus the n-th power of the H0
+    block, so rank((S|H0)^n) = rank(S^n) - dim K. S has dimension ranks[0].
     """
     if atom.kind == "matrix":
         data, scale = matrix_data_at(atom.matrix, lam)
         if data is None:
             return AtomAnalysis(atom, lam, INVERTIBLE_PROFILE, INVERTIBLE_PROFILE, None)
-        d = data.matrix.rows
-        k = data.ranks[data.nu]  # dim K
+        d, k = data.ranks[0], data.ranks[data.nu]  # dim S, dim K
         m_prof = INVERTIBLE_PROFILE if k else None
         n_prof = None
         if k < d:
@@ -160,13 +168,21 @@ def analyze_atom(atom: Atom, lam: Point) -> AtomAnalysis:
 def matrix_split(part: AtomAnalysis, atom_index: int) -> MatrixSplit:
     """The Fitting split of a matrix atom's shifted block S at the part's
     point. Off an eigenvalue S is invertible and is its own core; at one,
-    K = R(S^nu) and H0 = N(S^nu) come from the part's chain data."""
-    if part.data is None:
-        s, _ = realified(part.atom.matrix, *part.point)
-        whole, none = SubspaceBasis.full(s.rows), SubspaceBasis.zero(s.rows)
-        return MatrixSplit(atom_index, s, whole, none, Atom("matrix", s), None)
-    s = part.data.matrix
-    core, h0 = part.data.fitting_split()
+    K = R(S^nu) and H0 = N(S^nu). At a real eigenvalue S and S^nu come
+    from the part's chain data; at a complex one that data walked q(m), so
+    S is realified here and S^nu is its power, nu - 1 products."""
+    data, (re, im) = part.data, part.point
+    if data is not None and not im:
+        s, top = data.matrix, data.top
+    else:
+        s, _ = realified(part.atom.matrix, re, im)
+        if data is None:
+            whole, none = SubspaceBasis.full(s.rows), SubspaceBasis.zero(s.rows)
+            return MatrixSplit(atom_index, s, whole, none, Atom("matrix", s), None)
+        top = s  # at nu = 0 S is invertible and splits as S^0 does
+        for _ in range(data.nu - 1):
+            top = top @ s
+    core, h0 = image_basis(top), kernel_basis(top)
     m_atom = Atom("matrix", restrict(s, core)) if core.dim else None
     n_atom = Atom("matrix", restrict(s, h0)) if h0.dim else None
     return MatrixSplit(atom_index, s, core, h0, m_atom, n_atom)

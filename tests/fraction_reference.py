@@ -5,7 +5,7 @@ linalg used before it moved to integer elimination, kept verbatim as the
 oracle for the differential tests, with the matrix-vector product and the
 subspace membership tests they are built on; and, on top of that rref,
 Fraction versions of the kernel, image, subspace sum and intersection,
-the realified block and the Horner eigenvalue test. Nothing in the
+the realified block, q(m) and the Horner eigenvalue test. Nothing in the
 package imports them.
 """
 from __future__ import annotations
@@ -180,6 +180,16 @@ def realified(m: ExactMatrix, re: Fraction, im: Fraction) -> ExactMatrix:
     top = [s[i] + [im if j == i else _ZERO for j in range(d)] for i in range(d)]
     bottom = [[-im if j == i else _ZERO for j in range(d)] + s[i] for i in range(d)]
     return ExactMatrix.from_rows(top + bottom)
+
+
+def real_quadratic(m: ExactMatrix, re: Fraction, im: Fraction) -> ExactMatrix:
+    """(m - re*I)^2 + im^2*I, entry by entry."""
+    d = m.rows
+    s = [[m.at(i, j) - (re if i == j else 0) for j in range(d)] for i in range(d)]
+    sq = [[sum((s[i][k] * s[k][j] for k in range(d)), _ZERO) for j in range(d)] for i in range(d)]
+    for i in range(d):
+        sq[i][i] += im * im
+    return ExactMatrix.from_rows(sq)
 
 
 def is_eigenvalue(m: ExactMatrix, re: Fraction, im: Fraction) -> bool:

@@ -9,7 +9,7 @@ from fractions import Fraction as F
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fredprofile import linalg, model, structure, verify
@@ -52,7 +52,9 @@ def matrix_and_point(draw, max_dim=6):
 
     Half the draws plant the point as an eigenvalue: the matrix is P T P^-1
     with P unimodular and T block upper triangular, its first diagonal
-    block the point (real) or [[re, -im], [im, re]] (complex)."""
+    block the point (real) or C = [[re, -im], [im, re]] (complex); for
+    d >= 4 some complex draws plant the Jordan chain [[C, I], [0, C]] of
+    length 2 instead."""
     d = draw(st.integers(1, max_dim))
     re = draw(st.sampled_from(COORDS))
     im = draw(st.sampled_from(COORDS)) if draw(st.booleans()) else F(0)
@@ -67,6 +69,9 @@ def matrix_and_point(draw, max_dim=6):
             rows[i][j] = F(0)
     if im:
         rows[0][0], rows[0][1], rows[1][0], rows[1][1] = re, -im, im, re
+        if d >= 4 and draw(st.booleans()):
+            rows[0][2:4], rows[1][2:4] = [F(1), F(0)], [F(0), F(1)]
+            rows[2][2], rows[2][3], rows[3][2], rows[3][3] = re, -im, im, re
     else:
         rows[0][0] = re
     unit = st.integers(-1, 1)
@@ -86,7 +91,8 @@ def _fitting_reference(m, lam):
     eigenvalue or not: K = R(S^nu) and H0 = N(S^nu) from a fresh chain
     computation, and S restricted to each."""
     s, _ = realified(m, *lam)
-    core, h0 = matrix_chain_data(s).fitting_split()
+    top = matrix_chain_data(s).top
+    core, h0 = image_basis(top), kernel_basis(top)
     m_atom, n_atom = (Atom("matrix", restrict(s, b)) if b.dim else None for b in (core, h0))
     return MatrixSplit(0, s, core, h0, m_atom, n_atom)
 
@@ -138,8 +144,14 @@ def test_is_eigenvalue_matches_realified_rank(mp):
     assert m.is_eigenvalue(re, im) == (rank(s) < s.rows)
 
 
+# q(m) = (m + 2)^2 + 4 = 0 at -2-2i, yet m - lam has a core: the conjugate
+# eigenspace. The ranks of q(m) itself would make m - lam nilpotent.
+Q_ZERO = (mat([[-2, 2], [-2, -2]]), (F(-2), F(-2)))
+
+
 @settings(max_examples=100, deadline=None)
 @given(matrix_and_point())
+@example(Q_ZERO)
 def test_fast_atom_analysis_equals_fitting_split(mp):
     m, lam = mp
     atom = Atom("matrix", m)
@@ -154,6 +166,8 @@ def test_fast_atom_analysis_equals_fitting_split(mp):
 
 @settings(max_examples=60, deadline=None)
 @given(matrix_and_point(), st.booleans())
+@example(Q_ZERO, False)
+@example(Q_ZERO, True)
 def test_classify_same_on_either_path(mp, with_shift):
     m, lam = mp
     atoms = (RIGHT_SHIFT, Atom("matrix", m)) if with_shift else (Atom("matrix", m),)
@@ -333,15 +347,62 @@ def test_classify_and_scan_build_no_basis(monkeypatch):
     assert not at_one.invertible and at_one.nilpotent is False
 
 
+# the rotation by i, and a complex Jordan chain of length 2 at +-i
+ROT = mat([[0, -1], [1, 0]])
+ROT_CHAIN = mat([[0, -1, 1, 0], [1, 0, 0, 1], [0, 0, 0, -1], [0, 0, 1, 0]])
+
+
+def test_classify_and_scan_build_no_realified_block(monkeypatch):
+    # the unit-step grid on [-1,1]^2 holds the eigenvalues +-i of both
+    # atoms and complex points off them; their ranks come from q(m), d x d
+    e = OperatorExpr.of(RIGHT_SHIFT, Atom("matrix", ROT), Atom("matrix", ROT_CHAIN))
+    blocks = _count_calls(monkeypatch, model, "realified")
+    chain_data = _count_calls(monkeypatch, model, "matrix_chain_data")
+    s = scan(e, GridSpec(F(-1), F(1), F(-1), F(1), 3, 3))
+    at_i = [classify(e, lam) for lam in ((F(0), F(1)), (F(0), F(-1)), (F(1), F(1)))]
+    assert blocks == []
+    assert [c[0].rows for c in chain_data] == [2, 4] * 4
+    assert s.records[s.points.index((F(0), F(1)))] == at_i[0]
+    part = analyze_atom(Atom("matrix", ROT_CHAIN), (F(0), F(1)))
+    assert [part.profile.a.at(n).value for n in range(4)] == [0, 1, 2, 2]
+    assert part.m_profile == INVERTIBLE_PROFILE
+    assert part.n_profile.nilpotency_degree == ExtNat(2)
+
+
+def test_analyze_realifies_once_per_matrix_atom(tmp_path, monkeypatch, capsys):
+    # i is an eigenvalue of the rotation only; the report prints both
+    # atoms' splits on the realified block
+    doc = tmp_path / "op.json"
+    doc.write_text(
+        json.dumps(
+            {
+                "name": "rotation_and_jordan",
+                "atoms": [
+                    {"type": "right_shift"},
+                    {"type": "matrix", "entries": [["0", "-1"], ["1", "0"]]},
+                    {"type": "matrix", "entries": [["1/2", "1"], ["0", "1/2"]]},
+                ],
+            }
+        )
+    )
+    blocks = _count_calls(monkeypatch, model, "realified")
+    assert main(["analyze", "--in", str(doc), "--lambda", "0,1"]) == 0
+    capsys.readouterr()
+    assert [(b[0].rows, b[2]) for b in blocks] == [(2, F(1)), (2, F(1))]
+
+
 def test_engine_builds_no_fraction_between_parse_and_render(monkeypatch):
     # I + J3 at its eigenvalue 1 (chain data, split, restriction), off it
     # at a real and a complex point (the realified block), and on a scan
     # through all three kinds; beside it a block with a core at 1, whose
-    # Drazin inverse goes through both inverses
+    # Drazin inverse goes through both inverses, and the complex Jordan
+    # chain at its eigenvalue i (q(m), then the realified block and its power)
     m = mat([[1, 1, 0], [0, 1, 1], [0, 0, 1]])
     mixed = mat([[1, 1, 0], [0, 1, 0], [0, 0, 2]])
-    e = OperatorExpr.of(RIGHT_SHIFT, Atom("matrix", m), Atom("matrix", mixed))
-    points = [(F(1), F(0)), (F(1, 2), F(0)), (F(1, 2), F(-1, 3))]
+    e = OperatorExpr.of(
+        RIGHT_SHIFT, Atom("matrix", m), Atom("matrix", mixed), Atom("matrix", ROT_CHAIN)
+    )
+    points = [(F(1), F(0)), (F(1, 2), F(0)), (F(1, 2), F(-1, 3)), (F(0), F(1))]
     grid = GridSpec(F(-1), F(1), F(-1), F(1), 3, 3)
     built = []
 

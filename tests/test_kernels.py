@@ -22,7 +22,7 @@ from fredprofile.linalg import (
     subspace_intersection,
     subspace_sum,
 )
-from fredprofile.model import realified
+from fredprofile.model import real_quadratic, realified
 
 ENTRIES = st.one_of(
     st.just(F(0)),
@@ -275,6 +275,8 @@ def test_realified_and_is_eigenvalue_match_fraction_reference(case):
     s, scale = realified(m, re, im)
     assert s == ref.realified(m, re, im)
     assert scale == (2 if im else 1)
+    if im:
+        assert real_quadratic(m, re, im) == ref.real_quadratic(m, re, im)
     assert m.is_eigenvalue(re, im) == ref.is_eigenvalue(m, re, im)
     if planted:
         assert m.is_eigenvalue(re, im)

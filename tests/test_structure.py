@@ -128,11 +128,12 @@ def test_index_shortcuts():
 
 
 def test_h0_and_core():
-    core, h0 = matrix_chain_data(J2_DIAG2.matrix).fitting_split()
+    split = matrix_split(analyze_atom(J2_DIAG2, point(0)), 0)
+    h0, core = split.n_basis, split.m_basis
     assert h0.vectors == ((F(1), F(0), F(0)), (F(0), F(1), F(0)))
     assert core.vectors == ((F(0), F(0), F(1)),)
-    corei, h0i = matrix_chain_data(mat([[1, 0], [0, 1]])).fitting_split()
-    assert h0i.dim == 0 and corei.dim == 2
+    spliti = matrix_split(analyze_atom(matrix_atom([[1, 0], [0, 1]]), point(0)), 0)
+    assert spliti.n_basis.dim == 0 and spliti.m_basis.dim == 2
 
 
 def test_core_oracle_zero_for_matrices():
