@@ -25,8 +25,9 @@ from .structure import analyze_expr, gkd_pair, split_drazin
 
 _RATIONAL_RE = _re.compile(r"-?\d+(/\d+)?\Z")
 
-# Berkowitz's characteristic polynomial costs O(d^4): about 0.7 s at d = 64
-# and 4.5 s at d = 96 under CPython 3.11 on a 2-core Xeon
+# spectrum's characteristic polynomial (Berkowitz) costs O(d^4): about 0.7 s
+# at d = 64 and 4.5 s at d = 96 under CPython 3.11 on a 2-core Xeon; the
+# other commands build none, but the limit holds for every command
 MAX_MATRIX_DIM = 64
 
 # A 64 x 64 matrix document as serialize_document writes it takes 79 KB with

@@ -25,6 +25,8 @@ them (from_ratios takes the integer pairs a parsed document gives),
 minus_scalar and is_eigenvalue read a Fraction's numerator and
 denominator, and the read-only views at, row, column, entries, to_rows,
 char_poly and SubspaceBasis.vectors return them. No kernel builds one.
+Only spectrum scans use the characteristic polynomial (is_eigenvalue);
+analysis at one point decides eigenvalues by rank.
 """
 from __future__ import annotations
 
@@ -94,7 +96,9 @@ class ExactMatrix:
 
     @staticmethod
     def identity(n: int) -> "ExactMatrix":
-        return ExactMatrix(n, n, tuple(int(i == j) for i in range(n) for j in range(n)))
+        num = [0] * (n * n)
+        num[:: n + 1] = [1] * n
+        return ExactMatrix(n, n, tuple(num))
 
     @staticmethod
     def zeros(r: int, c: int) -> "ExactMatrix":

@@ -14,10 +14,13 @@ together with range closedness per power, quasi-nilpotence, nilpotency
 degree, and whether the point admits a generalized Kato decomposition. A
 profile stores a and r only: c and b are their step sizes, derived once on
 access. Matrix kernel chains follow from the exact ranks of the powers
-(rank_profile); shift chains come from closed-form tables, one profile per
+(rank_profile), computed at every point: the first rank alone says whether
+lam is an eigenvalue, so analysis at one point builds no characteristic
+polynomial. Shift chains come from closed-form tables, one profile per
 region of the plane, whose justification is noted inline. A shift's region
 (shift_region) is the sign of |lam|^2 - 1 or whether lam = 0, which a
-grid scan finds by integer comparisons.
+grid scan finds by integer comparisons; a matrix atom's region, for scan
+keys only, comes from its characteristic polynomial (atom_region).
 """
 from __future__ import annotations
 
@@ -159,34 +162,38 @@ ZERO_DIM_PROFILE = StructuralProfile(
 )
 
 
+def realify(x: ExactMatrix, y: ExactMatrix, t: Fraction) -> ExactMatrix:
+    """[[x, -t*y], [t*y, x]]: the rational 2d x 2d matrix of the complex
+    d x d matrix x + i*t*y acting on pairs (u, v) ~ u + i*v."""
+    d = x.rows
+    yden = y.den * t.denominator
+    den = math.lcm(x.den, yden)
+    fx, fy = den // x.den, den // yden * t.numerator
+    top, bottom = [], []
+    for i in range(d):
+        xr = [v * fx for v in x.num[i * d : (i + 1) * d]]
+        yr = [v * fy for v in y.num[i * d : (i + 1) * d]]
+        top += xr + [-v for v in yr]
+        bottom += yr + xr
+    return ExactMatrix(2 * d, 2 * d, tuple(top + bottom), den)
+
+
 def realified(m: ExactMatrix, re: Fraction, im: Fraction) -> tuple[ExactMatrix, int]:
     """The rational matrix S with S ~ m - (re + i*im), and a dimension scale.
 
     For im == 0 this is m - re*I over Q with scale 1. Otherwise the complex
-    operator is realified on pairs (x, y) ~ x + i*y, giving the block matrix
+    operator is realified (realify), giving the block matrix
     [[m - re*I, im*I], [-im*I, m - re*I]] with scale 2: the realification
     commutes with the complex-structure matrix, so every kernel, image,
     intersection and sum it produces carries even rational dimension, and
     dividing by 2 recovers the complex dimension exactly. Only reports
-    build it at a complex point (structure.matrix_split); the ranks that
-    classify come from the d x d matrix q(m) (matrix_data_at).
+    build it at a complex point (structure.matrix_split); the ranks come
+    from the d x d matrix q(m) (matrix_data_at).
     """
     s = m.minus_scalar(re)
     if im == 0:
         return s, 1
-    d = s.rows
-    den = math.lcm(s.den, im.denominator)
-    f = den // s.den
-    v = im.numerator * (den // im.denominator)
-    top, bottom = [], []
-    for i in range(d):
-        row = [x * f for x in s.num[i * d : (i + 1) * d]]
-        off = [0] * d
-        off[i] = v
-        top += row + off
-        off[i] = -v
-        bottom += off + row
-    return ExactMatrix(2 * d, 2 * d, tuple(top + bottom), den), 2
+    return realify(s, ExactMatrix.identity(s.rows), -im), 2
 
 
 def real_quadratic(m: ExactMatrix, re: Fraction, im: Fraction) -> ExactMatrix:
@@ -334,7 +341,8 @@ def atom_region(atom: Atom, lam: Point) -> object:
     """The region of lam on which atom - lam has one fixed profile:
     shift_region for a shift; for a matrix atom None off its eigenvalues
     (the invertible profile) and the point itself at one, so that no two
-    eigenvalues share a region."""
+    eigenvalues share a region. This is the scan key: one cached
+    characteristic polynomial of the matrix serves every grid point."""
     if atom.kind == "matrix":
         return lam if atom.matrix.is_eigenvalue(*lam) else None
     re, im = lam
@@ -342,10 +350,11 @@ def atom_region(atom: Atom, lam: Point) -> object:
     return shift_region(atom.kind, (q2 > 1) - (q2 < 1), not q2)
 
 
-def matrix_data_at(m: ExactMatrix, lam: Point) -> tuple[MatrixChainData | None, int]:
-    """Eigenvalue-first: (None, 1) when lam is not an eigenvalue of m, so
-    that m - lam is invertible and has the invertible profile; else the
-    chain data of the shifted block S ~ m - lam and its dimension scale.
+def matrix_data_at(m: ExactMatrix, lam: Point) -> tuple[MatrixChainData, int]:
+    """The chain data of the shifted block S ~ m - lam and its dimension
+    scale. Its first rank decides whether lam is an eigenvalue: nu = 0
+    (rank d) exactly off the spectrum, where rank_profile gives the
+    invertible profile.
 
     At a real lam, S = m - lam and the scale is 1. At lam = re + i*im with
     im != 0 the ranks come from q(m) (real_quadratic), d x d, not from the
@@ -354,8 +363,6 @@ def matrix_data_at(m: ExactMatrix, lam: Point) -> tuple[MatrixChainData | None, 
     N((m - lam)^n) plus its conjugate: dim_Q N(q(m)^n) = 2 a_n = dim_Q N(S^n).
     Hence rank(S^n) = d + rank(q(m)^n), with the same nu, and the scale is 2.
     """
-    if not m.is_eigenvalue(*lam):
-        return None, 1
     re, im = lam
     if not im:
         return matrix_chain_data(m.minus_scalar(re)), 1
@@ -367,8 +374,7 @@ def atom_profile(atom: Atom, lam: Point) -> StructuralProfile:
     """Structural profile of (atom - lam)."""
     if atom.kind != "matrix":
         return _SHIFT_PROFILES[atom.kind, atom_region(atom, lam)]
-    data, scale = matrix_data_at(atom.matrix, lam)
-    return INVERTIBLE_PROFILE if data is None else matrix_profile(data, scale)
+    return matrix_profile(*matrix_data_at(atom.matrix, lam))
 
 
 def direct_sum_profile(profiles: Sequence[StructuralProfile]) -> StructuralProfile:

@@ -24,6 +24,7 @@ which holds its smallest cell.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -31,10 +32,11 @@ from fractions import Fraction
 from itertools import groupby
 from typing import Iterator
 
-from .classify import FLAG_NAMES, ClassificationRecord, classify
+from .classify import FLAG_NAMES, ClassificationRecord, classify, classify_analysis
 from .docio import rational_str
 from .linalg import exact_rational
 from .model import OperatorExpr, Point, atom_region, shift_region
+from .structure import analyze_atom, assemble_analysis, invertible_analysis
 
 SPECTRUM_NAMES: tuple[str, ...] = (
     "upbf",
@@ -106,26 +108,34 @@ class GridSpec:
             raise ValueError("grid bounds out of order")
 
     @staticmethod
-    def _axis(lo: Fraction, hi: Fraction, steps: int) -> tuple[list[int], int]:
-        """The axis values as integer numerators over one common denominator."""
+    def _axis(lo: Fraction, hi: Fraction, steps: int) -> tuple[tuple[int, ...], int, tuple]:
+        """The axis values as integer numerators over one common
+        denominator, that denominator, and the values themselves."""
         h = (hi - lo) / max(steps - 1, 1)
         den = math.lcm(lo.denominator, h.denominator)
         start, step = lo.numerator * den // lo.denominator, h.numerator * den // h.denominator
-        return [start + i * step for i in range(steps)], den
+        nums = tuple([start + i * step for i in range(steps)])
+        return nums, den, tuple([Fraction(n, den) for n in nums])
 
-    def re_axis(self) -> tuple[list[int], int]:
-        return self._axis(self.re_min, self.re_max, self.re_steps)
+    @functools.cached_property
+    def _axes(self) -> tuple[tuple, tuple]:
+        """Both axes, each computed once per grid."""
+        return (
+            self._axis(self.re_min, self.re_max, self.re_steps),
+            self._axis(self.im_min, self.im_max, self.im_steps),
+        )
 
-    def im_axis(self) -> tuple[list[int], int]:
-        return self._axis(self.im_min, self.im_max, self.im_steps)
+    def re_axis(self) -> tuple[tuple[int, ...], int]:
+        return self._axes[0][:2]
+
+    def im_axis(self) -> tuple[tuple[int, ...], int]:
+        return self._axes[1][:2]
 
     def re_values(self) -> list[Fraction]:
-        nums, den = self.re_axis()
-        return [Fraction(n, den) for n in nums]
+        return list(self._axes[0][2])
 
     def im_values(self) -> list[Fraction]:
-        nums, den = self.im_axis()
-        return [Fraction(n, den) for n in nums]
+        return list(self._axes[1][2])
 
     def points(self) -> list[Point]:
         """Row-major: imaginary part ascending in the outer loop, real part
@@ -159,7 +169,8 @@ def scan(e: OperatorExpr, grid: GridSpec) -> SpectrumScan:
     axes, |lam|^2 - 1 has the sign of a_k - t_j, a_k = R_k^2 D_i^2 and t_j =
     D_r^2 D_i^2 - I_j^2 D_r^2, and lam = 0 is R_k = I_j = 0: the shifts'
     regions take integer comparisons, a matrix atom's its exact
-    is_eigenvalue test."""
+    is_eigenvalue test. A key that puts a matrix atom off its spectrum
+    gives that atom invertible_analysis, so only eigenvalues take ranks."""
     (re_nums, re_den), (im_nums, im_den) = grid.re_axis(), grid.im_axis()
     res, ims = grid.re_values(), grid.im_values()
     a = [r * r * im_den * im_den for r in re_nums]
@@ -181,7 +192,13 @@ def scan(e: OperatorExpr, grid: GridSpec) -> SpectrumScan:
             rid = by_key.get(key)
             if rid is None:
                 rid = by_key[key] = len(distinct)
-                distinct.append(classify(e, (re, im)))
+                lam = (re, im)
+                off = {id(m) for m, r in zip(mats, key[len(kinds) :]) if r is None}
+                parts = tuple(
+                    invertible_analysis(at, lam) if id(at) in off else analyze_atom(at, lam)
+                    for at in e.atoms
+                )
+                distinct.append(classify_analysis(assemble_analysis(e, lam, parts)))
             ids.append(rid)
     return SpectrumScan(grid, tuple(distinct), tuple(ids))
 
@@ -265,11 +282,11 @@ def component_index_report(s: SpectrumScan, set_name: str) -> ComponentReport:
         if cid == len(comps):
             comps.append([first, 0, index])
         comps[cid][1] += n
-    (re_nums, re_den), (im_nums, im_den) = s.grid.re_axis(), s.grid.im_axis()
+    res, ims = s.grid.re_values(), s.grid.im_values()
     out = []
     for cid, (first, n, index) in enumerate(comps):
         j, k = divmod(first, s.grid.re_steps)
-        at = rational_str(Fraction(re_nums[k], re_den)), rational_str(Fraction(im_nums[j], im_den))
+        at = rational_str(res[k]), rational_str(ims[j])
         out.append(Component(cid, index, n, at))
     return ComponentReport(set_name, tuple(out))
 

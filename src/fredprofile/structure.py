@@ -10,16 +10,19 @@ stabilization points of that part's kernel and range chains (0 or infinity,
 since a semi-regular operator has exactly linear chains); dis is the
 stabilization point of the full meet chain.
 
-These are dimensions, so every profile comes from ranks. Matrix atoms are
-eigenvalue-first: off the roots of the atom's characteristic polynomial
-the shifted block is invertible; at an eigenvalue (at most d points for a
-d x d atom) the ranks of the block's powers give all three profiles. At a
-complex eigenvalue those ranks come from the d x d matrix q(m), the
-atom's image under the eigenvalue's minimal polynomial over Q
-(model.matrix_data_at), so classifying builds no realified block. The
-Fitting split, its bases and blocks, is built only on request (gkd_pair),
-for reports and Drazin inverses: from the same chain data at a real point,
-and at a complex one from the realified block and its nu-th power.
+These are dimensions, so every profile comes from ranks. A matrix atom is
+analysed by rank alone (model.matrix_data_at): the ranks of the powers of
+its shifted block give all three profiles, and the first of them says
+whether the point is an eigenvalue; off the spectrum the chain stops at
+nu = 0 with the invertible profile. At a complex point those ranks come
+from the d x d matrix q(m), the atom's image under the point's minimal
+polynomial over Q, so classifying builds no realified block.
+assemble_analysis sums given per-atom analyses into the profiles and the
+summary; analyze_expr and the scans share it. The Fitting split, its bases
+and blocks, is built only on request (gkd_pair), for reports and Drazin
+inverses: from the same chain data at a real point, and at a complex one
+from the realified block and its nu-th power, or off the spectrum from
+q(m), whose inverse gives the block's.
 """
 from __future__ import annotations
 
@@ -52,6 +55,7 @@ from .model import (
     power_profile,
     rank_profile,
     realified,
+    realify,
 )
 
 
@@ -60,8 +64,9 @@ class MatrixSplit:
     """Fitting split of one matrix atom's shifted block S: the ambient space
     is the exact direct sum of m_basis, on which S restricts to the
     invertible m_atom, and n_basis, on which it restricts to the nilpotent
-    n_atom (None for an empty basis). S and the bases live in the
-    realified space when the point has a nonzero imaginary part."""
+    n_atom (None for an empty basis). m_inverse is the inverse of m_atom's
+    matrix (None without a core). S and the bases live in the realified
+    space when the point has a nonzero imaginary part."""
 
     atom_index: int
     block: ExactMatrix
@@ -69,6 +74,7 @@ class MatrixSplit:
     n_basis: SubspaceBasis
     m_atom: Atom | None
     n_atom: Atom | None
+    m_inverse: ExactMatrix | None
 
 
 @dataclass(frozen=True)
@@ -124,10 +130,10 @@ class StructuralSummary:
 class AtomAnalysis:
     """Profiles of one atom at one point: the atom's own and those of its
     semi-regular (m) and quasi-nilpotent (n) pieces, None for an empty
-    piece and both None where no decomposition exists. data is the chain
-    data of a matrix atom at an eigenvalue (model.matrix_data_at: ranks of
-    the shifted block S, powers of S or, at a complex point, of q(m)),
-    else None."""
+    piece and both None where no decomposition exists. data is a matrix
+    atom's chain data (model.matrix_data_at: the ranks of the shifted
+    block S, and the powers of S or, at a complex point, of q(m)); it is
+    None for a shift atom and in invertible_analysis."""
 
     atom: Atom
     point: Point
@@ -140,17 +146,16 @@ class AtomAnalysis:
 def analyze_atom(atom: Atom, lam: Point) -> AtomAnalysis:
     """The profiles of one atom at lam, from ranks alone.
 
-    At an eigenvalue the block profiles come from the ranks of the powers
+    For a matrix atom the block profiles come from the ranks of the powers
     of the shifted block S, read from the chain data (at a complex point
     they are derived from q(m) and S is never built): S is invertible on
     its core K = R(S^nu), so the core block has the invertible profile;
     S^n acts on K ⊕ H0 as an invertible map plus the n-th power of the H0
     block, so rank((S|H0)^n) = rank(S^n) - dim K. S has dimension ranks[0].
+    Off the spectrum nu = 0, K is the whole space and H0 is empty.
     """
     if atom.kind == "matrix":
         data, scale = matrix_data_at(atom.matrix, lam)
-        if data is None:
-            return AtomAnalysis(atom, lam, INVERTIBLE_PROFILE, INVERTIBLE_PROFILE, None)
         d, k = data.ranks[0], data.ranks[data.nu]  # dim S, dim K
         m_prof = INVERTIBLE_PROFILE if k else None
         n_prof = None
@@ -165,27 +170,41 @@ def analyze_atom(atom: Atom, lam: Point) -> AtomAnalysis:
     return AtomAnalysis(atom, lam, prof, prof, None)
 
 
+def invertible_analysis(atom: Atom, lam: Point) -> AtomAnalysis:
+    """The analysis of an atom known to be invertible at lam, as a scan's
+    key proves it for a matrix atom off its spectrum: what analyze_atom
+    gives there, without its chain data, which classification never reads."""
+    return AtomAnalysis(atom, lam, INVERTIBLE_PROFILE, INVERTIBLE_PROFILE, None)
+
+
 def matrix_split(part: AtomAnalysis, atom_index: int) -> MatrixSplit:
     """The Fitting split of a matrix atom's shifted block S at the part's
-    point. Off an eigenvalue S is invertible and is its own core; at one,
-    K = R(S^nu) and H0 = N(S^nu). At a real eigenvalue S and S^nu come
+    point, K = R(S^nu) and H0 = N(S^nu). At a real point S and S^nu come
     from the part's chain data; at a complex one that data walked q(m), so
-    S is realified here and S^nu is its power, nu - 1 products."""
+    S is realified here and S^nu is its power, nu - 1 products. Off the
+    spectrum (nu = 0) S is its own core, and at a complex point its
+    inverse is [[A q^-1, -im q^-1], [im q^-1, A q^-1]], A = m - re, from
+    the inverse of the d x d q(m) = A^2 + im^2 I that the data holds."""
     data, (re, im) = part.data, part.point
-    if data is not None and not im:
-        s, top = data.matrix, data.top
-    else:
-        s, _ = realified(part.atom.matrix, re, im)
-        if data is None:
-            whole, none = SubspaceBasis.full(s.rows), SubspaceBasis.zero(s.rows)
-            return MatrixSplit(atom_index, s, whole, none, Atom("matrix", s), None)
-        top = s  # at nu = 0 S is invertible and splits as S^0 does
+    s = data.matrix if not im else realified(part.atom.matrix, re, im)[0]
+    if not data.nu:
+        if im:
+            q_inv = inverse(data.matrix)
+            s_inv = realify(part.atom.matrix.minus_scalar(re) @ q_inv, q_inv, im)
+        else:
+            s_inv = inverse(s)
+        whole, none = SubspaceBasis.full(s.rows), SubspaceBasis.zero(s.rows)
+        return MatrixSplit(atom_index, s, whole, none, Atom("matrix", s), None, s_inv)
+    top = data.top
+    if im:
+        top = s
         for _ in range(data.nu - 1):
             top = top @ s
     core, h0 = image_basis(top), kernel_basis(top)
     m_atom = Atom("matrix", restrict(s, core)) if core.dim else None
     n_atom = Atom("matrix", restrict(s, h0)) if h0.dim else None
-    return MatrixSplit(atom_index, s, core, h0, m_atom, n_atom)
+    m_inv = inverse(m_atom.matrix) if m_atom else None
+    return MatrixSplit(atom_index, s, core, h0, m_atom, n_atom, m_inv)
 
 
 @dataclass(frozen=True)
@@ -209,7 +228,14 @@ class ExprAnalysis:
 
 
 def analyze_expr(e: OperatorExpr, lam: Point, power: int = 1) -> ExprAnalysis:
-    parts = tuple(analyze_atom(a, lam) for a in e.atoms)
+    return assemble_analysis(e, lam, tuple(analyze_atom(a, lam) for a in e.atoms), power)
+
+
+def assemble_analysis(
+    e: OperatorExpr, lam: Point, parts: tuple[AtomAnalysis, ...], power: int = 1
+) -> ExprAnalysis:
+    """The profiles and summary of (e - lam)^power from the analyses of
+    e's atoms at lam, in order: direct sums of their profiles, then powers."""
     full = direct_sum_profile([p.profile for p in parts])
     full = power_profile(full, power)
     dis = full.c.stabilization_point()
@@ -279,13 +305,14 @@ def index(e: OperatorExpr, lam: Point) -> ExtIndex:
 
 def split_drazin(split: MatrixSplit) -> ExactMatrix:
     """Exact Drazin inverse of a matrix atom's shifted block S from its
-    split: with P = [K | H0] and A the core block, S^D = P diag(A^-1, 0)
-    P^-1. The Drazin inverse is unique, so any split gives the same one."""
+    split: with P = [K | H0] and A^-1 the split's m_inverse, S^D =
+    P diag(A^-1, 0) P^-1. The Drazin inverse is unique, so any split gives
+    the same one."""
     core, h0 = split.m_basis, split.n_basis
     d = core.ambient_dim
     if not core.dim:
         return ExactMatrix.zeros(d, d)
-    a_inv = inverse(split.m_atom.matrix)
+    a_inv = split.m_inverse
     if not h0.dim:
         # the canonical basis of the whole space is the identity, so P = I
         return a_inv

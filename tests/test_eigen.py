@@ -1,18 +1,20 @@
-"""Eigenvalue-first matrix atoms: the characteristic polynomial, the exact
-eigenvalue test, and differential checks of the shortcut it enables
-against the exact Fitting split; and of what is derived from that one
-split (chains, block profiles, the Drazin inverse) against the routes
-that compute it a second way."""
+"""Rank-first matrix atoms: the characteristic polynomial and the exact
+eigenvalue test that scan keys use, and differential checks of the
+analysis from ranks (of q(m) at complex points) and of the scans' keyed
+shortcut against the exact Fitting split of the realified block; and of
+what is derived from that one split (chains, block profiles, the Drazin
+inverse) against the routes that compute it a second way."""
 import json
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 from random import Random
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from fredprofile import linalg, model, structure, verify
+from fredprofile import docio, linalg, model, structure, verify
 from fredprofile.classify import classify
 from fredprofile.cli import main
 from fredprofile.errors import InternalInvariantError
@@ -81,9 +83,20 @@ def matrix_and_point(draw, max_dim=6):
     return p @ ExactMatrix.from_rows(rows) @ inverse(p), (re, im)
 
 
+def _realified_data(m, lam):
+    """matrix_data_at's result from the chain of the realified block
+    itself, not of q(m)."""
+    s, scale = realified(m, *lam)
+    return matrix_chain_data(s), scale
+
+
 def _slow_everywhere(mp):
-    """Force the eigenvalue path, chain data and all, at every point."""
+    """Take every matrix atom's ranks from the realified block, and give
+    scans the eigenvalue path at every point. A split from such chain
+    data is not the library's at a complex point: it is for classifying."""
     mp.setattr(ExactMatrix, "is_eigenvalue", lambda self, re, im=0: True)
+    for mod in (model, structure):
+        mp.setattr(mod, "matrix_data_at", _realified_data)
 
 
 def _fitting_reference(m, lam):
@@ -94,7 +107,8 @@ def _fitting_reference(m, lam):
     top = matrix_chain_data(s).top
     core, h0 = image_basis(top), kernel_basis(top)
     m_atom, n_atom = (Atom("matrix", restrict(s, b)) if b.dim else None for b in (core, h0))
-    return MatrixSplit(0, s, core, h0, m_atom, n_atom)
+    m_inv = inverse(m_atom.matrix) if m_atom else None
+    return MatrixSplit(0, s, core, h0, m_atom, n_atom, m_inv)
 
 
 def test_char_poly_known():
@@ -162,6 +176,27 @@ def test_fast_atom_analysis_equals_fitting_split(mp):
     assert part.profile == matrix_profile(matrix_chain_data(s), scale)
     if not m.is_eigenvalue(*lam):
         assert part.profile == INVERTIBLE_PROFILE
+
+
+# Q_ZERO's matrix at 2 - 2i, off its spectrum -2 +- 2i
+Q_ZERO_OFF = (Q_ZERO[0], (F(2), F(-2)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrix_and_point())
+@example(Q_ZERO)
+@example(Q_ZERO_OFF)
+def test_complex_off_spectrum_drazin_is_the_block_inverse(mp):
+    # off the spectrum the split's inverse comes from q(m)'s, d x d; it
+    # must be the inverse of the realified block
+    m, (re, im) = mp
+    assume(im)
+    s, _ = realified(m, re, im)
+    split = matrix_split(analyze_atom(Atom("matrix", m), (re, im)), 0)
+    if rank(s) < s.rows:
+        assert split.n_basis.dim
+    else:
+        assert split_drazin(split) == inverse(s)
 
 
 @settings(max_examples=60, deadline=None)
@@ -242,21 +277,17 @@ def test_rank_derived_chains_equal_subspace_chains(mp):
 def test_derived_block_profiles_equal_block_chains(mp):
     m, lam = mp
     s, scale = realified(m, *lam)
-    for slow in (False, True):
-        with pytest.MonkeyPatch.context() as patch:
-            if slow:
-                _slow_everywhere(patch)
-            part = analyze_atom(Atom("matrix", m), lam)
-        split = matrix_split(part, 0)
-        for blk, basis, prof in (
-            (split.m_atom, split.m_basis, part.m_profile),
-            (split.n_atom, split.n_basis, part.n_profile),
-        ):
-            if basis.dim:
-                assert blk.matrix == restrict(s, basis)
-                assert prof == matrix_profile(matrix_chain_data(blk.matrix), scale)
-            else:
-                assert blk is None and prof is None
+    part = analyze_atom(Atom("matrix", m), lam)
+    split = matrix_split(part, 0)
+    for blk, basis, prof in (
+        (split.m_atom, split.m_basis, part.m_profile),
+        (split.n_atom, split.n_basis, part.n_profile),
+    ):
+        if basis.dim:
+            assert blk.matrix == restrict(s, basis)
+            assert prof == matrix_profile(matrix_chain_data(blk.matrix), scale)
+        else:
+            assert blk is None and prof is None
 
 
 @settings(max_examples=100, deadline=None)
@@ -320,7 +351,8 @@ def test_analyze_is_one_pass(tmp_path, monkeypatch, capsys):
     assert main(["analyze", "--in", str(doc), "--lambda", "1/2,0"]) == 0
     capsys.readouterr()
     assert len(analyses) == 1
-    assert [c[0].rows for c in chain_data] == [2]
+    # one chain per matrix atom: its first rank finds the rotation invertible
+    assert [c[0].rows for c in chain_data] == [2, 2]
     assert sums == [] and meets == []
 
 
@@ -361,12 +393,84 @@ def test_classify_and_scan_build_no_realified_block(monkeypatch):
     s = scan(e, GridSpec(F(-1), F(1), F(-1), F(1), 3, 3))
     at_i = [classify(e, lam) for lam in ((F(0), F(1)), (F(0), F(-1)), (F(1), F(1)))]
     assert blocks == []
-    assert [c[0].rows for c in chain_data] == [2, 4] * 4
+    # the scan's keys at +-i, then classify at +-i and at 1 + i, off both spectra
+    assert [c[0].rows for c in chain_data] == [2, 4] * 5
     assert s.records[s.points.index((F(0), F(1)))] == at_i[0]
     part = analyze_atom(Atom("matrix", ROT_CHAIN), (F(0), F(1)))
     assert [part.profile.a.at(n).value for n in range(4)] == [0, 1, 2, 2]
     assert part.m_profile == INVERTIBLE_PROFILE
     assert part.n_profile.nilpotency_degree == ExtNat(2)
+
+
+PINNED = Path(__file__).resolve().parent / "demo_outputs"
+
+# documents whose reports are pinned at a complex point, with that point:
+# off the spectrum of both matrix atoms (a real Jordan block at 1/2 and a
+# rotation-scaling block with eigenvalues 1/2 +- i/2), whose Drazin
+# inverses are then their inverses; and the complex Jordan chain at i
+COMPLEX_REPORTS = {
+    "analyze_off_spectrum_complex": (
+        {
+            "name": "off_spectrum",
+            "atoms": [
+                {"type": "right_shift"},
+                {
+                    "type": "matrix",
+                    "entries": [["1/2", "1", "0"], ["0", "1/2", "1"], ["0", "0", "1/2"]],
+                },
+                {"type": "matrix", "entries": [["1/2", "-1/2"], ["1/2", "1/2"]]},
+            ],
+        },
+        "1/2,1/3",
+    ),
+    "analyze_rot_chain_at_i": (
+        {
+            "name": "rot_chain",
+            "atoms": [{"type": "matrix", "entries": docio.matrix_rows(ROT_CHAIN)}],
+        },
+        "0,1",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", COMPLEX_REPORTS)
+def test_complex_point_report_is_pinned(name, tmp_path, capsys):
+    doc, lam = COMPLEX_REPORTS[name]
+    f = tmp_path / "op.json"
+    f.write_text(json.dumps(doc))
+    assert main(["analyze", "--in", str(f), "--lambda", lam]) == 0
+    assert capsys.readouterr().out == (PINNED / f"{name}.json").read_text()
+
+
+def test_analysis_builds_no_characteristic_polynomial(tmp_path, monkeypatch, capsys):
+    # 1/2 and i are eigenvalues (of the Jordan block, of the rotation), 1/3
+    # and 1/2 + i/3 are not; J3's eigenvalue 0 is its Drazin inverse's point
+    polys = []
+    berkowitz = ExactMatrix.__dict__["_scaled_char_poly"].func
+
+    def counting(self):
+        polys.append(self)
+        return berkowitz(self)
+
+    monkeypatch.setattr(ExactMatrix, "_scaled_char_poly", property(counting))
+    jordan = mat([["1/2", 1], [0, "1/2"]])
+    e = OperatorExpr.of(RIGHT_SHIFT, Atom("matrix", ROT), Atom("matrix", jordan))
+    def write(expr):
+        f = tmp_path / "op.json"
+        f.write_text(docio.serialize_document(docio.OperatorDocument("op", expr)))
+        return str(f)
+
+    doc = write(e)
+    for re, im in (("1/2", "0"), ("1/3", "0"), ("0", "1"), ("1/2", "1/3")):
+        assert main(["analyze", "--in", doc, "--lambda", f"{re},{im}"]) == 0
+        classify(e, (F(re), F(im)))
+    for m in (jordan, mat([[0, 1, 0], [0, 0, 1], [0, 0, 0]])):
+        assert main(["drazin", "--in", write(OperatorExpr.of(Atom("matrix", m)))]) == 0
+    capsys.readouterr()
+    assert polys == []
+    # the scans' keys do evaluate it
+    scan(e, GridSpec(F(0), F(1), F(0), F(1), 2, 2))
+    assert polys
 
 
 def test_analyze_realifies_once_per_matrix_atom(tmp_path, monkeypatch, capsys):
@@ -393,7 +497,8 @@ def test_analyze_realifies_once_per_matrix_atom(tmp_path, monkeypatch, capsys):
 
 def test_engine_builds_no_fraction_between_parse_and_render(monkeypatch):
     # I + J3 at its eigenvalue 1 (chain data, split, restriction), off it
-    # at a real and a complex point (the realified block), and on a scan
+    # at a real and a complex point (the realified block, and there the
+    # inverse of q(m)), and on a scan
     # through all three kinds; beside it a block with a core at 1, whose
     # Drazin inverse goes through both inverses, and the complex Jordan
     # chain at its eigenvalue i (q(m), then the realified block and its power)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from fredprofile import spectra
 from fredprofile.catalog import by_name
-from fredprofile.classify import FLAG_NAMES, classify
+from fredprofile.classify import FLAG_NAMES, classify, classify_analysis
 from fredprofile.docio import rational_str
 from fredprofile.linalg import ExactMatrix, inverse
 from fredprofile.model import (
@@ -544,11 +544,11 @@ def test_scan_classifies_once_per_key(monkeypatch, name, keys):
     g = grid(41)
     calls = []
 
-    def counting(e, lam, power=1):
-        calls.append(lam)
-        return classify(e, lam, power)
+    def counting(an):
+        calls.append(an.point)
+        return classify_analysis(an)
 
-    monkeypatch.setattr(spectra, "classify", counting)
+    monkeypatch.setattr(spectra, "classify_analysis", counting)
     s = scan(e, g)
     assert len(s.records) == 41 * 41
     assert len(calls) == keys
@@ -572,11 +572,11 @@ def test_record_work_runs_once_per_distinct_record(monkeypatch, name):
 
         return wrapped
 
-    for fn in ("classify", "_csv_tail", "_json_row_tail", "spectrum_membership"):
+    for fn in ("classify_analysis", "_csv_tail", "_json_row_tail", "spectrum_membership"):
         monkeypatch.setattr(spectra, fn, counting(getattr(spectra, fn)))
     s = scan(e, g)
     n = len(s.distinct)
-    assert calls == {"classify": n}
+    assert calls == {"classify_analysis": n}
     for work, want in (
         (lambda: scan_to_csv(s), {"_csv_tail": n}),
         (lambda: component_index_report(s, "pbf"), {"spectrum_membership": n}),
