@@ -96,11 +96,15 @@ def _parse_grid(parser: _Parser, text: str) -> GridSpec:
         parser.error(f"grid must be RE0,RE1,IM0,IM1,NR,NI, got {text!r}")
     try:
         re0, re1, im0, im1 = (parse_rational(s) for s in parts[:4])
-        nr, ni = int(parts[4]), int(parts[5])
-    except (DocumentError, ValueError) as exc:
+    except DocumentError as exc:
         parser.error(str(exc))
+    # ASCII digits only: int() also accepts signs, spaces, underscores and
+    # other scripts' decimal digits
+    for s in parts[4:]:
+        if not (s.isascii() and s.isdigit()):
+            parser.error(f"grid point count must be digits 0-9, got {s!r}")
     try:
-        return GridSpec(re0, re1, im0, im1, nr, ni)
+        return GridSpec(re0, re1, im0, im1, int(parts[4]), int(parts[5]))
     except ValueError as exc:
         parser.error(str(exc))
 

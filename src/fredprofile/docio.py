@@ -7,6 +7,12 @@ as quoted strings "p" or "p/q", never as JSON numbers. Reports are JSON
 with every rational and extended value rendered the same way; chains are
 stored by prefix plus affine tail so parsing a serialized report
 reconstructs it exactly.
+
+Reports, documents and the head of a JSON spectrum scan are written by
+one writer, json_text, in the layout of the standard json module's dumps
+with indent=2 and its default ASCII escaping, byte for byte; it takes
+only the values such output is made of: str, int, bool, None, lists and
+dicts with str keys.
 """
 from __future__ import annotations
 
@@ -15,6 +21,7 @@ import math
 import re as _re
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as quote
 
 from .classify import classify_analysis
 from .errors import DocumentError, OutputError
@@ -23,7 +30,8 @@ from .linalg import ExactMatrix
 from .model import ATOM_KINDS, Atom, OperatorExpr, Point
 from .structure import analyze_expr, gkd_pair, split_drazin
 
-_RATIONAL_RE = _re.compile(r"-?\d+(/\d+)?\Z")
+# ASCII digits only: \d and int() also accept other scripts' decimal digits
+_RATIONAL_RE = _re.compile(r"-?[0-9]+(/[0-9]+)?\Z")
 
 # spectrum's characteristic polynomial (Berkowitz) costs O(d^4): about 0.7 s
 # at d = 64 and 4.5 s at d = 96 under CPython 3.11 on a 2-core Xeon; the
@@ -36,6 +44,71 @@ MAX_MATRIX_DIM = 64
 # entries of up to about 100 digits over 100 digits. A longer document is
 # refused before json.loads builds anything from it.
 MAX_DOCUMENT_BYTES = 2**20
+
+
+# the text of each scalar json_text writes, by exact type; bool is not int
+_SCALAR_TEXT = {
+    str: quote,
+    int: int.__repr__,
+    bool: ("false", "true").__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
+def _write_json(v: object, indent: str, out: list[str]) -> None:
+    """Append the text of the list or dict v to out; indent is a newline
+    and v's own indentation. A list of strs is joined in one step."""
+    inner = indent + "  "
+    sep = "," + inner
+    if type(v) is list:
+        if not v:
+            out.append("[]")
+            return
+        try:
+            out.append("[" + inner + sep.join(map(quote, v)) + indent + "]")
+            return
+        except TypeError:  # an item that is not a str
+            pass
+        head = "[" + inner
+        for x in v:
+            text = _SCALAR_TEXT.get(type(x))
+            if text is None:
+                out.append(head)
+                _write_json(x, inner, out)
+            else:
+                out.append(head + text(x))
+            head = sep
+        out.append(indent + "]")
+    elif type(v) is dict:
+        if not v:
+            out.append("{}")
+            return
+        head = "{" + inner
+        for k, x in v.items():
+            if type(k) is not str:
+                raise TypeError(f"JSON object keys must be str, not {type(k).__name__}")
+            text = _SCALAR_TEXT.get(type(x))
+            if text is None:
+                out.append(head + quote(k) + ": ")
+                _write_json(x, inner, out)
+            else:
+                out.append(head + quote(k) + ": " + text(x))
+            head = sep
+        out.append(indent + "}")
+    else:
+        raise TypeError(f"{type(v).__name__} is not written as JSON")
+
+
+def json_text(v: object) -> str:
+    """v laid out as the json module's dumps(v, indent=2) lays it out. v is
+    built of str, int, bool, None, lists and dicts with str keys; any other
+    value, a float or a tuple for one, raises TypeError."""
+    text = _SCALAR_TEXT.get(type(v))
+    if text is not None:
+        return text(v)
+    out: list[str] = []
+    _write_json(v, "\n", out)
+    return "".join(out)
 
 
 def _parse_ratio(value: object) -> tuple[int, int]:
@@ -160,15 +233,20 @@ def parse_document(text: str) -> OperatorDocument:
 
 def serialize_document(doc: OperatorDocument) -> str:
     obj = {"name": doc.name, "atoms": [_atom_to_record(a) for a in doc.expr.atoms]}
-    return json.dumps(obj, indent=2) + "\n"
+    return json_text(obj) + "\n"
 
 
 def _seq_block(seq: EvAffineSeq, shown: int) -> dict:
+    """The block of seq; its shown window of the first `shown` values is
+    the prefix texts, then the tail's values as ints."""
+    prefix = [v.to_str() for v in seq.prefix]
+    base, slope, rest = seq.tail_base.value, seq.tail_slope, shown - len(prefix)
+    tail = ["inf"] * rest if base is None else [str(base + slope * k) for k in range(rest)]
     return {
-        "prefix": [v.to_str() for v in seq.prefix],
+        "prefix": prefix,
         "tail_base": seq.tail_base.to_str(),
-        "tail_slope": seq.tail_slope,
-        "shown": [v.to_str() for v in seq.values(shown)],
+        "tail_slope": slope,
+        "shown": prefix[:shown] + tail,
         "tail": seq.tail_formula(),
     }
 
@@ -214,7 +292,7 @@ class AnalysisReport:
             "gkd": self.gkd,
             "matrix_atoms": self.matrix_atoms,
         }
-        return json.dumps(obj, indent=2) + "\n"
+        return json_text(obj) + "\n"
 
     @staticmethod
     def from_json(text: str) -> "AnalysisReport":

@@ -23,8 +23,8 @@ gives.
 Fractions appear only at the boundary: from_rows and from_vectors accept
 them (from_ratios takes the integer pairs a parsed document gives),
 minus_scalar and is_eigenvalue read a Fraction's numerator and
-denominator, and the read-only views at, row, column, entries, to_rows,
-char_poly and SubspaceBasis.vectors return them. No kernel builds one.
+denominator, and the read-only views at, row, column, entries, to_rows
+and SubspaceBasis.vectors return them. No kernel builds one.
 Only spectrum scans use the characteristic polynomial (is_eigenvalue);
 analysis at one point decides eigenvalues by rank.
 """
@@ -174,7 +174,7 @@ class ExactMatrix:
         with the coefficients of det(xI - A_k). Computed once per matrix.
         """
         if self.rows != self.cols:
-            raise ValueError("char_poly needs a square matrix")
+            raise ValueError("the characteristic polynomial needs a square matrix")
         n = self.rows
         a = [self.num[i * n : (i + 1) * n] for i in range(n)]
         p = [1]  # det(xI - A_k), constant term first
@@ -193,19 +193,9 @@ class ExactMatrix:
             p = nxt
         return tuple(p)
 
-    @functools.cached_property
-    def char_poly(self) -> tuple[Fraction, ...]:
-        """Coefficients c_0, ..., c_d of det(xI - self), constant term
-        first: c_m = e_m / den^(d-m) for the coefficients e_m of the
-        integer matrix's polynomial."""
-        n = self.rows
-        return tuple(
-            Fraction(e, self.den ** (n - m)) for m, e in enumerate(self._scaled_char_poly)
-        )
-
     def is_eigenvalue(self, re, im=0) -> bool:
-        """True when re + i*im is a root of char_poly, i.e. self minus that
-        scalar is singular over the complex numbers.
+        """True when re + i*im is a root of the characteristic polynomial,
+        i.e. self minus that scalar is singular over the complex numbers.
 
         With re = a/q, im = b/q over a common denominator q and e_m the
         coefficients of det(xI - A), A = den*self, the root test is

@@ -25,7 +25,6 @@ which holds its smallest cell.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,7 +32,7 @@ from itertools import groupby
 from typing import Iterator
 
 from .classify import FLAG_NAMES, ClassificationRecord, classify, classify_analysis
-from .docio import rational_str
+from .docio import json_text, quote, rational_str
 from .linalg import exact_rational
 from .model import OperatorExpr, Point, atom_region, shift_region
 from .structure import analyze_atom, assemble_analysis, invertible_analysis
@@ -307,24 +306,24 @@ def scan_to_csv(s: SpectrumScan) -> str:
     return "\n".join(lines) + "\n"
 
 
-# the start of a points row as json.dumps(..., indent=2) lays it out; the
-# text of a rational needs no JSON escaping
+# the start of a points row as docio.json_text lays it out; the text of a
+# rational needs no JSON escaping
 _ROW_HEAD = '\n      "re": "{}",\n      "im": "{}"'
 # the flag items' keys as the row lays them out, each followed by true or false
-_FLAG_HEADS = tuple(f",\n      {json.dumps(name)}: " for name in FLAG_NAMES)
+_FLAG_HEADS = tuple(f",\n      {quote(name)}: " for name in FLAG_NAMES)
 
 
 def _json_row_tail(rec: ClassificationRecord) -> str:
     """The items of a points row after "re" and "im", laid out as _ROW_HEAD."""
     flags = rec.flags().values()
     out = [h + ("true" if v else "false") for h, v in zip(_FLAG_HEADS, flags)]
-    out += [f",\n      {json.dumps(k)}: {json.dumps(v)}" for k, v in rec.summary.to_strs().items()]
+    out += [f",\n      {quote(k)}: {quote(v)}" for k, v in rec.summary.to_strs().items()]
     return "".join(out)
 
 
 def scan_to_json(s: SpectrumScan, set_name: str) -> str:
-    """The scan as json.dumps(doc, indent=2) + "\n" writes it, with each
-    distinct record's row items rendered once and shared by its points."""
+    """The scan as docio.json_text(doc) + "\n" writes it, with each distinct
+    record's row items rendered once and shared by its points."""
     report = component_index_report(s, set_name)
     head = {
         "grid": {
@@ -348,7 +347,7 @@ def scan_to_json(s: SpectrumScan, set_name: str) -> str:
         ],
     }
     # the points list is the last member, so it goes where head's "\n}" was
-    parts = [json.dumps(head, indent=2)[:-2], ',\n  "points": [\n    {']
+    parts = [json_text(head)[:-2], ',\n  "points": [\n    {']
     sep = ""
     tails = [_json_row_tail(rec) for rec in s.distinct]
     for im, res, ids in _coord_rows(s):

@@ -5,8 +5,9 @@ linalg used before it moved to integer elimination, kept verbatim as the
 oracle for the differential tests, with the matrix-vector product and the
 subspace membership tests they are built on; and, on top of that rref,
 Fraction versions of the kernel, image, subspace sum and intersection,
-the realified block, q(m) and the Horner eigenvalue test. Nothing in the
-package imports them.
+the realified block, q(m), the characteristic polynomial's Fraction
+coefficients and the Horner eigenvalue test. Nothing in the package
+imports them.
 """
 from __future__ import annotations
 
@@ -192,9 +193,17 @@ def real_quadratic(m: ExactMatrix, re: Fraction, im: Fraction) -> ExactMatrix:
     return ExactMatrix.from_rows(sq)
 
 
+def char_poly(m: ExactMatrix) -> tuple[Fraction, ...]:
+    """Coefficients c_0, ..., c_d of det(xI - m), constant term first:
+    c_m = e_m / den^(d-m) for the coefficients e_m of the integer matrix
+    den*m's polynomial."""
+    d = m.rows
+    return tuple(Fraction(e, m.den ** (d - k)) for k, e in enumerate(m._scaled_char_poly))
+
+
 def is_eigenvalue(m: ExactMatrix, re: Fraction, im: Fraction) -> bool:
-    """Horner's rule on m.char_poly in Gaussian rationals."""
-    coeffs = m.char_poly
+    """Horner's rule on char_poly(m) in Gaussian rationals."""
+    coeffs = char_poly(m)
     x, y = coeffs[-1], _ZERO
     for c in reversed(coeffs[:-1]):
         x, y = x * re - y * im + c, x * im + y * re

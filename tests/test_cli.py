@@ -94,6 +94,9 @@ def test_analyze_rational_point(shift_doc, capsys):
     [
         "1", "1,2,3", "0.5,0", "a,b", "1/0,0", "1/00,0", "0,-3/000",
         pytest.param("1" * 5000 + ",0", id="5000-digits"),
+        # numerals take ASCII digits only
+        pytest.param("\u0661/\u0662,0", id="arabic-indic"),
+        pytest.param("0,\uff11\uff12", id="fullwidth"),
     ],
 )
 def test_analyze_bad_point_is_usage_error(shift_doc, lam, capsys):
@@ -119,8 +122,14 @@ def test_analyze_bad_document(tmp_path, capsys):
         "[" * 100000,
         '{"name": "x", "atoms": [{"type": "matrix", "entries": [["%s"]]}]}' % ("1" * 5000),
         json.dumps({"name": "x", "atoms": [{"type": "matrix", "entries": [["0"] * 65] * 65}]}),
+        # Arabic-Indic and fullwidth digits: numerals take ASCII digits only
+        '{"name": "x", "atoms": [{"type": "matrix", "entries": [["\\u0661/\\u0662"]]}]}',
+        '{"name": "x", "atoms": [{"type": "matrix", "entries": [["\\uff11\\uff12"]]}]}',
     ],
-    ids=["deeply-nested", "5000-digit-entry", "65x65-matrix"],
+    ids=[
+        "deeply-nested", "5000-digit-entry", "65x65-matrix", "arabic-indic-entry",
+        "fullwidth-entry",
+    ],
 )
 def test_analyze_unreadable_document_is_exit_2(tmp_path, text, capsys):
     f = tmp_path / "bad.json"
@@ -203,7 +212,16 @@ def test_spectrum_deterministic_bytes(shift_doc, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "grid", ["-1,1,0,0,3", "-1,1,0,0,0,3", "-1,1,0,0,3,x", "1,-1,0,0,3,3", "0.5,1,0,0,3,3"]
+    "grid",
+    [
+        "-1,1,0,0,3", "-1,1,0,0,0,3", "-1,1,0,0,3,x", "1,-1,0,0,3,3", "0.5,1,0,0,3,3",
+        # numerals and point counts take ASCII digits only
+        pytest.param("-\u0661,1,0,0,3,3", id="arabic-indic-bound"),
+        pytest.param("-1,1,0,0,1_0,3", id="underscore-count"),
+        pytest.param("-1,1,0,0,+5,3", id="signed-count"),
+        pytest.param("-1,1,0,0,3, 5", id="spaced-count"),
+        pytest.param("-1,1,0,0,3,\u0663", id="arabic-indic-count"),
+    ],
 )
 def test_spectrum_bad_grid_is_usage_error(shift_doc, grid, capsys):
     assert main(["spectrum", "--in", shift_doc, f"--grid={grid}"]) == 1

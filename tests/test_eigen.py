@@ -14,6 +14,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from fraction_reference import char_poly
 from fredprofile import docio, linalg, model, structure, verify
 from fredprofile.classify import classify
 from fredprofile.cli import main
@@ -112,17 +113,17 @@ def _fitting_reference(m, lam):
 
 
 def test_char_poly_known():
-    assert mat([[0, -1], [1, 0]]).char_poly == (1, 0, 1)
-    assert mat([[2, 0], [0, 3]]).char_poly == (6, -5, 1)
-    assert mat([[0, 1, 0], [0, 0, 1], [0, 0, 0]]).char_poly == (0, 0, 0, 1)
-    assert mat([["1/2", 1], ["1/3", 0]]).char_poly == (F(-1, 3), F(-1, 2), 1)
+    assert char_poly(mat([[0, -1], [1, 0]])) == (1, 0, 1)
+    assert char_poly(mat([[2, 0], [0, 3]])) == (6, -5, 1)
+    assert char_poly(mat([[0, 1, 0], [0, 0, 1], [0, 0, 0]])) == (0, 0, 0, 1)
+    assert char_poly(mat([["1/2", 1], ["1/3", 0]])) == (F(-1, 3), F(-1, 2), 1)
     # det(xI - M) at x = 0 is (-1)^d det(M)
-    assert mat([[1, 2, 3], [0, 1, 4], [5, 6, 0]]).char_poly[0] == -1
+    assert char_poly(mat([[1, 2, 3], [0, 1, 4], [5, 6, 0]]))[0] == -1
 
 
 def test_char_poly_computed_once():
     m = mat([[1, 2], [3, 4]])
-    assert m.char_poly is m.char_poly
+    assert m._scaled_char_poly is m._scaled_char_poly
 
 
 def test_is_eigenvalue_known():
@@ -146,7 +147,7 @@ def test_char_poly_matches_sympy():
         expected = sympy.Matrix(
             [[sympy.Rational(e.numerator, e.denominator) for e in r] for r in rows]
         ).charpoly(x).all_coeffs()[::-1]
-        got = ExactMatrix.from_rows(rows).char_poly
+        got = char_poly(ExactMatrix.from_rows(rows))
         assert [sympy.Rational(c.numerator, c.denominator) for c in got] == expected
 
 

@@ -2,7 +2,7 @@ import json
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fredprofile import docio
@@ -48,6 +48,9 @@ def test_parse_rational():
     "bad",
     [
         "1.5", "1e3", "", "1/0", "3/-4", "/2", "1 / 2", 3, 0.5, None, [1], "1/00", "-3/000",
+        "1_0", "+1",
+        # other scripts' decimal digits: Arabic-Indic, fullwidth, Devanagari
+        "\u0661/\u0662", "\uff11\uff12", "1/\u0968",
         # more digits than Python's int-string limit
         pytest.param("1" * 5000, id="5000-digits"),
     ],
@@ -316,3 +319,51 @@ def test_readers_on_any_json_value(value):
 def test_readers_on_valid_inputs_with_one_node_replaced(data, value):
     for reader, base in zip(READERS, (VALID_DOCUMENT, VALID_REPORT)):
         _parses_or_document_error(reader, json.dumps(_replace_somewhere(data, base, value)))
+
+
+# any code point, lone surrogates included
+JSON_TEXT = st.text(st.characters(exclude_categories=()), max_size=12)
+WRITER_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(2**200), max_value=2**200)
+    | JSON_TEXT,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(JSON_TEXT, max_size=5)
+    | st.dictionaries(JSON_TEXT, inner, max_size=5),
+    max_leaves=24,
+)
+# the characters JSON escapes, non-ASCII text and lone surrogates
+SPECIAL_TEXT = '"\\/\x00\x08\x1f\x7f\n\t\u00e9 \u2028\ud800\udfff\U0001f600'
+
+
+@settings(max_examples=300)
+@given(WRITER_VALUES)
+@example([SPECIAL_TEXT, [SPECIAL_TEXT, -(2**70)], {SPECIAL_TEXT: {}}, [], {"": [[], None]}])
+@example({"a": [True, False, None, 0, -1, 2**64, "x"], "b": [["1/2", "-3"]], "c": {}})
+def test_json_text_matches_json_dumps_indent_2(value):
+    assert docio.json_text(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        0.5,
+        [1, 2.0],
+        {"a": {"b": [float("nan")]}},
+        {1: "x"},
+        {"a": {None: 1}},
+        {("a",): 1},
+        ("a", "b"),
+        ["a", ("b",)],
+        F(1, 2),
+    ],
+    ids=[
+        "float", "float-in-list", "nan-deep", "int-key", "none-key", "tuple-key", "tuple",
+        "tuple-in-list", "fraction",
+    ],
+)
+def test_json_text_refuses_what_it_does_not_write(value):
+    with pytest.raises(TypeError):
+        docio.json_text(value)
