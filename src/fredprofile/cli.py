@@ -5,13 +5,13 @@ Commands: analyze (classify one operator document at one point), spectrum
 document), verify (randomized property suites).
 
 Exit codes: 0 success, 1 usage error (including a grid of more than
-MAX_GRID_POINTS points and a verify --cases count past verify.MAX_CASES),
-2 document parse error (including a document of more than
-MAX_DOCUMENT_BYTES bytes or not in UTF-8), 4 drazin on a non-matrix
-document, 5 verify found a property violation, 6 internal
-invariant violated (a bug in this package), 7 an output could not be
-produced or written (an unwritable output file or stdout, or a rational
-too long to print).
+MAX_GRID_POINTS points, a verify --cases count past verify.MAX_CASES and
+a point count, --cases or --seed not in ASCII digits), 2 document parse
+error (including a document of more than MAX_DOCUMENT_BYTES bytes or not
+in UTF-8), 4 drazin on a non-matrix document, 5 verify found a property
+violation, 6 internal invariant violated (a bug in this package), 7 an
+output could not be produced or written (an unwritable output file or
+stdout, or a rational too long to print).
 Code 3 is not used.
 """
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .docio import (
     parse_rational,
 )
 from .errors import DocumentError, InternalInvariantError, OutputError
+from .extvals import int_numeral, natural_numeral
 from .model import Point
 from .spectra import GridSpec, SPECTRUM_NAMES, scan, scan_to_csv, scan_to_json
 from .structure import drazin_inverse
@@ -75,8 +76,9 @@ def _build_parser() -> _Parser:
 
     pv = sub.add_parser("verify", help="run randomized property suites")
     pv.add_argument("--suite", default="all", choices=SUITE_NAMES + ("all",))
-    pv.add_argument("--cases", type=int, default=200)
-    pv.add_argument("--seed", type=int, default=0)
+    # ASCII digits only, as for grid point counts; a seed may be negative
+    pv.add_argument("--cases", type=natural_numeral, default=200)
+    pv.add_argument("--seed", type=int_numeral, default=0)
     return p
 
 
@@ -98,13 +100,9 @@ def _parse_grid(parser: _Parser, text: str) -> GridSpec:
         re0, re1, im0, im1 = (parse_rational(s) for s in parts[:4])
     except DocumentError as exc:
         parser.error(str(exc))
-    # ASCII digits only: int() also accepts signs, spaces, underscores and
-    # other scripts' decimal digits
-    for s in parts[4:]:
-        if not (s.isascii() and s.isdigit()):
-            parser.error(f"grid point count must be digits 0-9, got {s!r}")
     try:
-        return GridSpec(re0, re1, im0, im1, int(parts[4]), int(parts[5]))
+        nr, ni = natural_numeral(parts[4]), natural_numeral(parts[5])
+        return GridSpec(re0, re1, im0, im1, nr, ni)
     except ValueError as exc:
         parser.error(str(exc))
 
@@ -173,8 +171,6 @@ def _cmd_drazin(args) -> int:
 
 
 def _cmd_verify(parser: _Parser, args) -> int:
-    if args.cases < 0:
-        parser.error(f"--cases must be >= 0, got {args.cases}")
     if args.cases > MAX_CASES:
         parser.error(f"--cases must be <= {MAX_CASES}, got {args.cases}")
     text, code = run_suites(args.suite, args.cases, args.seed)

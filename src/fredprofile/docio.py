@@ -28,7 +28,7 @@ from .errors import DocumentError, OutputError
 from .extvals import BoolSeq, EvAffineSeq, ExtNat
 from .linalg import ExactMatrix
 from .model import ATOM_KINDS, Atom, OperatorExpr, Point
-from .structure import analyze_expr, gkd_pair, split_drazin
+from .structure import analyze_expr, gkd_pair
 
 # ASCII digits only: \d and int() also accept other scripts' decimal digits
 _RATIONAL_RE = _re.compile(r"-?[0-9]+(/[0-9]+)?\Z")
@@ -312,7 +312,10 @@ class AnalysisReport:
             raise DocumentError(f"malformed report: {exc}") from None
 
     def chain(self, which: str) -> EvAffineSeq:
-        return _seq_from_block(self.chains[which])
+        try:
+            return _seq_from_block(self.chains[which])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DocumentError(f"malformed chain {which!r}: {exc}") from None
 
 
 def build_report(doc: OperatorDocument, lam: Point) -> AnalysisReport:
@@ -363,7 +366,7 @@ def build_report(doc: OperatorDocument, lam: Point) -> AnalysisReport:
         {
             "atom_index": sp.atom_index,
             "shifted_block": matrix_rows(sp.block),
-            "drazin": matrix_rows(split_drazin(sp)),
+            "drazin": matrix_rows(sp.drazin),
             # The block S is invertible on its Fitting core K, so
             # K ∩ N(S) = 0, and R(S) contains S(K) = K, so R(S) + H0
             # contains K + H0, the whole space.

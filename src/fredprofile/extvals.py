@@ -12,6 +12,22 @@ import functools
 from dataclasses import dataclass
 
 
+def natural_numeral(s: str) -> int:
+    """The natural number that s writes in ASCII digits 0-9, else a
+    ValueError: int() also accepts signs, spaces, underscores and other
+    scripts' decimal digits."""
+    if not (isinstance(s, str) and s.isascii() and s.isdigit()):
+        raise ValueError(f"not a numeral of digits 0-9: {s!r}")
+    return int(s)
+
+
+def int_numeral(s: str) -> int:
+    """A natural_numeral after at most one leading "-"."""
+    if s.startswith("-"):
+        return -natural_numeral(s[1:])
+    return natural_numeral(s)
+
+
 @functools.total_ordering
 @dataclass(frozen=True)
 class ExtNat:
@@ -62,7 +78,7 @@ class ExtNat:
 
     @staticmethod
     def from_str(s: str) -> "ExtNat":
-        return INF if s == "inf" else ExtNat(int(s))
+        return INF if s == "inf" else ExtNat(natural_numeral(s))
 
     def __str__(self) -> str:
         return self.to_str()
@@ -150,13 +166,8 @@ class ExtIndex:
 
     @staticmethod
     def from_str(s: str) -> "ExtIndex":
-        if s == "inf":
-            return POS_INF_INDEX
-        if s == "-inf":
-            return NEG_INF_INDEX
-        if s == "undef":
-            return UNDEF_INDEX
-        return ExtIndex.of(int(s))
+        named = {"inf": POS_INF_INDEX, "-inf": NEG_INF_INDEX, "undef": UNDEF_INDEX}
+        return named[s] if s in named else ExtIndex.of(int_numeral(s))
 
     def __str__(self) -> str:
         return self.to_str()

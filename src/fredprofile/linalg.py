@@ -154,10 +154,16 @@ class ExactMatrix:
             raise ValueError("power needs a square matrix")
         if k < 0:
             raise ValueError("negative power")
-        acc = ExactMatrix.identity(self.rows)
-        for _ in range(k):
+        acc = self if k else ExactMatrix.identity(self.rows)
+        for _ in range(k - 1):
             acc = acc @ self
         return acc
+
+    def select_rows(self, idx: Sequence[int]) -> "ExactMatrix":
+        """The rows of self at the indices idx, in that order."""
+        c = self.cols
+        num = tuple(x for i in idx for x in self.num[i * c : (i + 1) * c])
+        return ExactMatrix(len(idx), c, num, self.den)
 
     def is_zero(self) -> bool:
         return not any(self.num)
@@ -327,7 +333,7 @@ class SubspaceBasis:
 
     def __post_init__(self):
         m = self.matrix
-        c, pivots = m.cols, self._pivots()
+        c, pivots = m.cols, self.pivots()
         for i, p in enumerate(pivots):
             if p is None:
                 raise ValueError("zero vector stored in basis")
@@ -366,7 +372,8 @@ class SubspaceBasis:
     def vectors(self) -> tuple[tuple[Fraction, ...], ...]:
         return tuple(self.matrix.row(i) for i in range(self.dim))
 
-    def _pivots(self) -> list[int | None]:
+    def pivots(self) -> list[int | None]:
+        """Each basis vector's pivot column, its first nonzero entry."""
         m, c = self.matrix, self.matrix.cols
         return [
             next((j for j, x in enumerate(m.num[i * c : (i + 1) * c]) if x), None)
@@ -447,11 +454,9 @@ def restrict(m: ExactMatrix, b: SubspaceBasis) -> ExactMatrix:
         raise ValueError("restrict needs a square matrix")
     if m.cols != b.ambient_dim:
         raise AmbientMismatch("matrix and subspace ambient dimensions differ")
-    k = b.dim
     cols = b.matrix.transpose()
     image = m @ cols
-    num = tuple(x for p in b._pivots() for x in image.num[p * k : (p + 1) * k])
-    block = ExactMatrix(k, k, num, image.den)
+    block = image.select_rows(b.pivots())
     if cols @ block != image:
         raise NotInvariant("subspace is not invariant under the matrix")
     return block

@@ -13,10 +13,10 @@ records, as symbolic chains over the power n:
 together with range closedness per power, quasi-nilpotence, nilpotency
 degree, and whether the point admits a generalized Kato decomposition. A
 profile stores a and r only: c and b are their step sizes, derived once on
-access. Matrix kernel chains follow from the exact ranks of the powers
-(rank_profile), computed at every point: the first rank alone says whether
-lam is an eigenvalue, so analysis at one point builds no characteristic
-polynomial. Shift chains come from closed-form tables, one profile per
+access. Matrix kernel chains follow from the exact ranks of the powers,
+the only thing kept (matrix_chain_data, then matrix_profile), computed at
+every point: the first rank alone says whether lam is an eigenvalue, so
+analysis at one point builds no characteristic polynomial. Shift chains come from closed-form tables, one profile per
 region of the plane, whose justification is noted inline. A shift's region
 (shift_region) is the sign of |lam|^2 - 1 or whether lam = 0, which a
 grid scan finds by integer comparisons; a matrix atom's region, for scan
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -178,22 +178,22 @@ def realify(x: ExactMatrix, y: ExactMatrix, t: Fraction) -> ExactMatrix:
     return ExactMatrix(2 * d, 2 * d, tuple(top + bottom), den)
 
 
-def realified(m: ExactMatrix, re: Fraction, im: Fraction) -> tuple[ExactMatrix, int]:
-    """The rational matrix S with S ~ m - (re + i*im), and a dimension scale.
+def realified(m: ExactMatrix, re: Fraction, im: Fraction) -> ExactMatrix:
+    """The rational matrix S with S ~ m - (re + i*im).
 
-    For im == 0 this is m - re*I over Q with scale 1. Otherwise the complex
-    operator is realified (realify), giving the block matrix
-    [[m - re*I, im*I], [-im*I, m - re*I]] with scale 2: the realification
-    commutes with the complex-structure matrix, so every kernel, image,
-    intersection and sum it produces carries even rational dimension, and
-    dividing by 2 recovers the complex dimension exactly. Only reports
-    build it at a complex point (structure.matrix_split); the ranks come
-    from the d x d matrix q(m) (matrix_data_at).
+    For im == 0 this is m - re*I over Q. Otherwise the complex operator is
+    realified (realify), giving the block matrix
+    [[m - re*I, im*I], [-im*I, m - re*I]]: the realification commutes with
+    the complex-structure matrix, so every kernel, image, intersection and
+    sum it produces carries even rational dimension, and dividing by 2
+    (matrix_data_at's scale) recovers the complex dimension exactly. Only
+    reports build it at a complex point (structure.matrix_split); the
+    ranks come from the d x d matrix q(m) (matrix_data_at).
     """
     s = m.minus_scalar(re)
     if im == 0:
-        return s, 1
-    return realify(s, ExactMatrix.identity(s.rows), -im), 2
+        return s
+    return realify(s, ExactMatrix.identity(s.rows), -im)
 
 
 def real_quadratic(m: ExactMatrix, re: Fraction, im: Fraction) -> ExactMatrix:
@@ -213,36 +213,17 @@ def real_quadratic(m: ExactMatrix, re: Fraction, im: Fraction) -> ExactMatrix:
     return ExactMatrix(sq.rows, sq.cols, tuple(num), sq.den * e2)
 
 
-@dataclass(frozen=True)
-class MatrixChainData:
-    """Shared exact computations for one square rational matrix S.
-
-    ranks[n] = rank(S^n) for n = 0..nu+1, where nu is the least n with
+def matrix_chain_data(s: ExactMatrix) -> tuple[int, ...]:
+    """ranks[n] = rank(S^n) for n = 0..nu+1, where nu is the least n with
     rank(S^n) = rank(S^(n+1)); for a square matrix the kernel and image
-    chains both freeze exactly at nu. The profile needs only the ranks and
-    the Fitting split (K, H0) = (R(S^nu), N(S^nu)) only the image and
-    kernel of top = S^nu, so no other power is kept.
-
-    At a complex point matrix_data_at walks the powers of q(m) instead of
-    those of the realified block S: matrix and top are then q(m) and
-    q(m)^nu, while ranks and nu stay S's, rank(S^n) = d + rank(q(m)^n).
-    """
-
-    matrix: ExactMatrix
-    ranks: tuple[int, ...]
-    nu: int
-    top: ExactMatrix
-
-
-def matrix_chain_data(s: ExactMatrix) -> MatrixChainData:
+    chains both freeze exactly at nu. Only the current power is kept."""
     if s.rows != s.cols:
         raise AmbientMismatch("operator matrices must be square")
-    top, nxt = ExactMatrix.identity(s.rows), s
-    ranks = [s.rows, rank(s)]
+    power, ranks = s, [s.rows, rank(s)]
     while ranks[-1] != ranks[-2]:
-        top, nxt = nxt, nxt @ s
-        ranks.append(rank(nxt))
-    return MatrixChainData(s, tuple(ranks), len(ranks) - 2, top)
+        power = power @ s
+        ranks.append(rank(power))
+    return tuple(ranks)
 
 
 def _scaled(v: int, scale: int) -> ExtNat:
@@ -253,15 +234,16 @@ def _scaled(v: int, scale: int) -> ExtNat:
     return ExtNat(v // scale)
 
 
-def rank_profile(d: int, ranks: Sequence[int], scale: int = 1) -> StructuralProfile:
+def matrix_profile(ranks: Sequence[int], scale: int = 1) -> StructuralProfile:
     """Profile of a d x d matrix S from ranks[n] = rank(S^n), n = 0..nu+1,
-    the last two equal.
+    the last two equal (matrix_chain_data), so d = ranks[0]; scale divides
+    the dimensions of a realified S (matrix_data_at).
 
     a_n = d - rank(S^n), and r_n = a_n by rank-nullity, so the derived
     meet and join chains agree too: c_n = b_n = a_{n+1} - a_n.
     """
     nu = len(ranks) - 2
-    a_vals = [_scaled(d - ranks[n], scale) for n in range(nu + 1)]
+    a_vals = [_scaled(ranks[0] - ranks[n], scale) for n in range(nu + 1)]
     a = EvAffineSeq.from_samples(a_vals, nu)
     nilpotent = ranks[nu] == 0
     return StructuralProfile(
@@ -272,10 +254,6 @@ def rank_profile(d: int, ranks: Sequence[int], scale: int = 1) -> StructuralProf
         nilpotency_degree=ExtNat(nu) if nilpotent else INF,
         is_pseudofredholm_point=True,
     )
-
-
-def matrix_profile(data: MatrixChainData, scale: int = 1) -> StructuralProfile:
-    return rank_profile(data.ranks[0], data.ranks, scale)
 
 
 INVERTIBLE_PROFILE = StructuralProfile(
@@ -350,11 +328,11 @@ def atom_region(atom: Atom, lam: Point) -> object:
     return shift_region(atom.kind, (q2 > 1) - (q2 < 1), not q2)
 
 
-def matrix_data_at(m: ExactMatrix, lam: Point) -> tuple[MatrixChainData, int]:
-    """The chain data of the shifted block S ~ m - lam and its dimension
-    scale. Its first rank decides whether lam is an eigenvalue: nu = 0
-    (rank d) exactly off the spectrum, where rank_profile gives the
-    invertible profile.
+def matrix_data_at(m: ExactMatrix, lam: Point) -> tuple[tuple[int, ...], int]:
+    """The ranks of the powers of the shifted block S ~ m - lam
+    (matrix_chain_data) and its dimension scale. The first rank decides
+    whether lam is an eigenvalue: nu = 0 (rank d) exactly off the spectrum,
+    where matrix_profile gives the invertible profile.
 
     At a real lam, S = m - lam and the scale is 1. At lam = re + i*im with
     im != 0 the ranks come from q(m) (real_quadratic), d x d, not from the
@@ -366,8 +344,7 @@ def matrix_data_at(m: ExactMatrix, lam: Point) -> tuple[MatrixChainData, int]:
     re, im = lam
     if not im:
         return matrix_chain_data(m.minus_scalar(re)), 1
-    data = matrix_chain_data(real_quadratic(m, re, im))
-    return replace(data, ranks=tuple([m.rows + r for r in data.ranks])), 2
+    return tuple([m.rows + r for r in matrix_chain_data(real_quadratic(m, re, im))]), 2
 
 
 def atom_profile(atom: Atom, lam: Point) -> StructuralProfile:

@@ -18,11 +18,9 @@ nu = 0 with the invertible profile. At a complex point those ranks come
 from the d x d matrix q(m), the atom's image under the point's minimal
 polynomial over Q, so classifying builds no realified block.
 assemble_analysis sums given per-atom analyses into the profiles and the
-summary; analyze_expr and the scans share it. The Fitting split, its bases
-and blocks, is built only on request (gkd_pair), for reports and Drazin
-inverses: from the same chain data at a real point, and at a complex one
-from the realified block and its nu-th power, or off the spectrum from
-q(m), whose inverse gives the block's.
+summary; analyze_expr and the scans share it. The Fitting split, with its
+bases, blocks and Drazin inverse, is built only on request (gkd_pair), for
+reports and `drazin`, from the atom, the point and nu alone (matrix_split).
 """
 from __future__ import annotations
 
@@ -37,12 +35,10 @@ from .linalg import (
     inverse,
     kernel_basis,
     restrict,
-    stack,
 )
 from .model import (
     Atom,
     INVERTIBLE_PROFILE,
-    MatrixChainData,
     OperatorExpr,
     Point,
     StructuralProfile,
@@ -53,7 +49,7 @@ from .model import (
     matrix_profile,
     point,
     power_profile,
-    rank_profile,
+    real_quadratic,
     realified,
     realify,
 )
@@ -64,9 +60,9 @@ class MatrixSplit:
     """Fitting split of one matrix atom's shifted block S: the ambient space
     is the exact direct sum of m_basis, on which S restricts to the
     invertible m_atom, and n_basis, on which it restricts to the nilpotent
-    n_atom (None for an empty basis). m_inverse is the inverse of m_atom's
-    matrix (None without a core). S and the bases live in the realified
-    space when the point has a nonzero imaginary part."""
+    n_atom (None for an empty basis). drazin is S's Drazin inverse. S and
+    the bases live in the realified space when the point has a nonzero
+    imaginary part."""
 
     atom_index: int
     block: ExactMatrix
@@ -74,7 +70,7 @@ class MatrixSplit:
     n_basis: SubspaceBasis
     m_atom: Atom | None
     n_atom: Atom | None
-    m_inverse: ExactMatrix | None
+    drazin: ExactMatrix
 
 
 @dataclass(frozen=True)
@@ -130,38 +126,32 @@ class StructuralSummary:
 class AtomAnalysis:
     """Profiles of one atom at one point: the atom's own and those of its
     semi-regular (m) and quasi-nilpotent (n) pieces, None for an empty
-    piece and both None where no decomposition exists. data is a matrix
-    atom's chain data (model.matrix_data_at: the ranks of the shifted
-    block S, and the powers of S or, at a complex point, of q(m)); it is
-    None for a shift atom and in invertible_analysis."""
+    piece and both None where no decomposition exists."""
 
     atom: Atom
     point: Point
     profile: StructuralProfile
     m_profile: StructuralProfile | None
     n_profile: StructuralProfile | None
-    data: MatrixChainData | None = None
 
 
 def analyze_atom(atom: Atom, lam: Point) -> AtomAnalysis:
     """The profiles of one atom at lam, from ranks alone.
 
     For a matrix atom the block profiles come from the ranks of the powers
-    of the shifted block S, read from the chain data (at a complex point
-    they are derived from q(m) and S is never built): S is invertible on
-    its core K = R(S^nu), so the core block has the invertible profile;
-    S^n acts on K ⊕ H0 as an invertible map plus the n-th power of the H0
-    block, so rank((S|H0)^n) = rank(S^n) - dim K. S has dimension ranks[0].
-    Off the spectrum nu = 0, K is the whole space and H0 is empty.
+    of the shifted block S (model.matrix_data_at; at a complex point they
+    are derived from q(m) and S is never built): S is invertible on its
+    core K = R(S^nu), so the core block has the invertible profile; S^n
+    acts on K ⊕ H0 as an invertible map plus the n-th power of the H0
+    block, so rank((S|H0)^n) = rank(S^n) - dim K, dim K = rank(S^nu) the
+    last rank. Off the spectrum nu = 0, K is the whole space and H0 is empty.
     """
     if atom.kind == "matrix":
-        data, scale = matrix_data_at(atom.matrix, lam)
-        d, k = data.ranks[0], data.ranks[data.nu]  # dim S, dim K
+        ranks, scale = matrix_data_at(atom.matrix, lam)
+        k = ranks[-1]
         m_prof = INVERTIBLE_PROFILE if k else None
-        n_prof = None
-        if k < d:
-            n_prof = rank_profile(d - k, [r - k for r in data.ranks], scale)
-        return AtomAnalysis(atom, lam, matrix_profile(data, scale), m_prof, n_prof, data)
+        n_prof = matrix_profile([r - k for r in ranks], scale) if k < ranks[0] else None
+        return AtomAnalysis(atom, lam, matrix_profile(ranks, scale), m_prof, n_prof)
     prof = atom_profile(atom, lam)
     if not prof.is_pseudofredholm_point:
         return AtomAnalysis(atom, lam, prof, None, None)
@@ -173,38 +163,43 @@ def analyze_atom(atom: Atom, lam: Point) -> AtomAnalysis:
 def invertible_analysis(atom: Atom, lam: Point) -> AtomAnalysis:
     """The analysis of an atom known to be invertible at lam, as a scan's
     key proves it for a matrix atom off its spectrum: what analyze_atom
-    gives there, without its chain data, which classification never reads."""
+    gives there, without computing a rank."""
     return AtomAnalysis(atom, lam, INVERTIBLE_PROFILE, INVERTIBLE_PROFILE, None)
 
 
 def matrix_split(part: AtomAnalysis, atom_index: int) -> MatrixSplit:
-    """The Fitting split of a matrix atom's shifted block S at the part's
-    point, K = R(S^nu) and H0 = N(S^nu). At a real point S and S^nu come
-    from the part's chain data; at a complex one that data walked q(m), so
-    S is realified here and S^nu is its power, nu - 1 products. Off the
-    spectrum (nu = 0) S is its own core, and at a complex point its
-    inverse is [[A q^-1, -im q^-1], [im q^-1, A q^-1]], A = m - re, from
-    the inverse of the d x d q(m) = A^2 + im^2 I that the data holds."""
-    data, (re, im) = part.data, part.point
-    s = data.matrix if not im else realified(part.atom.matrix, re, im)[0]
-    if not data.nu:
+    """The Fitting split K = R(S^nu), H0 = N(S^nu) of a matrix atom's
+    shifted block S at the part's point, and S's Drazin inverse S^D, from
+    the atom, the point and nu, the stabilization point of the part's
+    kernel chain; at a complex point S is realified (model.realified).
+
+    On K ⊕ H0, S^nu = K^T A^nu C, with A the core block and C giving a
+    vector's coordinates in K. K's basis is in reduced echelon form, each
+    vector 1 at its own pivot and 0 at the others', so the rows of S^nu at
+    K's pivots are A^nu C, and S^D = K^T A^-1 C = K^T (A^(nu+1))^-1 (those
+    rows). Off the spectrum (nu = 0) S is its own core and S^D = S^-1; at a
+    complex point that is [[N q^-1, -im q^-1], [im q^-1, N q^-1]],
+    N = m - re, from the inverse of the d x d q(m) = N^2 + im^2 I."""
+    m, (re, im) = part.atom.matrix, part.point
+    s = realified(m, re, im)
+    nu = int(part.profile.a.stabilization_point())
+    if not nu:
         if im:
-            q_inv = inverse(data.matrix)
-            s_inv = realify(part.atom.matrix.minus_scalar(re) @ q_inv, q_inv, im)
+            q_inv = inverse(real_quadratic(m, re, im))
+            s_inv = realify(m.minus_scalar(re) @ q_inv, q_inv, im)
         else:
             s_inv = inverse(s)
         whole, none = SubspaceBasis.full(s.rows), SubspaceBasis.zero(s.rows)
         return MatrixSplit(atom_index, s, whole, none, Atom("matrix", s), None, s_inv)
-    top = data.top
-    if im:
-        top = s
-        for _ in range(data.nu - 1):
-            top = top @ s
+    top = s.power(nu)
     core, h0 = image_basis(top), kernel_basis(top)
     m_atom = Atom("matrix", restrict(s, core)) if core.dim else None
     n_atom = Atom("matrix", restrict(s, h0)) if h0.dim else None
-    m_inv = inverse(m_atom.matrix) if m_atom else None
-    return MatrixSplit(atom_index, s, core, h0, m_atom, n_atom, m_inv)
+    drazin = ExactMatrix.zeros(s.rows, s.rows)
+    if m_atom:
+        a_inv = inverse(m_atom.matrix.power(nu + 1))
+        drazin = core.matrix.transpose() @ a_inv @ top.select_rows(core.pivots())
+    return MatrixSplit(atom_index, s, core, h0, m_atom, n_atom, drazin)
 
 
 @dataclass(frozen=True)
@@ -303,29 +298,10 @@ def index(e: OperatorExpr, lam: Point) -> ExtIndex:
     return analyze_expr(e, lam).summary.index
 
 
-def split_drazin(split: MatrixSplit) -> ExactMatrix:
-    """Exact Drazin inverse of a matrix atom's shifted block S from its
-    split: with P = [K | H0] and A^-1 the split's m_inverse, S^D =
-    P diag(A^-1, 0) P^-1. The Drazin inverse is unique, so any split gives
-    the same one."""
-    core, h0 = split.m_basis, split.n_basis
-    d = core.ambient_dim
-    if not core.dim:
-        return ExactMatrix.zeros(d, d)
-    a_inv = split.m_inverse
-    if not h0.dim:
-        # the canonical basis of the whole space is the identity, so P = I
-        return a_inv
-    p_inv = inverse(stack(core.matrix, h0.matrix).transpose())
-    k = core.dim
-    top = ExactMatrix(k, d, p_inv.num[: k * d], p_inv.den)
-    return core.matrix.transpose() @ a_inv @ top
-
-
 def drazin_inverse(m: ExactMatrix) -> ExactMatrix:
     """Exact Drazin inverse of a square rational matrix, from its split
     at 0."""
-    return split_drazin(matrix_split(analyze_atom(Atom("matrix", m), point(0)), 0))
+    return matrix_split(analyze_atom(Atom("matrix", m), point(0)), 0).drazin
 
 
 def restriction_profile(p: StructuralProfile, n: int) -> tuple[ExtNat, ExtNat, ExtIndex]:

@@ -50,7 +50,6 @@ from .structure import (
     analyze_atom,
     analyze_expr,
     matrix_split,
-    split_drazin,
 )
 
 # the most cases the CLI runs per suite, so that no small command line runs
@@ -142,7 +141,7 @@ def _suite_rng(seed: int, name: str) -> Random:
 
 def raw_powers(m: ExactMatrix, nu: int) -> list[ExactMatrix]:
     """m^0..m^(nu+1), one product each: the powers that the subspace routes
-    and the Drazin check take apart, which the chain data does not keep."""
+    and the Drazin check take apart, which the library does not keep."""
     powers = [ExactMatrix.identity(m.rows), m]
     while len(powers) < nu + 2:
         powers.append(powers[-1] @ m)
@@ -209,14 +208,14 @@ def suite_chains(cases: int, seed: int) -> SuiteResult:
     for ci in range(cases):
         m = random_matrix(rng)
         d = m.rows
-        data = matrix_chain_data(m)
-        prof = matrix_profile(data)
+        prof = matrix_profile(matrix_chain_data(m))
+        nu = int(prof.a.stabilization_point())
         k = prof.c.diff()
         # restrictions are constant once the image chain stabilizes
-        powers = raw_powers(m, data.nu)[: data.nu + 1]
+        powers = raw_powers(m, nu)[: nu + 1]
         levels = [_restriction_defects(m, p) for p in powers]
-        alphas = [levels[min(n, data.nu)][0] for n in range(d + 4)]
-        betas = [levels[min(n, data.nu)][1] for n in range(d + 4)]
+        alphas = [levels[min(n, nu)][0] for n in range(d + 4)]
+        betas = [levels[min(n, nu)][1] for n in range(d + 4)]
         for n in range(d + 3):
             al, be, cn, bn = alphas[n], betas[n], prof.c.at(n), prof.b.at(n)
             if not res.check(
@@ -259,7 +258,7 @@ def suite_chains(cases: int, seed: int) -> SuiteResult:
 
 def suite_gkd(cases: int, seed: int) -> SuiteResult:
     """Checks the Fitting split and Drazin inverse that reports and `drazin`
-    use at 0: matrix_split of the analysed atom and split_drazin of it."""
+    use at 0: matrix_split of the analysed atom and its drazin."""
     res = SuiteResult("gkd", cases)
     rng = _suite_rng(seed, "gkd")
     for ci in range(cases):
@@ -267,7 +266,7 @@ def suite_gkd(cases: int, seed: int) -> SuiteResult:
         d = m.rows
         an = analyze_expr(OperatorExpr.of(Atom("matrix", m)), point(0))
         split = matrix_split(an.parts[0], 0)
-        core, h0, nu = split.m_basis, split.n_basis, an.parts[0].data.nu
+        core, h0, nu = split.m_basis, split.n_basis, int(an.full.a.stabilization_point())
         ok = core.dim + h0.dim == d and subspace_sum(core, h0).dim == d
         res.check("fitting_direct_sum", ok, d, ci, m, "core + h0 is not the space")
         if core.dim:
@@ -284,7 +283,7 @@ def suite_gkd(cases: int, seed: int) -> SuiteResult:
                 m,
                 lambda: f"nilpotency degree differs from fitting index {nu}",
             )
-        dz = split_drazin(split)
+        dz = split.drazin
         top, nxt = raw_powers(m, nu)[nu:]
         ok = dz @ m == m @ dz and dz @ m @ dz == dz and nxt @ dz == top
         res.check("drazin_axioms", ok, d, ci, m, "a Drazin axiom failed", 3)
@@ -360,13 +359,13 @@ def suite_duality(cases: int, seed: int) -> SuiteResult:
         res.check("index_negation", ok, 0, 0, e.name, "index does not negate under duality")
     for ci in range(cases):
         m = random_matrix(rng)
-        data = matrix_chain_data(m)
-        ddata = matrix_chain_data(m.transpose())
-        prof, dprof = matrix_profile(data), matrix_profile(ddata)
+        ranks = matrix_chain_data(m)
+        dranks = matrix_chain_data(m.transpose())
+        prof, dprof = matrix_profile(ranks), matrix_profile(dranks)
         # matrix_profile derives c and b from a, so the mirror of c and b
         # is checked on the subspace chains
-        meet, join = subspace_meet_join(raw_powers(m, data.nu))
-        dmeet, djoin = subspace_meet_join(raw_powers(m.transpose(), ddata.nu))
+        meet, join = subspace_meet_join(raw_powers(m, len(ranks) - 2))
+        dmeet, djoin = subspace_meet_join(raw_powers(m.transpose(), len(dranks) - 2))
         res.check(
             "transpose_chain_mirror",
             prof.a == dprof.a and prof.r == dprof.r and meet == djoin and join == dmeet,

@@ -44,7 +44,7 @@ def coordinates(b: SubspaceBasis, vec: Sequence[Fraction]) -> tuple[Fraction, ..
     v = tuple(exact_rational(x) for x in vec)
     if len(v) != b.ambient_dim:
         raise AmbientMismatch("vector length != ambient dimension")
-    coords = tuple(v[p] for p in b._pivots())
+    coords = tuple(v[p] for p in b.pivots())
     residue = list(v)
     for cf, row in zip(coords, b.vectors):
         if cf:

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -403,6 +404,37 @@ def test_verify_negative_cases_is_usage_error(capsys):
     assert "--cases" in captured.err
 
 
+@pytest.mark.parametrize("option", ["--cases", "--seed"])
+@pytest.mark.parametrize(
+    "value",
+    [
+        pytest.param("\u0663", id="arabic-indic"),
+        "1_0",
+        " 2",
+        "+2",
+        pytest.param("\uff12", id="fullwidth"),
+        "",
+    ],
+)
+def test_verify_numerals_take_ascii_digits_only(option, value, monkeypatch, capsys):
+    # int() reads all but the empty one; a seed may still be negative
+    def no_run(*args):
+        raise AssertionError("a bad numeral reached the suites")
+
+    monkeypatch.setattr(fredprofile.cli, "run_suites", no_run)
+    assert main(["verify", "--suite", "chains", option, value]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and option in err
+
+
+def test_verify_negative_seed_is_accepted(monkeypatch, capsys):
+    monkeypatch.setattr(
+        fredprofile.cli, "run_suites", lambda suite, cases, seed: (f"{cases} {seed}\n", 0)
+    )
+    assert main(["verify", "--cases", "3", "--seed", "-2"]) == 0
+    assert capsys.readouterr().out == "3 -2\n"
+
+
 def test_verify_cases_past_the_bound_is_usage_error(monkeypatch, capsys):
     monkeypatch.setattr(fredprofile.cli, "MAX_CASES", 3)
     assert main(["verify", "--suite", "chains", "--cases", "3", "--seed", "1"]) == 0
@@ -464,10 +496,14 @@ def test_verify_index_laws_reports_a_wrong_regrouped_index(monkeypatch, capsys):
 
 
 def test_verify_gkd_reports_a_wrong_drazin_inverse(monkeypatch, capsys):
-    # the library's Drazin inverse replaced by the zero matrix: S^(nu+1) S^D = S^nu fails
-    monkeypatch.setattr(
-        verify, "split_drazin", lambda split: ExactMatrix.zeros(split.block.rows, split.block.rows)
-    )
+    # the split's Drazin inverse replaced by the zero matrix: S^(nu+1) S^D = S^nu fails
+    split = verify.matrix_split
+
+    def zero_drazin(part, i):
+        sp = split(part, i)
+        return replace(sp, drazin=ExactMatrix.zeros(sp.block.rows, sp.block.rows))
+
+    monkeypatch.setattr(verify, "matrix_split", zero_drazin)
     code = main(["verify", "--suite", "gkd", "--cases", "5", "--seed", "1"])
     assert code == 5
     _assert_verify_failure(capsys.readouterr().out, "drazin_axioms")

@@ -33,13 +33,7 @@ from fredprofile.model import (
     realified,
 )
 from fredprofile.spectra import GridSpec, scan, scan_to_csv
-from fredprofile.structure import (
-    MatrixSplit,
-    analyze_atom,
-    drazin_inverse,
-    matrix_split,
-    split_drazin,
-)
+from fredprofile.structure import MatrixSplit, analyze_atom, drazin_inverse, matrix_split
 from fredprofile.verify import alpha_beta_core_oracle, raw_powers, subspace_meet_join
 
 COORDS = (F(-2), F(-1), F(-1, 2), F(0), F(1, 2), F(1), F(2))
@@ -84,17 +78,19 @@ def matrix_and_point(draw, max_dim=6):
     return p @ ExactMatrix.from_rows(rows) @ inverse(p), (re, im)
 
 
+def _scale(lam):
+    return 2 if lam[1] else 1
+
+
 def _realified_data(m, lam):
     """matrix_data_at's result from the chain of the realified block
     itself, not of q(m)."""
-    s, scale = realified(m, *lam)
-    return matrix_chain_data(s), scale
+    return matrix_chain_data(realified(m, *lam)), _scale(lam)
 
 
 def _slow_everywhere(mp):
     """Take every matrix atom's ranks from the realified block, and give
-    scans the eigenvalue path at every point. A split from such chain
-    data is not the library's at a complex point: it is for classifying."""
+    scans the eigenvalue path at every point."""
     mp.setattr(ExactMatrix, "is_eigenvalue", lambda self, re, im=0: True)
     for mod in (model, structure):
         mp.setattr(mod, "matrix_data_at", _realified_data)
@@ -103,13 +99,14 @@ def _slow_everywhere(mp):
 def _fitting_reference(m, lam):
     """The exact Fitting split of m's shifted block S at any point,
     eigenvalue or not: K = R(S^nu) and H0 = N(S^nu) from a fresh chain
-    computation, and S restricted to each."""
-    s, _ = realified(m, *lam)
-    top = matrix_chain_data(s).top
+    computation and the raw power S^nu, S restricted to each, and the
+    Drazin inverse as P diag(A^-1, 0) P^-1 (_reference_drazin)."""
+    s = realified(m, *lam)
+    nu = len(matrix_chain_data(s)) - 2
+    top = raw_powers(s, nu)[nu]
     core, h0 = image_basis(top), kernel_basis(top)
     m_atom, n_atom = (Atom("matrix", restrict(s, b)) if b.dim else None for b in (core, h0))
-    m_inv = inverse(m_atom.matrix) if m_atom else None
-    return MatrixSplit(0, s, core, h0, m_atom, n_atom, m_inv)
+    return MatrixSplit(0, s, core, h0, m_atom, n_atom, _reference_drazin(s))
 
 
 def test_char_poly_known():
@@ -155,13 +152,17 @@ def test_char_poly_matches_sympy():
 @given(matrix_and_point())
 def test_is_eigenvalue_matches_realified_rank(mp):
     m, (re, im) = mp
-    s, _ = realified(m, re, im)
+    s = realified(m, re, im)
     assert m.is_eigenvalue(re, im) == (rank(s) < s.rows)
 
 
 # q(m) = (m + 2)^2 + 4 = 0 at -2-2i, yet m - lam has a core: the conjugate
 # eigenspace. The ranks of q(m) itself would make m - lam nilpotent.
 Q_ZERO = (mat([[-2, 2], [-2, -2]]), (F(-2), F(-2)))
+
+# the rotation by i, and a complex Jordan chain of length 2 at +-i
+ROT = mat([[0, -1], [1, 0]])
+ROT_CHAIN = mat([[0, -1, 1, 0], [1, 0, 0, 1], [0, 0, 0, -1], [0, 0, 1, 0]])
 
 
 @settings(max_examples=100, deadline=None)
@@ -172,9 +173,9 @@ def test_fast_atom_analysis_equals_fitting_split(mp):
     atom = Atom("matrix", m)
     part = analyze_atom(atom, lam)
     assert matrix_split(part, 0) == _fitting_reference(m, lam)
-    s, scale = realified(m, *lam)
+    s = realified(m, *lam)
     assert part.profile == atom_profile(atom, lam)
-    assert part.profile == matrix_profile(matrix_chain_data(s), scale)
+    assert part.profile == matrix_profile(matrix_chain_data(s), _scale(lam))
     if not m.is_eigenvalue(*lam):
         assert part.profile == INVERTIBLE_PROFILE
 
@@ -192,12 +193,12 @@ def test_complex_off_spectrum_drazin_is_the_block_inverse(mp):
     # must be the inverse of the realified block
     m, (re, im) = mp
     assume(im)
-    s, _ = realified(m, re, im)
+    s = realified(m, re, im)
     split = matrix_split(analyze_atom(Atom("matrix", m), (re, im)), 0)
     if rank(s) < s.rows:
         assert split.n_basis.dim
     else:
-        assert split_drazin(split) == inverse(s)
+        assert split.drazin == inverse(s)
 
 
 @settings(max_examples=60, deadline=None)
@@ -243,10 +244,10 @@ def test_matrix_profile_scaled_check_survives_any_optimization_level():
 
 
 def _reference_drazin(m):
-    """The Drazin inverse as P diag(A^-1, 0) P^-1, every factor built from
-    a fresh chain computation and the raw powers."""
-    data = matrix_chain_data(m)
-    top = m.power(data.nu)
+    """The Drazin inverse as P diag(A^-1, 0) P^-1, P = [K | H0], every
+    factor built from a fresh chain computation and the raw powers."""
+    nu = len(matrix_chain_data(m)) - 2
+    top = raw_powers(m, nu)[nu]
     core, h0 = image_basis(top), kernel_basis(top)
     d = m.rows
     cols = core.vectors + h0.vectors
@@ -267,17 +268,17 @@ def _reference_drazin(m):
 @given(matrix_and_point())
 def test_rank_derived_chains_equal_subspace_chains(mp):
     m, lam = mp
-    s, _ = realified(m, *lam)
-    data = matrix_chain_data(s)
-    prof = matrix_profile(data)
-    assert (prof.c, prof.b) == subspace_meet_join(raw_powers(s, data.nu))
+    s = realified(m, *lam)
+    ranks = matrix_chain_data(s)
+    prof = matrix_profile(ranks)
+    assert (prof.c, prof.b) == subspace_meet_join(raw_powers(s, len(ranks) - 2))
 
 
 @settings(max_examples=100, deadline=None)
 @given(matrix_and_point())
 def test_derived_block_profiles_equal_block_chains(mp):
     m, lam = mp
-    s, scale = realified(m, *lam)
+    s = realified(m, *lam)
     part = analyze_atom(Atom("matrix", m), lam)
     split = matrix_split(part, 0)
     for blk, basis, prof in (
@@ -286,19 +287,32 @@ def test_derived_block_profiles_equal_block_chains(mp):
     ):
         if basis.dim:
             assert blk.matrix == restrict(s, basis)
-            assert prof == matrix_profile(matrix_chain_data(blk.matrix), scale)
+            assert prof == matrix_profile(matrix_chain_data(blk.matrix), _scale(lam))
         else:
             assert blk is None and prof is None
 
 
+# a 3x3 Jordan block at 1 beside the invertible 1x1 block 2, at 1 (nu = 3)
+JORDAN_AND_UNIT = mat([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 0], [0, 0, 0, 2]])
+
+
 @settings(max_examples=100, deadline=None)
 @given(matrix_and_point())
+@example((JORDAN_AND_UNIT, (F(1), F(0))))
+@example((ROT_CHAIN, (F(0), F(1))))
+@example(Q_ZERO)
+@example((mat([[0, 1, 0], [0, 0, 1], [0, 0, 0]]), (F(0), F(0))))
+@example((mat([[2, 1], [1, 1]]), (F(1, 2), F(0))))
+@example((mat([[2, 1], [1, 1]]), (F(1, 2), F(1, 3))))
 def test_split_drazin_equals_reference(mp):
     m, lam = mp
-    s, _ = realified(m, *lam)
+    s = realified(m, *lam)
     want = _reference_drazin(s)
-    assert split_drazin(matrix_split(analyze_atom(Atom("matrix", m), lam), 0)) == want
-    assert split_drazin(_fitting_reference(m, lam)) == want
+    assert matrix_split(analyze_atom(Atom("matrix", m), lam), 0).drazin == want
+    # the reference itself satisfies the Drazin axioms
+    nu = len(matrix_chain_data(s)) - 2
+    top, nxt = raw_powers(s, nu)[nu:]
+    assert want @ s == s @ want and want @ s @ want == want and nxt @ want == top
     assert drazin_inverse(s) == want
 
 
@@ -378,11 +392,6 @@ def test_classify_and_scan_build_no_basis(monkeypatch):
     assert built == [[], [], []]
     assert s.records[s.points.index((F(1), F(0)))] == at_one
     assert not at_one.invertible and at_one.nilpotent is False
-
-
-# the rotation by i, and a complex Jordan chain of length 2 at +-i
-ROT = mat([[0, -1], [1, 0]])
-ROT_CHAIN = mat([[0, -1, 1, 0], [1, 0, 0, 1], [0, 0, 0, -1], [0, 0, 1, 0]])
 
 
 def test_classify_and_scan_build_no_realified_block(monkeypatch):
@@ -497,12 +506,12 @@ def test_analyze_realifies_once_per_matrix_atom(tmp_path, monkeypatch, capsys):
 
 
 def test_engine_builds_no_fraction_between_parse_and_render(monkeypatch):
-    # I + J3 at its eigenvalue 1 (chain data, split, restriction), off it
-    # at a real and a complex point (the realified block, and there the
-    # inverse of q(m)), and on a scan
-    # through all three kinds; beside it a block with a core at 1, whose
-    # Drazin inverse goes through both inverses, and the complex Jordan
-    # chain at its eigenvalue i (q(m), then the realified block and its power)
+    # I + J3 at its eigenvalue 1 (ranks, split, restriction), off it at a
+    # real and a complex point (the realified block, and there the inverse
+    # of q(m)), and on a scan through all three kinds; beside it a block
+    # with a core at 1, whose Drazin inverse inverts a power of the core
+    # block, and the complex Jordan chain at its eigenvalue i (q(m), then
+    # the realified block and its power)
     m = mat([[1, 1, 0], [0, 1, 1], [0, 0, 1]])
     mixed = mat([[1, 1, 0], [0, 1, 0], [0, 0, 2]])
     e = OperatorExpr.of(
@@ -521,8 +530,7 @@ def test_engine_builds_no_fraction_between_parse_and_render(monkeypatch):
         monkeypatch.setattr(mod, "Fraction", CountingFraction, raising=False)
     for lam in points:
         pair = structure.gkd_pair(structure.analyze_expr(e, lam))
-        for sp in pair.splits:
-            split_drazin(sp)
+        assert len(pair.splits) == 3
     scan(e, grid)
     assert built == []
     # the read-only views are where Fractions are built

@@ -82,6 +82,22 @@ def test_extindex_strings():
         assert ExtIndex.from_str(s).to_str() == s
 
 
+# not ASCII digits; int() reads several: signs, spaces, underscores, other scripts' digits
+NOT_NUMERALS = (" \u0661_0", "\u0663", "+1", "1_0", "zz", " 2", "", "-", "--1", "\uff11")
+
+
+@pytest.mark.parametrize("s", NOT_NUMERALS + ("-1", "-inf", "undef", 3))
+def test_extnat_from_str_takes_ascii_digits_only(s):
+    with pytest.raises(ValueError):
+        ExtNat.from_str(s)
+
+
+@pytest.mark.parametrize("s", NOT_NUMERALS + ("-+1", "- 1"))
+def test_extindex_from_str_takes_ascii_digits_only(s):
+    with pytest.raises(ValueError):
+        ExtIndex.from_str(s)
+
+
 def test_seq_canonical_trim():
     # a prefix that already matches the tail collapses away
     assert EvAffineSeq((ExtNat(5),), ExtNat(5), 0) == EvAffineSeq((), ExtNat(5), 0)

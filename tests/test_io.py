@@ -252,6 +252,26 @@ def test_report_chain_reconstruction():
 
 
 @pytest.mark.parametrize(
+    "tail_base",
+    [
+        pytest.param(" \u0661_0", id="spaced-arabic-indic-underscore"),
+        pytest.param("\u0663", id="arabic-indic"),
+        "+1",
+        "1_0",
+        "zz",
+    ],
+)
+def test_report_chain_reads_ascii_digits_only(tail_base):
+    # int() would read " ١_0" as 10; the reader refuses it as it refuses "zz"
+    rep = build_report(OperatorDocument("j3", OperatorExpr.of(J3)), point(0))
+    obj = json.loads(rep.to_json())
+    obj["chains"]["a"]["tail_base"] = tail_base
+    back = AnalysisReport.from_json(json.dumps(obj))
+    with pytest.raises(DocumentError):
+        back.chain("a")
+
+
+@pytest.mark.parametrize(
     "text",
     ["nope", "{}", '{"name": "x"}', "[]", pytest.param("[" * 100000, id="deeply-nested")],
 )

@@ -27,6 +27,7 @@ from fredprofile.model import (
     expr_profile,
     matrix_atom,
     matrix_chain_data,
+    matrix_data_at,
     matrix_profile,
     point,
     power_profile,
@@ -168,27 +169,31 @@ def test_jordan_sum_kernel_chain():
 
 
 def test_matrix_chain_data_fitting_index():
-    data = matrix_chain_data(J3.matrix)
-    assert data.nu == 3
-    assert data.ranks == (3, 2, 1, 0, 0)  # recorded through the stabilized power
-    assert data.top == J3.matrix.power(3)  # top is S^nu
-    data2 = matrix_chain_data(matrix_atom([[2, 0], [0, 3]]).matrix)
-    assert data2.nu == 0
-    assert data2.top == data2.matrix.power(0)
-    data3 = matrix_chain_data(matrix_atom([[0, 0], [0, 1]]).matrix)
-    assert (data3.nu, data3.top) == (1, data3.matrix)
+    # ranks through the stabilized power, nu = len(ranks) - 2; the profile's
+    # kernel chain stabilizes at nu
+    ranks = matrix_chain_data(J3.matrix)
+    assert ranks == (3, 2, 1, 0, 0)
+    assert matrix_profile(ranks).a.stabilization_point() == ExtNat(3)
+    ranks2 = matrix_chain_data(matrix_atom([[2, 0], [0, 3]]).matrix)
+    assert ranks2 == (2, 2)
+    assert matrix_profile(ranks2).a.stabilization_point() == ExtNat(0)
+    ranks3 = matrix_chain_data(matrix_atom([[0, 0], [0, 1]]).matrix)
+    assert ranks3 == (2, 1, 1)
+    assert matrix_profile(ranks3).a.stabilization_point() == ExtNat(1)
 
 
 def test_realified_even_and_halved():
     rot = matrix_atom([[0, -1], [1, 0]])
-    m, scale = realified(rot.matrix, F(0), F(1))
-    assert scale == 2 and m.rows == 4
+    m = realified(rot.matrix, F(0), F(1))
+    assert m.rows == 4
+    assert matrix_data_at(rot.matrix, point(0, 1)) == ((4, 2, 2), 2)
     p = expr_profile(OperatorExpr.of(rot), point(0, 1))
     assert vals(p.a) == ["0", "1", "1", "1", "1"]
     assert vals(p.r) == ["0", "1", "1", "1", "1"]
     # real points stay in the original space
-    m2, scale2 = realified(rot.matrix, F(1, 2), F(0))
-    assert scale2 == 1 and m2.rows == 2
+    m2 = realified(rot.matrix, F(1, 2), F(0))
+    assert m2 == rot.matrix.minus_scalar(F(1, 2))
+    assert matrix_data_at(rot.matrix, point(F(1, 2))) == ((2, 2), 1)
 
 
 def test_complex_point_invertible_matrix():

@@ -170,11 +170,11 @@ def test_drazin_axioms_on_random_matrices():
     rng = Random(7)
     for _ in range(25):
         m = random_matrix(rng)
-        data = matrix_chain_data(m)
+        nu = len(matrix_chain_data(m)) - 2
         dz = drazin_inverse(m)
         assert (dz @ m).entries == (m @ dz).entries
         assert (dz @ m @ dz).entries == dz.entries
-        assert (m.power(data.nu + 1) @ dz).entries == m.power(data.nu).entries
+        assert (m.power(nu + 1) @ dz).entries == m.power(nu).entries
 
 
 def test_restriction_profile_examples():
@@ -234,11 +234,11 @@ def test_m_part_is_semi_regular_and_n_part_nilpotency_matches():
         m = random_matrix(rng)
         e = OperatorExpr.of(matrix_atom(m.to_rows()))
         an = analyze_expr(e, point(0))
-        data = matrix_chain_data(m)
+        nu = len(matrix_chain_data(m)) - 2
         if an.m_profile is not None:
             assert an.m_profile.a.at(1) == ExtNat(0)
             assert an.m_profile.r.at(1) == ExtNat(0)
-        assert an.n_profile.nilpotency_degree == ExtNat(data.nu)
+        assert an.n_profile.nilpotency_degree == ExtNat(nu)
 
 
 def test_gkd_restrictions_recompose():
