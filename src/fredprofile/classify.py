@@ -4,6 +4,8 @@ implication and equivalence the flags must satisfy."""
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from itertools import compress
+from operator import attrgetter
 
 from .errors import InternalInvariantError
 from .extvals import BoolSeq, EvAffineSeq, ExtNat, UNDEF_INDEX
@@ -181,36 +183,82 @@ _NEED_PSEUDO_FREDHOLM = (
 )
 
 
+# the facts of a record's summary that the rules read, beside its flags, in
+# the order check_lattice lists their values
+_FACTS = (
+    "index.is_zero()", "index.le_zero()", "index.ge_zero()", "index.is_int", "defined index",
+    "summary", "finite alpha", "finite beta", "p == 0", "q == 0",
+)
+_BIT = {name: 1 << i for i, name in enumerate(FLAG_NAMES + _FACTS)}
+_BITS = tuple(_BIT.values())
+_flag_values = attrgetter(*FLAG_NAMES)
+
+
+def _compile_rules() -> tuple[tuple[int, int, str], ...]:
+    """Every rule as the clauses of its violation, each (mask, value,
+    message): a record breaks the rule where its bits b match a clause,
+    b & mask == value. Clauses follow the order of check_lattice's list."""
+    out: list[tuple[int, int, str]] = []
+
+    def rule(message: str, *clauses: tuple[tuple[str, ...], tuple[str, ...]]):
+        # each clause: the facts that hold and the facts that fail
+        for true, false in clauses:
+            value = sum(_BIT[n] for n in true)
+            out.append((value | sum(_BIT[n] for n in false), value, message))
+
+    def equivalence(message: str, a: str, rhs: tuple[str, ...], where: tuple[str, ...] = ()):
+        # a <=> all of rhs, wherever all of where hold
+        rule(message, *[(where + (a,), (b,)) for b in rhs], (where + rhs, (a,)))
+
+    for a, b in _IMPLIES:
+        rule(f"{a} => {b}", ((a,), (b,)))
+    for a, bs, test in _EQUIVALENT:
+        rhs = bs + ((f"index.{test}()",) if test else ())
+        equivalence(f"{a} <=> {' and '.join(rhs)}", a, rhs)
+    rule("quasi_nilpotent => index.is_zero()", (("quasi_nilpotent",), ("index.is_zero()",)))
+    upper, lower = "upper_pseudo_semi_b_fredholm", "lower_pseudo_semi_b_fredholm"
+    pbf, pf, is_int = "pseudo_b_fredholm", "pseudo_fredholm", "index.is_int"
+    rule(
+        "pseudo_b_fredholm <=> some pseudo_semi_b flag and index.is_int",
+        ((pbf,), (upper, lower)),
+        ((pbf,), (is_int,)),
+        ((upper, is_int), (pbf,)),
+        ((lower, is_int), (pbf,)),
+    )
+    # the summary must match the flags derived from it
+    rule(
+        "non pseudo_fredholm point must have an undefined summary",
+        (("summary",), (pf,)),
+        (("defined index",), (pf,)),
+    )
+    for n in _NEED_PSEUDO_FREDHOLM:
+        rule(f"{n} requires pseudo_fredholm", ((n,), (pf,)))
+    rule("pseudo_fredholm point must carry a summary", ((pf,), ("summary",)))
+    for name, fact in (
+        (upper, "finite alpha"),
+        (lower, "finite beta"),
+        ("left_gen_drazin", "p == 0"),
+        ("right_gen_drazin", "q == 0"),
+    ):
+        equivalence(f"{name} <=> {fact}", name, (fact,), where=(pf, "summary"))
+    return tuple(out)
+
+
+_CLAUSES = _compile_rules()
+
+
 def check_lattice(rec: ClassificationRecord) -> list[str]:
     """Return every violated implication or equivalence, as readable
-    strings; an empty list means the record is consistent."""
-    f = rec.flags()
+    strings; an empty list means the record is consistent. The record's
+    flags and summary facts become the bits of one int, and each rule,
+    compiled at import (_compile_rules), is a few mask tests on it."""
     s = rec.summary
     idx = s.index
-    out = [f"{a} => {b}" for a, b in _IMPLIES if f[a] and not f[b]]
-    for a, bs, test in _EQUIVALENT:
-        if f[a] != (all(f[b] for b in bs) and (test is None or getattr(idx, test)())):
-            rule = " and ".join(bs) + (f" and index.{test}()" if test else "")
-            out.append(f"{a} <=> {rule}")
-    if f["quasi_nilpotent"] and not idx.is_zero():
-        out.append("quasi_nilpotent => index.is_zero()")
-    some_pseudo_semi_b = f["upper_pseudo_semi_b_fredholm"] or f["lower_pseudo_semi_b_fredholm"]
-    if f["pseudo_b_fredholm"] != (some_pseudo_semi_b and idx.is_int):
-        out.append("pseudo_b_fredholm <=> some pseudo_semi_b flag and index.is_int")
-    # the summary must match the flags derived from it
-    if not f["pseudo_fredholm"]:
-        if s.alpha is not None or idx != UNDEF_INDEX:
-            out.append("non pseudo_fredholm point must have an undefined summary")
-        out += [f"{n} requires pseudo_fredholm" for n in _NEED_PSEUDO_FREDHOLM if f[n]]
-    elif s.alpha is None:
-        out.append("pseudo_fredholm point must carry a summary")
-    else:
-        for name, holds, value in (
-            ("upper_pseudo_semi_b_fredholm", s.alpha.is_finite, "finite alpha"),
-            ("lower_pseudo_semi_b_fredholm", s.beta.is_finite, "finite beta"),
-            ("left_gen_drazin", s.p == ZERO, "p == 0"),
-            ("right_gen_drazin", s.q == ZERO, "q == 0"),
-        ):
-            if f[name] != holds:
-                out.append(f"{name} <=> {value}")
-    return out
+    vals = _flag_values(rec)
+    vals += (idx.is_zero(), idx.le_zero(), idx.ge_zero(), idx.is_int, idx != UNDEF_INDEX)
+    if s.alpha is not None:
+        vals += (True, s.alpha.is_finite, s.beta.is_finite, s.p == ZERO, s.q == ZERO)
+    bits = sum(compress(_BITS, vals))
+    out = [msg for mask, value, msg in _CLAUSES if bits & mask == value]
+    # a rule whose violation matches several clauses is reported once
+    return list(dict.fromkeys(out)) if out else out

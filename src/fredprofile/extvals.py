@@ -193,8 +193,9 @@ class EvAffineSeq:
     tail_slope: int = 0
 
     def __post_init__(self):
-        if self.tail_slope < 0:
-            raise ValueError("tail slope must be nonnegative")
+        # exact type, as for ExtNat: bool is an int subclass but never a slope
+        if type(self.tail_slope) is not int or self.tail_slope < 0:
+            raise ValueError(f"tail slope must be a natural: {self.tail_slope!r}")
         if not self.tail_base.is_finite and self.tail_slope != 0:
             raise ValueError("infinite tail must have slope 0")
         pfx = list(self.prefix)
@@ -228,10 +229,13 @@ class EvAffineSeq:
             return INF
         return ExtNat(self.tail_base.value + self.tail_slope * (n - len(self.prefix)))
 
-    def values(self, count: int) -> list[ExtNat]:
-        return [self.at(i) for i in range(count)]
-
     def add(self, other: "EvAffineSeq") -> "EvAffineSeq":
+        """The pointwise sum. The zero sequence, matched by value, is
+        neutral: the sum is then the other operand itself."""
+        if self == ZERO_SEQ:
+            return other
+        if other == ZERO_SEQ:
+            return self
         s = max(self.tail_start, other.tail_start)
         prefix = tuple(self.at(i) + other.at(i) for i in range(s))
         b1, b2 = self.at(s), other.at(s)
@@ -313,6 +317,12 @@ class BoolSeq:
         return self.prefix[n] if n < len(self.prefix) else self.tail
 
     def and_with(self, other: "BoolSeq") -> "BoolSeq":
+        """The pointwise conjunction. The all-true sequence, matched by
+        value, is neutral: the result is then the other operand itself."""
+        if self == ALWAYS_CLOSED:
+            return other
+        if other == ALWAYS_CLOSED:
+            return self
         s = max(len(self.prefix), len(other.prefix))
         return BoolSeq(
             tuple(self.at(i) and other.at(i) for i in range(s)),

@@ -25,8 +25,10 @@ them (from_ratios takes the integer pairs a parsed document gives),
 minus_scalar and is_eigenvalue read a Fraction's numerator and
 denominator, and the read-only views at, row, column, entries, to_rows
 and SubspaceBasis.vectors return them. No kernel builds one.
-Only spectrum scans use the characteristic polynomial (is_eigenvalue);
-analysis at one point decides eigenvalues by rank.
+Only spectrum scans use the characteristic polynomial: gaussian_root
+evaluates it in Gaussian integers, for is_eigenvalue at one point and for
+the scans' keys on their integer axes; analysis at one point decides
+eigenvalues by rank.
 """
 from __future__ import annotations
 
@@ -199,26 +201,39 @@ class ExactMatrix:
             p = nxt
         return tuple(p)
 
+    def weighted_char_poly(self, q: int) -> tuple[int, ...]:
+        """e_m * q^(d-m), m = 0..d, for the coefficients e_m of
+        det(xI - A), A = den*self (_scaled_char_poly): the polynomial that
+        gaussian_root evaluates at z = den*q*lam for a point lam with
+        denominators dividing q."""
+        d = self.rows
+        return tuple([e * q ** (d - m) for m, e in enumerate(self._scaled_char_poly)])
+
     def is_eigenvalue(self, re, im=0) -> bool:
         """True when re + i*im is a root of the characteristic polynomial,
         i.e. self minus that scalar is singular over the complex numbers.
 
-        With re = a/q, im = b/q over a common denominator q and e_m the
-        coefficients of det(xI - A), A = den*self, the root test is
-        sum_m e_m z^m q^(d-m) == 0 for the Gaussian integer
-        z = den*(a + b*i): that sum is q^d den^d det(λI - self). Horner's
-        rule evaluates it in ints, so the zero test is exact. re and im are
-        ints or Fractions.
+        With re = a/q, im = b/q over a common denominator q, the Gaussian
+        integer z = den*(a + b*i) is a root of weighted_char_poly(q)
+        exactly when re + i*im is an eigenvalue: the sum is
+        q^d den^d det(lam*I - self), and any common denominator q gives a
+        nonzero multiple of it. re and im are ints or Fractions.
         """
         q = math.lcm(re.denominator, im.denominator)
         zr = self.den * re.numerator * (q // re.denominator)
         zi = self.den * im.numerator * (q // im.denominator)
-        coeffs = self._scaled_char_poly
-        x, y, qk = coeffs[-1], 0, 1
-        for e in reversed(coeffs[:-1]):
-            qk *= q
-            x, y = x * zr - y * zi + e * qk, x * zi + y * zr
-        return not x and not y
+        return gaussian_root(self.weighted_char_poly(q), zr, zi)
+
+
+def gaussian_root(coeffs: Sequence[int], zr: int, zi: int) -> bool:
+    """True when sum_m coeffs[m] * z^m is 0 at the Gaussian integer
+    z = zr + i*zi, coefficients constant term first: Horner's rule in ints,
+    so the zero test is exact. The one root test of the package
+    (ExactMatrix.is_eigenvalue, and the scans' keys on their integer axes)."""
+    x, y = coeffs[-1], 0
+    for e in coeffs[-2::-1]:
+        x, y = x * zr - y * zi + e, x * zi + y * zr
+    return not x and not y
 
 
 def _content_rows(m: ExactMatrix) -> list[list[int]]:

@@ -319,8 +319,9 @@ def atom_region(atom: Atom, lam: Point) -> object:
     """The region of lam on which atom - lam has one fixed profile:
     shift_region for a shift; for a matrix atom None off its eigenvalues
     (the invertible profile) and the point itself at one, so that no two
-    eigenvalues share a region. This is the scan key: one cached
-    characteristic polynomial of the matrix serves every grid point."""
+    eigenvalues share a region. This is the scan key: spectra.scan decides
+    it by the same root test (linalg.gaussian_root) on its integer axes,
+    with the matrix's polynomial weighted once per scan."""
     if atom.kind == "matrix":
         return lam if atom.matrix.is_eigenvalue(*lam) else None
     re, im = lam

@@ -8,9 +8,10 @@ atoms' exact regions (model.atom_region), so a scan computes that tuple at
 every point and classifies once per distinct tuple. It keeps the distinct
 records in first-seen order and one integer id per point, the position of
 its record among them; the renderers render each distinct record once and
-index that list by id. The shifts' regions come from integer keys: each
-axis is integers over one common denominator, and no Fraction is built per
-point.
+index that list by id. Every region comes from integer keys: each axis is
+integers over one common denominator, the shifts' regions are integer
+comparisons, a matrix atom's is linalg.gaussian_root on those integers,
+and no Fraction is built per point.
 
 Adjacency for components is 4-neighbour adjacency refined by equal index:
 two neighbouring grid points belong to the same component only when their
@@ -28,13 +29,13 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
+from itertools import groupby, repeat
 from typing import Iterator
 
 from .classify import FLAG_NAMES, ClassificationRecord, classify, classify_analysis
 from .docio import json_text, quote, rational_str
-from .linalg import exact_rational
-from .model import OperatorExpr, Point, atom_region, shift_region
+from .linalg import exact_rational, gaussian_root
+from .model import OperatorExpr, Point, shift_region
 from .structure import analyze_atom, assemble_analysis, invertible_analysis
 
 SPECTRUM_NAMES: tuple[str, ...] = (
@@ -162,20 +163,40 @@ class SpectrumScan:
 
 
 def scan(e: OperatorExpr, grid: GridSpec) -> SpectrumScan:
-    """Classify every grid point, once per distinct tuple of atom regions:
-    the record made at the first point of a key serves every later point
-    with that key. With re = R_k / D_r and im = I_j / D_i on the integer
-    axes, |lam|^2 - 1 has the sign of a_k - t_j, a_k = R_k^2 D_i^2 and t_j =
-    D_r^2 D_i^2 - I_j^2 D_r^2, and lam = 0 is R_k = I_j = 0: the shifts'
-    regions take integer comparisons, a matrix atom's its exact
-    is_eigenvalue test. A key that puts a matrix atom off its spectrum
-    gives that atom invertible_analysis, so only eigenvalues take ranks."""
+    """Classify every grid point, once per distinct tuple of atom regions
+    (model.atom_region): the record made at the first point of a key
+    serves every later point with that key. With re = R_k / D_r and
+    im = I_j / D_i on the integer axes, |lam|^2 - 1 has the sign of
+    a_k - t_j, a_k = R_k^2 D_i^2 and t_j = D_r^2 D_i^2 - I_j^2 D_r^2, and
+    lam = 0 is R_k = I_j = 0: the shifts' regions take integer comparisons.
+    A matrix atom's region is the root test of ExactMatrix.is_eigenvalue
+    over the one denominator q = lcm(D_r, D_i): its weighted_char_poly(q)
+    once per scan, z's real part once per column and its imaginary part
+    once per row, then gaussian_root per point. A key that puts a matrix
+    atom off its spectrum gives that atom invertible_analysis, so only
+    eigenvalues take ranks."""
     (re_nums, re_den), (im_nums, im_den) = grid.re_axis(), grid.im_axis()
     res, ims = grid.re_values(), grid.im_values()
     a = [r * r * im_den * im_den for r in re_nums]
     c = re_den * re_den * im_den * im_den
+    q = math.lcm(re_den, im_den)
     kinds = [at.kind for at in e.atoms if at.kind != "matrix"]
     mats = [at for at in e.atoms if at.kind == "matrix"]
+    # per matrix atom: its polynomial, z = den*q*lam's real part per column,
+    # and the factor that turns I_j into its imaginary part
+    polys = [
+        (
+            m.matrix.weighted_char_poly(q),
+            [m.matrix.den * (q // re_den) * r for r in re_nums],
+            m.matrix.den * (q // im_den),
+        )
+        for m in mats
+    ]
+
+    def row_regions(ws, zrs, zi, im):
+        """A matrix atom's regions along the row im, with zi its z's imaginary part."""
+        return [(re, im) if gaussian_root(ws, zr, zi) else None for re, zr in zip(res, zrs)]
+
     # the shifts' regions, indexed by the circle sign (0, 1, -1), and at lam = 0
     keys = [tuple(shift_region(k, sign, False) for k in kinds) for sign in (0, 1, -1)]
     zero_key = tuple(shift_region(k, -1, True) for k in kinds)
@@ -184,10 +205,10 @@ def scan(e: OperatorExpr, grid: GridSpec) -> SpectrumScan:
     by_key: dict[tuple, int] = {}
     for im, i_num in zip(ims, im_nums):
         t = c - i_num * i_num * re_den * re_den
-        for re, x in zip(res, a):
-            key = zero_key if not (i_num or x) else keys[(x > t) - (x < t)]
-            if mats:
-                key += tuple(atom_region(m, (re, im)) for m in mats)
+        # the matrix atoms' regions along the row, transposed into one tuple per point
+        regions = [row_regions(ws, zrs, f * i_num, im) for ws, zrs, f in polys]
+        for re, x, mat_key in zip(res, a, zip(*regions) if polys else repeat(())):
+            key = (zero_key if not (i_num or x) else keys[(x > t) - (x < t)]) + mat_key
             rid = by_key.get(key)
             if rid is None:
                 rid = by_key[key] = len(distinct)

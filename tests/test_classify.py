@@ -7,7 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fredprofile.catalog import CATALOG, by_name
-from fredprofile.classify import FLAG_NAMES, ClassificationRecord, check_lattice, classify
+from fredprofile.classify import (
+    _EQUIVALENT,
+    _IMPLIES,
+    _NEED_PSEUDO_FREDHOLM,
+    FLAG_NAMES,
+    ClassificationRecord,
+    check_lattice,
+    classify,
+)
 from fredprofile.extvals import INF, UNDEF_INDEX, ExtIndex, ExtNat
 from fredprofile.model import (
     LEFT_SHIFT,
@@ -400,3 +408,54 @@ def test_lattice_table_matches_reference_checker(rec):
     )
     assert len(got) == len(want) - twice, (got, want)
     assert (got == []) == (want == [])
+
+
+def _table_check_lattice(rec: ClassificationRecord) -> list[str]:
+    """The checker that read the rule tables record by record, before they
+    were compiled into bit masks, kept verbatim as the reference."""
+    f = rec.flags()
+    s = rec.summary
+    idx = s.index
+    out = [f"{a} => {b}" for a, b in _IMPLIES if f[a] and not f[b]]
+    for a, bs, test in _EQUIVALENT:
+        if f[a] != (all(f[b] for b in bs) and (test is None or getattr(idx, test)())):
+            rule = " and ".join(bs) + (f" and index.{test}()" if test else "")
+            out.append(f"{a} <=> {rule}")
+    if f["quasi_nilpotent"] and not idx.is_zero():
+        out.append("quasi_nilpotent => index.is_zero()")
+    some_pseudo_semi_b = f["upper_pseudo_semi_b_fredholm"] or f["lower_pseudo_semi_b_fredholm"]
+    if f["pseudo_b_fredholm"] != (some_pseudo_semi_b and idx.is_int):
+        out.append("pseudo_b_fredholm <=> some pseudo_semi_b flag and index.is_int")
+    # the summary must match the flags derived from it
+    if not f["pseudo_fredholm"]:
+        if s.alpha is not None or idx != UNDEF_INDEX:
+            out.append("non pseudo_fredholm point must have an undefined summary")
+        out += [f"{n} requires pseudo_fredholm" for n in _NEED_PSEUDO_FREDHOLM if f[n]]
+    elif s.alpha is None:
+        out.append("pseudo_fredholm point must carry a summary")
+    else:
+        for name, holds, value in (
+            ("upper_pseudo_semi_b_fredholm", s.alpha.is_finite, "finite alpha"),
+            ("lower_pseudo_semi_b_fredholm", s.beta.is_finite, "finite beta"),
+            ("left_gen_drazin", s.p == ZERO, "p == 0"),
+            ("right_gen_drazin", s.q == ZERO, "q == 0"),
+        ):
+            if f[name] != holds:
+                out.append(f"{name} <=> {value}")
+    return out
+
+
+@settings(max_examples=400, deadline=None)
+@given(_records())
+def test_lattice_masks_match_table_checker(rec):
+    assert check_lattice(rec) == _table_check_lattice(rec)
+
+
+@pytest.mark.parametrize("name", FLAG_NAMES)
+def test_single_flips_match_table_checker(name):
+    # each flag flipped alone, at points with and without a decomposition
+    for entry in CATALOG:
+        for lam in (point(0), point(1), point(F(1, 2))):
+            rec = classify(entry.expr, lam, entry.power)
+            bad = dataclasses.replace(rec, **{name: not rec.flag(name)})
+            assert check_lattice(bad) == _table_check_lattice(bad)

@@ -75,6 +75,28 @@ def test_lattice_violation_is_exit_6(shift_doc, monkeypatch, capsys):
     assert "internal error" in err and "injected" in err
 
 
+def test_flipped_flag_is_exit_6(shift_doc, monkeypatch, capsys):
+    # a record maker that gets one flag wrong: weyl at the Fredholm points
+    # of the right shift (index -1, so not Weyl); the real checker must
+    # catch it on every command that classifies
+    classify_module = sys.modules["fredprofile.classify"]
+    make = classify_module._record_from_analysis
+
+    def flipped(an):
+        rec = make(an)
+        return replace(rec, weyl=not rec.weyl) if rec.fredholm else rec
+
+    monkeypatch.setattr(classify_module, "_record_from_analysis", flipped)
+    for argv in (
+        ["analyze", "--in", shift_doc],
+        ["spectrum", "--in", shift_doc, "--grid=-1,1,0,0,3,1"],
+    ):
+        assert main(argv) == 6
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "internal error" in err and "weyl <=> fredholm and index.is_zero()" in err
+
+
 def test_analyze_to_stdout(j3_doc, capsys):
     assert main(["analyze", "--in", j3_doc, "--lambda", "0,0"]) == 0
     rep = AnalysisReport.from_json(capsys.readouterr().out)

@@ -14,8 +14,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import fraction_reference
 from fraction_reference import char_poly
-from fredprofile import docio, linalg, model, structure, verify
+from fredprofile import docio, linalg, model, spectra, structure, verify
 from fredprofile.classify import classify
 from fredprofile.cli import main
 from fredprofile.errors import InternalInvariantError
@@ -88,12 +89,21 @@ def _realified_data(m, lam):
     return matrix_chain_data(realified(m, *lam)), _scale(lam)
 
 
-def _slow_everywhere(mp):
+def _slow_everywhere(mp, ranked=None):
     """Take every matrix atom's ranks from the realified block, and give
-    scans the eigenvalue path at every point."""
-    mp.setattr(ExactMatrix, "is_eigenvalue", lambda self, re, im=0: True)
+    scans the eigenvalue path at every point: the one root test says yes
+    everywhere, in every module that holds it. ranked, when given,
+    collects the points at which ranks were taken."""
+
+    def realified_data(m, lam):
+        if ranked is not None:
+            ranked.append(lam)
+        return _realified_data(m, lam)
+
+    for mod in (linalg, spectra):
+        mp.setattr(mod, "gaussian_root", lambda coeffs, zr, zi: True)
     for mod in (model, structure):
-        mp.setattr(mod, "matrix_data_at", _realified_data)
+        mp.setattr(mod, "matrix_data_at", realified_data)
 
 
 def _fitting_reference(m, lam):
@@ -223,11 +233,66 @@ def test_scan_csv_same_on_either_path(mp):
     # unit-step grid: holds 0, +-1, +-i, +-1+-i, where planted eigenvalues sit
     grid = GridSpec(F(-1), F(1), F(-1), F(1), 3, 3)
     fast = scan(OperatorExpr.of(RIGHT_SHIFT, Atom("matrix", m)), grid)
+    ranked = []
     with pytest.MonkeyPatch.context() as patch:
-        _slow_everywhere(patch)
+        _slow_everywhere(patch, ranked)
         slow = scan(OperatorExpr.of(RIGHT_SHIFT, Atom("matrix", m)), grid)
+    # the slow scan took ranks at every grid point, once each
+    assert sorted(ranked) == sorted(grid.points())
     assert fast.records == slow.records
     assert scan_to_csv(fast) == scan_to_csv(slow)
+
+
+_STEPS = (F(1), F(1, 2), F(1, 3), F(2, 3), F(1, 4))
+
+
+@st.composite
+def matrix_and_grid(draw):
+    """A matrix_and_point draw and a grid of at most 5 x 5 points whose
+    axes hold the point's coordinates or miss them by half a step. Axis
+    steps differ in denominator, and an integer coordinate on an axis of
+    step 1/2 or 1/4 is a reducible numerator over the axis denominator."""
+    m, lam = draw(matrix_and_point())
+    axes = []
+    for x in lam:
+        h, n = draw(st.sampled_from(_STEPS)), draw(st.integers(1, 5))
+        lo = x - draw(st.integers(0, n - 1)) * h
+        if draw(st.booleans()):
+            lo += h / 2
+        axes.append((lo, lo + (n - 1) * h, n))
+    (re_lo, re_hi, re_n), (im_lo, im_hi, im_n) = axes
+    return m, GridSpec(re_lo, re_hi, im_lo, im_hi, re_n, im_n)
+
+
+# eigenvalues at reducible numerators of a half-step axis: the 0 and 2 of
+# J_2(0) + (2) on re in [-1, 2], 2 = 4/2; the rotation's +-i at im = +-2/2;
+# and Q_ZERO's -2 +- 2i on a grid with D_r = 2 and D_i = 1
+JP = mat([[2, 1, 0], [0, 0, 1], [0, 0, 0]])
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrix_and_grid())
+@example((JP, GridSpec(-1, 2, 0, 0, 7, 1)))
+@example((ROT, GridSpec(-1, 1, -1, 1, 3, 5)))
+@example((Q_ZERO[0], GridSpec(-3, -1, -2, 2, 5, 3)))
+def test_scan_eigenvalue_keys_equal_fraction_reference(mg):
+    m, grid = mg
+    want = [p for p in grid.points() if fraction_reference.is_eigenvalue(m, *p)]
+    ranked = []
+    analyze = spectra.analyze_atom
+
+    def counting(atom, lam):
+        if atom.kind == "matrix":
+            ranked.append(lam)
+        return analyze(atom, lam)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectra, "analyze_atom", counting)
+        s = scan(OperatorExpr.of(RIGHT_SHIFT, Atom("matrix", m)), grid)
+    # each eigenvalue is a key of its own, and only eigenvalues take ranks
+    assert ranked == want
+    assert [m.is_eigenvalue(*p) for p in grid.points()] == [p in want for p in grid.points()]
+    assert len(s.ids) == len(grid.points())
 
 
 def test_scaled_odd_realified_dimension_is_internal_error():

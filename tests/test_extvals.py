@@ -16,6 +16,7 @@ from fredprofile.extvals import (
     UNDEF_INDEX,
     ZERO_SEQ,
 )
+from fredprofile.model import matrix_profile
 
 
 def test_extnat_ordering_and_arithmetic():
@@ -108,12 +109,12 @@ def test_seq_canonical_trim():
 
 def test_seq_values_and_formula():
     seq = EvAffineSeq((ExtNat(0), ExtNat(1), ExtNat(2)), ExtNat(3), 0)
-    assert [v.to_str() for v in seq.values(6)] == ["0", "1", "2", "3", "3", "3"]
+    assert [v.to_str() for v in map(seq.at, range(6))] == ["0", "1", "2", "3", "3", "3"]
     assert seq.tail_formula() == "3 for n >= 3"
     assert LINEAR_SEQ.tail_formula() == "n for n >= 0"
     assert ZERO_SEQ.at(17) == ExtNat(0)
     ramp = EvAffineSeq((ExtNat(0), ExtNat(0)), ExtNat(1), 2)
-    assert [int(v) for v in ramp.values(5)] == [0, 0, 1, 3, 5]
+    assert [int(v) for v in map(ramp.at, range(5))] == [0, 0, 1, 3, 5]
     assert ramp.tail_formula() == "2*n - 3 for n >= 2"
 
 
@@ -129,7 +130,7 @@ def test_seq_stabilization_point():
 def test_seq_diff():
     seq = EvAffineSeq((ExtNat(3), ExtNat(2), ExtNat(2), ExtNat(1)), ExtNat(0), 0)
     d = seq.diff()
-    assert [int(v) for v in d.values(6)] == [1, 0, 1, 1, 0, 0]
+    assert [int(v) for v in map(d.at, range(6))] == [1, 0, 1, 1, 0, 0]
 
 
 def test_from_samples():
@@ -211,6 +212,70 @@ def test_steps_agree_pointwise(jumps, base_jump, slope, infinite_tail):
     for n in range(10):
         nxt = seq.at(n + 1)
         assert steps.at(n) == (nxt if not nxt.is_finite else nxt.sub(seq.at(n)))
+
+
+@pytest.mark.parametrize("slope", [True, 0.5, "1", -1])
+def test_seq_tail_slope_must_be_a_natural_int(slope):
+    with pytest.raises(ValueError):
+        EvAffineSeq((ExtNat(0), ExtNat(1)), ExtNat(2), slope)
+
+
+def _general_add(s1, s2):
+    """EvAffineSeq.add without its shortcut for a zero operand."""
+    s = max(s1.tail_start, s2.tail_start)
+    prefix = tuple(s1.at(i) + s2.at(i) for i in range(s))
+    b1, b2 = s1.at(s), s2.at(s)
+    if not b1.is_finite or not b2.is_finite:
+        return EvAffineSeq(prefix, INF, 0)
+    return EvAffineSeq(prefix, b1 + b2, s1.tail_slope + s2.tail_slope)
+
+
+def _general_and(s1, s2):
+    """BoolSeq.and_with without its shortcut for an all-true operand."""
+    n = max(len(s1.prefix), len(s2.prefix))
+    return BoolSeq(tuple(s1.at(i) and s2.at(i) for i in range(n)), s1.tail and s2.tail)
+
+
+# neutral operands equal to ZERO_SEQ and ALWAYS_CLOSED but built apart from them,
+# as matrix_profile builds the zero chain of an invertible matrix
+_ZEROS = (ZERO_SEQ, EvAffineSeq((ExtNat(0), ExtNat(0)), ExtNat(0), 0))
+_TRUES = (ALWAYS_CLOSED, BoolSeq((True, True), True))
+
+
+@settings(max_examples=100)
+@given(
+    st.lists(small_nat | st.just(INF), max_size=4).map(tuple),
+    small_nat | st.just(INF),
+    st.integers(0, 3),
+    st.sampled_from(_ZEROS),
+)
+def test_add_of_zero_equals_general_route(prefix, base, slope, zero):
+    seq = EvAffineSeq(prefix, base, 0 if base == INF else slope)
+    assert zero.add(seq) == _general_add(zero, seq) == seq
+    assert seq.add(zero) == _general_add(seq, zero) == seq
+    general = _general_add(seq, seq)
+    assert seq.add(seq) == general
+    for n in range(10):
+        assert general.at(n) == seq.at(n) + seq.at(n)
+
+
+@settings(max_examples=100)
+@given(st.lists(st.booleans(), max_size=4).map(tuple), st.booleans(), st.sampled_from(_TRUES))
+def test_and_with_all_true_equals_general_route(prefix, tail, true):
+    seq = BoolSeq(prefix, tail)
+    assert true.and_with(seq) == _general_and(true, seq) == seq
+    assert seq.and_with(true) == _general_and(seq, true) == seq
+    assert seq.and_with(CLOSED_ONLY_AT_ZERO) == _general_and(seq, CLOSED_ONLY_AT_ZERO)
+
+
+def test_neutral_operands_are_matched_by_value():
+    # the invertible matrix profile's chain is a zero chain of its own
+    zero = matrix_profile((2, 2)).a
+    assert zero == ZERO_SEQ and zero is not ZERO_SEQ
+    assert LINEAR_SEQ.add(zero) is LINEAR_SEQ and zero.add(LINEAR_SEQ) is LINEAR_SEQ
+    true = BoolSeq((True,), True)
+    assert true is not ALWAYS_CLOSED
+    assert CLOSED_ONLY_AT_ZERO.and_with(true) is CLOSED_ONLY_AT_ZERO
 
 
 def test_bool_seq():

@@ -246,7 +246,7 @@ def test_report_chain_reconstruction():
     rep = build_report(OperatorDocument("j3", OperatorExpr.of(J3)), point(0))
     back = AnalysisReport.from_json(rep.to_json())
     a = back.chain("a")
-    assert [v.to_str() for v in a.values(6)] == ["0", "1", "2", "3", "3", "3"]
+    assert [v.to_str() for v in map(a.at, range(6))] == ["0", "1", "2", "3", "3", "3"]
     assert back.chain("r") == back.chain("a")
     assert back.chain("b").tail_formula() == "0 for n >= 3"
 
@@ -266,6 +266,20 @@ def test_report_chain_reads_ascii_digits_only(tail_base):
     rep = build_report(OperatorDocument("j3", OperatorExpr.of(J3)), point(0))
     obj = json.loads(rep.to_json())
     obj["chains"]["a"]["tail_base"] = tail_base
+    back = AnalysisReport.from_json(json.dumps(obj))
+    with pytest.raises(DocumentError):
+        back.chain("a")
+
+
+@pytest.mark.parametrize("slope", [True, 0.5, "1", -1])
+def test_report_chain_tail_slope_must_be_a_natural_int(slope):
+    # J2's kernel chain 0, 1, 2, 2, ...: with a slope of true the reader
+    # used to fold the prefix into the tail and return 0, 1, 2, 3, ...
+    j2 = matrix_atom([[0, 1], [0, 0]])
+    rep = build_report(OperatorDocument("j2", OperatorExpr.of(j2)), point(0))
+    obj = json.loads(rep.to_json())
+    assert obj["chains"]["a"]["tail_slope"] == 0
+    obj["chains"]["a"]["tail_slope"] = slope
     back = AnalysisReport.from_json(json.dumps(obj))
     with pytest.raises(DocumentError):
         back.chain("a")

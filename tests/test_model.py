@@ -39,7 +39,7 @@ J3 = matrix_atom([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
 
 
 def vals(seq, n=5):
-    return [v.to_str() for v in seq.values(n)]
+    return [v.to_str() for v in map(seq.at, range(n))]
 
 
 def test_point_parts_are_exact_rationals():

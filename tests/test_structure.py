@@ -44,9 +44,9 @@ def mat(rows):
 
 def test_jordan3_chains():
     p = expr_profile(OperatorExpr.of(J3), point(0))
-    assert [v.to_str() for v in p.a.values(5)] == ["0", "1", "2", "3", "3"]
-    assert [v.to_str() for v in p.c.values(5)] == ["1", "1", "1", "0", "0"]
-    assert [v.to_str() for v in p.c.diff().values(5)] == ["0", "0", "1", "0", "0"]
+    assert [v.to_str() for v in map(p.a.at, range(5))] == ["0", "1", "2", "3", "3"]
+    assert [v.to_str() for v in map(p.c.at, range(5))] == ["1", "1", "1", "0", "0"]
+    assert [v.to_str() for v in map(p.c.diff().at, range(5))] == ["0", "0", "1", "0", "0"]
     assert p.c.stabilization_point() == ExtNat(3)  # dis
     assert p.a.stabilization_point() == ExtNat(3)  # the Fitting index
 
