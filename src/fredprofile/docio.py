@@ -33,9 +33,12 @@ from .structure import analyze_expr, gkd_pair
 # ASCII digits only: \d and int() also accept other scripts' decimal digits
 _RATIONAL_RE = _re.compile(r"-?[0-9]+(/[0-9]+)?\Z")
 
-# spectrum's characteristic polynomial (Berkowitz) costs O(d^4): about 0.7 s
-# at d = 64 and 4.5 s at d = 96 under CPython 3.11 on a 2-core Xeon; the
-# other commands build none, but the limit holds for every command
+# The limit bounds rows, not work: at d = 64, spectrum's characteristic
+# polynomial (Berkowitz, O(d^4) products of integers that grow with the
+# entries) took 0.8 s with 1-digit integer entries, 22.9 s with 100-digit
+# integers and 383 s with 3-digit fractions, under CPython 3.11 on a
+# 2-core host. The other commands build none, but the limit holds for
+# every command; a bound on work is an open item in ROADMAP.md.
 MAX_MATRIX_DIM = 64
 
 # A 64 x 64 matrix document as serialize_document writes it takes 79 KB with

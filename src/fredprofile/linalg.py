@@ -22,13 +22,12 @@ gives.
 
 Fractions appear only at the boundary: from_rows and from_vectors accept
 them (from_ratios takes the integer pairs a parsed document gives),
-minus_scalar and is_eigenvalue read a Fraction's numerator and
-denominator, and the read-only views at, row, column, entries, to_rows
-and SubspaceBasis.vectors return them. No kernel builds one.
+minus_scalar reads a Fraction's numerator and denominator, and the
+read-only views at, row, column, entries, to_rows and
+SubspaceBasis.vectors return them. No kernel builds one.
 Only spectrum scans use the characteristic polynomial: gaussian_root
-evaluates it in Gaussian integers, for is_eigenvalue at one point and for
-the scans' keys on their integer axes; analysis at one point decides
-eigenvalues by rank.
+evaluates it in Gaussian integers, for the scans' keys on their integer
+axes; analysis at one point decides eigenvalues by rank.
 """
 from __future__ import annotations
 
@@ -205,31 +204,18 @@ class ExactMatrix:
         """e_m * q^(d-m), m = 0..d, for the coefficients e_m of
         det(xI - A), A = den*self (_scaled_char_poly): the polynomial that
         gaussian_root evaluates at z = den*q*lam for a point lam with
-        denominators dividing q."""
+        denominators dividing q. Its value there is q^d den^d
+        det(lam*I - self), so z is a root exactly when lam is an
+        eigenvalue, whichever such q is taken."""
         d = self.rows
         return tuple([e * q ** (d - m) for m, e in enumerate(self._scaled_char_poly)])
-
-    def is_eigenvalue(self, re, im=0) -> bool:
-        """True when re + i*im is a root of the characteristic polynomial,
-        i.e. self minus that scalar is singular over the complex numbers.
-
-        With re = a/q, im = b/q over a common denominator q, the Gaussian
-        integer z = den*(a + b*i) is a root of weighted_char_poly(q)
-        exactly when re + i*im is an eigenvalue: the sum is
-        q^d den^d det(lam*I - self), and any common denominator q gives a
-        nonzero multiple of it. re and im are ints or Fractions.
-        """
-        q = math.lcm(re.denominator, im.denominator)
-        zr = self.den * re.numerator * (q // re.denominator)
-        zi = self.den * im.numerator * (q // im.denominator)
-        return gaussian_root(self.weighted_char_poly(q), zr, zi)
 
 
 def gaussian_root(coeffs: Sequence[int], zr: int, zi: int) -> bool:
     """True when sum_m coeffs[m] * z^m is 0 at the Gaussian integer
     z = zr + i*zi, coefficients constant term first: Horner's rule in ints,
-    so the zero test is exact. The one root test of the package
-    (ExactMatrix.is_eigenvalue, and the scans' keys on their integer axes)."""
+    so the zero test is exact. The scans' eigenvalue test on their
+    integer axes (spectra.scan)."""
     x, y = coeffs[-1], 0
     for e in coeffs[-2::-1]:
         x, y = x * zr - y * zi + e, x * zi + y * zr

@@ -13,14 +13,14 @@ records, as symbolic chains over the power n:
 together with range closedness per power, quasi-nilpotence, nilpotency
 degree, and whether the point admits a generalized Kato decomposition. A
 profile stores a and r only: c and b are their step sizes, derived once on
-access. Matrix kernel chains follow from the exact ranks of the powers,
-the only thing kept (matrix_chain_data, then matrix_profile), computed at
-every point: the first rank alone says whether lam is an eigenvalue, so
-analysis at one point builds no characteristic polynomial. Shift chains come from closed-form tables, one profile per
-region of the plane, whose justification is noted inline. A shift's region
-(shift_region) is the sign of |lam|^2 - 1 or whether lam = 0, which a
-grid scan finds by integer comparisons; a matrix atom's region, for scan
-keys only, comes from its characteristic polynomial (atom_region).
+access. These are dimensions over C. Matrix kernel chains follow from the
+exact ranks over C of the powers of m - lam, the only thing kept
+(matrix_data_at, then matrix_profile), computed at every point: the first
+rank alone says whether lam is an eigenvalue, so analysis at one point
+builds no characteristic polynomial. Shift chains come from closed-form
+tables, one profile per region of the plane, whose justification is noted
+inline. A shift's region (shift_region) is the sign of |lam|^2 - 1 or
+whether lam = 0, which a grid scan finds by integer comparisons.
 """
 from __future__ import annotations
 
@@ -185,10 +185,9 @@ def realified(m: ExactMatrix, re: Fraction, im: Fraction) -> ExactMatrix:
     realified (realify), giving the block matrix
     [[m - re*I, im*I], [-im*I, m - re*I]]: the realification commutes with
     the complex-structure matrix, so every kernel, image, intersection and
-    sum it produces carries even rational dimension, and dividing by 2
-    (matrix_data_at's scale) recovers the complex dimension exactly. Only
-    reports build it at a complex point (structure.matrix_split); the
-    ranks come from the d x d matrix q(m) (matrix_data_at).
+    sum it produces carries even rational dimension, twice the complex
+    one. Only reports build it at a complex point (structure.matrix_split);
+    the ranks come from the d x d matrix q(m) (matrix_data_at).
     """
     s = m.minus_scalar(re)
     if im == 0:
@@ -226,24 +225,15 @@ def matrix_chain_data(s: ExactMatrix) -> tuple[int, ...]:
     return tuple(ranks)
 
 
-def _scaled(v: int, scale: int) -> ExtNat:
-    if v % scale:
-        raise InternalInvariantError(
-            f"realified dimension {v} is not a multiple of {scale}"
-        )
-    return ExtNat(v // scale)
-
-
-def matrix_profile(ranks: Sequence[int], scale: int = 1) -> StructuralProfile:
+def matrix_profile(ranks: Sequence[int]) -> StructuralProfile:
     """Profile of a d x d matrix S from ranks[n] = rank(S^n), n = 0..nu+1,
-    the last two equal (matrix_chain_data), so d = ranks[0]; scale divides
-    the dimensions of a realified S (matrix_data_at).
+    the last two equal (matrix_chain_data, matrix_data_at), so d = ranks[0].
 
     a_n = d - rank(S^n), and r_n = a_n by rank-nullity, so the derived
     meet and join chains agree too: c_n = b_n = a_{n+1} - a_n.
     """
     nu = len(ranks) - 2
-    a_vals = [_scaled(ranks[0] - ranks[n], scale) for n in range(nu + 1)]
+    a_vals = [ExtNat(ranks[0] - ranks[n]) for n in range(nu + 1)]
     a = EvAffineSeq.from_samples(a_vals, nu)
     nilpotent = ranks[nu] == 0
     return StructuralProfile(
@@ -315,44 +305,38 @@ def shift_region(kind: str, circle: int, at_zero: bool) -> int | bool:
     return circle if kind in _PLAIN_SHIFTS else at_zero
 
 
-def atom_region(atom: Atom, lam: Point) -> object:
-    """The region of lam on which atom - lam has one fixed profile:
-    shift_region for a shift; for a matrix atom None off its eigenvalues
-    (the invertible profile) and the point itself at one, so that no two
-    eigenvalues share a region. This is the scan key: spectra.scan decides
-    it by the same root test (linalg.gaussian_root) on its integer axes,
-    with the matrix's polynomial weighted once per scan."""
-    if atom.kind == "matrix":
-        return lam if atom.matrix.is_eigenvalue(*lam) else None
-    re, im = lam
-    q2 = re * re + im * im
-    return shift_region(atom.kind, (q2 > 1) - (q2 < 1), not q2)
+def matrix_data_at(m: ExactMatrix, lam: Point) -> tuple[int, ...]:
+    """ranks[n] = the rank over C of (m - lam)^n, n = 0..nu+1, nu the
+    least n with ranks[n] = ranks[n+1] (matrix_chain_data). The first rank
+    decides whether lam is an eigenvalue: nu = 0 (rank d) exactly off the
+    spectrum, where matrix_profile gives the invertible profile.
 
-
-def matrix_data_at(m: ExactMatrix, lam: Point) -> tuple[tuple[int, ...], int]:
-    """The ranks of the powers of the shifted block S ~ m - lam
-    (matrix_chain_data) and its dimension scale. The first rank decides
-    whether lam is an eigenvalue: nu = 0 (rank d) exactly off the spectrum,
-    where matrix_profile gives the invertible profile.
-
-    At a real lam, S = m - lam and the scale is 1. At lam = re + i*im with
-    im != 0 the ranks come from q(m) (real_quadratic), d x d, not from the
-    2d x 2d realified block S. Over C, q(m)^n = (m - lam)^n (m - conj(lam))^n
-    and the two generalized eigenspaces meet only in 0, so N(q(m)^n) is
-    N((m - lam)^n) plus its conjugate: dim_Q N(q(m)^n) = 2 a_n = dim_Q N(S^n).
-    Hence rank(S^n) = d + rank(q(m)^n), with the same nu, and the scale is 2.
+    At a real lam they are the ranks of m - lam. At lam = re + i*im with
+    im != 0 they come from q(m) (real_quadratic), d x d. Over C,
+    q(m)^n = (m - lam)^n (m - conj(lam))^n and the two generalized
+    eigenspaces meet only in 0, so N(q(m)^n) is N((m - lam)^n) plus its
+    conjugate: dim_Q N(q(m)^n) = 2 a_n. Hence the rank over C of
+    (m - lam)^n is (d + rank(q(m)^n)) / 2, with the same nu; an odd
+    d + rank(q(m)^n) breaks that identity and is an internal error.
     """
     re, im = lam
     if not im:
-        return matrix_chain_data(m.minus_scalar(re)), 1
-    return tuple([m.rows + r for r in matrix_chain_data(real_quadratic(m, re, im))]), 2
+        return matrix_chain_data(m.minus_scalar(re))
+    d, ranks = m.rows, matrix_chain_data(real_quadratic(m, re, im))
+    if any((d + r) % 2 for r in ranks):
+        raise InternalInvariantError(
+            f"q(m) of a {d} x {d} matrix has ranks {ranks}, not all of d's parity"
+        )
+    return tuple([(d + r) // 2 for r in ranks])
 
 
 def atom_profile(atom: Atom, lam: Point) -> StructuralProfile:
     """Structural profile of (atom - lam)."""
-    if atom.kind != "matrix":
-        return _SHIFT_PROFILES[atom.kind, atom_region(atom, lam)]
-    return matrix_profile(*matrix_data_at(atom.matrix, lam))
+    if atom.kind == "matrix":
+        return matrix_profile(matrix_data_at(atom.matrix, lam))
+    re, im = lam
+    q2 = re * re + im * im
+    return _SHIFT_PROFILES[atom.kind, shift_region(atom.kind, (q2 > 1) - (q2 < 1), not q2)]
 
 
 def direct_sum_profile(profiles: Sequence[StructuralProfile]) -> StructuralProfile:

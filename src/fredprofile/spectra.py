@@ -4,14 +4,16 @@ split the complement of a chosen spectrum into connected components of
 constant index.
 
 Scans are region-keyed: a point's record depends only on the tuple of its
-atoms' exact regions (model.atom_region), so a scan computes that tuple at
-every point and classifies once per distinct tuple. It keeps the distinct
-records in first-seen order and one integer id per point, the position of
-its record among them; the renderers render each distinct record once and
-index that list by id. Every region comes from integer keys: each axis is
-integers over one common denominator, the shifts' regions are integer
-comparisons, a matrix atom's is linalg.gaussian_root on those integers,
-and no Fraction is built per point.
+atoms' exact regions (a shift's model.shift_region; a matrix atom's, the
+point itself at an eigenvalue and one region off them), so a scan
+computes that tuple at every point and classifies once per distinct
+tuple. It keeps the distinct records in first-seen order and one integer
+id per point, the position of its record among them; the renderers
+render each distinct record once and index that list by id. Every
+region comes from integer keys: each axis is integers over one common
+denominator, the shifts' regions are integer comparisons, a matrix
+atom's is linalg.gaussian_root on those integers, and no Fraction is
+built per point.
 
 Adjacency for components is 4-neighbour adjacency refined by equal index:
 two neighbouring grid points belong to the same component only when their
@@ -163,18 +165,18 @@ class SpectrumScan:
 
 
 def scan(e: OperatorExpr, grid: GridSpec) -> SpectrumScan:
-    """Classify every grid point, once per distinct tuple of atom regions
-    (model.atom_region): the record made at the first point of a key
-    serves every later point with that key. With re = R_k / D_r and
-    im = I_j / D_i on the integer axes, |lam|^2 - 1 has the sign of
-    a_k - t_j, a_k = R_k^2 D_i^2 and t_j = D_r^2 D_i^2 - I_j^2 D_r^2, and
-    lam = 0 is R_k = I_j = 0: the shifts' regions take integer comparisons.
-    A matrix atom's region is the root test of ExactMatrix.is_eigenvalue
-    over the one denominator q = lcm(D_r, D_i): its weighted_char_poly(q)
-    once per scan, z's real part once per column and its imaginary part
-    once per row, then gaussian_root per point. A key that puts a matrix
-    atom off its spectrum gives that atom invertible_analysis, so only
-    eigenvalues take ranks."""
+    """Classify every grid point, once per distinct tuple of atom regions:
+    the record made at the first point of a key serves every later point
+    with that key. With re = R_k / D_r and im = I_j / D_i on the integer
+    axes, |lam|^2 - 1 has the sign of a_k - t_j, a_k = R_k^2 D_i^2 and
+    t_j = D_r^2 D_i^2 - I_j^2 D_r^2, and lam = 0 is R_k = I_j = 0: the
+    shifts' regions take integer comparisons. A matrix atom's region is
+    lam at an eigenvalue and None off them, decided over the one
+    denominator q = lcm(D_r, D_i): its weighted_char_poly(q) once per scan,
+    z's real part once per column and its imaginary part once per row,
+    then gaussian_root per point. A key that puts a matrix atom off its
+    spectrum gives that atom invertible_analysis, so only eigenvalues take
+    ranks."""
     (re_nums, re_den), (im_nums, im_den) = grid.re_axis(), grid.im_axis()
     res, ims = grid.re_values(), grid.im_values()
     a = [r * r * im_den * im_den for r in re_nums]

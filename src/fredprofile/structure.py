@@ -10,13 +10,13 @@ stabilization points of that part's kernel and range chains (0 or infinity,
 since a semi-regular operator has exactly linear chains); dis is the
 stabilization point of the full meet chain.
 
-These are dimensions, so every profile comes from ranks. A matrix atom is
-analysed by rank alone (model.matrix_data_at): the ranks of the powers of
-its shifted block give all three profiles, and the first of them says
-whether the point is an eigenvalue; off the spectrum the chain stops at
-nu = 0 with the invertible profile. At a complex point those ranks come
-from the d x d matrix q(m), the atom's image under the point's minimal
-polynomial over Q, so classifying builds no realified block.
+These are dimensions over C, so every profile comes from ranks. A matrix
+atom m is analysed by rank alone (model.matrix_data_at): the ranks over C
+of the powers of m - lam give all three profiles, and the first of them
+says whether the point is an eigenvalue; off the spectrum the chain stops
+at nu = 0 with the invertible profile. At a complex point those ranks
+come from the d x d matrix q(m), the atom's image under the point's
+minimal polynomial over Q, so classifying builds no realified block.
 assemble_analysis sums given per-atom analyses into the profiles and the
 summary; analyze_expr and the scans share it. The Fitting split, with its
 bases, blocks and Drazin inverse, is built only on request (gkd_pair), for
@@ -138,20 +138,20 @@ class AtomAnalysis:
 def analyze_atom(atom: Atom, lam: Point) -> AtomAnalysis:
     """The profiles of one atom at lam, from ranks alone.
 
-    For a matrix atom the block profiles come from the ranks of the powers
-    of the shifted block S (model.matrix_data_at; at a complex point they
-    are derived from q(m) and S is never built): S is invertible on its
+    For a matrix atom the block profiles come from the ranks over C of the
+    powers of S = m - lam (model.matrix_data_at; at a complex point they
+    are derived from q(m) and no block is built): S is invertible on its
     core K = R(S^nu), so the core block has the invertible profile; S^n
     acts on K ⊕ H0 as an invertible map plus the n-th power of the H0
     block, so rank((S|H0)^n) = rank(S^n) - dim K, dim K = rank(S^nu) the
     last rank. Off the spectrum nu = 0, K is the whole space and H0 is empty.
     """
     if atom.kind == "matrix":
-        ranks, scale = matrix_data_at(atom.matrix, lam)
+        ranks = matrix_data_at(atom.matrix, lam)
         k = ranks[-1]
         m_prof = INVERTIBLE_PROFILE if k else None
-        n_prof = matrix_profile([r - k for r in ranks], scale) if k < ranks[0] else None
-        return AtomAnalysis(atom, lam, matrix_profile(ranks, scale), m_prof, n_prof)
+        n_prof = matrix_profile([r - k for r in ranks]) if k < ranks[0] else None
+        return AtomAnalysis(atom, lam, matrix_profile(ranks), m_prof, n_prof)
     prof = atom_profile(atom, lam)
     if not prof.is_pseudofredholm_point:
         return AtomAnalysis(atom, lam, prof, None, None)

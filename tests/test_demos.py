@@ -1,5 +1,6 @@
 """The documented demo invocations, run as scripts: their stdout must
-match the outputs recorded in tests/demo_outputs byte for byte."""
+match the outputs recorded in tests/demo_outputs byte for byte. README's
+library quick start, run as written, must print what its comments say."""
 import os
 import subprocess
 import sys
@@ -41,3 +42,14 @@ def test_demo_output_is_pinned(name):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (RECORDED / f"{name}.txt").read_bytes()
+
+
+def test_readme_quick_start_prints_its_comments(capsys):
+    # each print line of the block ends in a "# ..." comment giving its output
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## Library quick start\n", 1)[1]
+    block = block.split("```python\n", 1)[1].split("```", 1)[0]
+    want = [ln.partition("# ")[2] for ln in block.splitlines() if ln.startswith("print(")]
+    assert len(want) == 3
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == want

@@ -1,9 +1,10 @@
-"""Rank-first matrix atoms: the characteristic polynomial and the exact
-eigenvalue test that scan keys use, and differential checks of the
-analysis from ranks (of q(m) at complex points) and of the scans' keyed
-shortcut against the exact Fitting split of the realified block; and of
-what is derived from that one split (chains, block profiles, the Drazin
-inverse) against the routes that compute it a second way."""
+"""Rank-first matrix atoms: the characteristic polynomial that scan keys
+evaluate, the eigenvalue decision by the first rank, and differential
+checks of the analysis from ranks (of q(m) at complex points) and of the
+scans' keyed shortcut against the exact Fitting split of the realified
+block; and of what is derived from that one split (chains, block
+profiles, the Drazin inverse) against the routes that compute it a second
+way."""
 import json
 import sys
 from fractions import Fraction as F
@@ -27,9 +28,9 @@ from fredprofile.model import (
     INVERTIBLE_PROFILE,
     OperatorExpr,
     RIGHT_SHIFT,
-    _scaled,
     atom_profile,
     matrix_chain_data,
+    matrix_data_at,
     matrix_profile,
     realified,
 )
@@ -79,29 +80,33 @@ def matrix_and_point(draw, max_dim=6):
     return p @ ExactMatrix.from_rows(rows) @ inverse(p), (re, im)
 
 
-def _scale(lam):
-    return 2 if lam[1] else 1
+def _over_c(ranks, lam):
+    """Ranks of a block in the realified space as ranks over C: at a
+    complex point each is even, and halved."""
+    if not lam[1]:
+        return tuple(ranks)
+    assert all(r % 2 == 0 for r in ranks)
+    return tuple(r // 2 for r in ranks)
 
 
 def _realified_data(m, lam):
     """matrix_data_at's result from the chain of the realified block
     itself, not of q(m)."""
-    return matrix_chain_data(realified(m, *lam)), _scale(lam)
+    return _over_c(matrix_chain_data(realified(m, *lam)), lam)
 
 
 def _slow_everywhere(mp, ranked=None):
     """Take every matrix atom's ranks from the realified block, and give
-    scans the eigenvalue path at every point: the one root test says yes
-    everywhere, in every module that holds it. ranked, when given,
-    collects the points at which ranks were taken."""
+    scans the eigenvalue path at every point: their root test says yes
+    everywhere. ranked, when given, collects the points at which ranks
+    were taken."""
 
     def realified_data(m, lam):
         if ranked is not None:
             ranked.append(lam)
         return _realified_data(m, lam)
 
-    for mod in (linalg, spectra):
-        mp.setattr(mod, "gaussian_root", lambda coeffs, zr, zi: True)
+    mp.setattr(spectra, "gaussian_root", lambda coeffs, zr, zi: True)
     for mod in (model, structure):
         mp.setattr(mod, "matrix_data_at", realified_data)
 
@@ -133,13 +138,19 @@ def test_char_poly_computed_once():
     assert m._scaled_char_poly is m._scaled_char_poly
 
 
+def _first_rank_singular(m, re, im=0):
+    """The eigenvalue decision at one point: the first rank over C of
+    m - lam is below d."""
+    return matrix_data_at(m, (F(re), F(im)))[1] < m.rows
+
+
 def test_is_eigenvalue_known():
     rot = mat([[0, -1], [1, 0]])
-    assert rot.is_eigenvalue(0, 1) and rot.is_eigenvalue(0, -1)
-    assert not rot.is_eigenvalue(0) and not rot.is_eigenvalue(1)
+    assert _first_rank_singular(rot, 0, 1) and _first_rank_singular(rot, 0, -1)
+    assert not _first_rank_singular(rot, 0) and not _first_rank_singular(rot, 1)
     d = mat([[F(1, 2), 0], [0, -3]])
-    assert d.is_eigenvalue(F(1, 2)) and d.is_eigenvalue(-3)
-    assert not d.is_eigenvalue(F(1, 2), F(1, 2))
+    assert _first_rank_singular(d, F(1, 2)) and _first_rank_singular(d, -3)
+    assert not _first_rank_singular(d, F(1, 2), F(1, 2))
 
 
 def test_char_poly_matches_sympy():
@@ -163,7 +174,8 @@ def test_char_poly_matches_sympy():
 def test_is_eigenvalue_matches_realified_rank(mp):
     m, (re, im) = mp
     s = realified(m, re, im)
-    assert m.is_eigenvalue(re, im) == (rank(s) < s.rows)
+    assert _first_rank_singular(m, re, im) == (rank(s) < s.rows)
+    assert fraction_reference.is_eigenvalue(m, re, im) == (rank(s) < s.rows)
 
 
 # q(m) = (m + 2)^2 + 4 = 0 at -2-2i, yet m - lam has a core: the conjugate
@@ -175,23 +187,29 @@ ROT = mat([[0, -1], [1, 0]])
 ROT_CHAIN = mat([[0, -1, 1, 0], [1, 0, 0, 1], [0, 0, 0, -1], [0, 0, 1, 0]])
 
 
+# Q_ZERO's matrix at 2 - 2i, off its spectrum -2 +- 2i
+Q_ZERO_OFF = (Q_ZERO[0], (F(2), F(-2)))
+
+
 @settings(max_examples=100, deadline=None)
 @given(matrix_and_point())
 @example(Q_ZERO)
+@example(Q_ZERO_OFF)
+@example((ROT_CHAIN, (F(0), F(1))))
 def test_fast_atom_analysis_equals_fitting_split(mp):
     m, lam = mp
     atom = Atom("matrix", m)
     part = analyze_atom(atom, lam)
     assert matrix_split(part, 0) == _fitting_reference(m, lam)
-    s = realified(m, *lam)
+    # the ranks over C are the realified block's at a real point and half
+    # of them at a complex one
+    ranks = matrix_data_at(m, lam)
+    block = matrix_chain_data(realified(m, *lam))
+    assert (tuple(2 * r for r in ranks) if lam[1] else ranks) == block
     assert part.profile == atom_profile(atom, lam)
-    assert part.profile == matrix_profile(matrix_chain_data(s), _scale(lam))
-    if not m.is_eigenvalue(*lam):
+    assert part.profile == matrix_profile(_over_c(block, lam))
+    if not fraction_reference.is_eigenvalue(m, *lam):
         assert part.profile == INVERTIBLE_PROFILE
-
-
-# Q_ZERO's matrix at 2 - 2i, off its spectrum -2 +- 2i
-Q_ZERO_OFF = (Q_ZERO[0], (F(2), F(-2)))
 
 
 @settings(max_examples=100, deadline=None)
@@ -219,10 +237,12 @@ def test_classify_same_on_either_path(mp, with_shift):
     m, lam = mp
     atoms = (RIGHT_SHIFT, Atom("matrix", m)) if with_shift else (Atom("matrix", m),)
     e = OperatorExpr(atoms)
-    fast = classify(e, lam)
+    # the analysis too: a record's flags and summary do not see the
+    # dimensions of a nilpotent matrix block, its profiles do
+    fast = classify(e, lam), structure.analyze_expr(e, lam)
     with pytest.MonkeyPatch.context() as patch:
         _slow_everywhere(patch)
-        slow = classify(OperatorExpr(atoms), lam)
+        slow = classify(OperatorExpr(atoms), lam), structure.analyze_expr(e, lam)
     assert fast == slow
 
 
@@ -291,21 +311,32 @@ def test_scan_eigenvalue_keys_equal_fraction_reference(mg):
         s = scan(OperatorExpr.of(RIGHT_SHIFT, Atom("matrix", m)), grid)
     # each eigenvalue is a key of its own, and only eigenvalues take ranks
     assert ranked == want
-    assert [m.is_eigenvalue(*p) for p in grid.points()] == [p in want for p in grid.points()]
+    # and the decision at one point, by the first rank, agrees
+    got = [_first_rank_singular(m, *p) for p in grid.points()]
+    assert got == [p in want for p in grid.points()]
     assert len(s.ids) == len(grid.points())
 
 
-def test_scaled_odd_realified_dimension_is_internal_error():
-    assert _scaled(4, 2).value == 2
-    with pytest.raises(InternalInvariantError):
-        _scaled(3, 2)
+def test_q_rank_of_wrong_parity_is_internal_error(tmp_path, monkeypatch, capsys):
+    # a 2 x 2 atom at a complex point: d + rank(q(m)^n) must be even, since
+    # dim_Q N(q(m)^n) = 2 a_n; the check is a raise, not an assert, so
+    # python -O keeps it
+    chain = model.matrix_chain_data
 
+    def odd(s):
+        return (2, 1, 1) if s.rows == 2 else chain(s)
 
-def test_matrix_profile_scaled_check_survives_any_optimization_level():
-    # the check is a raise, not an assert, so python -O keeps it
-    data = matrix_chain_data(mat([[0, 1, 0], [0, 0, 0], [0, 0, 1]]))
+    monkeypatch.setattr(model, "matrix_chain_data", odd)
     with pytest.raises(InternalInvariantError):
-        matrix_profile(data, 2)
+        analyze_atom(Atom("matrix", ROT), (F(0), F(1)))
+    doc = tmp_path / "rot.json"
+    rot = OperatorExpr.of(Atom("matrix", ROT))
+    doc.write_text(docio.serialize_document(docio.OperatorDocument("rot", rot)))
+    assert main(["analyze", "--in", str(doc), "--lambda", "0,1"]) == 6
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("internal error: ")
 
 
 def _reference_drazin(m):
@@ -352,7 +383,7 @@ def test_derived_block_profiles_equal_block_chains(mp):
     ):
         if basis.dim:
             assert blk.matrix == restrict(s, basis)
-            assert prof == matrix_profile(matrix_chain_data(blk.matrix), _scale(lam))
+            assert prof == matrix_profile(_over_c(matrix_chain_data(blk.matrix), lam))
         else:
             assert blk is None and prof is None
 

@@ -186,14 +186,14 @@ def test_realified_even_and_halved():
     rot = matrix_atom([[0, -1], [1, 0]])
     m = realified(rot.matrix, F(0), F(1))
     assert m.rows == 4
-    assert matrix_data_at(rot.matrix, point(0, 1)) == ((4, 2, 2), 2)
+    assert matrix_data_at(rot.matrix, point(0, 1)) == (2, 1, 1)
     p = expr_profile(OperatorExpr.of(rot), point(0, 1))
     assert vals(p.a) == ["0", "1", "1", "1", "1"]
     assert vals(p.r) == ["0", "1", "1", "1", "1"]
     # real points stay in the original space
     m2 = realified(rot.matrix, F(1, 2), F(0))
     assert m2 == rot.matrix.minus_scalar(F(1, 2))
-    assert matrix_data_at(rot.matrix, point(F(1, 2))) == ((2, 2), 1)
+    assert matrix_data_at(rot.matrix, point(F(1, 2))) == (2, 2)
 
 
 def test_complex_point_invertible_matrix():

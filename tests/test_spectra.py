@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fraction_reference
 from fredprofile import spectra
 from fredprofile.catalog import by_name
 from fredprofile.classify import FLAG_NAMES, classify, classify_analysis
@@ -20,9 +21,9 @@ from fredprofile.model import (
     QNIL_SHIFT,
     QNIL_SHIFT_DUAL,
     RIGHT_SHIFT,
-    atom_region,
     matrix_atom,
     point,
+    shift_region,
 )
 from fredprofile.spectra import (
     CSV_HEADER,
@@ -266,6 +267,16 @@ def _scan_of(grid, recs):
 
 def _reference_scan(e, grid):
     return _scan_of(grid, [classify(e, lam) for lam in grid.points()])
+
+
+def _reference_region(atom, lam):
+    """The region of lam on which atom - lam has one fixed profile: a
+    shift's from Fraction |lam|^2; a matrix atom's the point itself at an
+    eigenvalue and None off them, by the Fraction root test."""
+    if atom.kind == "matrix":
+        return lam if fraction_reference.is_eigenvalue(atom.matrix, *lam) else None
+    q2 = lam[0] * lam[0] + lam[1] * lam[1]
+    return shift_region(atom.kind, (q2 > 1) - (q2 < 1), not q2)
 
 
 def grouped_cells(
@@ -523,7 +534,7 @@ def test_keyed_scan_at_unit_circle_points_off_the_integers(atoms, eigenvalues):
     for lam in ((F(3, 5), F(4, 5)), (F(-4, 5), F(3, 5))):
         assert not recs[lam].pseudo_fredholm
     for lam in eigenvalues:
-        assert atom_region(atoms[2], lam) == lam
+        assert fraction_reference.is_eigenvalue(atoms[2].matrix, *lam)
 
 
 @pytest.mark.parametrize(
@@ -553,7 +564,7 @@ def test_scan_classifies_once_per_key(monkeypatch, name, keys):
     assert len(s.records) == 41 * 41
     assert len(calls) == keys
     assert len({id(rec) for rec in s.records}) == keys
-    distinct = {tuple(atom_region(a, lam) for a in e.atoms) for lam in g.points()}
+    distinct = {tuple(_reference_region(a, lam) for a in e.atoms) for lam in g.points()}
     assert len(distinct) == keys
 
 
