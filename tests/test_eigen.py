@@ -317,16 +317,31 @@ def test_scan_eigenvalue_keys_equal_fraction_reference(mg):
     assert len(s.ids) == len(grid.points())
 
 
-def test_q_rank_of_wrong_parity_is_internal_error(tmp_path, monkeypatch, capsys):
-    # a 2 x 2 atom at a complex point: d + rank(q(m)^n) must be even, since
-    # dim_Q N(q(m)^n) = 2 a_n; the check is a raise, not an assert, so
-    # python -O keeps it
+def _odd_q_ranks(monkeypatch):
+    # q(m) of a 2 x 2 atom reports ranks of the wrong parity: d + rank(q(m)^n)
+    # must be even, since dim_Q N(q(m)^n) = 2 a_n
     chain = model.matrix_chain_data
 
     def odd(s):
         return (2, 1, 1) if s.rows == 2 else chain(s)
 
     monkeypatch.setattr(model, "matrix_chain_data", odd)
+
+
+def test_scaled_odd_realified_dimension_is_internal_error(monkeypatch):
+    # at i, q(ROT) = ROT^2 + 1 = 0: ranks (2, 0, 0) over Q halve to (2, 1, 1)
+    assert model.matrix_data_at(ROT, (F(0), F(1))) == (2, 1, 1)
+    _odd_q_ranks(monkeypatch)
+    with pytest.raises(InternalInvariantError):
+        model.matrix_data_at(ROT, (F(0), F(1)))
+
+
+def test_matrix_profile_scaled_check_survives_any_optimization_level(
+    tmp_path, monkeypatch, capsys
+):
+    # the parity check is a raise, not an assert, so python -O keeps it; it
+    # reaches analyze_atom and the CLI as an internal error
+    _odd_q_ranks(monkeypatch)
     with pytest.raises(InternalInvariantError):
         analyze_atom(Atom("matrix", ROT), (F(0), F(1)))
     doc = tmp_path / "rot.json"
