@@ -5,15 +5,15 @@ constant index.
 
 Scans are region-keyed: a point's record depends only on the tuple of its
 atoms' exact regions (a shift's model.shift_region; a matrix atom's, the
-point itself at an eigenvalue and one region off them), so a scan
-computes that tuple at every point and classifies once per distinct
-tuple. It keeps the distinct records in first-seen order and one integer
-id per point, the position of its record among them; the renderers
-render each distinct record once and index that list by id. Every
-region comes from integer keys: each axis is integers over one common
-denominator, the shifts' regions are integer comparisons, a matrix
-atom's is linalg.gaussian_root on those integers, and no Fraction is
-built per point.
+point itself at an eigenvalue and one region off them), so a scan walks
+each row as runs of points with one tuple, builds a run's tuple once and
+classifies once per distinct tuple. It keeps the distinct records in
+first-seen order and one integer id per point, the position of its
+record among them. The renderers build each column's, row's and distinct
+record's text once and join references to them, no text per point.
+Every region comes from integer keys: each axis is integers over one
+common denominator, a column's code (the circle side, or lam = 0) is two
+integer comparisons, and a matrix atom's region is linalg.gaussian_root.
 
 Adjacency for components is 4-neighbour adjacency refined by equal index:
 two neighbouring grid points belong to the same component only when their
@@ -31,7 +31,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby, repeat
+from itertools import chain, cycle, groupby, repeat
 from typing import Iterator
 
 from .classify import FLAG_NAMES, ClassificationRecord, classify, classify_analysis
@@ -165,18 +165,20 @@ class SpectrumScan:
 
 
 def scan(e: OperatorExpr, grid: GridSpec) -> SpectrumScan:
-    """Classify every grid point, once per distinct tuple of atom regions:
-    the record made at the first point of a key serves every later point
-    with that key. With re = R_k / D_r and im = I_j / D_i on the integer
-    axes, |lam|^2 - 1 has the sign of a_k - t_j, a_k = R_k^2 D_i^2 and
-    t_j = D_r^2 D_i^2 - I_j^2 D_r^2, and lam = 0 is R_k = I_j = 0: the
-    shifts' regions take integer comparisons. A matrix atom's region is
-    lam at an eigenvalue and None off them, decided over the one
-    denominator q = lcm(D_r, D_i): its weighted_char_poly(q) once per scan,
-    z's real part once per column and its imaginary part once per row,
-    then gaussian_root per point. A key that puts a matrix atom off its
-    spectrum gives that atom invertible_analysis, so only eigenvalues take
-    ranks."""
+    """Classify every grid point, once per distinct tuple of atom regions,
+    walking each row as runs of points with one tuple: a run builds its key
+    once, and the record made at the first point of a key serves every
+    later point with that key. With re = R_k / D_r and im = I_j / D_i on
+    the integer axes, |lam|^2 - 1 has the sign of a_k - t_j,
+    a_k = R_k^2 D_i^2 and t_j = D_r^2 D_i^2 - I_j^2 D_r^2, and lam = 0 is
+    R_k = I_j = 0: one comprehension per row gives each column a code, the
+    sign or 2 at lam = 0, and the shifts' regions follow from the code. A
+    matrix atom's region is lam at an eigenvalue and None off them, decided
+    over the one denominator q = lcm(D_r, D_i): its weighted_char_poly(q)
+    once per scan, z's real part once per column and its imaginary part
+    once per row, then gaussian_root per point; each eigenvalue column is a
+    run of its own. A key that puts a matrix atom off its spectrum gives
+    that atom invertible_analysis, so only eigenvalues take ranks."""
     (re_nums, re_den), (im_nums, im_den) = grid.re_axis(), grid.im_axis()
     res, ims = grid.re_values(), grid.im_values()
     a = [r * r * im_den * im_den for r in re_nums]
@@ -195,42 +197,56 @@ def scan(e: OperatorExpr, grid: GridSpec) -> SpectrumScan:
         for m in mats
     ]
 
-    def row_regions(ws, zrs, zi, im):
-        """A matrix atom's regions along the row im, with zi its z's imaginary part."""
-        return [(re, im) if gaussian_root(ws, zr, zi) else None for re, zr in zip(res, zrs)]
+    def eigenvalue_columns(ws, zrs, zi):
+        return [k for k, zr in enumerate(zrs) if gaussian_root(ws, zr, zi)]
 
-    # the shifts' regions, indexed by the circle sign (0, 1, -1), and at lam = 0
-    keys = [tuple(shift_region(k, sign, False) for k in kinds) for sign in (0, 1, -1)]
-    zero_key = tuple(shift_region(k, -1, True) for k in kinds)
+    # the shifts' regions by column code: the circle sign, and 2 at lam = 0
+    keys = {sign: tuple(shift_region(k, sign, False) for k in kinds) for sign in (0, 1, -1)}
+    keys[2] = tuple(shift_region(k, -1, True) for k in kinds)
+    no_eigenvalue = (None,) * len(mats)
     distinct: list[ClassificationRecord] = []
     ids: list[int] = []
     by_key: dict[tuple, int] = {}
     for im, i_num in zip(ims, im_nums):
         t = c - i_num * i_num * re_den * re_den
-        # the matrix atoms' regions along the row, transposed into one tuple per point
-        regions = [row_regions(ws, zrs, f * i_num, im) for ws, zrs, f in polys]
-        for re, x, mat_key in zip(res, a, zip(*regions) if polys else repeat(())):
-            key = (zero_key if not (i_num or x) else keys[(x > t) - (x < t)]) + mat_key
+        codes = [(x > t) - (x < t) if i_num or x else 2 for x in a]
+        eigs = [eigenvalue_columns(ws, zrs, f * i_num) for ws, zrs, f in polys]
+        # an eigenvalue column's code is made unique, so that it is a run of its own
+        for k in set().union(*eigs):
+            codes[k] = (codes[k], k)
+        first = 0
+        for code, run in groupby(codes):
+            n = len(list(run))
+            if type(code) is tuple:
+                code, k = code
+                key = keys[code] + tuple((res[k], im) if k in cols else None for cols in eigs)
+            else:
+                key = keys[code] + no_eigenvalue
             rid = by_key.get(key)
             if rid is None:
                 rid = by_key[key] = len(distinct)
-                lam = (re, im)
+                lam = (res[first], im)
                 off = {id(m) for m, r in zip(mats, key[len(kinds) :]) if r is None}
                 parts = tuple(
                     invertible_analysis(at, lam) if id(at) in off else analyze_atom(at, lam)
                     for at in e.atoms
                 )
                 distinct.append(classify_analysis(assemble_analysis(e, lam, parts)))
-            ids.append(rid)
+            ids += [rid] * n
+            first += n
     return SpectrumScan(grid, tuple(distinct), tuple(ids))
 
 
-def _coord_rows(s: SpectrumScan) -> Iterator[tuple[str, list[str], tuple[int, ...]]]:
-    """(im text, re texts, ids) of each grid row, one rational_str per axis value."""
-    res = [rational_str(re) for re in s.grid.re_values()]
-    w = len(res)
-    for j, im in enumerate(map(rational_str, s.grid.im_values())):
-        yield im, res, s.ids[j * w : (j + 1) * w]
+def _point_texts(
+    s: SpectrumScan, heads: list[str], im_format: str, tails: list[str]
+) -> Iterator[str]:
+    """Each point's column head, row text and record tail in row-major
+    order, as references to strings built once per column, row and record."""
+    w = len(heads)
+    rows = (repeat(im_format.format(rational_str(im)), w) for im in s.grid.im_values())
+    return chain.from_iterable(
+        zip(cycle(heads), chain.from_iterable(rows), map(tails.__getitem__, s.ids))
+    )
 
 
 @dataclass(frozen=True)
@@ -322,22 +338,18 @@ def _csv_tail(rec: ClassificationRecord) -> str:
 
 
 def scan_to_csv(s: SpectrumScan) -> str:
-    tails = [_csv_tail(rec) for rec in s.distinct]
-    lines = [CSV_HEADER]
-    for im, res, ids in _coord_rows(s):
-        lines += [f"{re},{im},{tails[i]}" for re, i in zip(res, ids)]
-    return "\n".join(lines) + "\n"
+    heads = [rational_str(re) + "," for re in s.grid.re_values()]
+    tails = [_csv_tail(rec) + "\n" for rec in s.distinct]
+    return "".join(chain((CSV_HEADER, "\n"), _point_texts(s, heads, "{},", tails)))
 
 
-# the start of a points row as docio.json_text lays it out; the text of a
-# rational needs no JSON escaping
-_ROW_HEAD = '\n      "re": "{}",\n      "im": "{}"'
 # the flag items' keys as the row lays them out, each followed by true or false
 _FLAG_HEADS = tuple(f",\n      {quote(name)}: " for name in FLAG_NAMES)
 
 
 def _json_row_tail(rec: ClassificationRecord) -> str:
-    """The items of a points row after "re" and "im", laid out as _ROW_HEAD."""
+    """The items of a points row after "re" and "im", laid out as
+    docio.json_text lays them out."""
     flags = rec.flags().values()
     out = [h + ("true" if v else "false") for h, v in zip(_FLAG_HEADS, flags)]
     out += [f",\n      {quote(k)}: {quote(v)}" for k, v in rec.summary.to_strs().items()]
@@ -345,8 +357,8 @@ def _json_row_tail(rec: ClassificationRecord) -> str:
 
 
 def scan_to_json(s: SpectrumScan, set_name: str) -> str:
-    """The scan as docio.json_text(doc) + "\n" writes it, with each distinct
-    record's row items rendered once and shared by its points."""
+    """The scan as docio.json_text(doc) + "\n" writes it, joined from texts
+    built once per column, row and distinct record."""
     report = component_index_report(s, set_name)
     head = {
         "grid": {
@@ -369,13 +381,12 @@ def scan_to_json(s: SpectrumScan, set_name: str) -> str:
             for c in report.components
         ],
     }
-    # the points list is the last member, so it goes where head's "\n}" was
-    parts = [json_text(head)[:-2], ',\n  "points": [\n    {']
-    sep = ""
-    tails = [_json_row_tail(rec) for rec in s.distinct]
-    for im, res, ids in _coord_rows(s):
-        for re, i in zip(res, ids):
-            parts += (sep, _ROW_HEAD.format(re, im), tails[i])
-            sep = "\n    },\n    {"
-    parts.append("\n    }\n  ]\n}\n")
-    return "".join(parts)
+    # the points list is the last member, so it goes where head's "\n}" was;
+    # a point's column head opens with the separator from the point before,
+    # and a rational's text needs no JSON escaping
+    sep = "\n    },\n    {"
+    heads = [f'{sep}\n      "re": "{rational_str(x)}",\n      "im": "' for x in s.grid.re_values()]
+    points = _point_texts(s, heads, '{}"', [_json_row_tail(rec) for rec in s.distinct])
+    next(points)  # the first point's head, which has no point before it
+    opening = (json_text(head)[:-2], ',\n  "points": [\n    {', heads[0][len(sep) :])
+    return "".join(chain(opening, points, ("\n    }\n  ]\n}\n",)))

@@ -1,4 +1,5 @@
 import errno
+import hashlib
 import io
 import json
 import os
@@ -12,8 +13,14 @@ import pytest
 
 import fredprofile
 from fredprofile import verify
+from fredprofile.catalog import by_name
 from fredprofile.cli import entry, main
-from fredprofile.docio import MAX_DOCUMENT_BYTES, AnalysisReport
+from fredprofile.docio import (
+    MAX_DOCUMENT_BYTES,
+    AnalysisReport,
+    OperatorDocument,
+    serialize_document,
+)
 from fredprofile.extvals import ExtIndex, ExtNat
 from fredprofile.linalg import ExactMatrix
 from fredprofile.spectra import CSV_HEADER
@@ -232,6 +239,41 @@ def test_spectrum_deterministic_bytes(shift_doc, tmp_path):
     for out in (a, b):
         assert main(["spectrum", "--in", shift_doc, "--grid=-1,1,-1,1,5,5", "--out", str(out)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+# SHA-256 of spectrum's stdout for four catalog scans, pinned so that the
+# renderers and the per-point reference renderers of test_spectra.py
+# cannot drift together
+@pytest.mark.parametrize(
+    "name, argv, digest",
+    [
+        (
+            "right_right_left",
+            ["--grid=-5/2,5/2,-5/2,5/2,41,41", "--format", "json", "--set", "pbf"],
+            "3e3582521c31bee6e0d04e35ce84bc437fc505fdf163a33ff1e9d9caf23d37dc",
+        ),
+        (
+            "left_plus_qnil",
+            ["--grid=-5/2,5/2,-5/2,5/2,41,41", "--format", "csv"],
+            "3fc3a9d32689621876c22d13edb2d678048c3cfe3614cd1695db34349638b8f1",
+        ),
+        (
+            "right_jordan3_qnil",
+            ["--grid=-2,2,-2,2,41,41", "--format", "json", "--set", "upbw"],
+            "7e9f5855ec0bcec8d6409ad26b17bb7ad831ab3507661f96c44ca6344b372cef",
+        ),
+        (
+            "right_jordan3_qnil",
+            ["--grid=-2,2,-2,2,41,41", "--format", "csv"],
+            "505b155c264a81ed8395f27cc4966270f39a51972bd988cb7f4795e4a8936410",
+        ),
+    ],
+)
+def test_spectrum_stdout_of_catalog_scans_is_pinned(name, argv, digest, tmp_path, capsys):
+    f = tmp_path / "op.json"
+    f.write_text(serialize_document(OperatorDocument(name, by_name(name).expr)))
+    assert main(["spectrum", "--in", str(f), *argv]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize(

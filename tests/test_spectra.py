@@ -564,8 +564,27 @@ def test_scan_classifies_once_per_key(monkeypatch, name, keys):
     assert len(s.records) == 41 * 41
     assert len(calls) == keys
     assert len({id(rec) for rec in s.records}) == keys
-    distinct = {tuple(_reference_region(a, lam) for a in e.atoms) for lam in g.points()}
-    assert len(distinct) == keys
+    # each distinct key is classified at its first point in row-major order
+    first: dict = {}
+    for lam in g.points():
+        first.setdefault(tuple(_reference_region(a, lam) for a in e.atoms), lam)
+    assert calls == list(first.values())
+
+
+@pytest.mark.parametrize(
+    "atoms, g",
+    [
+        # lam = 0 is the only point of these grids inside the unit circle
+        ((QNIL_SHIFT,), grid(3, -1, 1)),
+        ((QNIL_SHIFT_DUAL,), grid(3, -1, 1)),
+        ((LEFT_SHIFT, QNIL_SHIFT), grid(5)),
+        # and here one of several
+        ((LEFT_SHIFT, QNIL_SHIFT_DUAL), grid(9)),
+    ],
+)
+def test_scan_keys_lambda_zero_apart_from_the_inside(atoms, g):
+    e = OperatorExpr(atoms)
+    assert scan(e, g).records == tuple(classify(e, lam) for lam in g.points())
 
 
 @pytest.mark.parametrize(
