@@ -25,9 +25,11 @@ them (from_ratios takes the integer pairs a parsed document gives),
 minus_scalar reads a Fraction's numerator and denominator, and the
 read-only views at, row, column, entries, to_rows and
 SubspaceBasis.vectors return them. No kernel builds one.
-Only spectrum scans use the characteristic polynomial: gaussian_root
-evaluates it in Gaussian integers, for the scans' keys on their integer
-axes; analysis at one point decides eigenvalues by rank.
+Only spectrum scans use the characteristic polynomial: root_multiplicity
+divides it by x - z in Gaussian integers, for the scans' keys on their
+integer axes, and gives each eigenvalue's algebraic multiplicity, where
+the chain of ranks stops; analysis at one point decides eigenvalues by
+rank.
 """
 from __future__ import annotations
 
@@ -142,6 +144,8 @@ class ExactMatrix:
         """self - q*I on a square matrix, q an int or a Fraction."""
         if self.rows != self.cols:
             raise ValueError("minus_scalar needs a square matrix")
+        if not q:
+            return self
         den = math.lcm(self.den, q.denominator)
         f = den // self.den
         num = [x * f for x in self.num]
@@ -203,23 +207,39 @@ class ExactMatrix:
     def weighted_char_poly(self, q: int) -> tuple[int, ...]:
         """e_m * q^(d-m), m = 0..d, for the coefficients e_m of
         det(xI - A), A = den*self (_scaled_char_poly): the polynomial that
-        gaussian_root evaluates at z = den*q*lam for a point lam with
-        denominators dividing q. Its value there is q^d den^d
-        det(lam*I - self), so z is a root exactly when lam is an
-        eigenvalue, whichever such q is taken."""
+        root_multiplicity divides at z = den*q*lam for a point lam with
+        denominators dividing q. It is q^d den^d det(x/(den*q) - self) in
+        x, so z is a root exactly when lam is an eigenvalue, and of the
+        same multiplicity, the algebraic multiplicity of lam, whichever
+        such q is taken."""
         d = self.rows
         return tuple([e * q ** (d - m) for m, e in enumerate(self._scaled_char_poly)])
 
 
-def gaussian_root(coeffs: Sequence[int], zr: int, zi: int) -> bool:
-    """True when sum_m coeffs[m] * z^m is 0 at the Gaussian integer
-    z = zr + i*zi, coefficients constant term first: Horner's rule in ints,
-    so the zero test is exact. The scans' eigenvalue test on their
-    integer axes (spectra.scan)."""
+def root_multiplicity(coeffs: Sequence[int], zr: int, zi: int) -> int:
+    """The multiplicity of the Gaussian integer z = zr + i*zi as a root of
+    sum_m coeffs[m] * x^m, integer coefficients constant term first and the
+    last nonzero; 0 off the roots. Each pass is Horner's rule in Gaussian
+    integers, so every zero test is exact: its partial sums, leading first,
+    are the coefficients of the quotient by x - z, and its last is the
+    remainder. A pass whose remainder is 0 divides exactly, and the next
+    runs on the quotient. Off the roots one pass in ints, which keeps
+    nothing, decides. The scans' eigenvalue test on their integer axes
+    (spectra.scan)."""
     x, y = coeffs[-1], 0
     for e in coeffs[-2::-1]:
         x, y = x * zr - y * zi + e, x * zi + y * zr
-    return not x and not y
+    if x or y:
+        return 0
+    mult, p = 0, [(e, 0) for e in coeffs[::-1]]
+    while True:
+        sums, x, y = [], 0, 0
+        for e, f in p:
+            x, y = x * zr - y * zi + e, x * zi + y * zr + f
+            sums.append((x, y))
+        if x or y:
+            return mult
+        mult, p = mult + 1, sums[:-1]
 
 
 def _content_rows(m: ExactMatrix) -> list[list[int]]:

@@ -15,12 +15,15 @@ degree, and whether the point admits a generalized Kato decomposition. A
 profile stores a and r only: c and b are their step sizes, derived once on
 access. These are dimensions over C. Matrix kernel chains follow from the
 exact ranks over C of the powers of m - lam, the only thing kept
-(matrix_data_at, then matrix_profile), computed at every point: the first
-rank alone says whether lam is an eigenvalue, so analysis at one point
-builds no characteristic polynomial. Shift chains come from closed-form
-tables, one profile per region of the plane, whose justification is noted
-inline. A shift's region (shift_region) is the sign of |lam|^2 - 1 or
-whether lam = 0, which a grid scan finds by integer comparisons.
+(matrix_chain_data, then matrix_profile): the first rank alone says
+whether lam is an eigenvalue, so analysis at one point builds no
+characteristic polynomial. A scan knows each eigenvalue's algebraic
+multiplicity from the polynomial, and with it where the chain ends, so it
+computes only the ranks that end leaves open. Shift chains come from
+closed-form tables, one profile per region of the plane, whose
+justification is noted inline. A shift's region (shift_region) is the
+sign of |lam|^2 - 1 or whether lam = 0, which a grid scan finds by
+integer comparisons.
 """
 from __future__ import annotations
 
@@ -187,7 +190,7 @@ def realified(m: ExactMatrix, re: Fraction, im: Fraction) -> ExactMatrix:
     the complex-structure matrix, so every kernel, image, intersection and
     sum it produces carries even rational dimension, twice the complex
     one. Only reports build it at a complex point (structure.matrix_split);
-    the ranks come from the d x d matrix q(m) (matrix_data_at).
+    the ranks come from the d x d matrix q(m) (matrix_chain_data).
     """
     s = m.minus_scalar(re)
     if im == 0:
@@ -212,22 +215,65 @@ def real_quadratic(m: ExactMatrix, re: Fraction, im: Fraction) -> ExactMatrix:
     return ExactMatrix(sq.rows, sq.cols, tuple(num), sq.den * e2)
 
 
-def matrix_chain_data(s: ExactMatrix) -> tuple[int, ...]:
-    """ranks[n] = rank(S^n) for n = 0..nu+1, where nu is the least n with
-    rank(S^n) = rank(S^(n+1)); for a square matrix the kernel and image
-    chains both freeze exactly at nu. Only the current power is kept."""
-    if s.rows != s.cols:
+def matrix_chain_data(
+    m: ExactMatrix, lam: Point = (Fraction(0), Fraction(0)), mult: int | None = None
+) -> tuple[int, ...]:
+    """ranks[n] = the rank over C of (m - lam)^n, n = 0..nu+1, nu the least
+    n with ranks[n] = ranks[n+1]; for a square matrix the kernel and image
+    chains both freeze exactly at nu. The first rank decides whether lam is
+    an eigenvalue: nu = 0 (rank d) exactly off the spectrum, where
+    matrix_profile gives the invertible profile.
+
+    At a real lam they are the ranks of the powers of S = m - lam. At
+    lam = re + i*im with im != 0 they come from q(m) (real_quadratic),
+    d x d. Over C, q(m)^n = (m - lam)^n (m - conj(lam))^n and the two
+    generalized eigenspaces meet only in 0, so N(q(m)^n) is N((m - lam)^n)
+    plus its conjugate: dim_Q N(q(m)^n) = 2 a_n. Hence the rank over C of
+    (m - lam)^n is (d + rank(q(m)^n)) / 2, with the same nu; an odd
+    d + rank(q(m)^n) breaks that identity and is an internal error.
+
+    mult, when given, is the algebraic multiplicity of lam (0 off the
+    spectrum), so the chain ends at rank d - mult, dim N(S^nu) being mult.
+    The ranks fall strictly until nu and never below d - mult, so a rank
+    of d - mult ends the chain, and a rank of d - mult + 1 forces the next
+    to be d - mult: such ranks are written down, not computed, and S or
+    q(m) is built only for a rank that is computed; at a simple
+    eigenvalue, ranks (d, d - 1, d - 1), none is. A computed rank below
+    d - mult, or equal to the one before it above d - mult, contradicts
+    mult and is an internal error. Only the current power is kept.
+    """
+    if m.rows != m.cols:
         raise AmbientMismatch("operator matrices must be square")
-    power, ranks = s, [s.rows, rank(s)]
-    while ranks[-1] != ranks[-2]:
-        power = power @ s
-        ranks.append(rank(power))
+    (re, im), d = lam, m.rows
+    end = None if mult is None else d - mult
+    ranks, s = [d], None
+    while len(ranks) < 2 or ranks[-1] != ranks[-2]:
+        r = ranks[-1]
+        if end is not None and r - end <= 1:
+            ranks.append(end)
+            continue
+        if s is None:
+            s = power = real_quadratic(m, re, im) if im else m.minus_scalar(re)
+        else:
+            power = power @ s
+        k = rank(power)
+        if im:
+            if (d + k) % 2:
+                raise InternalInvariantError(
+                    f"q(m) of a {d} x {d} matrix has rank {k}, not of d's parity"
+                )
+            k = (d + k) // 2
+        if end is not None and (k < end or k == r):
+            raise InternalInvariantError(
+                f"rank {k} after {ranks} contradicts multiplicity {mult} of a {d} x {d} matrix"
+            )
+        ranks.append(k)
     return tuple(ranks)
 
 
 def matrix_profile(ranks: Sequence[int]) -> StructuralProfile:
     """Profile of a d x d matrix S from ranks[n] = rank(S^n), n = 0..nu+1,
-    the last two equal (matrix_chain_data, matrix_data_at), so d = ranks[0].
+    the last two equal (matrix_chain_data), so d = ranks[0].
 
     a_n = d - rank(S^n), and r_n = a_n by rank-nullity, so the derived
     meet and join chains agree too: c_n = b_n = a_{n+1} - a_n.
@@ -280,7 +326,7 @@ _INF_TAIL = EvAffineSeq((ExtNat(0),), INF, 0)
 # No shift is nilpotent. Columns: a, r, range_closed, is_quasinilpotent,
 # nilpotency_degree, is_pseudofredholm_point.
 _ON_CIRCLE = StructuralProfile(ZERO_SEQ, _INF_TAIL, CLOSED_ONLY_AT_ZERO, False, INF, False)
-_SHIFT_PROFILES: dict[tuple[str, int | bool], StructuralProfile] = {
+SHIFT_PROFILES: dict[tuple[str, int | bool], StructuralProfile] = {
     ("right_shift", -1): StructuralProfile(ZERO_SEQ, LINEAR_SEQ, ALWAYS_CLOSED, False, INF, True),
     ("left_shift", -1): StructuralProfile(LINEAR_SEQ, ZERO_SEQ, ALWAYS_CLOSED, False, INF, True),
     ("right_shift", 0): _ON_CIRCLE,
@@ -300,43 +346,18 @@ _SHIFT_PROFILES: dict[tuple[str, int | bool], StructuralProfile] = {
 
 def shift_region(kind: str, circle: int, at_zero: bool) -> int | bool:
     """The region of lam on which the shift kind minus lam has one fixed
-    profile, its key in _SHIFT_PROFILES: circle, the sign of |lam|^2 - 1,
+    profile, its key in SHIFT_PROFILES: circle, the sign of |lam|^2 - 1,
     for a plain shift; at_zero, whether lam = 0, for a weighted one."""
     return circle if kind in _PLAIN_SHIFTS else at_zero
-
-
-def matrix_data_at(m: ExactMatrix, lam: Point) -> tuple[int, ...]:
-    """ranks[n] = the rank over C of (m - lam)^n, n = 0..nu+1, nu the
-    least n with ranks[n] = ranks[n+1] (matrix_chain_data). The first rank
-    decides whether lam is an eigenvalue: nu = 0 (rank d) exactly off the
-    spectrum, where matrix_profile gives the invertible profile.
-
-    At a real lam they are the ranks of m - lam. At lam = re + i*im with
-    im != 0 they come from q(m) (real_quadratic), d x d. Over C,
-    q(m)^n = (m - lam)^n (m - conj(lam))^n and the two generalized
-    eigenspaces meet only in 0, so N(q(m)^n) is N((m - lam)^n) plus its
-    conjugate: dim_Q N(q(m)^n) = 2 a_n. Hence the rank over C of
-    (m - lam)^n is (d + rank(q(m)^n)) / 2, with the same nu; an odd
-    d + rank(q(m)^n) breaks that identity and is an internal error.
-    """
-    re, im = lam
-    if not im:
-        return matrix_chain_data(m.minus_scalar(re))
-    d, ranks = m.rows, matrix_chain_data(real_quadratic(m, re, im))
-    if any((d + r) % 2 for r in ranks):
-        raise InternalInvariantError(
-            f"q(m) of a {d} x {d} matrix has ranks {ranks}, not all of d's parity"
-        )
-    return tuple([(d + r) // 2 for r in ranks])
 
 
 def atom_profile(atom: Atom, lam: Point) -> StructuralProfile:
     """Structural profile of (atom - lam)."""
     if atom.kind == "matrix":
-        return matrix_profile(matrix_data_at(atom.matrix, lam))
+        return matrix_profile(matrix_chain_data(atom.matrix, lam))
     re, im = lam
     q2 = re * re + im * im
-    return _SHIFT_PROFILES[atom.kind, shift_region(atom.kind, (q2 > 1) - (q2 < 1), not q2)]
+    return SHIFT_PROFILES[atom.kind, shift_region(atom.kind, (q2 > 1) - (q2 < 1), not q2)]
 
 
 def direct_sum_profile(profiles: Sequence[StructuralProfile]) -> StructuralProfile:

@@ -13,7 +13,12 @@ record among them. The renderers build each column's, row's and distinct
 record's text once and join references to them, no text per point.
 Every region comes from integer keys: each axis is integers over one
 common denominator, a column's code (the circle side, or lam = 0) is two
-integer comparisons, and a matrix atom's region is linalg.gaussian_root.
+integer comparisons, and a matrix atom's region is decided by
+linalg.root_multiplicity, which also gives an eigenvalue's algebraic
+multiplicity. A new key's analysis takes a shift's profile from its
+region and a matrix atom's ranks from the chain bounded by that
+multiplicity, so an eigenvalue of multiplicity m costs only the ranks m
+leaves open (none when m = 1) and a point off the spectrum none.
 
 Adjacency for components is 4-neighbour adjacency refined by equal index:
 two neighbouring grid points belong to the same component only when their
@@ -36,9 +41,9 @@ from typing import Iterator
 
 from .classify import FLAG_NAMES, ClassificationRecord, classify, classify_analysis
 from .docio import json_text, quote, rational_str
-from .linalg import exact_rational, gaussian_root
-from .model import OperatorExpr, Point, shift_region
-from .structure import analyze_atom, assemble_analysis, invertible_analysis
+from .linalg import exact_rational, root_multiplicity
+from .model import SHIFT_PROFILES, OperatorExpr, Point, matrix_chain_data, shift_region
+from .structure import assemble_analysis, matrix_analysis, shift_analysis
 
 SPECTRUM_NAMES: tuple[str, ...] = (
     "upbf",
@@ -176,9 +181,11 @@ def scan(e: OperatorExpr, grid: GridSpec) -> SpectrumScan:
     matrix atom's region is lam at an eigenvalue and None off them, decided
     over the one denominator q = lcm(D_r, D_i): its weighted_char_poly(q)
     once per scan, z's real part once per column and its imaginary part
-    once per row, then gaussian_root per point; each eigenvalue column is a
-    run of its own. A key that puts a matrix atom off its spectrum gives
-    that atom invertible_analysis, so only eigenvalues take ranks."""
+    once per row, then root_multiplicity per point; each eigenvalue column
+    is a run of its own and keeps its multiplicity. A new key analyses a
+    shift atom from the profile of its region and a matrix atom from the
+    chain that the multiplicity bounds (model.matrix_chain_data): 0 off the
+    spectrum, where the ranks are (d, d) and none is computed."""
     (re_nums, re_den), (im_nums, im_den) = grid.re_axis(), grid.im_axis()
     res, ims = grid.re_values(), grid.im_values()
     a = [r * r * im_den * im_den for r in re_nums]
@@ -198,12 +205,13 @@ def scan(e: OperatorExpr, grid: GridSpec) -> SpectrumScan:
     ]
 
     def eigenvalue_columns(ws, zrs, zi):
-        return [k for k, zr in enumerate(zrs) if gaussian_root(ws, zr, zi)]
+        """Each eigenvalue column of the row, with its multiplicity."""
+        return {k: mult for k, zr in enumerate(zrs) if (mult := root_multiplicity(ws, zr, zi))}
 
     # the shifts' regions by column code: the circle sign, and 2 at lam = 0
     keys = {sign: tuple(shift_region(k, sign, False) for k in kinds) for sign in (0, 1, -1)}
     keys[2] = tuple(shift_region(k, -1, True) for k in kinds)
-    no_eigenvalue = (None,) * len(mats)
+    no_eigenvalue, no_mults = (None,) * len(mats), (0,) * len(mats)
     distinct: list[ClassificationRecord] = []
     ids: list[int] = []
     by_key: dict[tuple, int] = {}
@@ -219,16 +227,20 @@ def scan(e: OperatorExpr, grid: GridSpec) -> SpectrumScan:
             n = len(list(run))
             if type(code) is tuple:
                 code, k = code
-                key = keys[code] + tuple((res[k], im) if k in cols else None for cols in eigs)
+                mults = [cols.get(k, 0) for cols in eigs]
+                key = keys[code] + tuple((res[k], im) if mult else None for mult in mults)
             else:
-                key = keys[code] + no_eigenvalue
+                mults, key = no_mults, keys[code] + no_eigenvalue
             rid = by_key.get(key)
             if rid is None:
                 rid = by_key[key] = len(distinct)
                 lam = (res[first], im)
-                off = {id(m) for m, r in zip(mats, key[len(kinds) :]) if r is None}
+                # the shifts' regions lead the key, in the order of their atoms
+                regions, mults = iter(key), iter(mults)
                 parts = tuple(
-                    invertible_analysis(at, lam) if id(at) in off else analyze_atom(at, lam)
+                    matrix_analysis(at, lam, matrix_chain_data(at.matrix, lam, next(mults)))
+                    if at.kind == "matrix"
+                    else shift_analysis(at, lam, SHIFT_PROFILES[at.kind, next(regions)])
                     for at in e.atoms
                 )
                 distinct.append(classify_analysis(assemble_analysis(e, lam, parts)))

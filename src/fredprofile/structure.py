@@ -11,16 +11,20 @@ since a semi-regular operator has exactly linear chains); dis is the
 stabilization point of the full meet chain.
 
 These are dimensions over C, so every profile comes from ranks. A matrix
-atom m is analysed by rank alone (model.matrix_data_at): the ranks over C
-of the powers of m - lam give all three profiles, and the first of them
-says whether the point is an eigenvalue; off the spectrum the chain stops
-at nu = 0 with the invertible profile. At a complex point those ranks
-come from the d x d matrix q(m), the atom's image under the point's
-minimal polynomial over Q, so classifying builds no realified block.
-assemble_analysis sums given per-atom analyses into the profiles and the
-summary; analyze_expr and the scans share it. The Fitting split, with its
-bases, blocks and Drazin inverse, is built only on request (gkd_pair), for
-reports and `drazin`, from the atom, the point and nu alone (matrix_split).
+atom m is analysed by rank alone (model.matrix_chain_data): the ranks
+over C of the powers of m - lam give all three profiles (matrix_analysis),
+and the first of them says whether the point is an eigenvalue; off the
+spectrum the chain stops at nu = 0 with the invertible profile. At a
+complex point those ranks come from the d x d matrix q(m), the atom's
+image under the point's minimal polynomial over Q, so classifying builds
+no realified block. A shift atom's analysis follows from its region's
+table profile (shift_analysis). assemble_analysis sums given per-atom
+analyses into the profiles and the summary. analyze_expr and the scans
+share these three; a scan passes each eigenvalue's multiplicity to the
+chain, which then computes only the ranks the multiplicity leaves open.
+The Fitting split, with its bases, blocks and Drazin inverse, is built
+only on request (gkd_pair), for reports and `drazin`, from the atom, the
+point and nu alone (matrix_split).
 """
 from __future__ import annotations
 
@@ -45,7 +49,7 @@ from .model import (
     ZERO_DIM_PROFILE,
     atom_profile,
     direct_sum_profile,
-    matrix_data_at,
+    matrix_chain_data,
     matrix_profile,
     point,
     power_profile,
@@ -136,35 +140,42 @@ class AtomAnalysis:
 
 
 def analyze_atom(atom: Atom, lam: Point) -> AtomAnalysis:
-    """The profiles of one atom at lam, from ranks alone.
-
-    For a matrix atom the block profiles come from the ranks over C of the
-    powers of S = m - lam (model.matrix_data_at; at a complex point they
-    are derived from q(m) and no block is built): S is invertible on its
-    core K = R(S^nu), so the core block has the invertible profile; S^n
-    acts on K ⊕ H0 as an invertible map plus the n-th power of the H0
-    block, so rank((S|H0)^n) = rank(S^n) - dim K, dim K = rank(S^nu) the
-    last rank. Off the spectrum nu = 0, K is the whole space and H0 is empty.
-    """
+    """The profiles of one atom at lam: a matrix atom's from the ranks over
+    C of the powers of m - lam (model.matrix_chain_data; at a complex
+    point they are derived from q(m) and no block is built), by
+    matrix_analysis; a shift atom's from its table profile at lam, by
+    shift_analysis. The scans call both with what their keys already
+    know: an eigenvalue's multiplicity, a shift's region."""
     if atom.kind == "matrix":
-        ranks = matrix_data_at(atom.matrix, lam)
-        k = ranks[-1]
-        m_prof = INVERTIBLE_PROFILE if k else None
-        n_prof = matrix_profile([r - k for r in ranks]) if k < ranks[0] else None
-        return AtomAnalysis(atom, lam, matrix_profile(ranks), m_prof, n_prof)
-    prof = atom_profile(atom, lam)
+        return matrix_analysis(atom, lam, matrix_chain_data(atom.matrix, lam))
+    return shift_analysis(atom, lam, atom_profile(atom, lam))
+
+
+def matrix_analysis(atom: Atom, lam: Point, ranks: tuple[int, ...]) -> AtomAnalysis:
+    """The profiles of a matrix atom at lam from ranks[n], the rank over C
+    of S^n, S = m - lam, n = 0..nu+1 (model.matrix_chain_data).
+
+    S is invertible on its core K = R(S^nu), so the core block has the
+    invertible profile; S^n acts on K ⊕ H0 as an invertible map plus the
+    n-th power of the H0 block, so rank((S|H0)^n) = rank(S^n) - dim K,
+    dim K = rank(S^nu) the last rank. Off the spectrum nu = 0, K is the
+    whole space and H0 is empty.
+    """
+    k = ranks[-1]
+    m_prof = INVERTIBLE_PROFILE if k else None
+    n_prof = matrix_profile([r - k for r in ranks]) if k < ranks[0] else None
+    return AtomAnalysis(atom, lam, matrix_profile(ranks), m_prof, n_prof)
+
+
+def shift_analysis(atom: Atom, lam: Point, prof: StructuralProfile) -> AtomAnalysis:
+    """The profiles of a shift atom at lam from its profile there, an entry
+    of model.SHIFT_PROFILES: the whole atom is the piece that profile
+    names, quasi-nilpotent or semi-regular, where a decomposition exists."""
     if not prof.is_pseudofredholm_point:
         return AtomAnalysis(atom, lam, prof, None, None)
     if prof.is_quasinilpotent:
         return AtomAnalysis(atom, lam, prof, None, prof)
     return AtomAnalysis(atom, lam, prof, prof, None)
-
-
-def invertible_analysis(atom: Atom, lam: Point) -> AtomAnalysis:
-    """The analysis of an atom known to be invertible at lam, as a scan's
-    key proves it for a matrix atom off its spectrum: what analyze_atom
-    gives there, without computing a rank."""
-    return AtomAnalysis(atom, lam, INVERTIBLE_PROFILE, INVERTIBLE_PROFILE, None)
 
 
 def matrix_split(part: AtomAnalysis, atom_index: int) -> MatrixSplit:

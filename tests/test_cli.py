@@ -276,6 +276,72 @@ def test_spectrum_stdout_of_catalog_scans_is_pinned(name, argv, digest, tmp_path
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
+# matrix atoms whose eigenvalues on the grid have ranks that their
+# multiplicity forces: a diagonalizable double root at 1, J3 at -1, J2 + J1
+# at 1/2, a complex Jordan chain at +-i and Q_ZERO's simple -2 +- 2i
+FORCED_RANKS_DOC = {
+    "name": "forced_ranks",
+    "atoms": [
+        {"type": "right_shift"},
+        {"type": "matrix", "entries": [["1", "0", "2"], ["0", "1", "-2"], ["0", "0", "-1"]]},
+        {"type": "matrix", "entries": [["-1", "1", "0"], ["0", "-1", "1"], ["0", "0", "-1"]]},
+        {
+            "type": "matrix",
+            "entries": [["1/2", "1", "0"], ["0", "1/2", "0"], ["0", "0", "1/2"]],
+        },
+        {
+            "type": "matrix",
+            "entries": [
+                ["0", "-1", "1", "0"],
+                ["1", "0", "0", "1"],
+                ["0", "0", "0", "-1"],
+                ["0", "0", "1", "0"],
+            ],
+        },
+        {"type": "matrix", "entries": [["-2", "2"], ["-2", "-2"]]},
+    ],
+}
+
+
+# SHA-256 of spectrum's stdout on a grid of step 1/2 through every eigenvalue
+# of FORCED_RANKS_DOC, as a scan that computes every rank of each chain
+# writes it: the ranks that a multiplicity decides change no byte
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ["--format", "csv"],
+            "05678165707b674c042058f35f2a02a9cf4775cee98137a1e0eba9ead3ae2389",
+        ),
+        (
+            ["--format", "json", "--set", "upbw"],
+            "71a3412f51a213c4c7f159a768496ba8f2241a03eddb9f525f0a10e4bf5559e2",
+        ),
+    ],
+)
+def test_spectrum_stdout_at_forced_ranks_is_pinned(argv, digest, tmp_path, capsys):
+    f = tmp_path / "op.json"
+    f.write_text(json.dumps(FORCED_RANKS_DOC))
+    assert main(["spectrum", "--in", str(f), "--grid=-2,2,-2,2,9,9", *argv]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_spectrum_of_j3_and_rot_chain_is_pinned(tmp_path, capsys):
+    # the document and grid of the installed-console-script step in CI
+    doc = {
+        "name": "j3_rot_chain",
+        "atoms": [
+            {"type": "matrix", "entries": [["0", "1", "0"], ["0", "0", "1"], ["0", "0", "0"]]},
+            FORCED_RANKS_DOC["atoms"][4],
+        ],
+    }
+    f = tmp_path / "op.json"
+    f.write_text(json.dumps(doc))
+    assert main(["spectrum", "--in", str(f), "--grid=-1,1,-1,1,5,5"]) == 0
+    pinned = Path(__file__).resolve().parent / "demo_outputs" / "spectrum_j3_rot_chain.csv"
+    assert capsys.readouterr().out == pinned.read_text()
+
+
 @pytest.mark.parametrize(
     "grid",
     [

@@ -6,6 +6,7 @@ block; and of what is derived from that one split (chains, block
 profiles, the Drazin inverse) against the routes that compute it a second
 way."""
 import json
+import math
 import sys
 from fractions import Fraction as F
 from pathlib import Path
@@ -22,7 +23,15 @@ from fredprofile.classify import classify
 from fredprofile.cli import main
 from fredprofile.errors import InternalInvariantError
 from fredprofile.extvals import ExtNat
-from fredprofile.linalg import ExactMatrix, image_basis, inverse, kernel_basis, rank, restrict
+from fredprofile.linalg import (
+    ExactMatrix,
+    image_basis,
+    inverse,
+    kernel_basis,
+    rank,
+    restrict,
+    root_multiplicity,
+)
 from fredprofile.model import (
     Atom,
     INVERTIBLE_PROFILE,
@@ -30,7 +39,6 @@ from fredprofile.model import (
     RIGHT_SHIFT,
     atom_profile,
     matrix_chain_data,
-    matrix_data_at,
     matrix_profile,
     realified,
 )
@@ -90,25 +98,25 @@ def _over_c(ranks, lam):
 
 
 def _realified_data(m, lam):
-    """matrix_data_at's result from the chain of the realified block
+    """matrix_chain_data(m, lam) from the chain of the realified block
     itself, not of q(m)."""
     return _over_c(matrix_chain_data(realified(m, *lam)), lam)
 
 
 def _slow_everywhere(mp, ranked=None):
-    """Take every matrix atom's ranks from the realified block, and give
-    scans the eigenvalue path at every point: their root test says yes
-    everywhere. ranked, when given, collects the points at which ranks
-    were taken."""
+    """Take every matrix atom's ranks from the realified block, whatever
+    multiplicity is passed, and give scans the eigenvalue path at every
+    point: their root test finds a root everywhere. ranked, when given,
+    collects the points at which ranks were taken."""
 
-    def realified_data(m, lam):
+    def realified_data(m, lam, mult=None):
         if ranked is not None:
             ranked.append(lam)
         return _realified_data(m, lam)
 
-    mp.setattr(spectra, "gaussian_root", lambda coeffs, zr, zi: True)
-    for mod in (model, structure):
-        mp.setattr(mod, "matrix_data_at", realified_data)
+    mp.setattr(spectra, "root_multiplicity", lambda coeffs, zr, zi: 1)
+    for mod in (model, structure, spectra):
+        mp.setattr(mod, "matrix_chain_data", realified_data)
 
 
 def _fitting_reference(m, lam):
@@ -141,7 +149,7 @@ def test_char_poly_computed_once():
 def _first_rank_singular(m, re, im=0):
     """The eigenvalue decision at one point: the first rank over C of
     m - lam is below d."""
-    return matrix_data_at(m, (F(re), F(im)))[1] < m.rows
+    return matrix_chain_data(m, (F(re), F(im)))[1] < m.rows
 
 
 def test_is_eigenvalue_known():
@@ -203,7 +211,7 @@ def test_fast_atom_analysis_equals_fitting_split(mp):
     assert matrix_split(part, 0) == _fitting_reference(m, lam)
     # the ranks over C are the realified block's at a real point and half
     # of them at a complex one
-    ranks = matrix_data_at(m, lam)
+    ranks = matrix_chain_data(m, lam)
     block = matrix_chain_data(realified(m, *lam))
     assert (tuple(2 * r for r in ranks) if lam[1] else ranks) == block
     assert part.profile == atom_profile(atom, lam)
@@ -298,42 +306,118 @@ JP = mat([[2, 1, 0], [0, 0, 1], [0, 0, 0]])
 def test_scan_eigenvalue_keys_equal_fraction_reference(mg):
     m, grid = mg
     want = [p for p in grid.points() if fraction_reference.is_eigenvalue(m, *p)]
-    ranked = []
-    analyze = spectra.analyze_atom
+    chains = []
+    chain = spectra.matrix_chain_data
 
-    def counting(atom, lam):
-        if atom.kind == "matrix":
-            ranked.append(lam)
-        return analyze(atom, lam)
+    def counting(a, lam, mult):
+        chains.append((lam, mult))
+        return chain(a, lam, mult)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(spectra, "analyze_atom", counting)
+        patch.setattr(spectra, "matrix_chain_data", counting)
         s = scan(OperatorExpr.of(RIGHT_SHIFT, Atom("matrix", m)), grid)
-    # each eigenvalue is a key of its own, and only eigenvalues take ranks
-    assert ranked == want
+    # each eigenvalue is a key of its own, with its multiplicity; only
+    # eigenvalues can take ranks, as a multiplicity of 0 ends the chain at d
+    assert [lam for lam, mult in chains if mult] == want
+    for lam, mult in chains:
+        assert m.rows - matrix_chain_data(m, lam)[-1] == mult
     # and the decision at one point, by the first rank, agrees
     got = [_first_rank_singular(m, *p) for p in grid.points()]
     assert got == [p in want for p in grid.points()]
     assert len(s.ids) == len(grid.points())
 
 
+@st.composite
+def repeated_root_and_point(draw, max_dim=6):
+    """A d x d matrix P T P^-1, P unimodular and T upper triangular, with the
+    drawn real point on about half of T's diagonal and integers in -2..2,
+    often 0, above it: chains of every length nu at the point, and
+    diagonalizable repeated roots."""
+    d = draw(st.integers(2, max_dim))
+    lam = draw(st.sampled_from(COORDS))
+    diag = [lam if draw(st.booleans()) else draw(st.sampled_from(COORDS)) for _ in range(d)]
+    ints = st.sampled_from((-2, -1, 0, 0, 0, 1, 2))
+    rows = [[diag[i] if j == i else F(draw(ints)) if j > i else F(0) for j in range(d)]
+            for i in range(d)]
+    unit = st.integers(-1, 1)
+    lower = [[draw(unit) if j < i else int(i == j) for j in range(d)] for i in range(d)]
+    p = mat(lower)
+    return p @ ExactMatrix.from_rows(rows) @ inverse(p), (lam, F(0))
+
+
+def _multiplicity(m, lam):
+    """root_multiplicity at lam as a scan takes it: on m's polynomial
+    weighted by q, the least denominator of lam's parts, at z = den*q*lam."""
+    re, im = lam
+    q = math.lcm(re.denominator, im.denominator)
+    return root_multiplicity(m.weighted_char_poly(q), int(m.den * q * re), int(m.den * q * im))
+
+
+# a diagonalizable double root at 1, ranks (3, 1, 1)
+DOUBLE_ROOT = mat([[1, 0, 2], [0, 1, -2], [0, 0, -1]])
+MULTIPLICITY_EXAMPLES = (
+    Q_ZERO,
+    (ROT_CHAIN, (F(0), F(1))),
+    (ROT_CHAIN, (F(0), F(-1))),
+    (mat([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 0], [0, 0, 0, 2]]), (F(1), F(0))),
+    (DOUBLE_ROOT, (F(1), F(0))),
+    (JP, (F(0), F(0))),
+)
+
+
+def _with_examples(test):
+    for mp in MULTIPLICITY_EXAMPLES:
+        test = example(mp)(test)
+    return test
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(matrix_and_point(), repeated_root_and_point()))
+@_with_examples
+def test_root_multiplicity_is_where_the_chain_ends(mp):
+    # dim N(S^nu) is the algebraic multiplicity of lam: the chain of ranks
+    # over C ends at d - mult, 0 off the spectrum
+    m, lam = mp
+    mult = _multiplicity(m, lam)
+    ranks = matrix_chain_data(m, lam)
+    assert mult == m.rows - ranks[-1]
+    assert (mult > 0) == fraction_reference.is_eigenvalue(m, *lam)
+    # the chain that knows the multiplicity computes the same ranks
+    assert matrix_chain_data(m, lam, mult) == ranks
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(matrix_and_point(), repeated_root_and_point()))
+@_with_examples
+def test_root_multiplicity_matches_sympy(mp):
+    sympy = pytest.importorskip("sympy")
+    m, (re, im) = mp
+    x = sympy.Symbol("x")
+    rows = [[sympy.Rational(v.numerator, v.denominator) for v in r] for r in m.to_rows()]
+    p = sympy.Matrix(rows).charpoly(x).as_expr()
+    z = sympy.Rational(re.numerator, re.denominator)
+    z += sympy.I * sympy.Rational(im.numerator, im.denominator)
+    # the multiplicity of z as a root of sympy's own characteristic
+    # polynomial: the derivatives of p that vanish at z
+    k = 0
+    while sympy.expand(p.subs(x, z)) == 0:
+        p, k = sympy.diff(p, x), k + 1
+    assert _multiplicity(m, (re, im)) == k
+
+
 def _odd_q_ranks(monkeypatch):
-    # q(m) of a 2 x 2 atom reports ranks of the wrong parity: d + rank(q(m)^n)
+    # q(m) of a 2 x 2 atom reports a rank of the wrong parity: d + rank(q(m)^n)
     # must be even, since dim_Q N(q(m)^n) = 2 a_n
-    chain = model.matrix_chain_data
-
-    def odd(s):
-        return (2, 1, 1) if s.rows == 2 else chain(s)
-
-    monkeypatch.setattr(model, "matrix_chain_data", odd)
+    rank = model.rank
+    monkeypatch.setattr(model, "rank", lambda s: 1 if s.rows == 2 else rank(s))
 
 
 def test_scaled_odd_realified_dimension_is_internal_error(monkeypatch):
     # at i, q(ROT) = ROT^2 + 1 = 0: ranks (2, 0, 0) over Q halve to (2, 1, 1)
-    assert model.matrix_data_at(ROT, (F(0), F(1))) == (2, 1, 1)
+    assert model.matrix_chain_data(ROT, (F(0), F(1))) == (2, 1, 1)
     _odd_q_ranks(monkeypatch)
     with pytest.raises(InternalInvariantError):
-        model.matrix_data_at(ROT, (F(0), F(1)))
+        model.matrix_chain_data(ROT, (F(0), F(1)))
 
 
 def test_matrix_profile_scaled_check_survives_any_optimization_level(
@@ -348,6 +432,33 @@ def test_matrix_profile_scaled_check_survives_any_optimization_level(
     rot = OperatorExpr.of(Atom("matrix", ROT))
     doc.write_text(docio.serialize_document(docio.OperatorDocument("rot", rot)))
     assert main(["analyze", "--in", str(doc), "--lambda", "0,1"]) == 6
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("internal error: ")
+
+
+def test_chain_contradicting_its_multiplicity_is_internal_error(
+    tmp_path, monkeypatch, capsys
+):
+    # at 1, diag(1, 1, 1, 2) has ranks (4, 1, 1) and diag(1, 1, 2, 3) has
+    # (4, 2, 2); a multiplicity of 2 puts the end at 2, above the computed
+    # rank 1, and one of 4 puts it at 0, below the computed repeat 2, 2.
+    # These are raises, not asserts, so python -O keeps them
+    one = (F(1), F(0))
+    below = mat([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 2]])
+    repeat = mat([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 3]])
+    assert matrix_chain_data(below, one, 3) == matrix_chain_data(below, one) == (4, 1, 1)
+    assert matrix_chain_data(repeat, one, 2) == matrix_chain_data(repeat, one) == (4, 2, 2)
+    for m, mult in ((below, 2), (repeat, 4)):
+        with pytest.raises(InternalInvariantError):
+            matrix_chain_data(m, one, mult)
+    # a scan handed a wrong multiplicity exits 6 with one line on stderr
+    monkeypatch.setattr(spectra, "root_multiplicity", lambda coeffs, zr, zi: 4)
+    doc = tmp_path / "repeat.json"
+    expr = OperatorExpr.of(Atom("matrix", repeat))
+    doc.write_text(docio.serialize_document(docio.OperatorDocument("repeat", expr)))
+    assert main(["spectrum", "--in", str(doc), "--grid=1,1,0,0,1,1"]) == 6
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
@@ -495,11 +606,15 @@ def test_classify_and_scan_build_no_basis(monkeypatch):
     # point, eigenvalue or not, builds a basis or a restricted block
     m = mat([[1, 1, 0], [0, 1, 1], [0, 0, 1]])
     e = OperatorExpr.of(RIGHT_SHIFT, Atom("matrix", m))
-    chain_data = _count_calls(monkeypatch, model, "matrix_chain_data")
+    ranks = _count_calls(monkeypatch, linalg, "rank")
     built = _count_basis_calls(monkeypatch)
     s = scan(e, GridSpec(F(-1), F(1), F(-1), F(1), 3, 3))
+    scanned = len(ranks)
     at_one = classify(e, (F(1), F(0)))
-    assert [c[0].rows for c in chain_data] == [3, 3]
+    # the chain at 1 is (3, 2, 1, 0, 0): the scan knows the multiplicity 3,
+    # which forces the rank after 1 and ends the chain, so it computes two
+    # ranks; classify computes all four
+    assert [r[0].rows for r in ranks] == [3] * 6 and scanned == 2
     assert built == [[], [], []]
     assert s.records[s.points.index((F(1), F(0)))] == at_one
     assert not at_one.invertible and at_one.nilpotent is False
@@ -510,12 +625,16 @@ def test_classify_and_scan_build_no_realified_block(monkeypatch):
     # atoms and complex points off them; their ranks come from q(m), d x d
     e = OperatorExpr.of(RIGHT_SHIFT, Atom("matrix", ROT), Atom("matrix", ROT_CHAIN))
     blocks = _count_calls(monkeypatch, model, "realified")
-    chain_data = _count_calls(monkeypatch, model, "matrix_chain_data")
+    ranks = _count_calls(monkeypatch, linalg, "rank")
     s = scan(e, GridSpec(F(-1), F(1), F(-1), F(1), 3, 3))
     at_i = [classify(e, lam) for lam in ((F(0), F(1)), (F(0), F(-1)), (F(1), F(1)))]
     assert blocks == []
-    # the scan's keys at +-i, then classify at +-i and at 1 + i, off both spectra
-    assert [c[0].rows for c in chain_data] == [2, 4] * 5
+    # the scan's keys at +-i: +-i are simple for ROT, ranks (2, 1, 1), none
+    # computed, and double for ROT_CHAIN, ranks (4, 3, 2, 2), whose 3 forces
+    # the 2; classify at +-i computes ROT's 1, 1 and ROT_CHAIN's 3, 2, 2, and
+    # at 1 + i, off both spectra, each atom's first rank
+    at_pm_i = [2, 2, 4, 4, 4]
+    assert [r[0].rows for r in ranks] == [4, 4] + at_pm_i * 2 + [2, 4]
     assert s.records[s.points.index((F(0), F(1)))] == at_i[0]
     part = analyze_atom(Atom("matrix", ROT_CHAIN), (F(0), F(1)))
     assert [part.profile.a.at(n).value for n in range(4)] == [0, 1, 2, 2]

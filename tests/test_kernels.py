@@ -22,7 +22,7 @@ from fredprofile.linalg import (
     subspace_intersection,
     subspace_sum,
 )
-from fredprofile.model import matrix_data_at, real_quadratic, realified
+from fredprofile.model import matrix_chain_data, real_quadratic, realified
 
 ENTRIES = st.one_of(
     st.just(F(0)),
@@ -275,7 +275,7 @@ def test_realified_and_is_eigenvalue_match_fraction_reference(case):
     s = realified(m, re, im)
     assert s == ref.realified(m, re, im)
     # ranks over C of the d x d m - lam, not of the realified 2d x 2d block
-    ranks = matrix_data_at(m, (re, im))
+    ranks = matrix_chain_data(m, (re, im))
     assert ranks[0] == m.rows
     if im:
         assert real_quadratic(m, re, im) == ref.real_quadratic(m, re, im)

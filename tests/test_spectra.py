@@ -4,7 +4,7 @@ from collections import Counter
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fraction_reference
@@ -455,8 +455,25 @@ def _expr_and_grid(draw):
     return OperatorExpr(tuple(draw(st.permutations(atoms)))), g
 
 
+# matrices whose scan keys take ranks that their multiplicity forces: a
+# diagonalizable double root at 1, ranks (3, 1, 1); J3 at -1, whose rank 1
+# forces the last, 0; J2 + J1 at 1/2 (multiplicity 3, nu = 2), ranks
+# (3, 1, 0, 0); a complex Jordan chain at +-i, ranks (4, 3, 2, 2); and
+# Q_ZERO's -2 +- 2i, where q(m) = 0 yet each is simple, ranks (2, 1, 1)
+DOUBLE_ROOT = matrix_atom([[1, 0, 2], [0, 1, -2], [0, 0, -1]])
+J3_AT_MINUS_ONE = matrix_atom([[-1, 1, 0], [0, -1, 1], [0, 0, -1]])
+J2_J1_AT_HALF = matrix_atom([["1/2", 1, 0], [0, "1/2", 0], [0, 0, "1/2"]])
+ROT_CHAIN = matrix_atom([[0, -1, 1, 0], [1, 0, 0, 1], [0, 0, 0, -1], [0, 0, 1, 0]])
+Q_ZERO = matrix_atom([[-2, 2], [-2, -2]])
+
+
 @settings(max_examples=60, deadline=None)
 @given(_expr_and_grid())
+@example((OperatorExpr.of(RIGHT_SHIFT, DOUBLE_ROOT), grid(3, -1, 1)))
+@example((OperatorExpr.of(J3_AT_MINUS_ONE, LEFT_SHIFT), grid(3, -1, 1)))
+@example((OperatorExpr.of(J2_J1_AT_HALF), GridSpec(-1, 1, 0, 0, 5, 1)))
+@example((OperatorExpr.of(RIGHT_SHIFT, ROT_CHAIN), GridSpec(-1, 1, -2, 2, 3, 5)))
+@example((OperatorExpr.of(Q_ZERO, QNIL_SHIFT), GridSpec(-3, -1, -2, 2, 5, 3)))
 def test_keyed_scan_equals_per_point_classification(eg):
     e, g = eg
     s = scan(e, g)
