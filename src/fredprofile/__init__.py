@@ -23,7 +23,7 @@ from .errors import (
     NotPseudoFredholm,
     OutputError,
 )
-from .extvals import INF, EvAffineSeq, ExtIndex, ExtNat, BoolSeq
+from .extvals import INF, EvAffineSeq, ExtIndex, ExtNat
 from .linalg import ExactMatrix, SubspaceBasis
 from .model import (
     Atom,
@@ -67,7 +67,6 @@ __all__ = [
     "AmbientMismatch",
     "AnalysisReport",
     "Atom",
-    "BoolSeq",
     "CATALOG",
     "CatalogEntry",
     "ClassificationRecord",

@@ -8,7 +8,7 @@ from itertools import compress
 from operator import attrgetter
 
 from .errors import InternalInvariantError
-from .extvals import BoolSeq, EvAffineSeq, ExtNat, UNDEF_INDEX
+from .extvals import EvAffineSeq, ExtNat, UNDEF_INDEX
 from .model import OperatorExpr, Point, StructuralProfile
 from .structure import ExprAnalysis, StructuralSummary, analyze_expr
 
@@ -61,15 +61,8 @@ FLAG_NAMES: tuple[str, ...] = tuple(
 )
 
 
-def _exists_closed_pair_with_finite(closed: BoolSeq, chain: EvAffineSeq) -> bool:
-    """True when some n has range of the n-th and (n+1)-th powers closed
-    and chain value at n finite. Both sequences are eventually constant, so
-    checking up to one step past both tails decides it."""
-    horizon = max(len(closed.prefix), chain.tail_start) + 1
-    for n in range(horizon + 1):
-        if closed.at(n) and closed.at(n + 1) and chain.at(n).is_finite:
-            return True
-    return False
+def _has_finite_value(chain: EvAffineSeq) -> bool:
+    return chain.tail_base.is_finite or any(v.is_finite for v in chain.prefix)
 
 
 def classify(e: OperatorExpr, lam: Point, power: int = 1) -> ClassificationRecord:
@@ -93,7 +86,7 @@ def _record_from_analysis(an: ExprAnalysis) -> ClassificationRecord:
     idx = s.index
     a1 = full.a.at(1)
     r1 = full.r.at(1)
-    closed1 = full.range_closed.at(1)
+    closed1 = full.range_closed
     # the summary, and with it an.n_profile, is defined exactly where pf is
     pf = full.is_pseudofredholm_point
 
@@ -117,8 +110,11 @@ def _record_from_analysis(an: ExprAnalysis) -> ClassificationRecord:
         and f["lower_pseudo_semi_b_fredholm"]
         and an.n_profile.nilpotency_degree.is_finite
     )
-    f["upper_semi_b_fredholm"] = _exists_closed_pair_with_finite(full.range_closed, full.c)
-    f["lower_semi_b_fredholm"] = _exists_closed_pair_with_finite(full.range_closed, full.b)
+    # semi-B-Fredholm: some n with R(S^n) and R(S^(n+1)) closed and c_n (b_n)
+    # finite. R(S^n) is closed at every n >= 1 or only at n = 0
+    # (StructuralProfile), so that is the bit and a finite value at any n.
+    f["upper_semi_b_fredholm"] = closed1 and _has_finite_value(full.c)
+    f["lower_semi_b_fredholm"] = closed1 and _has_finite_value(full.b)
     f["pseudo_fredholm"] = pf
     f["pseudo_b_fredholm"] = f["upper_pseudo_semi_b_fredholm"] and f["lower_pseudo_semi_b_fredholm"]
     f["upper_pseudo_semi_b_weyl"] = f["upper_pseudo_semi_b_fredholm"] and idx.le_zero()

@@ -25,7 +25,7 @@ from json.encoder import encode_basestring_ascii as quote
 
 from .classify import classify_analysis
 from .errors import DocumentError, OutputError
-from .extvals import BoolSeq, EvAffineSeq, ExtNat
+from .extvals import EvAffineSeq, ExtNat
 from .linalg import ExactMatrix
 from .model import ATOM_KINDS, Atom, OperatorExpr, Point
 from .structure import analyze_expr, gkd_pair
@@ -262,11 +262,13 @@ def _seq_from_block(b: dict) -> EvAffineSeq:
     )
 
 
-def _bool_block(seq: BoolSeq, shown: int) -> dict:
+def _bool_block(closed: bool, shown: int) -> dict:
+    """The sequence n -> R(S^n) closed, as an eventually constant block: true
+    at every n, or only at n = 0 (StructuralProfile.range_closed)."""
     return {
-        "prefix": list(seq.prefix),
-        "tail": seq.tail,
-        "shown": [seq.at(n) for n in range(shown)],
+        "prefix": [] if closed else [True],
+        "tail": closed,
+        "shown": [True] + [closed] * (shown - 1),
     }
 
 
@@ -274,7 +276,7 @@ def _bool_block(seq: BoolSeq, shown: int) -> dict:
 class AnalysisReport:
     """Lossless JSON-shaped view of one analysis: flags, summary, chains
     (prefix + affine tail, plus a finite display window), decomposition
-    bases, and per-matrix-atom Drazin and oracle data."""
+    bases, and each split matrix atom's shifted block and Drazin inverse."""
 
     name: str
     re: str

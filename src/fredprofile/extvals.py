@@ -4,7 +4,7 @@ Dimension bookkeeping for operators with infinite-dimensional summands needs
 naturals extended by infinity (ExtNat), a signed index extended by both
 infinities and an undefined state (ExtIndex), and integer sequences that are
 eventually affine so that infinite chains can be stored and compared exactly
-(EvAffineSeq, plus BoolSeq for eventually-constant boolean sequences).
+(EvAffineSeq).
 """
 from __future__ import annotations
 
@@ -296,45 +296,3 @@ class EvAffineSeq:
 
 ZERO_SEQ = EvAffineSeq((), ExtNat(0), 0)
 LINEAR_SEQ = EvAffineSeq((), ExtNat(0), 1)
-
-
-@dataclass(frozen=True)
-class BoolSeq:
-    """Eventually-constant boolean sequence, canonical shortest prefix."""
-
-    prefix: tuple[bool, ...]
-    tail: bool
-
-    def __post_init__(self):
-        pfx = list(self.prefix)
-        while pfx and pfx[-1] == self.tail:
-            pfx.pop()
-        object.__setattr__(self, "prefix", tuple(pfx))
-
-    def at(self, n: int) -> bool:
-        if n < 0:
-            raise ValueError("negative position")
-        return self.prefix[n] if n < len(self.prefix) else self.tail
-
-    def and_with(self, other: "BoolSeq") -> "BoolSeq":
-        """The pointwise conjunction. The all-true sequence, matched by
-        value, is neutral: the result is then the other operand itself."""
-        if self == ALWAYS_CLOSED:
-            return other
-        if other == ALWAYS_CLOSED:
-            return self
-        s = max(len(self.prefix), len(other.prefix))
-        return BoolSeq(
-            tuple(self.at(i) and other.at(i) for i in range(s)),
-            self.tail and other.tail,
-        )
-
-    def subsample(self, k: int) -> "BoolSeq":
-        if k < 1:
-            raise ValueError("subsample step must be >= 1")
-        n0 = (len(self.prefix) + k - 1) // k
-        return BoolSeq(tuple(self.at(k * i) for i in range(n0)), self.tail)
-
-
-ALWAYS_CLOSED = BoolSeq((), True)
-CLOSED_ONLY_AT_ZERO = BoolSeq((True,), False)

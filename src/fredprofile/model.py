@@ -10,8 +10,9 @@ records, as symbolic chains over the power n:
     c_n = dim(R((e-lam)^n) ∩ N(e-lam))        meet chain
     b_n = codim(R(e-lam) + N((e-lam)^n))      join codimension chain
 
-together with range closedness per power, quasi-nilpotence, nilpotency
-degree, and whether the point admits a generalized Kato decomposition. A
+together with one bit for range closedness (R((e-lam)^n) closed at every
+n >= 1), quasi-nilpotence, nilpotency degree, and whether the point
+admits a generalized Kato decomposition. A
 profile stores a and r only: c and b are their step sizes, derived once on
 access. These are dimensions over C. Matrix kernel chains follow from the
 exact ranks over C of the powers of m - lam, the only thing kept
@@ -34,16 +35,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import AmbientMismatch, InternalInvariantError
-from .extvals import (
-    ALWAYS_CLOSED,
-    BoolSeq,
-    CLOSED_ONLY_AT_ZERO,
-    EvAffineSeq,
-    ExtNat,
-    INF,
-    LINEAR_SEQ,
-    ZERO_SEQ,
-)
+from .extvals import EvAffineSeq, ExtNat, INF, LINEAR_SEQ, ZERO_SEQ
 from .linalg import ExactMatrix, exact_rational, rank
 
 ATOM_KINDS = ("matrix", "right_shift", "left_shift", "qnil_shift", "qnil_shift_dual")
@@ -127,11 +119,19 @@ def dual_expr(e: OperatorExpr) -> OperatorExpr:
 @dataclass(frozen=True)
 class StructuralProfile:
     """Kernel and range chains and point flags of one operator (or direct
-    sum) at one point; the meet and join chains are derived from them."""
+    sum) at one point; the meet and join chains are derived from them.
+
+    range_closed says that R(S^n) is closed for every n >= 1 (R(S^0) always
+    is). One bit suffices: every profile built here has R(S^n) closed at
+    all n >= 1 or at none. Each atom table row does: matrices, plain shifts
+    off the unit circle and weighted shifts away from 0 at all n, plain
+    shifts on the circle and weighted shifts at 0 at none. The range of a
+    direct sum's power is the sum of its summands' ranges, closed exactly
+    when each is. A power S^k keeps the bit, as (S^k)^n = S^(kn)."""
 
     a: EvAffineSeq
     r: EvAffineSeq
-    range_closed: BoolSeq
+    range_closed: bool
     is_quasinilpotent: bool
     nilpotency_degree: ExtNat
     is_pseudofredholm_point: bool
@@ -158,7 +158,7 @@ class StructuralProfile:
 ZERO_DIM_PROFILE = StructuralProfile(
     a=ZERO_SEQ,
     r=ZERO_SEQ,
-    range_closed=ALWAYS_CLOSED,
+    range_closed=True,
     is_quasinilpotent=True,
     nilpotency_degree=ExtNat(0),
     is_pseudofredholm_point=True,
@@ -271,35 +271,39 @@ def matrix_chain_data(
     return tuple(ranks)
 
 
+INVERTIBLE_PROFILE = StructuralProfile(
+    a=ZERO_SEQ,
+    r=ZERO_SEQ,
+    range_closed=True,
+    is_quasinilpotent=False,
+    nilpotency_degree=INF,
+    is_pseudofredholm_point=True,
+)
+
+
 def matrix_profile(ranks: Sequence[int]) -> StructuralProfile:
     """Profile of a d x d matrix S from ranks[n] = rank(S^n), n = 0..nu+1,
     the last two equal (matrix_chain_data), so d = ranks[0].
 
     a_n = d - rank(S^n), and r_n = a_n by rank-nullity, so the derived
-    meet and join chains agree too: c_n = b_n = a_{n+1} - a_n.
+    meet and join chains agree too: c_n = b_n = a_{n+1} - a_n. At nu = 0
+    (ranks (d, d)) this is the shared INVERTIBLE_PROFILE.
     """
     nu = len(ranks) - 2
+    if nu == 0:
+        return INVERTIBLE_PROFILE
     a_vals = [ExtNat(ranks[0] - ranks[n]) for n in range(nu + 1)]
     a = EvAffineSeq.from_samples(a_vals, nu)
     nilpotent = ranks[nu] == 0
     return StructuralProfile(
         a=a,
         r=a,
-        range_closed=ALWAYS_CLOSED,
+        range_closed=True,
         is_quasinilpotent=nilpotent,
         nilpotency_degree=ExtNat(nu) if nilpotent else INF,
         is_pseudofredholm_point=True,
     )
 
-
-INVERTIBLE_PROFILE = StructuralProfile(
-    a=ZERO_SEQ,
-    r=ZERO_SEQ,
-    range_closed=ALWAYS_CLOSED,
-    is_quasinilpotent=False,
-    nilpotency_degree=INF,
-    is_pseudofredholm_point=True,
-)
 
 _PLAIN_SHIFTS = ("right_shift", "left_shift")
 _INF_TAIL = EvAffineSeq((ExtNat(0),), INF, 0)
@@ -325,20 +329,16 @@ _INF_TAIL = EvAffineSeq((ExtNat(0),), INF, 0)
 #
 # No shift is nilpotent. Columns: a, r, range_closed, is_quasinilpotent,
 # nilpotency_degree, is_pseudofredholm_point.
-_ON_CIRCLE = StructuralProfile(ZERO_SEQ, _INF_TAIL, CLOSED_ONLY_AT_ZERO, False, INF, False)
+_ON_CIRCLE = StructuralProfile(ZERO_SEQ, _INF_TAIL, False, False, INF, False)
 SHIFT_PROFILES: dict[tuple[str, int | bool], StructuralProfile] = {
-    ("right_shift", -1): StructuralProfile(ZERO_SEQ, LINEAR_SEQ, ALWAYS_CLOSED, False, INF, True),
-    ("left_shift", -1): StructuralProfile(LINEAR_SEQ, ZERO_SEQ, ALWAYS_CLOSED, False, INF, True),
+    ("right_shift", -1): StructuralProfile(ZERO_SEQ, LINEAR_SEQ, True, False, INF, True),
+    ("left_shift", -1): StructuralProfile(LINEAR_SEQ, ZERO_SEQ, True, False, INF, True),
     ("right_shift", 0): _ON_CIRCLE,
     ("left_shift", 0): _ON_CIRCLE,
     ("right_shift", 1): INVERTIBLE_PROFILE,
     ("left_shift", 1): INVERTIBLE_PROFILE,
-    ("qnil_shift", True): StructuralProfile(
-        ZERO_SEQ, _INF_TAIL, CLOSED_ONLY_AT_ZERO, True, INF, True
-    ),
-    ("qnil_shift_dual", True): StructuralProfile(
-        LINEAR_SEQ, _INF_TAIL, CLOSED_ONLY_AT_ZERO, True, INF, True
-    ),
+    ("qnil_shift", True): StructuralProfile(ZERO_SEQ, _INF_TAIL, False, True, INF, True),
+    ("qnil_shift_dual", True): StructuralProfile(LINEAR_SEQ, _INF_TAIL, False, True, INF, True),
     ("qnil_shift", False): INVERTIBLE_PROFILE,
     ("qnil_shift_dual", False): INVERTIBLE_PROFILE,
 }
@@ -371,7 +371,7 @@ def direct_sum_profile(profiles: Sequence[StructuralProfile]) -> StructuralProfi
         out = StructuralProfile(
             a=out.a.add(p.a),
             r=out.r.add(p.r),
-            range_closed=out.range_closed.and_with(p.range_closed),
+            range_closed=out.range_closed and p.range_closed,
             is_quasinilpotent=out.is_quasinilpotent and p.is_quasinilpotent,
             nilpotency_degree=max(out.nilpotency_degree, p.nilpotency_degree),
             is_pseudofredholm_point=out.is_pseudofredholm_point
@@ -397,7 +397,7 @@ def power_profile(p: StructuralProfile, k: int) -> StructuralProfile:
     return StructuralProfile(
         a=p.a.subsample(k),
         r=p.r.subsample(k),
-        range_closed=p.range_closed.subsample(k),
+        range_closed=p.range_closed,
         is_quasinilpotent=p.is_quasinilpotent,
         nilpotency_degree=deg,
         is_pseudofredholm_point=p.is_pseudofredholm_point,

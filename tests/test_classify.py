@@ -15,18 +15,20 @@ from fredprofile.classify import (
     ClassificationRecord,
     check_lattice,
     classify,
+    classify_analysis,
 )
 from fredprofile.extvals import INF, UNDEF_INDEX, ExtIndex, ExtNat
 from fredprofile.model import (
     LEFT_SHIFT,
     OperatorExpr,
     QNIL_SHIFT,
+    QNIL_SHIFT_DUAL,
     RIGHT_SHIFT,
     dual_expr,
     matrix_atom,
     point,
 )
-from fredprofile.structure import StructuralSummary
+from fredprofile.structure import StructuralSummary, analyze_expr
 from fredprofile.verify import random_matrix
 
 ZERO = ExtNat(0)
@@ -175,6 +177,56 @@ def test_classify_powers():
     assert rec.bounded_below
     rec2 = classify(by_name("jordan3").expr, point(0), power=2)
     assert rec2.nilpotent and rec2.summary.index.is_zero()
+
+
+def _closed_at(atom, lam, n):
+    """Whether R((atom - lam)^n) is closed, per power: always for a matrix
+    and at n = 0; for a plain shift off the unit circle; for a weighted
+    shift off 0, where it is invertible."""
+    if atom.kind == "matrix" or n == 0:
+        return True
+    if atom.kind in ("right_shift", "left_shift"):
+        return lam[0] ** 2 + lam[1] ** 2 != 1
+    return lam != (0, 0)
+
+
+def _exists_closed_pair_with_finite(closed, chain):
+    """The per-power definition of the semi-B-Fredholm flags: some n with
+    R(S^n) and R(S^(n+1)) closed and the chain finite at n. closed[n] says
+    whether R(S^n) is closed and holds from its last n on; both sequences
+    are then constant, so one step past both tails decides it."""
+    horizon = max(len(closed), chain.tail_start) + 1
+    closed += closed[-1:] * (horizon + 1)
+    return any(closed[n] and closed[n + 1] and chain.at(n).is_finite for n in range(horizon + 1))
+
+
+_ORACLE_ATOMS = (
+    RIGHT_SHIFT,
+    LEFT_SHIFT,
+    QNIL_SHIFT,
+    QNIL_SHIFT_DUAL,
+    matrix_atom([[0, 1], [0, 0]]),
+    matrix_atom([["1/2", 1], [0, 2]]),
+)
+_ORACLE_POINTS = (point(0), point("1/2"), point(1), point("3/5", "4/5"), point(0, 1), point(2))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.sampled_from(_ORACLE_ATOMS), min_size=1, max_size=3),
+    st.sampled_from(_ORACLE_POINTS),
+    st.integers(1, 3),
+)
+def test_closedness_bit_matches_per_power_definition(atoms, lam, k):
+    e = OperatorExpr(tuple(atoms))
+    an = analyze_expr(e, lam, k)
+    # R(S^(k*n)) of the sum is the sum of the atoms' ranges, closed exactly
+    # when each is; every atom's closedness is constant from n = 1 on
+    closed = tuple(all(_closed_at(a, lam, k * n) for a in atoms) for n in range(5))
+    assert all(an.full.range_closed == closed[n] for n in range(1, 5))
+    rec = classify_analysis(an)
+    assert rec.upper_semi_b_fredholm == _exists_closed_pair_with_finite(closed, an.full.c)
+    assert rec.lower_semi_b_fredholm == _exists_closed_pair_with_finite(closed, an.full.b)
 
 
 def _reference_check_lattice(rec):

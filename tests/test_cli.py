@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import fredprofile
-from fredprofile import verify
+from fredprofile import cli, verify
 from fredprofile.catalog import by_name
 from fredprofile.cli import entry, main
 from fredprofile.docio import (
@@ -645,6 +645,34 @@ def test_verify_duality_reports_a_broken_oracle(monkeypatch, capsys):
     code = main(["verify", "--suite", "duality", "--cases", "5", "--seed", "1"])
     assert code == 5
     _assert_verify_failure(capsys.readouterr().out, "transpose_chain_mirror")
+
+
+class _RecordingStdout:
+    """A stdout that keeps each text it is given, one entry per write."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_emit_writes_bounded_slices(monkeypatch):
+    # a text of two and a half slices, different in every slice
+    slice_len = 1 << 10
+    monkeypatch.setattr(cli, "WRITE_SLICE", slice_len)
+    text = "".join(f"{i:07}\n" for i in range(slice_len * 5 // 16))
+    assert len(text) == slice_len * 5 // 2
+    out = _RecordingStdout()
+    monkeypatch.setattr(sys, "stdout", out)
+    cli._emit(text)
+    assert len(out.writes) == 3
+    assert max(map(len, out.writes)) <= slice_len
+    assert "".join(out.writes) == text
 
 
 class _FailingStdout(io.StringIO):

@@ -647,7 +647,11 @@ PINNED = Path(__file__).resolve().parent / "demo_outputs"
 # documents whose reports are pinned at a complex point, with that point:
 # off the spectrum of both matrix atoms (a real Jordan block at 1/2 and a
 # rotation-scaling block with eigenvalues 1/2 +- i/2), whose Drazin
-# inverses are then their inverses; and the complex Jordan chain at i
+# inverses are then their inverses; and the complex Jordan chain at i.
+# Also pinned: the left shift plus the weighted shift, whose ranges are
+# closed only at n = 0, at 0 (decomposable) and at 1 on the unit circle
+# (not decomposable)
+_LQ = {"name": "lq", "atoms": [{"type": "left_shift"}, {"type": "qnil_shift"}]}
 COMPLEX_REPORTS = {
     "analyze_off_spectrum_complex": (
         {
@@ -670,6 +674,8 @@ COMPLEX_REPORTS = {
         },
         "0,1",
     ),
+    "analyze_left_qnil_at_0": (_LQ, "0,0"),
+    "analyze_left_qnil_at_1": (_LQ, "1,0"),
 }
 
 

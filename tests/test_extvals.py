@@ -3,9 +3,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fredprofile.extvals import (
-    ALWAYS_CLOSED,
-    BoolSeq,
-    CLOSED_ONLY_AT_ZERO,
     INF,
     EvAffineSeq,
     ExtIndex,
@@ -16,7 +13,6 @@ from fredprofile.extvals import (
     UNDEF_INDEX,
     ZERO_SEQ,
 )
-from fredprofile.model import matrix_profile
 
 
 def test_extnat_ordering_and_arithmetic():
@@ -230,16 +226,9 @@ def _general_add(s1, s2):
     return EvAffineSeq(prefix, b1 + b2, s1.tail_slope + s2.tail_slope)
 
 
-def _general_and(s1, s2):
-    """BoolSeq.and_with without its shortcut for an all-true operand."""
-    n = max(len(s1.prefix), len(s2.prefix))
-    return BoolSeq(tuple(s1.at(i) and s2.at(i) for i in range(n)), s1.tail and s2.tail)
-
-
-# neutral operands equal to ZERO_SEQ and ALWAYS_CLOSED but built apart from them,
-# as matrix_profile builds the zero chain of an invertible matrix
+# the zero operand of add is matched by value: ZERO_SEQ, and an equal chain
+# built apart from it
 _ZEROS = (ZERO_SEQ, EvAffineSeq((ExtNat(0), ExtNat(0)), ExtNat(0), 0))
-_TRUES = (ALWAYS_CLOSED, BoolSeq((True, True), True))
 
 
 @settings(max_examples=100)
@@ -259,30 +248,8 @@ def test_add_of_zero_equals_general_route(prefix, base, slope, zero):
         assert general.at(n) == seq.at(n) + seq.at(n)
 
 
-@settings(max_examples=100)
-@given(st.lists(st.booleans(), max_size=4).map(tuple), st.booleans(), st.sampled_from(_TRUES))
-def test_and_with_all_true_equals_general_route(prefix, tail, true):
-    seq = BoolSeq(prefix, tail)
-    assert true.and_with(seq) == _general_and(true, seq) == seq
-    assert seq.and_with(true) == _general_and(seq, true) == seq
-    assert seq.and_with(CLOSED_ONLY_AT_ZERO) == _general_and(seq, CLOSED_ONLY_AT_ZERO)
-
-
 def test_neutral_operands_are_matched_by_value():
-    # the invertible matrix profile's chain is a zero chain of its own
-    zero = matrix_profile((2, 2)).a
+    # a zero chain of its own, whose redundant prefix the constructor drops
+    zero = EvAffineSeq((ExtNat(0), ExtNat(0)), ExtNat(0), 0)
     assert zero == ZERO_SEQ and zero is not ZERO_SEQ
     assert LINEAR_SEQ.add(zero) is LINEAR_SEQ and zero.add(LINEAR_SEQ) is LINEAR_SEQ
-    true = BoolSeq((True,), True)
-    assert true is not ALWAYS_CLOSED
-    assert CLOSED_ONLY_AT_ZERO.and_with(true) is CLOSED_ONLY_AT_ZERO
-
-
-def test_bool_seq():
-    assert ALWAYS_CLOSED.at(0) and ALWAYS_CLOSED.at(9)
-    assert CLOSED_ONLY_AT_ZERO.at(0) and not CLOSED_ONLY_AT_ZERO.at(1)
-    assert BoolSeq((True,), True) == ALWAYS_CLOSED
-    both = ALWAYS_CLOSED.and_with(CLOSED_ONLY_AT_ZERO)
-    assert both == CLOSED_ONLY_AT_ZERO
-    sub = CLOSED_ONLY_AT_ZERO.subsample(3)
-    assert sub.at(0) and not sub.at(1)

@@ -6,14 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fredprofile.extvals import (
-    ALWAYS_CLOSED,
-    CLOSED_ONLY_AT_ZERO,
     INF,
     LINEAR_SEQ,
     EvAffineSeq,
     ExtNat,
 )
 from fredprofile.model import (
+    INVERTIBLE_PROFILE,
     Atom,
     LEFT_SHIFT,
     OperatorExpr,
@@ -66,7 +65,7 @@ def test_right_shift_inside_disk():
     assert vals(p.r) == ["0", "1", "2", "3", "4"]
     assert vals(p.c) == ["0", "0", "0", "0", "0"]
     assert vals(p.b) == ["1", "1", "1", "1", "1"]
-    assert p.range_closed == ALWAYS_CLOSED
+    assert p.range_closed is True
     assert not p.is_quasinilpotent
     assert p.nilpotency_degree == INF
     assert p.is_pseudofredholm_point
@@ -80,7 +79,7 @@ def test_right_shift_on_circle():
     assert vals(p.r) == ["0", "inf", "inf", "inf", "inf"]
     assert vals(p.c) == ["0", "0", "0", "0", "0"]
     assert vals(p.b) == ["inf", "inf", "inf", "inf", "inf"]
-    assert p.range_closed == CLOSED_ONLY_AT_ZERO
+    assert p.range_closed is False
     assert not p.is_pseudofredholm_point
     assert atom_profile(RIGHT_SHIFT, point(0, 1)) == p
 
@@ -91,7 +90,7 @@ def test_right_shift_outside_disk_invertible():
     assert vals(p.r) == ["0", "0", "0", "0", "0"]
     assert vals(p.c) == ["0", "0", "0", "0", "0"]
     assert vals(p.b) == ["0", "0", "0", "0", "0"]
-    assert p.range_closed == ALWAYS_CLOSED
+    assert p.range_closed is True
     assert p.is_pseudofredholm_point
 
 
@@ -116,7 +115,7 @@ def test_qnil_shift_at_zero():
     assert vals(p.r) == ["0", "inf", "inf", "inf", "inf"]
     assert vals(p.c) == ["0", "0", "0", "0", "0"]
     assert vals(p.b) == ["inf", "inf", "inf", "inf", "inf"]
-    assert p.range_closed == CLOSED_ONLY_AT_ZERO
+    assert p.range_closed is False
     assert p.is_quasinilpotent
     assert p.nilpotency_degree == INF
     assert p.is_pseudofredholm_point
@@ -148,7 +147,7 @@ def test_matrix_profile_diag_one_zero():
     assert vals(p.r) == ["0", "1", "1", "1", "1"]
     assert vals(p.c) == ["1", "0", "0", "0", "0"]
     assert vals(p.b) == ["1", "0", "0", "0", "0"]
-    assert p.range_closed == ALWAYS_CLOSED
+    assert p.range_closed is True
     assert p.nilpotency_degree == INF
 
 
@@ -175,7 +174,8 @@ def test_matrix_chain_data_fitting_index():
     assert matrix_profile(ranks).a.stabilization_point() == ExtNat(3)
     ranks2 = matrix_chain_data(matrix_atom([[2, 0], [0, 3]]).matrix)
     assert ranks2 == (2, 2)
-    assert matrix_profile(ranks2).a.stabilization_point() == ExtNat(0)
+    # off the spectrum: the one shared invertible profile, not a new copy
+    assert matrix_profile(ranks2) is INVERTIBLE_PROFILE
     ranks3 = matrix_chain_data(matrix_atom([[0, 0], [0, 1]]).matrix)
     assert ranks3 == (2, 1, 1)
     assert matrix_profile(ranks3).a.stabilization_point() == ExtNat(1)
@@ -247,7 +247,7 @@ def test_power_profile_of_shift():
     assert vals(cubed.r) == ["0", "3", "6", "9", "12"]
     assert vals(cubed.b) == ["3", "3", "3", "3", "3"]
     assert vals(cubed.a) == ["0", "0", "0", "0", "0"]
-    assert cubed.range_closed == ALWAYS_CLOSED
+    assert cubed.range_closed is True
     lifted = power_profile(atom_profile(LEFT_SHIFT, point(0)), 3)
     assert vals(lifted.a) == ["0", "3", "6", "9", "12"]
     assert vals(lifted.c) == ["3", "3", "3", "3", "3"]
@@ -273,7 +273,7 @@ def test_profile_consistency_enforced():
             StructuralProfile(
                 a=a,
                 r=r,
-                range_closed=ALWAYS_CLOSED,
+                range_closed=True,
                 is_quasinilpotent=False,
                 nilpotency_degree=INF,
                 is_pseudofredholm_point=True,
