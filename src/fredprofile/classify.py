@@ -8,11 +8,9 @@ from itertools import compress
 from operator import attrgetter
 
 from .errors import InternalInvariantError
-from .extvals import EvAffineSeq, ExtNat, UNDEF_INDEX
+from .extvals import EvAffineSeq, UNDEF_INDEX, ZERO
 from .model import OperatorExpr, Point, StructuralProfile
 from .structure import ExprAnalysis, StructuralSummary, analyze_expr
-
-ZERO = ExtNat(0)
 
 
 @dataclass(frozen=True)

@@ -85,6 +85,7 @@ class ExtNat:
 
 
 INF = ExtNat(None)
+ZERO = ExtNat(0)
 
 
 @dataclass(frozen=True)
@@ -265,7 +266,7 @@ class EvAffineSeq:
         if self.tail_slope > 0:
             raise ValueError("diff is for nonincreasing sequences")
         prefix = tuple(self.at(i).sub(self.at(i + 1)) for i in range(self.tail_start))
-        return EvAffineSeq(prefix, ExtNat(0), 0)
+        return EvAffineSeq(prefix, ZERO, 0)
 
     def steps(self) -> "EvAffineSeq":
         """n -> at(n+1) - at(n) for a nondecreasing sequence, infinite where
@@ -294,5 +295,5 @@ class EvAffineSeq:
         return f"{s} for n >= {start}"
 
 
-ZERO_SEQ = EvAffineSeq((), ExtNat(0), 0)
-LINEAR_SEQ = EvAffineSeq((), ExtNat(0), 1)
+ZERO_SEQ = EvAffineSeq((), ZERO, 0)
+LINEAR_SEQ = EvAffineSeq((), ZERO, 1)

@@ -12,6 +12,11 @@ anywhere.
 
 Every kernel computes on integers: rref, rank, the product, inverse,
 restrict and the subspace operations take and return the stored form.
+The subspace operations eliminate rows taken straight from their inputs'
+numerators: a matrix's rows, its columns or its rows reversed, or the
+rows of two bases stacked with no common denominator, since scaling a
+row changes neither a row space nor the span of an intersection's points
+A·u. Each builds one matrix, and one basis, per result.
 Elimination runs Bareiss's fraction-free elimination (Bareiss, Math.
 Comp. 22, 1968) on the numerator rows, each divided by the gcd of its
 entries, which keeps the row space, the kernel and the pivot columns:
@@ -37,6 +42,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from operator import mul
 from typing import Sequence
 
@@ -242,18 +248,20 @@ def root_multiplicity(coeffs: Sequence[int], zr: int, zi: int) -> int:
         mult, p = mult + 1, sums[:-1]
 
 
-def _content_rows(m: ExactMatrix) -> list[list[int]]:
-    """The numerator rows of m, each divided by the gcd of its entries: the
-    same row space, kernel and pivot columns, in smaller integers."""
-    c, out = m.cols, []
-    for i in range(m.rows):
-        row = m.num[i * c : (i + 1) * c]
-        g = math.gcd(*row)
-        out.append([x // g for x in row] if g > 1 else list(row))
-    return out
+def _content(row: Sequence[int]) -> Sequence[int]:
+    """An integer row divided by the gcd of its entries: the same row
+    space, kernel and pivot columns, in smaller integers."""
+    g = math.gcd(*row)
+    return [x // g for x in row] if g > 1 else row
 
 
-def _gauss_jordan(a: list[list[int]], cols: int) -> tuple[tuple[int, ...], int]:
+def _num_rows(m: ExactMatrix) -> list[tuple[int, ...]]:
+    """The numerator rows of m."""
+    c = m.cols
+    return [m.num[i * c : (i + 1) * c] for i in range(m.rows)]
+
+
+def _gauss_jordan(a: list[Sequence[int]], cols: int) -> tuple[tuple[int, ...], int]:
     """Fraction-free Gauss-Jordan on the integer rows a, in place. Returns
     the pivot columns and the last pivot p; the reduced echelon form is
     then the first len(pivots) rows of a divided by p.
@@ -289,7 +297,7 @@ def _gauss_jordan(a: list[list[int]], cols: int) -> tuple[tuple[int, ...], int]:
 
 def rref(m: ExactMatrix) -> tuple[ExactMatrix, tuple[int, ...], int]:
     """Reduced row echelon form. Returns (R, pivot columns, rank)."""
-    a = _content_rows(m)
+    a = [_content(row) for row in _num_rows(m)]
     pivots, prev = _gauss_jordan(a, m.cols)
     rk = len(pivots)
     num = [x for row in a[:rk] for x in row]
@@ -301,7 +309,7 @@ def rank(m: ExactMatrix) -> int:
     """Rank by forward-only fraction-free elimination on the integer rows,
     with no back-substitution. rows holds the columns not yet eliminated
     of the rows not yet used as pivots."""
-    rows = _content_rows(m)
+    rows = [_content(row) for row in _num_rows(m)]
     rk, prev = 0, 1
     while rows and rows[0]:
         k = next((i for i, r in enumerate(rows) if r[0]), None)
@@ -369,9 +377,7 @@ class SubspaceBasis:
         """The span of vectors of ints, Fractions or rational strings."""
         if any(len(v) != ambient_dim for v in vectors):
             raise AmbientMismatch("vector length != ambient dimension")
-        if not vectors:
-            return SubspaceBasis.zero(ambient_dim)
-        return _span(ExactMatrix.from_rows(vectors))
+        return _span([_integer_row(v) for v in vectors], ambient_dim)
 
     @staticmethod
     def zero(ambient_dim: int) -> "SubspaceBasis":
@@ -395,70 +401,97 @@ class SubspaceBasis:
 
     def pivots(self) -> list[int | None]:
         """Each basis vector's pivot column, its first nonzero entry."""
-        m, c = self.matrix, self.matrix.cols
-        return [
-            next((j for j, x in enumerate(m.num[i * c : (i + 1) * c]) if x), None)
-            for i in range(m.rows)
-        ]
+        cols = range(self.matrix.cols)
+        return [next(compress(cols, row), None) for row in _num_rows(self.matrix)]
 
 
-def _span(m: ExactMatrix) -> SubspaceBasis:
-    """The row space of m."""
-    red, _, rk = rref(m)
-    return SubspaceBasis(ExactMatrix(rk, m.cols, red.num[: rk * m.cols], red.den))
+def _integer_row(vector: Sequence) -> list[int]:
+    """A vector of ints, Fractions or rational strings times the lcm of its
+    denominators: a row of integers spanning the same line."""
+    vals = [x if isinstance(x, int) else exact_rational(x) for x in vector]
+    den = math.lcm(*[v.denominator for v in vals])
+    return [v.numerator * (den // v.denominator) for v in vals]
 
 
-def kernel_basis(m: ExactMatrix) -> SubspaceBasis:
-    """Null space of m as a canonical subspace of Q^cols, from one reduction.
+def _span(rows: Sequence[Sequence[int]], cols: int) -> SubspaceBasis:
+    """The span of integer rows of length cols. Scaling a row keeps the
+    span, so the rows need no common denominator; the reduced echelon form
+    is the first rank rows after elimination, over the last pivot."""
+    a = [_content(row) for row in rows]
+    pivots, prev = _gauss_jordan(a, cols)
+    rk = len(pivots)
+    return SubspaceBasis(ExactMatrix(rk, cols, tuple([x for row in a[:rk] for x in row]), prev))
 
-    m is reduced with its columns in reverse order, R = N/D. There each
-    free column f gives the kernel vector e_f minus the sum of R[i][f]
+
+def _kernel(rows: Sequence[Sequence[int]], cols: int) -> tuple[list[list[int]], int]:
+    """The null space of integer rows of length cols, as the reduced
+    echelon basis held as integer vectors over one denominator: (vectors,
+    den), the same space for rows scaled one by one.
+
+    The rows are reduced with their columns in reverse order, to the
+    reduced echelon form R = N/p, p the last pivot (_gauss_jordan). There
+    each free column f gives the kernel vector e_f minus the sum of R[i][f]
     e_(pivot i) over the pivots before f. Back in the original order the
     vector is 1 at f, 0 at every other free column and nonzero elsewhere
     only after f, so these vectors, ordered by f, are already the reduced
-    echelon basis of the kernel. They are held here times D.
+    echelon basis of the kernel. They are held here times p.
     """
-    c = m.cols
-    rev = tuple(x for i in range(m.rows) for x in m.num[i * c : (i + 1) * c][::-1])
-    red, pivots, _ = rref(ExactMatrix(m.rows, c, rev, m.den))
-    pivset = set(pivots)
-    free = [f for f in range(c - 1, -1, -1) if f not in pivset]
-    num = [0] * (len(free) * c)
-    for k, f in enumerate(free):
-        row = k * c + c - 1  # reversed column j lands at row - j
-        num[row - f] = red.den
-        for i, p in enumerate(pivots):
-            num[row - p] = -red.num[i * c + f]
-    return SubspaceBasis(ExactMatrix(len(free), c, tuple(num), red.den))
+    a = [_content(row[::-1]) for row in rows]
+    pivots, prev = _gauss_jordan(a, cols)
+    pivset, last = set(pivots), cols - 1  # reversed column j is column last - j
+    vectors = []
+    for f in range(last, -1, -1):
+        if f in pivset:
+            continue
+        v = [0] * cols
+        v[last - f] = prev
+        for row, p in zip(a, pivots):
+            v[last - p] = -row[f]
+        vectors.append(v)
+    return vectors, prev
+
+
+def kernel_basis(m: ExactMatrix) -> SubspaceBasis:
+    """Null space of m as a canonical subspace of Q^cols, from one reduction
+    of its numerator rows."""
+    vectors, den = _kernel(_num_rows(m), m.cols)
+    return SubspaceBasis(
+        ExactMatrix(len(vectors), m.cols, tuple([x for v in vectors for x in v]), den)
+    )
 
 
 def image_basis(m: ExactMatrix) -> SubspaceBasis:
-    """Column space of m as a canonical subspace of Q^rows: the row space
-    of the transpose, so one reduction."""
-    return _span(m.transpose())
+    """Column space of m as a canonical subspace of Q^rows: the span of its
+    numerator columns, so one reduction."""
+    return _span([m.num[j :: m.cols] for j in range(m.cols)], m.rows)
 
 
 def subspace_sum(a: SubspaceBasis, b: SubspaceBasis) -> SubspaceBasis:
+    """The span of both bases' numerator rows."""
     if a.ambient_dim != b.ambient_dim:
         raise AmbientMismatch("sum of subspaces of different ambient spaces")
-    return _span(stack(a.matrix, b.matrix))
+    return _span(_num_rows(a.matrix) + _num_rows(b.matrix), a.ambient_dim)
 
 
 def subspace_intersection(a: SubspaceBasis, b: SubspaceBasis) -> SubspaceBasis:
-    """Intersection via the kernel of the stacked column matrix.
+    """Intersection via the kernel of the column matrix [A | B].
 
     A kernel vector (u, w) of [A | B] gives A·u = -B·w, a point of the
-    intersection; those points span it. The modular law
-    dim a + dim b = dim(a+b) + dim(a∩b) is checked before returning.
+    intersection; those points span it. A and B are taken as their
+    numerators, which scales u and w but keeps the span of the points A·u.
+    The modular law dim a + dim b = dim(a+b) + dim(a∩b) is checked before
+    returning.
     """
-    if a.ambient_dim != b.ambient_dim:
+    n = a.ambient_dim
+    if n != b.ambient_dim:
         raise AmbientMismatch("intersection of subspaces of different ambient spaces")
     if a.dim == 0 or b.dim == 0:
-        return SubspaceBasis.zero(a.ambient_dim)
-    ker = kernel_basis(stack(a.matrix, b.matrix).transpose()).matrix
-    w, ka = ker.cols, a.dim
-    u = tuple(x for i in range(ker.rows) for x in ker.num[i * w : i * w + ka])
-    inter = _span(ExactMatrix(ker.rows, ka, u, ker.den) @ a.matrix)
+        return SubspaceBasis.zero(n)
+    an, bn, ka = a.matrix.num, b.matrix.num, a.dim
+    acols = [an[j::n] for j in range(n)]
+    kernel, _ = _kernel([col + bn[j::n] for j, col in enumerate(acols)], ka + b.dim)
+    points = [[sum(map(mul, v, col)) for col in acols] for v in kernel]  # A·u, u = v[:ka]
+    inter = _span(points, n)
     if a.dim + b.dim != subspace_sum(a, b).dim + inter.dim:
         raise InternalInvariantError("modular law fails for a subspace intersection")
     return inter
@@ -470,14 +503,21 @@ def restrict(m: ExactMatrix, b: SubspaceBasis) -> ExactMatrix:
     With b's vectors as the columns of B and P their pivot columns, the
     block is R = the rows of M B at P, since each basis vector is 1 at its
     own pivot and 0 at the others'. b is invariant exactly when B R = M B.
+    On numerators, M = N/Dm and B = V/Db, M B = W/(Dm Db) with W = N V and
+    R = W_P/(Dm Db), so the test is V W_P = Db W in integers.
     """
     if m.rows != m.cols:
         raise ValueError("restrict needs a square matrix")
-    if m.cols != b.ambient_dim:
+    n = m.cols
+    if n != b.ambient_dim:
         raise AmbientMismatch("matrix and subspace ambient dimensions differ")
-    cols = b.matrix.transpose()
-    image = m @ cols
-    block = image.select_rows(b.pivots())
-    if cols @ block != image:
-        raise NotInvariant("subspace is not invariant under the matrix")
-    return block
+    vecs = _num_rows(b.matrix)
+    image = [[sum(map(mul, row, v)) for v in vecs] for row in _num_rows(m)]
+    block = [image[p] for p in b.pivots()]
+    vcols = [b.matrix.num[j::n] for j in range(n)]
+    bcols = list(zip(*block))
+    db = b.matrix.den
+    for vrow, wrow in zip(vcols, image):
+        if [sum(map(mul, vrow, col)) for col in bcols] != [db * x for x in wrow]:
+            raise NotInvariant("subspace is not invariant under the matrix")
+    return ExactMatrix(b.dim, b.dim, tuple([x for row in block for x in row]), m.den * db)

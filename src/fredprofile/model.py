@@ -35,7 +35,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import AmbientMismatch, InternalInvariantError
-from .extvals import EvAffineSeq, ExtNat, INF, LINEAR_SEQ, ZERO_SEQ
+from .extvals import EvAffineSeq, ExtNat, INF, LINEAR_SEQ, ZERO, ZERO_SEQ
 from .linalg import ExactMatrix, exact_rational, rank
 
 ATOM_KINDS = ("matrix", "right_shift", "left_shift", "qnil_shift", "qnil_shift_dual")
@@ -137,7 +137,7 @@ class StructuralProfile:
     is_pseudofredholm_point: bool
 
     def __post_init__(self):
-        if self.a.at(0) != ExtNat(0) or self.r.at(0) != ExtNat(0):
+        if self.a.at(0) != ZERO or self.r.at(0) != ZERO:
             raise ValueError("chains must start at 0 for the identity power")
 
     @functools.cached_property
@@ -160,7 +160,7 @@ ZERO_DIM_PROFILE = StructuralProfile(
     r=ZERO_SEQ,
     range_closed=True,
     is_quasinilpotent=True,
-    nilpotency_degree=ExtNat(0),
+    nilpotency_degree=ZERO,
     is_pseudofredholm_point=True,
 )
 
@@ -306,7 +306,7 @@ def matrix_profile(ranks: Sequence[int]) -> StructuralProfile:
 
 
 _PLAIN_SHIFTS = ("right_shift", "left_shift")
-_INF_TAIL = EvAffineSeq((ExtNat(0),), INF, 0)
+_INF_TAIL = EvAffineSeq((ZERO,), INF, 0)
 
 # Closed-form tables for the model shifts, keyed by (kind, shift_region).
 #

@@ -205,6 +205,13 @@ def test_stored_form_is_canonical(m, k):
 @example(NEGATIVE_PIVOTS)
 @example(ExactMatrix.zeros(3, 2))
 @example(ExactMatrix.identity(3))
+@example(ExactMatrix.from_rows([[F(10**30, 7), 1 - 10**30, F(3, 10**30 + 1), 0]]))
+@example(ExactMatrix.from_rows([[10**30], [F(-(10**30) - 3, 11)], [0]]))
+@example(
+    ExactMatrix.from_rows(
+        [[10**30 + 1, F(10**30, 3), -1], [0, 0, 0], [F(-(10**30), 7), 2, F(1, 10**30 - 1)]]
+    )
+)
 def test_kernel_and_image_match_fraction_reference(m):
     # zero and invertible matrices give empty kernels or images
     assert kernel_basis(m).vectors == ref.kernel_basis(m)
@@ -229,6 +236,14 @@ def spanning_pairs():
 @given(spanning_pairs())
 @example((3, ExactMatrix.zeros(2, 3), NEGATIVE_PIVOTS))
 @example((3, NEGATIVE_PIVOTS, NEGATIVE_PIVOTS.power(2)))
+@example(
+    (
+        3,
+        ExactMatrix.from_rows([[1, 0, F(1, 3)], [0, 1, F(2, 3)]]),
+        ExactMatrix.from_rows([[1, 0, F(2, 7)], [0, 1, F(5, 7)]]),
+    )
+)
+@example((3, ExactMatrix.zeros(2, 3), ExactMatrix.zeros(1, 3)))
 def test_subspace_sum_and_intersection_match_fraction_reference(case):
     n, x, y = case
     a = SubspaceBasis.from_vectors(n, x.to_rows())

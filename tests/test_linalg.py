@@ -99,6 +99,33 @@ def test_intersection_checks_the_modular_law(monkeypatch):
         subspace_intersection(a, b)
 
 
+def test_subspace_results_build_one_matrix_each(monkeypatch):
+    """Kernels, images, spans and sums eliminate rows taken straight from
+    their inputs' numerators: no reversed, transposed, stacked or reduced
+    intermediate, only the result's own matrix."""
+    m = mat([[1, 2, 3], [2, 4, 6], [0, F(1, 3), 1]])
+    a = SubspaceBasis.from_vectors(3, [(1, 0, F(1, 3)), (0, 1, F(2, 3))])
+    b = SubspaceBasis.from_vectors(3, [(1, 0, F(2, 7)), (0, 1, F(5, 7))])
+    built = []
+    post_init = ExactMatrix.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(ExactMatrix, "__post_init__", counting)
+    calls = (
+        lambda: kernel_basis(m),
+        lambda: image_basis(m),
+        lambda: SubspaceBasis.from_vectors(3, [(1, F(1, 2), "2/3"), (2, 1, F(4, 3))]),
+        lambda: subspace_sum(a, b),
+    )
+    for call in calls:
+        built.clear()
+        result = call()
+        assert built == [result.matrix]
+
+
 def test_restrict_requires_invariance():
     m = mat([[0, 1], [0, 0]])
     inv = SubspaceBasis.from_vectors(2, [(F(1), F(0))])
