@@ -48,22 +48,24 @@ def main():
 
     print(f"operator: {doc.name}   point: {rep.re} + {rep.im}i   power: {power}")
     print()
+    # the chains and summary are those of (e - lam)^power; the report, of
+    # e - lam, gives the decomposition, whose two sides the power keeps
     print("chains (kernel a, range defect r, meet c, join defect b):")
     shown = rep.chains["display_length"]
+    full = an.full
     print(f"  n   : {'  '.join(f'{n:>4}' for n in range(shown))}")
-    for label in ("a", "r", "c", "b", "k"):
-        block = rep.chains[label]
-        cells = "  ".join(f"{v:>4}" for v in block["shown"])
-        print(f"  {label}_n : {cells}   then {block['tail']}")
-    closed = rep.chains["range_closed"]["shown"]
+    for label, seq in zip("arcbk", (full.a, full.r, full.c, full.b, full.c.diff())):
+        cells = "  ".join(f"{seq.at(n).to_str():>4}" for n in range(shown))
+        print(f"  {label}_n : {cells}   then {seq.tail_formula()}")
+    closed = [True] + [full.range_closed] * (shown - 1)
     print(f"  closed range at step n: {'  '.join('yes' if c else ' no' for c in closed)}")
     print()
-    s = an.summary
+    s = an.summary.to_strs()
     print("summary:")
-    print(f"  alpha={rep.summary['alpha']}  beta={rep.summary['beta']}  "
-          f"p={rep.summary['p']}  q={rep.summary['q']}  index={s.index}")
-    print(f"  dis={rep.summary['dis']}  fitting index={rep.chains['fitting_index']}  "
-          f"quasi-nilpotent={rep.chains['quasi_nilpotent']}")
+    print(f"  alpha={s['alpha']}  beta={s['beta']}  p={s['p']}  q={s['q']}  index={s['index']}")
+    print(f"  dis={an.summary.dis.to_str()}  "
+          f"fitting index={full.a.stabilization_point().to_str()}  "
+          f"quasi-nilpotent={full.is_quasinilpotent}")
     print()
     if not rep.gkd["decomposable"]:
         print("no kernel/range decomposition at this point (not pseudo-Fredholm)")

@@ -22,6 +22,7 @@ from fredprofile import (
     parse_rational,
     scan,
 )
+from fredprofile.extvals import natural_numeral
 from fredprofile.spectra import component_runs
 
 
@@ -41,7 +42,8 @@ def main():
         print("grid scans use the operator itself, not a power", file=sys.stderr)
         return 1
     parts = args.grid.split(",")
-    grid = GridSpec(*(parse_rational(t) for t in parts[:4]), int(parts[4]), int(parts[5]))
+    steps = natural_numeral(parts[4]), natural_numeral(parts[5])
+    grid = GridSpec(*(parse_rational(t) for t in parts[:4]), *steps)
 
     s = scan(entry.expr, grid)
     # a cell of the spectrum stays '#'; the runs outside it carry their component

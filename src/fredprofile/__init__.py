@@ -34,7 +34,6 @@ from .model import (
     RIGHT_SHIFT,
     StructuralProfile,
     dual_expr,
-    expr_profile,
     matrix_atom,
     point,
     power_profile,
@@ -105,7 +104,6 @@ __all__ = [
     "component_index_report",
     "drazin_inverse",
     "dual_expr",
-    "expr_profile",
     "index",
     "matrix_atom",
     "parse_document",

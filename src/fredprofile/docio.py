@@ -18,20 +18,16 @@ from __future__ import annotations
 
 import json
 import math
-import re as _re
 from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as quote
 
 from .classify import classify_analysis
 from .errors import DocumentError, OutputError
-from .extvals import EvAffineSeq, ExtNat
+from .extvals import EvAffineSeq, ExtNat, ratio_numeral
 from .linalg import ExactMatrix
 from .model import ATOM_KINDS, Atom, OperatorExpr, Point
 from .structure import analyze_expr, gkd_pair
-
-# ASCII digits only: \d and int() also accept other scripts' decimal digits
-_RATIONAL_RE = _re.compile(r"-?[0-9]+(/[0-9]+)?\Z")
 
 # The limit bounds rows, not work: at d = 64, spectrum's characteristic
 # polynomial (Berkowitz, O(d^4) products of integers that grow with the
@@ -115,20 +111,15 @@ def json_text(v: object) -> str:
 
 
 def _parse_ratio(value: object) -> tuple[int, int]:
-    """(p, q) from a quoted "p" or "p/q" string, q > 0. Numbers, floats,
-    zero denominators and integers longer than Python's int-string limit
-    are rejected."""
-    if not isinstance(value, str) or not _RATIONAL_RE.match(value):
+    """(p, q), q > 0, from a quoted "p" or "p/q" string as
+    extvals.ratio_numeral reads it; anything else, a JSON number above all,
+    is a DocumentError."""
+    if not isinstance(value, str):
         raise DocumentError(f"not a rational string: {value!r}")
-    num, _, den = value.partition("/")
     try:
-        p, q = int(num), int(den or 1)
-    except ValueError:
-        # more digits than Python's int-string limit
-        raise DocumentError(f"rational too long: {len(value)} characters") from None
-    if not q:
-        raise DocumentError(f"zero denominator: {value!r}")
-    return p, q
+        return ratio_numeral(value)
+    except ValueError as exc:
+        raise DocumentError(f"not a rational string: {exc}") from None
 
 
 def parse_rational(value: object) -> Fraction:
@@ -255,6 +246,9 @@ def _seq_block(seq: EvAffineSeq, shown: int) -> dict:
 
 
 def _seq_from_block(b: dict) -> EvAffineSeq:
+    # a str or a dict would iterate as characters or keys
+    if type(b["prefix"]) is not list:
+        raise TypeError(f"prefix must be a list, not {b['prefix']!r}")
     return EvAffineSeq(
         tuple(ExtNat.from_str(v) for v in b["prefix"]),
         ExtNat.from_str(b["tail_base"]),

@@ -28,6 +28,18 @@ def int_numeral(s: str) -> int:
     return natural_numeral(s)
 
 
+def ratio_numeral(s: str) -> tuple[int, int]:
+    """(p, q), q > 0, from the string "p" or "p/q": an int_numeral over a
+    natural_numeral. Anything else, a decimal point, an exponent, a space,
+    a "+" or a "_" among them, is a ValueError, as are a zero q and more
+    digits than Python's int-string limit."""
+    num, slash, den = s.partition("/")
+    p, q = int_numeral(num), natural_numeral(den) if slash else 1
+    if not q:
+        raise ValueError(f"zero denominator: {s!r}")
+    return p, q
+
+
 @functools.total_ordering
 @dataclass(frozen=True)
 class ExtNat:

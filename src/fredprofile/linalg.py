@@ -29,7 +29,9 @@ Fractions appear only at the boundary: from_rows and from_vectors accept
 them (from_ratios takes the integer pairs a parsed document gives),
 minus_scalar reads a Fraction's numerator and denominator, and the
 read-only views at, row, column, entries, to_rows and
-SubspaceBasis.vectors return them. No kernel builds one.
+SubspaceBasis.vectors return them. No kernel builds one. Strings are
+read by exact_rational in the one "p" or "p/q" grammar that documents and
+the command line use (extvals.ratio_numeral), never in Fraction's own.
 Only spectrum scans use the characteristic polynomial: root_multiplicity
 divides it by x - z in Gaussian integers, for the scans' keys on their
 integer axes, and gives each eigenvalue's algebraic multiplicity, where
@@ -47,15 +49,20 @@ from operator import mul
 from typing import Sequence
 
 from .errors import AmbientMismatch, InternalInvariantError, NotInvariant
+from .extvals import ratio_numeral
 
 
 def exact_rational(x) -> Fraction:
-    """An int, a Fraction or a "p/q" string as a Fraction. Anything else,
-    a float above all (0.1 is not 1/10), is a TypeError."""
+    """An int, a Fraction or a "p" or "p/q" string (extvals.ratio_numeral,
+    the grammar of documents) as a Fraction. A malformed string is a
+    ValueError; anything else, a float above all (0.1 is not 1/10), is a
+    TypeError."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, (int, str)):
+    if isinstance(x, int):
         return Fraction(x)
+    if isinstance(x, str):
+        return Fraction(*ratio_numeral(x))
     raise TypeError(f"not an exact rational: {x!r}")
 
 
@@ -336,16 +343,6 @@ def inverse(m: ExactMatrix) -> ExactMatrix:
     if len(pivots) != n or any(p >= n for p in pivots):
         raise ValueError("matrix is singular")
     return ExactMatrix(n, n, tuple(m.den * x for row in a for x in row[n:]), prev)
-
-
-def stack(top: ExactMatrix, bottom: ExactMatrix) -> ExactMatrix:
-    """The rows of top above the rows of bottom."""
-    if top.cols != bottom.cols:
-        raise AmbientMismatch("stacked matrices differ in column count")
-    den = math.lcm(top.den, bottom.den)
-    ft, fb = den // top.den, den // bottom.den
-    num = tuple(x * ft for x in top.num) + tuple(x * fb for x in bottom.num)
-    return ExactMatrix(top.rows + bottom.rows, top.cols, num, den)
 
 
 @dataclass(frozen=True)

@@ -38,14 +38,14 @@ from .errors import AmbientMismatch, InternalInvariantError
 from .extvals import EvAffineSeq, ExtNat, INF, LINEAR_SEQ, ZERO, ZERO_SEQ
 from .linalg import ExactMatrix, exact_rational, rank
 
-ATOM_KINDS = ("matrix", "right_shift", "left_shift", "qnil_shift", "qnil_shift_dual")
-
 _SHIFT_DUALS = {
     "right_shift": "left_shift",
     "left_shift": "right_shift",
     "qnil_shift": "qnil_shift_dual",
     "qnil_shift_dual": "qnil_shift",
 }
+
+ATOM_KINDS = ("matrix", *_SHIFT_DUALS)
 
 Point = tuple[Fraction, Fraction]
 
@@ -351,15 +351,6 @@ def shift_region(kind: str, circle: int, at_zero: bool) -> int | bool:
     return circle if kind in _PLAIN_SHIFTS else at_zero
 
 
-def atom_profile(atom: Atom, lam: Point) -> StructuralProfile:
-    """Structural profile of (atom - lam)."""
-    if atom.kind == "matrix":
-        return matrix_profile(matrix_chain_data(atom.matrix, lam))
-    re, im = lam
-    q2 = re * re + im * im
-    return SHIFT_PROFILES[atom.kind, shift_region(atom.kind, (q2 > 1) - (q2 < 1), not q2)]
-
-
 def direct_sum_profile(profiles: Sequence[StructuralProfile]) -> StructuralProfile:
     """Profile of a direct sum: kernel and range chains add pointwise (and
     with them the derived meet and join chains), closedness and the
@@ -378,10 +369,6 @@ def direct_sum_profile(profiles: Sequence[StructuralProfile]) -> StructuralProfi
             and p.is_pseudofredholm_point,
         )
     return out
-
-
-def expr_profile(e: OperatorExpr, lam: Point) -> StructuralProfile:
-    return direct_sum_profile([atom_profile(a, lam) for a in e.atoms])
 
 
 def power_profile(p: StructuralProfile, k: int) -> StructuralProfile:

@@ -45,17 +45,6 @@ from .linalg import exact_rational, root_multiplicity
 from .model import SHIFT_PROFILES, OperatorExpr, Point, matrix_chain_data, shift_region
 from .structure import assemble_analysis, matrix_analysis, shift_analysis
 
-SPECTRUM_NAMES: tuple[str, ...] = (
-    "upbf",
-    "lpbf",
-    "spbf",
-    "pbf",
-    "upbw",
-    "lpbw",
-    "spbw",
-    "pbw",
-)
-
 _SET_FLAGS: dict[str, tuple[str, ...]] = {
     "upbf": ("upper_pseudo_semi_b_fredholm",),
     "lpbf": ("lower_pseudo_semi_b_fredholm",),
@@ -66,6 +55,7 @@ _SET_FLAGS: dict[str, tuple[str, ...]] = {
     "spbw": ("upper_pseudo_semi_b_weyl", "lower_pseudo_semi_b_weyl"),
     "pbw": ("pseudo_b_weyl",),
 }
+SPECTRUM_NAMES: tuple[str, ...] = tuple(_SET_FLAGS)
 
 # scans hold an id per point and render every point, so the grid is bounded
 MAX_GRID_POINTS = 10**6

@@ -45,9 +45,9 @@ from .model import (
     INVERTIBLE_PROFILE,
     OperatorExpr,
     Point,
+    SHIFT_PROFILES,
     StructuralProfile,
     ZERO_DIM_PROFILE,
-    atom_profile,
     direct_sum_profile,
     matrix_chain_data,
     matrix_profile,
@@ -56,6 +56,7 @@ from .model import (
     real_quadratic,
     realified,
     realify,
+    shift_region,
 )
 
 
@@ -143,12 +144,16 @@ def analyze_atom(atom: Atom, lam: Point) -> AtomAnalysis:
     """The profiles of one atom at lam: a matrix atom's from the ranks over
     C of the powers of m - lam (model.matrix_chain_data; at a complex
     point they are derived from q(m) and no block is built), by
-    matrix_analysis; a shift atom's from its table profile at lam, by
-    shift_analysis. The scans call both with what their keys already
-    know: an eigenvalue's multiplicity, a shift's region."""
+    matrix_analysis; a shift atom's from the table profile of lam's region
+    (model.SHIFT_PROFILES, model.shift_region), by shift_analysis. The
+    scans call both with what their keys already know: an eigenvalue's
+    multiplicity, a shift's region."""
     if atom.kind == "matrix":
         return matrix_analysis(atom, lam, matrix_chain_data(atom.matrix, lam))
-    return shift_analysis(atom, lam, atom_profile(atom, lam))
+    re, im = lam
+    q2 = re * re + im * im
+    region = shift_region(atom.kind, (q2 > 1) - (q2 < 1), not q2)
+    return shift_analysis(atom, lam, SHIFT_PROFILES[atom.kind, region])
 
 
 def matrix_analysis(atom: Atom, lam: Point, ranks: tuple[int, ...]) -> AtomAnalysis:

@@ -22,7 +22,6 @@ from fredprofile.model import (
     OperatorExpr,
     RIGHT_SHIFT,
     dual_expr,
-    expr_profile,
     matrix_atom,
     matrix_chain_data,
     matrix_profile,
@@ -178,8 +177,8 @@ def test_criterion_5_duality(matrices):
         assert (s.p, s.q) == (d.q, d.p)
         assert s.index == d.index.neg()
     for m in matrices[:200]:
-        prof = expr_profile(matrix_expr(m), ZERO)
-        dprof = expr_profile(matrix_expr(m.transpose()), ZERO)
+        prof = analyze_expr(matrix_expr(m), ZERO).full
+        dprof = analyze_expr(matrix_expr(m.transpose()), ZERO).full
         assert prof.a == dprof.a and prof.r == dprof.r
         assert prof.c == dprof.b and prof.b == dprof.c
     print("criterion 5: PASS (catalog duals swap, transpose mirrors chains on 200)")

@@ -18,6 +18,10 @@ DEMOS = {
     "chain_profiles_right_jordan3_qnil": [
         "chain_profiles.py", "--name", "right_jordan3_qnil", "--lambda", "1/10,0",
     ],
+    # a powered catalog entry: chains and summary of (S - 0)^2, r_n = 2n
+    "chain_profiles_right_shift_squared": [
+        "chain_profiles.py", "--name", "right_shift_squared",
+    ],
     "classification_table": ["classification_table.py"],
     "classification_table_points": [
         "classification_table.py", "--points", "0,0", "1/2,0", "0,1", "2,0",

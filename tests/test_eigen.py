@@ -37,7 +37,6 @@ from fredprofile.model import (
     INVERTIBLE_PROFILE,
     OperatorExpr,
     RIGHT_SHIFT,
-    atom_profile,
     matrix_chain_data,
     matrix_profile,
     realified,
@@ -214,7 +213,6 @@ def test_fast_atom_analysis_equals_fitting_split(mp):
     ranks = matrix_chain_data(m, lam)
     block = matrix_chain_data(realified(m, *lam))
     assert (tuple(2 * r for r in ranks) if lam[1] else ranks) == block
-    assert part.profile == atom_profile(atom, lam)
     assert part.profile == matrix_profile(_over_c(block, lam))
     if not fraction_reference.is_eigenvalue(m, *lam):
         assert part.profile == INVERTIBLE_PROFILE

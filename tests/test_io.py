@@ -18,6 +18,7 @@ from fredprofile.docio import (
     serialize_document,
 )
 from fredprofile.errors import DocumentError
+from fredprofile.linalg import ExactMatrix, SubspaceBasis, exact_rational
 from fredprofile.model import (
     LEFT_SHIFT,
     QNIL_SHIFT,
@@ -27,6 +28,7 @@ from fredprofile.model import (
     matrix_atom,
     point,
 )
+from fredprofile.spectra import GridSpec
 
 J3 = matrix_atom([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
 
@@ -44,20 +46,42 @@ def test_parse_rational():
     assert rational_str(F(-5, 2)) == "-5/2"
 
 
-@pytest.mark.parametrize(
-    "bad",
-    [
-        "1.5", "1e3", "", "1/0", "3/-4", "/2", "1 / 2", 3, 0.5, None, [1], "1/00", "-3/000",
-        "1_0", "+1",
-        # other scripts' decimal digits: Arabic-Indic, fullwidth, Devanagari
-        "\u0661/\u0662", "\uff11\uff12", "1/\u0968",
-        # more digits than Python's int-string limit
-        pytest.param("1" * 5000, id="5000-digits"),
-    ],
-)
+REJECTED = [
+    "1.5", "1e3", "", "1/0", "3/-4", "/2", "1 / 2", 3, 0.5, None, [1], "1/00", "-3/000",
+    "1_0", "+1",
+    # other scripts' decimal digits: Arabic-Indic, fullwidth, Devanagari
+    "\u0661/\u0662", "\uff11\uff12", "1/\u0968",
+    # more digits than Python's int-string limit
+    pytest.param("1" * 5000, id="5000-digits"),
+]
+
+
+@pytest.mark.parametrize("bad", REJECTED)
 def test_parse_rational_rejects(bad):
     with pytest.raises(DocumentError):
         parse_rational(bad)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    # the string rows above, the pytest.param among them
+    [b for b in REJECTED if isinstance(getattr(b, "values", (b,))[0], str)]
+    + ["1e10000000", " 1/2 ", "1_000"],
+)
+def test_library_strings_take_the_document_grammar(bad):
+    # Fraction's own grammar read "1.5", "1e3", " 1/2 " and, from Python
+    # 3.11 on, "1_000", and took 11 s over "1e10000000"
+    calls = [
+        lambda: exact_rational(bad),
+        lambda: point(bad),
+        lambda: point(0, bad),
+        lambda: GridSpec(bad, bad, 0, 0, 1, 1),
+        lambda: ExactMatrix.from_rows([[1, bad]]),
+        lambda: SubspaceBasis.from_vectors(2, [(1, bad)]),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()
 
 
 def test_document_round_trip_all_atom_kinds():
@@ -266,6 +290,18 @@ def test_report_chain_reads_ascii_digits_only(tail_base):
     rep = build_report(OperatorDocument("j3", OperatorExpr.of(J3)), point(0))
     obj = json.loads(rep.to_json())
     obj["chains"]["a"]["tail_base"] = tail_base
+    back = AnalysisReport.from_json(json.dumps(obj))
+    with pytest.raises(DocumentError):
+        back.chain("a")
+
+
+@pytest.mark.parametrize("prefix", ["12", {"1": 0}])
+def test_report_chain_prefix_must_be_a_list(prefix):
+    # a str iterates as its characters and a dict as its keys: with J3's
+    # tail base 3, the prefix "12" used to read back as 1, 2, 3, 3, ...
+    rep = build_report(OperatorDocument("j3", OperatorExpr.of(J3)), point(0))
+    obj = json.loads(rep.to_json())
+    obj["chains"]["a"]["prefix"] = prefix
     back = AnalysisReport.from_json(json.dumps(obj))
     with pytest.raises(DocumentError):
         back.chain("a")

@@ -20,10 +20,8 @@ from fredprofile.model import (
     QNIL_SHIFT_DUAL,
     RIGHT_SHIFT,
     StructuralProfile,
-    atom_profile,
     direct_sum_profile,
     dual_expr,
-    expr_profile,
     matrix_atom,
     matrix_chain_data,
     matrix_profile,
@@ -31,6 +29,7 @@ from fredprofile.model import (
     power_profile,
     realified,
 )
+from fredprofile.structure import analyze_atom, analyze_expr
 
 J2 = matrix_atom([[0, 1], [0, 0]])
 J3 = matrix_atom([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
@@ -60,7 +59,7 @@ def test_atom_validation():
 
 
 def test_right_shift_inside_disk():
-    p = atom_profile(RIGHT_SHIFT, point(0))
+    p = analyze_atom(RIGHT_SHIFT, point(0)).profile
     assert vals(p.a) == ["0", "0", "0", "0", "0"]
     assert vals(p.r) == ["0", "1", "2", "3", "4"]
     assert vals(p.c) == ["0", "0", "0", "0", "0"]
@@ -70,22 +69,22 @@ def test_right_shift_inside_disk():
     assert p.nilpotency_degree == INF
     assert p.is_pseudofredholm_point
     # same table anywhere strictly inside the unit disk
-    assert atom_profile(RIGHT_SHIFT, point(F(1, 2), F(1, 3))) == p
+    assert analyze_atom(RIGHT_SHIFT, point(F(1, 2), F(1, 3))).profile == p
 
 
 def test_right_shift_on_circle():
-    p = atom_profile(RIGHT_SHIFT, point(F(3, 5), F(4, 5)))
+    p = analyze_atom(RIGHT_SHIFT, point(F(3, 5), F(4, 5))).profile
     assert vals(p.a) == ["0", "0", "0", "0", "0"]
     assert vals(p.r) == ["0", "inf", "inf", "inf", "inf"]
     assert vals(p.c) == ["0", "0", "0", "0", "0"]
     assert vals(p.b) == ["inf", "inf", "inf", "inf", "inf"]
     assert p.range_closed is False
     assert not p.is_pseudofredholm_point
-    assert atom_profile(RIGHT_SHIFT, point(0, 1)) == p
+    assert analyze_atom(RIGHT_SHIFT, point(0, 1)).profile == p
 
 
 def test_right_shift_outside_disk_invertible():
-    p = atom_profile(RIGHT_SHIFT, point(2))
+    p = analyze_atom(RIGHT_SHIFT, point(2)).profile
     assert vals(p.a) == ["0", "0", "0", "0", "0"]
     assert vals(p.r) == ["0", "0", "0", "0", "0"]
     assert vals(p.c) == ["0", "0", "0", "0", "0"]
@@ -95,13 +94,13 @@ def test_right_shift_outside_disk_invertible():
 
 
 def test_left_shift_mirrors_right_shift():
-    p = atom_profile(LEFT_SHIFT, point(0))
+    p = analyze_atom(LEFT_SHIFT, point(0)).profile
     assert vals(p.a) == ["0", "1", "2", "3", "4"]
     assert vals(p.r) == ["0", "0", "0", "0", "0"]
     assert vals(p.c) == ["1", "1", "1", "1", "1"]
     assert vals(p.b) == ["0", "0", "0", "0", "0"]
     assert p.is_pseudofredholm_point
-    on_circle = atom_profile(LEFT_SHIFT, point(F(4, 5), F(3, 5)))
+    on_circle = analyze_atom(LEFT_SHIFT, point(F(4, 5), F(3, 5))).profile
     assert vals(on_circle.a) == ["0", "0", "0", "0", "0"]
     assert vals(on_circle.r) == ["0", "inf", "inf", "inf", "inf"]
     assert vals(on_circle.c) == ["0", "0", "0", "0", "0"]
@@ -110,7 +109,7 @@ def test_left_shift_mirrors_right_shift():
 
 
 def test_qnil_shift_at_zero():
-    p = atom_profile(QNIL_SHIFT, point(0))
+    p = analyze_atom(QNIL_SHIFT, point(0)).profile
     assert vals(p.a) == ["0", "0", "0", "0", "0"]
     assert vals(p.r) == ["0", "inf", "inf", "inf", "inf"]
     assert vals(p.c) == ["0", "0", "0", "0", "0"]
@@ -123,7 +122,7 @@ def test_qnil_shift_at_zero():
 
 def test_qnil_shift_elsewhere_invertible():
     for lam in (point(F(1, 3)), point(0, F(-2, 7)), point(1)):
-        p = atom_profile(QNIL_SHIFT, lam)
+        p = analyze_atom(QNIL_SHIFT, lam).profile
         assert vals(p.a) == ["0", "0", "0", "0", "0"]
         assert vals(p.r) == ["0", "0", "0", "0", "0"]
         assert vals(p.c) == ["0", "0", "0", "0", "0"]
@@ -132,7 +131,7 @@ def test_qnil_shift_elsewhere_invertible():
 
 
 def test_qnil_dual_at_zero():
-    p = atom_profile(QNIL_SHIFT_DUAL, point(0))
+    p = analyze_atom(QNIL_SHIFT_DUAL, point(0)).profile
     assert vals(p.a) == ["0", "1", "2", "3", "4"]
     assert vals(p.r) == ["0", "inf", "inf", "inf", "inf"]
     assert vals(p.c) == ["1", "1", "1", "1", "1"]
@@ -142,7 +141,7 @@ def test_qnil_dual_at_zero():
 
 
 def test_matrix_profile_diag_one_zero():
-    p = expr_profile(OperatorExpr.of(matrix_atom([[1, 0], [0, 0]])), point(0))
+    p = analyze_expr(OperatorExpr.of(matrix_atom([[1, 0], [0, 0]])), point(0)).full
     assert vals(p.a) == ["0", "1", "1", "1", "1"]
     assert vals(p.r) == ["0", "1", "1", "1", "1"]
     assert vals(p.c) == ["1", "0", "0", "0", "0"]
@@ -153,13 +152,13 @@ def test_matrix_profile_diag_one_zero():
 
 def test_matrix_profile_shifted_eigenvalue():
     # diag(1,0) - 1 has the same shape with the roles of the eigenvalues swapped
-    p = expr_profile(OperatorExpr.of(matrix_atom([[1, 0], [0, 0]])), point(1))
+    p = analyze_expr(OperatorExpr.of(matrix_atom([[1, 0], [0, 0]])), point(1)).full
     assert vals(p.a) == ["0", "1", "1", "1", "1"]
     assert vals(p.r) == ["0", "1", "1", "1", "1"]
 
 
 def test_jordan_sum_kernel_chain():
-    p = expr_profile(OperatorExpr.of(J2, J3), point(0))
+    p = analyze_expr(OperatorExpr.of(J2, J3), point(0)).full
     assert vals(p.a, 6) == ["0", "2", "4", "5", "5", "5"]
     assert vals(p.r, 6) == ["0", "2", "4", "5", "5", "5"]
     assert p.nilpotency_degree == ExtNat(3)
@@ -186,7 +185,7 @@ def test_realified_even_and_halved():
     m = realified(rot.matrix, F(0), F(1))
     assert m.rows == 4
     assert matrix_chain_data(rot.matrix, point(0, 1)) == (2, 1, 1)
-    p = expr_profile(OperatorExpr.of(rot), point(0, 1))
+    p = analyze_expr(OperatorExpr.of(rot), point(0, 1)).full
     assert vals(p.a) == ["0", "1", "1", "1", "1"]
     assert vals(p.r) == ["0", "1", "1", "1", "1"]
     # real points stay in the original space
@@ -196,14 +195,14 @@ def test_realified_even_and_halved():
 
 
 def test_complex_point_invertible_matrix():
-    p = expr_profile(OperatorExpr.of(J2), point(0, F(1, 10)))
+    p = analyze_expr(OperatorExpr.of(J2), point(0, F(1, 10))).full
     assert vals(p.a) == ["0", "0", "0", "0", "0"]
     assert vals(p.r) == ["0", "0", "0", "0", "0"]
 
 
 def test_direct_sum_adds_chains():
-    pr = atom_profile(RIGHT_SHIFT, point(0))
-    pl = atom_profile(LEFT_SHIFT, point(0))
+    pr = analyze_atom(RIGHT_SHIFT, point(0)).profile
+    pl = analyze_atom(LEFT_SHIFT, point(0)).profile
     total = direct_sum_profile([pr, pl])
     assert vals(total.a) == ["0", "1", "2", "3", "4"]
     assert vals(total.r) == ["0", "1", "2", "3", "4"]
@@ -214,13 +213,13 @@ def test_direct_sum_adds_chains():
 
 def test_invertible_summand_adds_zero_chains():
     two = OperatorExpr.of(RIGHT_SHIFT, matrix_atom([[2]]))
-    alone = expr_profile(OperatorExpr.of(RIGHT_SHIFT), point(0))
-    both = expr_profile(two, point(0))
+    alone = analyze_expr(OperatorExpr.of(RIGHT_SHIFT), point(0)).full
+    both = analyze_expr(two, point(0)).full
     assert both == alone
 
 
 def test_quasinilpotence_is_a_conjunction():
-    p = expr_profile(OperatorExpr.of(J2, matrix_atom([[2]])), point(0))
+    p = analyze_expr(OperatorExpr.of(J2, matrix_atom([[2]])), point(0)).full
     assert not p.is_quasinilpotent
     assert p.nilpotency_degree == INF
     assert vals(p.a) == ["0", "1", "2", "2", "2"]
@@ -237,29 +236,29 @@ def test_dual_expr_atomwise():
 
 
 def test_power_profile_of_nilpotent_matches_direct_computation():
-    sq = power_profile(expr_profile(OperatorExpr.of(J2), point(0)), 2)
-    direct = expr_profile(OperatorExpr.of(matrix_atom([[0, 0], [0, 0]])), point(0))
+    sq = power_profile(analyze_expr(OperatorExpr.of(J2), point(0)).full, 2)
+    direct = analyze_expr(OperatorExpr.of(matrix_atom([[0, 0], [0, 0]])), point(0)).full
     assert sq == direct
 
 
 def test_power_profile_of_shift():
-    cubed = power_profile(atom_profile(RIGHT_SHIFT, point(0)), 3)
+    cubed = power_profile(analyze_atom(RIGHT_SHIFT, point(0)).profile, 3)
     assert vals(cubed.r) == ["0", "3", "6", "9", "12"]
     assert vals(cubed.b) == ["3", "3", "3", "3", "3"]
     assert vals(cubed.a) == ["0", "0", "0", "0", "0"]
     assert cubed.range_closed is True
-    lifted = power_profile(atom_profile(LEFT_SHIFT, point(0)), 3)
+    lifted = power_profile(analyze_atom(LEFT_SHIFT, point(0)).profile, 3)
     assert vals(lifted.a) == ["0", "3", "6", "9", "12"]
     assert vals(lifted.c) == ["3", "3", "3", "3", "3"]
 
 
 def test_power_one_is_identity():
-    p = expr_profile(OperatorExpr.of(J3, RIGHT_SHIFT), point(0))
+    p = analyze_expr(OperatorExpr.of(J3, RIGHT_SHIFT), point(0)).full
     assert power_profile(p, 1) == p
 
 
 def test_power_nilpotency_degree_divides():
-    p = expr_profile(OperatorExpr.of(J3), point(0))
+    p = analyze_expr(OperatorExpr.of(J3), point(0)).full
     assert power_profile(p, 2).nilpotency_degree == ExtNat(2)
     assert power_profile(p, 3).nilpotency_degree == ExtNat(1)
     assert power_profile(p, 4).nilpotency_degree == ExtNat(1)
@@ -324,7 +323,7 @@ def atoms_at_point(draw):
 @given(atoms_at_point())
 def test_derived_chains_commute_with_direct_sums(case):
     atoms, lam = case
-    ps = [atom_profile(a, lam) for a in atoms]
+    ps = [analyze_atom(a, lam).profile for a in atoms]
     total = direct_sum_profile(ps)
     assert total.c == reduce(EvAffineSeq.add, [p.c for p in ps])
     assert total.b == reduce(EvAffineSeq.add, [p.b for p in ps])

@@ -11,7 +11,6 @@ from fredprofile.model import (
     OperatorExpr,
     QNIL_SHIFT,
     RIGHT_SHIFT,
-    expr_profile,
     matrix_atom,
     matrix_chain_data,
     point,
@@ -43,7 +42,7 @@ def mat(rows):
 
 
 def test_jordan3_chains():
-    p = expr_profile(OperatorExpr.of(J3), point(0))
+    p = analyze_expr(OperatorExpr.of(J3), point(0)).full
     assert [v.to_str() for v in map(p.a.at, range(5))] == ["0", "1", "2", "3", "3"]
     assert [v.to_str() for v in map(p.c.at, range(5))] == ["1", "1", "1", "0", "0"]
     assert [v.to_str() for v in map(p.c.diff().at, range(5))] == ["0", "0", "1", "0", "0"]
@@ -178,11 +177,11 @@ def test_drazin_axioms_on_random_matrices():
 
 
 def test_restriction_profile_examples():
-    p3 = expr_profile(OperatorExpr.of(J3), point(0))
+    p3 = analyze_expr(OperatorExpr.of(J3), point(0)).full
     cn, bn, idx = restriction_profile(p3, 2)
     assert (cn, bn) == (ExtNat(1), ExtNat(1))
     assert idx.is_zero()
-    pr = expr_profile(OperatorExpr.of(RIGHT_SHIFT), point(0))
+    pr = analyze_expr(OperatorExpr.of(RIGHT_SHIFT), point(0)).full
     cn, bn, idx = restriction_profile(pr, 5)
     assert (cn, bn) == (ExtNat(0), ExtNat(1))
     assert idx == ExtIndex.of(-1)
