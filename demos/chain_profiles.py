@@ -15,6 +15,7 @@ import sys
 
 from fredprofile import (
     CATALOG,
+    DocumentError,
     OperatorDocument,
     analyze_expr,
     build_report,
@@ -26,9 +27,12 @@ from fredprofile import (
 
 def load(args):
     if args.doc:
-        with open(args.doc, "r", encoding="utf-8") as fh:
-            doc = parse_document(fh.read())
-        return doc, 1
+        try:
+            with open(args.doc, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise DocumentError(f"cannot read {args.doc}: {exc}") from None
+        return parse_document(text), 1
     entry = by_name(args.name)
     return OperatorDocument(entry.name, entry.expr), entry.power
 
@@ -40,9 +44,21 @@ def main():
     ap.add_argument("--lambda", dest="lam", default="0,0", metavar="RE,IM")
     args = ap.parse_args()
 
-    re_s, im_s = args.lam.split(",")
-    lam = (parse_rational(re_s), parse_rational(im_s))
-    doc, power = load(args)
+    # one error line and the CLI's exit codes: 1 for the point, as analyze
+    # --lambda gives, and 2 for the document
+    parts = args.lam.split(",")
+    try:
+        if len(parts) != 2:
+            raise ValueError(f"point must be RE,IM, got {args.lam!r}")
+        lam = (parse_rational(parts[0]), parse_rational(parts[1]))
+    except (DocumentError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    try:
+        doc, power = load(args)
+    except DocumentError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     an = analyze_expr(doc.expr, lam, power)
     rep = build_report(doc, lam)
 

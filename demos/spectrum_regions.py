@@ -15,6 +15,7 @@ import sys
 
 from fredprofile import (
     CATALOG,
+    DocumentError,
     GridSpec,
     SPECTRUM_NAMES,
     by_name,
@@ -42,8 +43,15 @@ def main():
         print("grid scans use the operator itself, not a power", file=sys.stderr)
         return 1
     parts = args.grid.split(",")
-    steps = natural_numeral(parts[4]), natural_numeral(parts[5])
-    grid = GridSpec(*(parse_rational(t) for t in parts[:4]), *steps)
+    try:
+        if len(parts) != 6:
+            raise ValueError(f"grid must be RE0,RE1,IM0,IM1,NR,NI, got {args.grid!r}")
+        bounds = [parse_rational(t) for t in parts[:4]]
+        grid = GridSpec(*bounds, natural_numeral(parts[4]), natural_numeral(parts[5]))
+    except (DocumentError, ValueError) as exc:
+        # one line and exit code 1, as the CLI's spectrum --grid gives
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
     s = scan(entry.expr, grid)
     # a cell of the spectrum stays '#'; the runs outside it carry their component

@@ -332,17 +332,23 @@ def rank(m: ExactMatrix) -> int:
 
 
 def inverse(m: ExactMatrix) -> ExactMatrix:
-    """Exact inverse of a square invertible matrix m = N/D: Gauss-Jordan
-    on the integer [N | I] ends at [p*I | p*N^-1], p the last pivot, and
-    m^-1 = D*N^-1."""
+    """Exact inverse of a square invertible matrix m = N/D. Row i of N is
+    divided by its content g_i, N' = G^-1 N, and Gauss-Jordan on the
+    integer [N' | L G^-1], L = lcm(g), ends at [p*I | p*L*N^-1], p the
+    last pivot; m^-1 = D*N^-1."""
     if m.rows != m.cols:
         raise ValueError("inverse needs a square matrix")
     n = m.rows
-    a = [list(m.num[i * n : (i + 1) * n]) + [int(i == j) for j in range(n)] for i in range(n)]
+    rows = _num_rows(m)
+    g = [math.gcd(*row) or 1 for row in rows]  # a zero row stays: singular
+    lcm = math.lcm(*g)
+    a = [[x // gi for x in row] + [0] * n for row, gi in zip(rows, g)]
+    for i, gi in enumerate(g):
+        a[i][n + i] = lcm // gi
     pivots, prev = _gauss_jordan(a, 2 * n)
     if len(pivots) != n or any(p >= n for p in pivots):
         raise ValueError("matrix is singular")
-    return ExactMatrix(n, n, tuple(m.den * x for row in a for x in row[n:]), prev)
+    return ExactMatrix(n, n, tuple(m.den * x for row in a for x in row[n:]), prev * lcm)
 
 
 @dataclass(frozen=True)
@@ -501,7 +507,9 @@ def restrict(m: ExactMatrix, b: SubspaceBasis) -> ExactMatrix:
     block is R = the rows of M B at P, since each basis vector is 1 at its
     own pivot and 0 at the others'. b is invariant exactly when B R = M B.
     On numerators, M = N/Dm and B = V/Db, M B = W/(Dm Db) with W = N V and
-    R = W_P/(Dm Db), so the test is V W_P = Db W in integers.
+    R = W_P/(Dm Db), so the test is V W_P = Db W in integers. At the pivot
+    row of vector t, V is Db at t and 0 elsewhere, so both sides are Db
+    R[t]: only the other rows are tested.
     """
     if m.rows != m.cols:
         raise ValueError("restrict needs a square matrix")
@@ -510,11 +518,11 @@ def restrict(m: ExactMatrix, b: SubspaceBasis) -> ExactMatrix:
         raise AmbientMismatch("matrix and subspace ambient dimensions differ")
     vecs = _num_rows(b.matrix)
     image = [[sum(map(mul, row, v)) for v in vecs] for row in _num_rows(m)]
-    block = [image[p] for p in b.pivots()]
-    vcols = [b.matrix.num[j::n] for j in range(n)]
+    pivots = b.pivots()
+    block = [image[p] for p in pivots]
     bcols = list(zip(*block))
-    db = b.matrix.den
-    for vrow, wrow in zip(vcols, image):
-        if [sum(map(mul, vrow, col)) for col in bcols] != [db * x for x in wrow]:
+    num, db = b.matrix.num, b.matrix.den
+    for j in [j for j in range(n) if j not in pivots]:
+        if [sum(map(mul, num[j::n], col)) for col in bcols] != [db * x for x in image[j]]:
             raise NotInvariant("subspace is not invariant under the matrix")
     return ExactMatrix(b.dim, b.dim, tuple([x for row in block for x in row]), m.den * db)

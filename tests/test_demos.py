@@ -33,19 +33,41 @@ DEMOS = {
 }
 
 
-@pytest.mark.parametrize("name", DEMOS)
-def test_demo_output_is_pinned(name):
-    script, *args = DEMOS[name]
+# malformed arguments, each with the exit code the CLI gives for the same
+# text: spectrum --grid=-2,2,-2,2,+5,5 and analyze --lambda 1e3,0 exit 1
+REJECTED = {
+    "spectrum_regions_signed_count": (["spectrum_regions.py", "--grid=-2,2,-2,2,+5,5"], 1),
+    "chain_profiles_exponent_point": (["chain_profiles.py", "--lambda", "1e3,0"], 1),
+}
+
+
+def _run_demo(script, *args):
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(fredprofile.__file__))
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(ROOT / "demos" / script), *args],
         capture_output=True,
         env=env,
     )
+
+
+@pytest.mark.parametrize("name", DEMOS)
+def test_demo_output_is_pinned(name):
+    proc = _run_demo(*DEMOS[name])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (RECORDED / f"{name}.txt").read_bytes()
+
+
+@pytest.mark.parametrize("name", REJECTED)
+def test_demo_malformed_argument_is_one_error_line(name):
+    argv, code = REJECTED[name]
+    proc = _run_demo(*argv)
+    assert proc.returncode == code
+    assert proc.stdout == b""
+    lines = proc.stderr.decode().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+    assert b"Traceback" not in proc.stderr
 
 
 def test_readme_quick_start_prints_its_comments(capsys):

@@ -22,7 +22,7 @@ from fredprofile import docio, linalg, model, spectra, structure, verify
 from fredprofile.classify import classify
 from fredprofile.cli import main
 from fredprofile.errors import InternalInvariantError
-from fredprofile.extvals import ExtNat
+from fredprofile.extvals import EvAffineSeq, ExtNat
 from fredprofile.linalg import (
     ExactMatrix,
     image_basis,
@@ -31,6 +31,8 @@ from fredprofile.linalg import (
     rank,
     restrict,
     root_multiplicity,
+    subspace_intersection,
+    subspace_sum,
 )
 from fredprofile.model import (
     Atom,
@@ -492,6 +494,65 @@ def test_rank_derived_chains_equal_subspace_chains(mp):
     ranks = matrix_chain_data(s)
     prof = matrix_profile(ranks)
     assert (prof.c, prof.b) == subspace_meet_join(raw_powers(s, len(ranks) - 2))
+
+
+@st.composite
+def nilpotent_jordan_similar(draw, max_dim=6):
+    """P J P^-1 with P unimodular and J a Jordan matrix whose first block
+    is nilpotent of size >= 2, so that the chain of J at 0 stops at
+    nu >= 2; its other blocks have eigenvalues in COORDS."""
+    d = draw(st.integers(2, max_dim))
+    sizes = [draw(st.integers(2, d))]
+    while sum(sizes) < d:
+        sizes.append(draw(st.integers(1, d - sum(sizes))))
+    rows = [[0] * d for _ in range(d)]
+    i = 0
+    for k, size in enumerate(sizes):
+        ev = draw(st.sampled_from(COORDS)) if k else F(0)
+        for t in range(i, i + size):
+            rows[t][t] = ev
+            if t + 1 < i + size:
+                rows[t][t + 1] = 1
+        i += size
+    unit = st.integers(-1, 1)
+    lower = [[draw(unit) if j < i else int(i == j) for j in range(d)] for i in range(d)]
+    upper = [[draw(unit) if j > i else int(i == j) for j in range(d)] for i in range(d)]
+    p = mat(lower) @ mat(upper)
+    return p @ mat(rows) @ inverse(p)
+
+
+def _meet_join_reference(powers):
+    """subspace_meet_join as first written: an image and a kernel of every
+    power m^0..m^nu by elimination, S^0 = I included."""
+    d, nu = powers[0].rows, len(powers) - 2
+    ker1, img1 = kernel_basis(powers[1]), image_basis(powers[1])
+    meet = [ExtNat(subspace_intersection(image_basis(p), ker1).dim) for p in powers[: nu + 1]]
+    join = [ExtNat(d - subspace_sum(img1, kernel_basis(p)).dim) for p in powers[: nu + 1]]
+    return EvAffineSeq.from_samples(meet, nu), EvAffineSeq.from_samples(join, nu)
+
+
+@settings(max_examples=60, deadline=None)
+@given(nilpotent_jordan_similar())
+@example(mat([[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0], [0, 0, 0, 2]]))
+def test_oracle_shortcuts_equal_the_routes_they_replace(m):
+    # the routes that verify's oracles replaced: the duality suite takes the
+    # powers of m^T as transposes, subspace_meet_join takes its n = 0 terms
+    # from N(S) and R(S), and the chains suite takes the restriction to the
+    # range of m^0 = I as m itself
+    nu = len(matrix_chain_data(m)) - 2
+    assert nu >= 2
+    powers = raw_powers(m, nu)
+    transposed = [p.transpose() for p in powers]
+    assert transposed == raw_powers(m.transpose(), nu)
+    want = _meet_join_reference(raw_powers(m.transpose(), nu))
+    assert subspace_meet_join(transposed) == want
+    assert subspace_meet_join(powers) == _meet_join_reference(powers)
+    full = image_basis(ExactMatrix.identity(m.rows))
+    sub = restrict(m, full)
+    assert verify._restriction_defects(m, powers[0]) == (
+        kernel_basis(sub).dim,
+        full.dim - rank(sub),
+    )
 
 
 @settings(max_examples=100, deadline=None)
