@@ -20,19 +20,13 @@ from fredprofile import (
     analyze_expr,
     build_report,
     by_name,
-    parse_document,
-    parse_rational,
 )
+from fredprofile.cli import parse_point, read_document
 
 
 def load(args):
     if args.doc:
-        try:
-            with open(args.doc, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise DocumentError(f"cannot read {args.doc}: {exc}") from None
-        return parse_document(text), 1
+        return read_document(args.doc), 1
     entry = by_name(args.name)
     return OperatorDocument(entry.name, entry.expr), entry.power
 
@@ -46,11 +40,8 @@ def main():
 
     # one error line and the CLI's exit codes: 1 for the point, as analyze
     # --lambda gives, and 2 for the document
-    parts = args.lam.split(",")
     try:
-        if len(parts) != 2:
-            raise ValueError(f"point must be RE,IM, got {args.lam!r}")
-        lam = (parse_rational(parts[0]), parse_rational(parts[1]))
+        lam = parse_point(args.lam)
     except (DocumentError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

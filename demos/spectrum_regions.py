@@ -16,14 +16,12 @@ import sys
 from fredprofile import (
     CATALOG,
     DocumentError,
-    GridSpec,
     SPECTRUM_NAMES,
     by_name,
     component_index_report,
-    parse_rational,
     scan,
 )
-from fredprofile.extvals import natural_numeral
+from fredprofile.cli import parse_grid
 from fredprofile.spectra import component_runs
 
 
@@ -42,12 +40,8 @@ def main():
     if entry.power != 1:
         print("grid scans use the operator itself, not a power", file=sys.stderr)
         return 1
-    parts = args.grid.split(",")
     try:
-        if len(parts) != 6:
-            raise ValueError(f"grid must be RE0,RE1,IM0,IM1,NR,NI, got {args.grid!r}")
-        bounds = [parse_rational(t) for t in parts[:4]]
-        grid = GridSpec(*bounds, natural_numeral(parts[4]), natural_numeral(parts[5]))
+        grid = parse_grid(args.grid)
     except (DocumentError, ValueError) as exc:
         # one line and exit code 1, as the CLI's spectrum --grid gives
         print(f"error: {exc}", file=sys.stderr)

@@ -82,32 +82,35 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _parse_point(parser: _Parser, text: str) -> Point:
+def parse_point(text: str) -> Point:
+    """The point RE,IM of a --lambda text; ValueError or DocumentError
+    names what is wrong."""
     parts = text.split(",")
     if len(parts) != 2:
-        parser.error(f"point must be RE,IM, got {text!r}")
-    try:
-        return parse_rational(parts[0]), parse_rational(parts[1])
-    except DocumentError as exc:
-        parser.error(str(exc))
+        raise ValueError(f"point must be RE,IM, got {text!r}")
+    return parse_rational(parts[0]), parse_rational(parts[1])
 
 
-def _parse_grid(parser: _Parser, text: str) -> GridSpec:
+def parse_grid(text: str) -> GridSpec:
+    """The grid RE0,RE1,IM0,IM1,NR,NI of a --grid text; ValueError or
+    DocumentError names what is wrong."""
     parts = text.split(",")
     if len(parts) != 6:
-        parser.error(f"grid must be RE0,RE1,IM0,IM1,NR,NI, got {text!r}")
+        raise ValueError(f"grid must be RE0,RE1,IM0,IM1,NR,NI, got {text!r}")
+    re0, re1, im0, im1 = (parse_rational(s) for s in parts[:4])
+    return GridSpec(re0, re1, im0, im1, natural_numeral(parts[4]), natural_numeral(parts[5]))
+
+
+def _usage(parser: _Parser, parse, text: str):
+    # a malformed argument is a usage error
     try:
-        re0, re1, im0, im1 = (parse_rational(s) for s in parts[:4])
-    except DocumentError as exc:
-        parser.error(str(exc))
-    try:
-        nr, ni = natural_numeral(parts[4]), natural_numeral(parts[5])
-        return GridSpec(re0, re1, im0, im1, nr, ni)
-    except ValueError as exc:
+        return parse(text)
+    except (DocumentError, ValueError) as exc:
         parser.error(str(exc))
 
 
-def _read_document(path: str):
+def read_document(path: str):
+    """The document in file path; DocumentError names what is wrong."""
     # one byte past the limit is enough to tell that a document is too long
     try:
         with open(path, "rb") as fh:
@@ -153,16 +156,16 @@ def _emit(text: str, outfile: str | None = None):
 
 
 def _cmd_analyze(parser: _Parser, args) -> int:
-    lam = _parse_point(parser, args.lam)
-    doc = _read_document(args.infile)
+    lam = _usage(parser, parse_point, args.lam)
+    doc = read_document(args.infile)
     report = build_report(doc, lam)
     _emit(report.to_json(), args.outfile)
     return 0
 
 
 def _cmd_spectrum(parser: _Parser, args) -> int:
-    grid = _parse_grid(parser, args.grid)
-    doc = _read_document(args.infile)
+    grid = _usage(parser, parse_grid, args.grid)
+    doc = read_document(args.infile)
     s = scan(doc.expr, grid)
     if args.fmt == "csv":
         _emit(scan_to_csv(s), args.outfile)
@@ -172,7 +175,7 @@ def _cmd_spectrum(parser: _Parser, args) -> int:
 
 
 def _cmd_drazin(args) -> int:
-    doc = _read_document(args.infile)
+    doc = read_document(args.infile)
     atoms = doc.expr.atoms
     if len(atoms) != 1 or atoms[0].kind != "matrix":
         print("drazin needs a document with a single matrix atom", file=sys.stderr)

@@ -332,23 +332,17 @@ def rank(m: ExactMatrix) -> int:
 
 
 def inverse(m: ExactMatrix) -> ExactMatrix:
-    """Exact inverse of a square invertible matrix m = N/D. Row i of N is
-    divided by its content g_i, N' = G^-1 N, and Gauss-Jordan on the
-    integer [N' | L G^-1], L = lcm(g), ends at [p*I | p*L*N^-1], p the
-    last pivot; m^-1 = D*N^-1."""
+    """Exact inverse of a square invertible matrix m = N/D: Gauss-Jordan
+    on the integer [N | I] ends at [p*I | p*N^-1], p the last pivot, and
+    m^-1 = D*N^-1."""
     if m.rows != m.cols:
         raise ValueError("inverse needs a square matrix")
     n = m.rows
-    rows = _num_rows(m)
-    g = [math.gcd(*row) or 1 for row in rows]  # a zero row stays: singular
-    lcm = math.lcm(*g)
-    a = [[x // gi for x in row] + [0] * n for row, gi in zip(rows, g)]
-    for i, gi in enumerate(g):
-        a[i][n + i] = lcm // gi
+    a = [list(m.num[i * n : (i + 1) * n]) + [int(i == j) for j in range(n)] for i in range(n)]
     pivots, prev = _gauss_jordan(a, 2 * n)
     if len(pivots) != n or any(p >= n for p in pivots):
         raise ValueError("matrix is singular")
-    return ExactMatrix(n, n, tuple(m.den * x for row in a for x in row[n:]), prev * lcm)
+    return ExactMatrix(n, n, tuple(m.den * x for row in a for x in row[n:]), prev)
 
 
 @dataclass(frozen=True)

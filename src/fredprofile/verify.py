@@ -53,7 +53,7 @@ from .structure import (
 )
 
 # the most cases the CLI runs per suite, so that no small command line runs
-# for hours: `verify --suite all --cases MAX_CASES` took 13-14 s (seeds 0
+# for hours: `verify --suite all --cases MAX_CASES` took 16-19 s (seeds 0
 # and 42, Python 3.11, 2-core host)
 MAX_CASES = 10**4
 

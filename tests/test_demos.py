@@ -34,10 +34,14 @@ DEMOS = {
 
 
 # malformed arguments, each with the exit code the CLI gives for the same
-# text: spectrum --grid=-2,2,-2,2,+5,5 and analyze --lambda 1e3,0 exit 1
+# text: spectrum --grid=-2,2,-2,2,+5,5 and analyze --lambda 1e3,0 exit 1,
+# analyze --in on a file that cannot be read exits 2
 REJECTED = {
     "spectrum_regions_signed_count": (["spectrum_regions.py", "--grid=-2,2,-2,2,+5,5"], 1),
     "chain_profiles_exponent_point": (["chain_profiles.py", "--lambda", "1e3,0"], 1),
+    "chain_profiles_unreadable_doc": (
+        ["chain_profiles.py", "--doc", str(RECORDED / "no_such_document.json")], 2,
+    ),
 }
 
 
