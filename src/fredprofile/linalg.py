@@ -32,11 +32,11 @@ read-only views at, row, column, entries, to_rows and
 SubspaceBasis.vectors return them. No kernel builds one. Strings are
 read by exact_rational in the one "p" or "p/q" grammar that documents and
 the command line use (extvals.ratio_numeral), never in Fraction's own.
-Only spectrum scans use the characteristic polynomial: root_multiplicity
-divides it by x - z in Gaussian integers, for the scans' keys on their
-integer axes, and gives each eigenvalue's algebraic multiplicity, where
-the chain of ranks stops; analysis at one point decides eigenvalues by
-rank.
+Only spectrum scans use the characteristic polynomial, that of the
+integer matrix den*M: an eigenvalue lam of M makes z = den*lam one of its
+roots, a Gaussian integer, and root_multiplicity divides it by x - z in
+Gaussian integers, which gives lam's algebraic multiplicity, where the
+chain of ranks stops; analysis at one point decides eigenvalues by rank.
 """
 from __future__ import annotations
 
@@ -216,17 +216,6 @@ class ExactMatrix:
                 nxt[j] -= sum(p[m] * w[m - j - 1] for m in range(j + 1, k + 1))
             p = nxt
         return tuple(p)
-
-    def weighted_char_poly(self, q: int) -> tuple[int, ...]:
-        """e_m * q^(d-m), m = 0..d, for the coefficients e_m of
-        det(xI - A), A = den*self (_scaled_char_poly): the polynomial that
-        root_multiplicity divides at z = den*q*lam for a point lam with
-        denominators dividing q. It is q^d den^d det(x/(den*q) - self) in
-        x, so z is a root exactly when lam is an eigenvalue, and of the
-        same multiplicity, the algebraic multiplicity of lam, whichever
-        such q is taken."""
-        d = self.rows
-        return tuple([e * q ** (d - m) for m, e in enumerate(self._scaled_char_poly)])
 
 
 def root_multiplicity(coeffs: Sequence[int], zr: int, zi: int) -> int:

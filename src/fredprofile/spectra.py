@@ -15,10 +15,11 @@ Every region comes from integer keys: each axis is integers over one
 common denominator, a column's code (the circle side, or lam = 0) is two
 integer comparisons, and a matrix atom's region is decided by
 linalg.root_multiplicity, which also gives an eigenvalue's algebraic
-multiplicity. A new key's analysis takes a shift's profile from its
-region and a matrix atom's ranks from the chain bounded by that
-multiplicity, so an eigenvalue of multiplicity m costs only the ranks m
-leaves open (none when m = 1) and a point off the spectrum none.
+multiplicity, at the points where den*lam is a Gaussian integer, the
+only ones that can be eigenvalues. A new key's analysis takes a shift's
+profile from its region and a matrix atom's ranks from the chain bounded
+by that multiplicity, so an eigenvalue of multiplicity m costs only the
+ranks m leaves open (none when m = 1) and a point off the spectrum none.
 
 Adjacency for components is 4-neighbour adjacency refined by equal index:
 two neighbouring grid points belong to the same component only when their
@@ -168,35 +169,39 @@ def scan(e: OperatorExpr, grid: GridSpec) -> SpectrumScan:
     a_k = R_k^2 D_i^2 and t_j = D_r^2 D_i^2 - I_j^2 D_r^2, and lam = 0 is
     R_k = I_j = 0: one comprehension per row gives each column a code, the
     sign or 2 at lam = 0, and the shifts' regions follow from the code. A
-    matrix atom's region is lam at an eigenvalue and None off them, decided
-    over the one denominator q = lcm(D_r, D_i): its weighted_char_poly(q)
-    once per scan, z's real part once per column and its imaginary part
-    once per row, then root_multiplicity per point; each eigenvalue column
-    is a run of its own and keeps its multiplicity. A new key analyses a
-    shift atom from the profile of its region and a matrix atom from the
-    chain that the multiplicity bounds (model.matrix_chain_data): 0 off the
-    spectrum, where the ranks are (d, d) and none is computed."""
+    matrix atom's region is lam at an eigenvalue and None off them. With
+    the atom's matrix N/D, N an integer matrix, D*lam is a root of the
+    monic integer polynomial det(xI - N), an algebraic integer of Q(i) and
+    so a Gaussian integer: only the columns where D*re and the rows where
+    D*im is an integer hold candidates. root_multiplicity runs at each
+    candidate pair on that polynomial, read only when a pair exists, and
+    gives lam's multiplicity; each eigenvalue column is a run of its own
+    and keeps it. A new key analyses a shift atom from the profile of its
+    region and a matrix atom from the chain that the multiplicity bounds
+    (model.matrix_chain_data): 0 off the spectrum, where the ranks are
+    (d, d) and none is computed."""
     (re_nums, re_den), (im_nums, im_den) = grid.re_axis(), grid.im_axis()
     res, ims = grid.re_values(), grid.im_values()
     a = [r * r * im_den * im_den for r in re_nums]
     c = re_den * re_den * im_den * im_den
-    q = math.lcm(re_den, im_den)
     kinds = [at.kind for at in e.atoms if at.kind != "matrix"]
-    mats = [at for at in e.atoms if at.kind == "matrix"]
-    # per matrix atom: its polynomial, z = den*q*lam's real part per column,
-    # and the factor that turns I_j into its imaginary part
-    polys = [
-        (
-            m.matrix.weighted_char_poly(q),
-            [m.matrix.den * (q // re_den) * r for r in re_nums],
-            m.matrix.den * (q // im_den),
-        )
-        for m in mats
-    ]
+    mats = [at.matrix for at in e.atoms if at.kind == "matrix"]
 
-    def eigenvalue_columns(ws, zrs, zi):
+    def integers(nums, den, scale):
+        """{index: scale*n/den} for each n of nums where that is an integer."""
+        return {k: scale * n // den for k, n in enumerate(nums) if scale * n % den == 0}
+
+    # per matrix atom: its polynomial if a candidate pair exists, and
+    # z = den*lam's real part at the candidate columns and imaginary part at
+    # the candidate rows
+    cands = []
+    for m in mats:
+        zrs, zis = integers(re_nums, re_den, m.den), integers(im_nums, im_den, m.den)
+        cands.append((m._scaled_char_poly if zrs and zis else None, zrs, zis))
+
+    def eigenvalue_columns(poly, zrs, zi):
         """Each eigenvalue column of the row, with its multiplicity."""
-        return {k: mult for k, zr in enumerate(zrs) if (mult := root_multiplicity(ws, zr, zi))}
+        return {k: mult for k, zr in zrs.items() if (mult := root_multiplicity(poly, zr, zi))}
 
     # the shifts' regions by column code: the circle sign, and 2 at lam = 0
     keys = {sign: tuple(shift_region(k, sign, False) for k in kinds) for sign in (0, 1, -1)}
@@ -205,10 +210,10 @@ def scan(e: OperatorExpr, grid: GridSpec) -> SpectrumScan:
     distinct: list[ClassificationRecord] = []
     ids: list[int] = []
     by_key: dict[tuple, int] = {}
-    for im, i_num in zip(ims, im_nums):
+    for j, (im, i_num) in enumerate(zip(ims, im_nums)):
         t = c - i_num * i_num * re_den * re_den
         codes = [(x > t) - (x < t) if i_num or x else 2 for x in a]
-        eigs = [eigenvalue_columns(ws, zrs, f * i_num) for ws, zrs, f in polys]
+        eigs = [eigenvalue_columns(p, zrs, zis[j]) if j in zis else {} for p, zrs, zis in cands]
         # an eigenvalue column's code is made unique, so that it is a run of its own
         for k in set().union(*eigs):
             codes[k] = (codes[k], k)

@@ -6,7 +6,6 @@ block; and of what is derived from that one split (chains, block
 profiles, the Drazin inverse) against the routes that compute it a second
 way."""
 import json
-import math
 import sys
 from fractions import Fraction as F
 from pathlib import Path
@@ -107,8 +106,11 @@ def _realified_data(m, lam):
 def _slow_everywhere(mp, ranked=None):
     """Take every matrix atom's ranks from the realified block, whatever
     multiplicity is passed, and give scans the eigenvalue path at every
-    point: their root test finds a root everywhere. ranked, when given,
-    collects the points at which ranks were taken."""
+    candidate point, where den*lam is a Gaussian integer: their root test
+    finds a root at each. On the unit-step 3 x 3 grid of
+    test_scan_csv_same_on_either_path every point is a candidate, for any
+    matrix. ranked, when given, collects the points at which ranks were
+    taken."""
 
     def realified_data(m, lam, mult=None):
         if ranked is not None:
@@ -345,12 +347,18 @@ def repeated_root_and_point(draw, max_dim=6):
     return p @ ExactMatrix.from_rows(rows) @ inverse(p), (lam, F(0))
 
 
+def _gaussian_integer(m, lam):
+    """z = den*lam as the pair (re, im) of ints, or None off Z[i]."""
+    z = [m.den * x for x in lam]
+    return None if any(x.denominator != 1 for x in z) else tuple(map(int, z))
+
+
 def _multiplicity(m, lam):
-    """root_multiplicity at lam as a scan takes it: on m's polynomial
-    weighted by q, the least denominator of lam's parts, at z = den*q*lam."""
-    re, im = lam
-    q = math.lcm(re.denominator, im.denominator)
-    return root_multiplicity(m.weighted_char_poly(q), int(m.den * q * re), int(m.den * q * im))
+    """root_multiplicity at lam as a scan takes it: 0 unless z = den*lam is
+    a Gaussian integer, else z's multiplicity as a root of the polynomial
+    of the integer matrix den*m."""
+    z = _gaussian_integer(m, lam)
+    return 0 if z is None else root_multiplicity(m._scaled_char_poly, *z)
 
 
 # a diagonalizable double root at 1, ranks (3, 1, 1)
@@ -384,6 +392,18 @@ def test_root_multiplicity_is_where_the_chain_ends(mp):
     assert (mult > 0) == fraction_reference.is_eigenvalue(m, *lam)
     # the chain that knows the multiplicity computes the same ranks
     assert matrix_chain_data(m, lam, mult) == ranks
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(matrix_and_point(), repeated_root_and_point()))
+@_with_examples
+@example((ROT, (F(0), F(1, 2))))
+def test_no_eigenvalue_off_the_gaussian_integers_over_den(mp):
+    # den*lam is a root of the integer matrix den*m's monic polynomial, an
+    # algebraic integer of Q(i) and so in Z[i]: the scans test no other point
+    m, lam = mp
+    if _gaussian_integer(m, lam) is None:
+        assert not fraction_reference.is_eigenvalue(m, *lam)
 
 
 @settings(max_examples=60, deadline=None)
@@ -749,6 +769,10 @@ def test_analysis_builds_no_characteristic_polynomial(tmp_path, monkeypatch, cap
     for m in (jordan, mat([[0, 1, 0], [0, 0, 1], [0, 0, 0]])):
         assert main(["drazin", "--in", write(OperatorExpr.of(Atom("matrix", m)))]) == 0
     capsys.readouterr()
+    # nor does a scan with no candidate: on axes of denominator 7, den*lam
+    # is a Gaussian integer for neither matrix (den 1 and 2) at any point,
+    # though den*re is one in the column re = 0
+    scan(e, GridSpec(F(0), F(2, 7), F(1, 7), F(3, 7), 3, 3))
     assert polys == []
     # the scans' keys do evaluate it
     scan(e, GridSpec(F(0), F(1), F(0), F(1), 2, 2))

@@ -604,6 +604,57 @@ def test_scan_keys_lambda_zero_apart_from_the_inside(atoms, g):
     assert scan(e, g).records == tuple(classify(e, lam) for lam in g.points())
 
 
+# an 8 x 8 matrix of 1-digit fractions (den 1260) whose rows sum to -2, so
+# -2 is an eigenvalue, at the lower corner of grids whose upper bounds carry
+# 1 000-digit denominators: den*lam is a Gaussian integer, a candidate for
+# an eigenvalue, only in the grid's first column and row
+ROWS_SUM_TO_MINUS_TWO = matrix_atom(
+    [
+        ["4/9", -2, 0, "1/9", "4/9", "-3/5", 0, "-2/5"],
+        ["-2/5", -2, "2/5", "-7/3", "-4/5", "7/3", "-1/5", 1],
+        ["-2/3", "9/7", "-4/3", "-1/7", -3, "6/7", "2/7", "5/7"],
+        [-5, "-4/5", "2/3", "9/5", "4/5", "7/5", "4/5", "-5/3"],
+        [-2, "7/9", "2/9", "-1/6", "3/2", -1, "4/3", "-8/3"],
+        ["-7/4", 1, 0, "1/2", -1, 0, "1/4", -1],
+        ["-4/3", "-4/3", -3, 1, "-1/3", 1, "-3/2", "7/2"],
+        ["5/4", "1/3", 9, "-1/2", "2/3", -8, "1/4", -5],
+    ]
+)
+_LONG_BOUND = 2 + F(1, 10**999)
+
+
+def _long_grid(n):
+    return GridSpec(-2, _LONG_BOUND, 0, _LONG_BOUND, n, n)
+
+
+def _candidates(m, g):
+    return [lam for lam in g.points() if all((m.den * x).denominator == 1 for x in lam)]
+
+
+def test_long_grid_scan_equals_per_point_classification():
+    e, g = OperatorExpr.of(ROWS_SUM_TO_MINUS_TWO), _long_grid(3)
+    assert _candidates(ROWS_SUM_TO_MINUS_TWO.matrix, g) == [(F(-2), F(0))]
+    assert scan(e, g).records == tuple(classify(e, lam) for lam in g.points())
+
+
+def test_long_grid_scan_tests_only_candidates(monkeypatch):
+    # the root test runs at candidate points alone, not at all 3 600
+    e, g = OperatorExpr.of(ROWS_SUM_TO_MINUS_TWO), _long_grid(60)
+    calls = []
+    root_multiplicity = spectra.root_multiplicity
+
+    def counting(coeffs, zr, zi):
+        calls.append((zr, zi))
+        return root_multiplicity(coeffs, zr, zi)
+
+    monkeypatch.setattr(spectra, "root_multiplicity", counting)
+    s = scan(e, g)
+    assert len(calls) <= len(_candidates(ROWS_SUM_TO_MINUS_TWO.matrix, g))
+    assert [lam for lam, rec in zip(s.points, s.records) if not rec.invertible] == [
+        (F(-2), F(0))
+    ]
+
+
 @pytest.mark.parametrize(
     "name", ["right_right_left", "left_plus_qnil", "right_jordan3_qnil", "jordan2_diag2"]
 )
