@@ -13,7 +13,8 @@ Example:
 import argparse
 import sys
 
-from fredprofile import CATALOG, RIGHT_SHIFT, OperatorExpr, classify, parse_rational
+from fredprofile import CATALOG, RIGHT_SHIFT, DocumentError, OperatorExpr, classify
+from fredprofile.cli import parse_point
 
 # most specific first; the first flag that holds is the headline
 HEADLINES = (
@@ -37,11 +38,6 @@ def headline(rec):
     return "irregular"
 
 
-def parse_point(text):
-    re_s, im_s = text.split(",")
-    return parse_rational(re_s), parse_rational(im_s)
-
-
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument(
@@ -52,7 +48,12 @@ def main():
         help="points to classify at",
     )
     args = ap.parse_args()
-    points = [parse_point(t) for t in args.points]
+    # one error line and exit 1, as analyze --lambda gives
+    try:
+        points = [parse_point(t) for t in args.points]
+    except (DocumentError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
     width = max(len(e.name) for e in CATALOG)
     header = f"{'operator':<{width}}"

@@ -85,7 +85,7 @@ def _record_from_analysis(an: ExprAnalysis) -> ClassificationRecord:
     a1 = full.a.at(1)
     r1 = full.r.at(1)
     closed1 = full.range_closed
-    # the summary, and with it an.n_profile, is defined exactly where pf is
+    # the summary is defined exactly where pf is
     pf = full.is_pseudofredholm_point
 
     f: dict[str, bool] = {}
@@ -103,10 +103,16 @@ def _record_from_analysis(an: ExprAnalysis) -> ClassificationRecord:
     f["nilpotent"] = full.nilpotency_degree.is_finite
     f["upper_pseudo_semi_b_fredholm"] = pf and s.alpha.is_finite
     f["lower_pseudo_semi_b_fredholm"] = pf and s.beta.is_finite
+    # the quasi-nilpotent side of (e - lam)^power is nilpotent exactly when
+    # every atom's piece is: a direct sum and a power keep finite degrees
     f["b_fredholm"] = (
         f["upper_pseudo_semi_b_fredholm"]
         and f["lower_pseudo_semi_b_fredholm"]
-        and an.n_profile.nilpotency_degree.is_finite
+        and all(
+            p.n_profile.nilpotency_degree.is_finite
+            for p in an.parts
+            if p.n_profile is not None
+        )
     )
     # semi-B-Fredholm: some n with R(S^n) and R(S^(n+1)) closed and c_n (b_n)
     # finite. R(S^n) is closed at every n >= 1 or only at n = 0

@@ -10,8 +10,8 @@ a matrix, so two computations of the same subspace give equal objects.
 Ranks and dimensions come from exact comparisons; no tolerance appears
 anywhere.
 
-Every kernel computes on integers: rref, rank, the product, inverse,
-restrict and the subspace operations take and return the stored form.
+Every kernel computes on integers: rank, the product, inverse, restrict
+and the subspace operations take and return the stored form.
 The subspace operations eliminate rows taken straight from their inputs'
 numerators: a matrix's rows, its columns or its rows reversed, or the
 rows of two bases stacked with no common denominator, since scaling a
@@ -22,7 +22,7 @@ Comp. 22, 1968) on the numerator rows, each divided by the gcd of its
 entries, which keeps the row space, the kernel and the pivot columns:
 every entry it holds is a minor of that integer matrix, so each division
 by the previous pivot is exact. The reduced echelon form of a matrix is
-unique, so rref returns exactly what Gauss-Jordan over the rationals
+unique, so a basis holds exactly what Gauss-Jordan over the rationals
 gives.
 
 Fractions appear only at the boundary: from_rows and from_vectors accept
@@ -289,16 +289,6 @@ def _gauss_jordan(a: list[Sequence[int]], cols: int) -> tuple[tuple[int, ...], i
         if len(pivots) == len(a):
             break
     return tuple(pivots), prev
-
-
-def rref(m: ExactMatrix) -> tuple[ExactMatrix, tuple[int, ...], int]:
-    """Reduced row echelon form. Returns (R, pivot columns, rank)."""
-    a = [_content(row) for row in _num_rows(m)]
-    pivots, prev = _gauss_jordan(a, m.cols)
-    rk = len(pivots)
-    num = [x for row in a[:rk] for x in row]
-    num.extend([0] * ((m.rows - rk) * m.cols))
-    return ExactMatrix(m.rows, m.cols, tuple(num), prev), pivots, rk
 
 
 def rank(m: ExactMatrix) -> int:

@@ -154,17 +154,6 @@ class StructuralProfile:
         return self.r.steps()
 
 
-# Identity-on-nothing profile: neutral element for direct sums. Internal only.
-ZERO_DIM_PROFILE = StructuralProfile(
-    a=ZERO_SEQ,
-    r=ZERO_SEQ,
-    range_closed=True,
-    is_quasinilpotent=True,
-    nilpotency_degree=ZERO,
-    is_pseudofredholm_point=True,
-)
-
-
 def realify(x: ExactMatrix, y: ExactMatrix, t: Fraction) -> ExactMatrix:
     """[[x, -t*y], [t*y, x]]: the rational 2d x 2d matrix of the complex
     d x d matrix x + i*t*y acting on pairs (u, v) ~ u + i*v."""

@@ -19,7 +19,8 @@ complex point those ranks come from the d x d matrix q(m), the atom's
 image under the point's minimal polynomial over Q, so classifying builds
 no realified block. A shift atom's analysis follows from its region's
 table profile (shift_analysis). assemble_analysis sums given per-atom
-analyses into the profiles and the summary. analyze_expr and the scans
+profiles into the full profile and reads the summary off the atoms'
+semi-regular pieces, whose chains are linear. analyze_expr and the scans
 share these three; a scan passes each eigenvalue's multiplicity to the
 chain, which then computes only the ranks the multiplicity leaves open.
 The Fitting split, with its bases, blocks and Drazin inverse, is built
@@ -31,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotPseudoFredholm
-from .extvals import ExtIndex, ExtNat, UNDEF_INDEX
+from .extvals import ExtIndex, ExtNat, INF, UNDEF_INDEX, ZERO
 from .linalg import (
     ExactMatrix,
     SubspaceBasis,
@@ -47,7 +48,6 @@ from .model import (
     Point,
     SHIFT_PROFILES,
     StructuralProfile,
-    ZERO_DIM_PROFILE,
     direct_sum_profile,
     matrix_chain_data,
     matrix_profile,
@@ -220,7 +220,7 @@ def matrix_split(part: AtomAnalysis, atom_index: int) -> MatrixSplit:
 
 @dataclass(frozen=True)
 class ExprAnalysis:
-    """The profiles and summary of (e - lam)^power, with the per-atom
+    """The full profile and summary of (e - lam)^power, with the per-atom
     analyses at lam (also where no decomposition exists); gkd_pair builds
     the splits from them on request."""
 
@@ -229,8 +229,6 @@ class ExprAnalysis:
     power: int
     parts: tuple[AtomAnalysis, ...]
     full: StructuralProfile
-    m_profile: StructuralProfile | None
-    n_profile: StructuralProfile | None
     summary: StructuralSummary
 
     @property
@@ -245,33 +243,32 @@ def analyze_expr(e: OperatorExpr, lam: Point, power: int = 1) -> ExprAnalysis:
 def assemble_analysis(
     e: OperatorExpr, lam: Point, parts: tuple[AtomAnalysis, ...], power: int = 1
 ) -> ExprAnalysis:
-    """The profiles and summary of (e - lam)^power from the analyses of
-    e's atoms at lam, in order: direct sums of their profiles, then powers."""
-    full = direct_sum_profile([p.profile for p in parts])
-    full = power_profile(full, power)
+    """The full profile and summary of (e - lam)^power from the analyses
+    of e's atoms at lam, in order: the full profile is the power of the
+    direct sum of their profiles. The summary is read off the parts'
+    semi-regular pieces alone: a semi-regular T has N(T^n) inside R(T^k)
+    for all n and k, so its meet and join chains are constant, c_n = alpha
+    and b_n = beta, and its kernel and range chains linear, n*alpha and
+    n*beta. Hence alpha and beta of the power are the pieces' chains summed
+    at n = power, and p (q) is 0 where alpha (beta) is 0 and infinite
+    otherwise."""
+    full = power_profile(direct_sum_profile([p.profile for p in parts]), power)
     dis = full.c.stabilization_point()
     if not full.is_pseudofredholm_point:
         summary = StructuralSummary(None, None, None, None, UNDEF_INDEX, dis)
-        return ExprAnalysis(e, lam, power, parts, full, None, None, summary)
-    m_prof = direct_sum_profile(
-        [p.m_profile for p in parts if p.m_profile is not None] or [ZERO_DIM_PROFILE]
-    )
-    n_prof = direct_sum_profile(
-        [p.n_profile for p in parts if p.n_profile is not None] or [ZERO_DIM_PROFILE]
-    )
-    m_prof = power_profile(m_prof, power)
-    n_prof = power_profile(n_prof, power)
-    alpha = m_prof.a.at(1)
-    beta = m_prof.r.at(1)
+        return ExprAnalysis(e, lam, power, parts, full, summary)
+    m_profs = [p.m_profile for p in parts if p.m_profile is not None]
+    alpha = sum((m.a.at(power) for m in m_profs), ZERO)
+    beta = sum((m.r.at(power) for m in m_profs), ZERO)
     summary = StructuralSummary(
         alpha=alpha,
         beta=beta,
-        p=m_prof.a.stabilization_point(),
-        q=m_prof.r.stabilization_point(),
+        p=ZERO if alpha == ZERO else INF,
+        q=ZERO if beta == ZERO else INF,
         index=ExtIndex.from_alpha_beta(alpha, beta),
         dis=dis,
     )
-    return ExprAnalysis(e, lam, power, parts, full, m_prof, n_prof, summary)
+    return ExprAnalysis(e, lam, power, parts, full, summary)
 
 
 def gkd_pair(an: ExprAnalysis) -> GKDPair:

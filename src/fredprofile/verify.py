@@ -15,7 +15,7 @@ from random import Random
 from .catalog import CATALOG, J2
 from .docio import matrix_rows
 from .errors import NotPseudoFredholm
-from .extvals import EvAffineSeq, ExtIndex, ExtNat
+from .extvals import EvAffineSeq, ExtIndex, ExtNat, ZERO
 from .linalg import (
     ExactMatrix,
     image_basis,
@@ -30,8 +30,6 @@ from .model import (
     Atom,
     OperatorExpr,
     Point,
-    ZERO_DIM_PROFILE,
-    direct_sum_profile,
     dual_expr,
     matrix_chain_data,
     matrix_profile,
@@ -165,17 +163,17 @@ def subspace_meet_join(powers: list[ExactMatrix]) -> tuple[EvAffineSeq, EvAffine
     return EvAffineSeq.from_samples(meet, nu), EvAffineSeq.from_samples(join, nu)
 
 
-def _restriction_defects(m: ExactMatrix, power: ExactMatrix) -> tuple[int, int]:
-    """Defects of m restricted to the range of power = m^n, computed from
-    the restriction itself (independent of the chain profile). At n = 0,
-    power = I, the range is Q^d and the restriction is m itself."""
-    if power == ExactMatrix.identity(m.rows):
-        return kernel_basis(m).dim, m.rows - rank(m)
+def _restriction_defects(m: ExactMatrix, n: int, power: ExactMatrix) -> tuple[int, int, int]:
+    """Defects of the restriction B of m to the range of power = m^n,
+    computed from B itself (independent of the chain profile), and the
+    dimension of that range. At n = 0 the range is Q^d and B is m itself."""
+    if not n:
+        return kernel_basis(m).dim, m.rows - rank(m), m.rows
     img = image_basis(power)
     if img.dim == 0:
-        return 0, 0
+        return 0, 0, 0
     sub = restrict(m, img)
-    return kernel_basis(sub).dim, img.dim - rank(sub)
+    return kernel_basis(sub).dim, img.dim - rank(sub), img.dim
 
 
 def alpha_beta_core_oracle(split: MatrixSplit) -> tuple[ExtNat, ExtNat]:
@@ -206,8 +204,9 @@ def index_with_nilpotent_regrouped(e: OperatorExpr, lam: Point) -> ExtIndex:
             profs.append(p.m_profile)
     if not moved:
         raise ValueError("no nilpotent matrix atom to regroup")
-    m_prof = direct_sum_profile(profs or [ZERO_DIM_PROFILE])
-    return ExtIndex.from_alpha_beta(m_prof.a.at(1), m_prof.r.at(1))
+    alpha = sum((p.a.at(1) for p in profs), ZERO)
+    beta = sum((p.r.at(1) for p in profs), ZERO)
+    return ExtIndex.from_alpha_beta(alpha, beta)
 
 
 def suite_chains(cases: int, seed: int) -> SuiteResult:
@@ -219,11 +218,11 @@ def suite_chains(cases: int, seed: int) -> SuiteResult:
         prof = matrix_profile(matrix_chain_data(m))
         nu = int(prof.a.stabilization_point())
         k = prof.c.diff()
-        # restrictions are constant once the image chain stabilizes
+        # restrictions and ranges are constant once the image chain
+        # stabilizes: R(m^(nu+1)) = R(m^nu)
         powers = raw_powers(m, nu - 1)[: nu + 1]
-        levels = [_restriction_defects(m, p) for p in powers]
-        alphas = [levels[min(n, nu)][0] for n in range(d + 4)]
-        betas = [levels[min(n, nu)][1] for n in range(d + 4)]
+        levels = [_restriction_defects(m, n, p) for n, p in enumerate(powers)]
+        alphas, betas, ranges = zip(*[levels[min(n, nu)] for n in range(d + 4)])
         for n in range(d + 3):
             al, be, cn, bn = alphas[n], betas[n], prof.c.at(n), prof.b.at(n)
             if not res.check(
@@ -253,13 +252,16 @@ def suite_chains(cases: int, seed: int) -> SuiteResult:
                 m,
                 lambda: f"n={n} k={kn} exceeds min({al},{be})",
             )
+            # R(B) = m R(m^n) = R(m^(n+1)), so B's range codimension is
+            # dim R(m^n) - dim R(m^(n+1)), and B has index 0
+            cod = ranges[n] - ranges[n + 1]
             res.check(
                 "restriction_index_zero",
-                al == be,
+                al == cod,
                 d,
                 ci,
                 m,
-                lambda: f"n={n} index {al - be} nonzero",
+                lambda: f"n={n} index {al - cod} nonzero",
             )
     return res
 

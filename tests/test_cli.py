@@ -594,9 +594,9 @@ def test_verify_corrupt_oracle_fails(monkeypatch, capsys):
     # a restriction oracle that counts one kernel dimension too many
     real = verify._restriction_defects
 
-    def off_by_one(m, power):
-        al, be = real(m, power)
-        return al + 1, be
+    def off_by_one(m, n, power):
+        al, be, dim = real(m, n, power)
+        return al + 1, be, dim
 
     monkeypatch.setattr(verify, "_restriction_defects", off_by_one)
     code = main(["verify", "--suite", "chains", "--cases", "3", "--seed", "1"])

@@ -546,9 +546,10 @@ def test_oracle_shortcuts_equal_the_routes_they_replace(mp):
     assert subspace_meet_join(powers) == _meet_join_reference(powers)
     full = image_basis(ExactMatrix.identity(m.rows))
     sub = restrict(m, full)
-    assert verify._restriction_defects(m, powers[0]) == (
+    assert verify._restriction_defects(m, 0, powers[0]) == (
         kernel_basis(sub).dim,
         full.dim - rank(sub),
+        full.dim,
     )
 
 

@@ -15,7 +15,6 @@ from fredprofile.linalg import (
     kernel_basis,
     rank,
     restrict,
-    rref,
     subspace_intersection,
     subspace_sum,
 )
@@ -50,11 +49,10 @@ def test_matmul_and_power():
 
 
 def test_rref_known():
-    r, pivots, rk = rref(mat([[1, 2, 1], [2, 4, 0], [0, 0, 1]]))
-    assert rk == 2
-    assert pivots == (0, 2)
-    assert r.to_rows()[0] == [F(1), F(2), F(0)]
-    assert r.to_rows()[1] == [F(0), F(0), F(1)]
+    b = SubspaceBasis.from_vectors(3, [[1, 2, 1], [2, 4, 0], [0, 0, 1]])
+    assert b.dim == 2
+    assert b.pivots() == [0, 2]
+    assert b.matrix.to_rows() == [[F(1), F(2), F(0)], [F(0), F(0), F(1)]]
 
 
 def test_kernel_canonical_representative():
@@ -181,7 +179,7 @@ def test_grassmann_identity(pair):
 
 def _image_basis_two_step(m):
     # reference: reduce m for its pivot columns, then reduce those columns
-    _, pivots, _ = rref(m)
+    pivots = SubspaceBasis.from_vectors(m.cols, m.to_rows()).pivots()
     return SubspaceBasis.from_vectors(m.rows, [m.column(j) for j in pivots])
 
 

@@ -5,10 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fredprofile.classify import classify_analysis
 from fredprofile.extvals import (
     INF,
     LINEAR_SEQ,
+    UNDEF_INDEX,
+    ZERO,
+    ZERO_SEQ,
     EvAffineSeq,
+    ExtIndex,
     ExtNat,
 )
 from fredprofile.model import (
@@ -29,7 +34,7 @@ from fredprofile.model import (
     power_profile,
     realified,
 )
-from fredprofile.structure import analyze_atom, analyze_expr
+from fredprofile.structure import StructuralSummary, analyze_atom, analyze_expr
 
 J2 = matrix_atom([[0, 1], [0, 0]])
 J3 = matrix_atom([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
@@ -327,6 +332,37 @@ def test_derived_chains_commute_with_direct_sums(case):
     total = direct_sum_profile(ps)
     assert total.c == reduce(EvAffineSeq.add, [p.c for p in ps])
     assert total.b == reduce(EvAffineSeq.add, [p.b for p in ps])
+
+
+# the profile of the map on {0}: the neutral element of direct sums, for a
+# side with no piece
+_NOTHING = StructuralProfile(ZERO_SEQ, ZERO_SEQ, True, True, ZERO, True)
+
+
+def _summed_side(profiles, power):
+    return power_profile(direct_sum_profile(profiles or [_NOTHING]), power)
+
+
+@settings(max_examples=200, deadline=None)
+@given(atoms_at_point(), st.integers(1, 3))
+def test_summary_from_semi_regular_pieces_equals_summed_profiles(case, power):
+    # the summary and the b-Fredholm flag against the route that sums each
+    # side's pieces into one profile and takes its power
+    atoms, lam = case
+    an = analyze_expr(OperatorExpr(tuple(atoms)), lam, power)
+    dis = an.full.c.stabilization_point()
+    want = StructuralSummary(None, None, None, None, UNDEF_INDEX, dis)
+    b_fredholm = False
+    if an.decomposable:
+        m = _summed_side([p.m_profile for p in an.parts if p.m_profile is not None], power)
+        n = _summed_side([p.n_profile for p in an.parts if p.n_profile is not None], power)
+        alpha, beta = m.a.at(1), m.r.at(1)
+        p, q = m.a.stabilization_point(), m.r.stabilization_point()
+        index = ExtIndex.from_alpha_beta(alpha, beta)
+        want = StructuralSummary(alpha, beta, p, q, index, dis)
+        b_fredholm = alpha.is_finite and beta.is_finite and n.nilpotency_degree.is_finite
+    assert an.summary == want
+    assert classify_analysis(an).flag("b_fredholm") == b_fredholm
 
 
 def test_matrix_ambient():

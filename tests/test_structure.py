@@ -234,10 +234,11 @@ def test_m_part_is_semi_regular_and_n_part_nilpotency_matches():
         e = OperatorExpr.of(matrix_atom(m.to_rows()))
         an = analyze_expr(e, point(0))
         nu = len(matrix_chain_data(m)) - 2
-        if an.m_profile is not None:
-            assert an.m_profile.a.at(1) == ExtNat(0)
-            assert an.m_profile.r.at(1) == ExtNat(0)
-        assert an.n_profile.nilpotency_degree == ExtNat(nu)
+        assert an.summary.alpha == an.summary.beta == ExtNat(0)
+        # an invertible m (nu = 0) has no quasi-nilpotent piece
+        n_prof = an.parts[0].n_profile
+        assert (n_prof is None) == (nu == 0)
+        assert nu == 0 or n_prof.nilpotency_degree == ExtNat(nu)
 
 
 def test_gkd_restrictions_recompose():
