@@ -17,13 +17,13 @@ numerators: a matrix's rows, its columns or its rows reversed, or the
 rows of two bases stacked with no common denominator, since scaling a
 row changes neither a row space nor the span of an intersection's points
 A·u. Each builds one matrix, and one basis, per result.
-Elimination runs Bareiss's fraction-free elimination (Bareiss, Math.
-Comp. 22, 1968) on the numerator rows, each divided by the gcd of its
-entries, which keeps the row space, the kernel and the pivot columns:
-every entry it holds is a minor of that integer matrix, so each division
-by the previous pivot is exact. The reduced echelon form of a matrix is
-unique, so a basis holds exactly what Gauss-Jordan over the rationals
-gives.
+Every elimination is one forward pass of Bareiss's fraction-free
+elimination (Bareiss, Math. Comp. 22, 1968) on the numerator rows, each
+divided by the gcd of its entries, which keeps the row space, the kernel
+and the pivot columns; rank counts its pivots, and a reduced echelon form
+is read after back-substitution. Each entry held is a minor, so dividing
+by the previous pivot is exact; so is back-substitution, as the last pivot
+times the reduced form (unique, Gauss-Jordan's) is integral (Cramer).
 
 Fractions appear only at the boundary: from_rows and from_vectors accept
 them (from_ratios takes the integer pairs a parsed document gives),
@@ -257,57 +257,57 @@ def _num_rows(m: ExactMatrix) -> list[tuple[int, ...]]:
     return [m.num[i * c : (i + 1) * c] for i in range(m.rows)]
 
 
-def _gauss_jordan(a: list[Sequence[int]], cols: int) -> tuple[tuple[int, ...], int]:
-    """Fraction-free Gauss-Jordan on the integer rows a, in place. Returns
-    the pivot columns and the last pivot p; the reduced echelon form is
-    then the first len(pivots) rows of a divided by p.
-
-    Each pivot step sets every other row to (pv*row - f*pivot_row) // prev,
-    prev the previous pivot. After a step every pivot row holds pv at its
-    pivot, so the division by the last pivot is left to the caller.
-    """
-    pivots: list[int] = []
-    prev = 1
+def _forward(a: list[Sequence[int]], cols: int) -> tuple[list[int], list[int]]:
+    """Bareiss's forward elimination on the integer rows a, in place, until
+    every row is a pivot row; a step sets each row below the pivot row to
+    (pv*row - row[pc]*pivot_row) // prev. Returns the pivots and values."""
+    pivots, vals, prev, n = [], [], 1, len(a)
     for pc in range(cols):
         pr = len(pivots)
-        sel = next((r for r in range(pr, len(a)) if a[r][pc]), None)
-        if sel is None:
-            continue
-        a[pr], a[sel] = a[sel], a[pr]
-        prow = a[pr]
-        pv = prow[pc]
-        for r, row in enumerate(a):
-            if r == pr:
-                continue
-            f = row[pc]
-            if f:
-                a[r] = [(pv * x - f * y) // prev for x, y in zip(row, prow)]
-            elif pv != prev:
-                a[r] = [pv * x // prev for x in row]
-        prev = pv
-        pivots.append(pc)
-        if len(pivots) == len(a):
+        if pr == n:
             break
-    return tuple(pivots), prev
+        for sel in range(pr, n):
+            if a[sel][pc]:
+                break
+        else:
+            continue
+        a[sel], a[pr] = a[pr], a[sel]
+        prow, pv = a[pr], a[pr][pc]
+        a[pr + 1 :] = [  # a row with 0 at pc is kept where pv = prev
+            [(pv * x - r[pc] * y) // prev for x, y in zip(r, prow)] if r[pc] or pv != prev else r
+            for r in a[pr + 1 :]
+        ]
+        pivots.append(pc)
+        vals.append(pv)
+        prev = pv
+    return pivots, vals
+
+
+def _gauss_jordan(a: list[Sequence[int]], cols: int) -> tuple[tuple[int, ...], int]:
+    """Fraction-free Gauss-Jordan on the integer rows a, in place: returns
+    the pivot columns and the last pivot p, and a's first len(pivots) rows
+    are then p times the reduced echelon form. _forward's row i becomes, from
+    the last up, (p*row_i - sum over later k of row_i[pivot_k]*row_k) // vals[i]."""
+    pivots, vals = _forward(a, cols)
+    p, rk = vals[-1] if vals else 1, len(pivots)
+    if rk == cols:  # a pivot in every column: the reduced form is the identity
+        for i in range(rk):
+            a[i] = [0] * cols
+            a[i][i] = p
+        return tuple(pivots), p
+    for i in range(rk - 2, -1, -1):
+        row, acc = a[i], [p * x for x in a[i]]
+        for k in range(i + 1, rk):
+            f = row[pivots[k]]
+            if f:
+                acc = [x - f * y for x, y in zip(acc, a[k])]
+        a[i] = [x // vals[i] for x in acc]
+    return tuple(pivots), p
 
 
 def rank(m: ExactMatrix) -> int:
-    """Rank by forward-only fraction-free elimination on the integer rows,
-    with no back-substitution. rows holds the columns not yet eliminated
-    of the rows not yet used as pivots."""
-    rows = [_content(row) for row in _num_rows(m)]
-    rk, prev = 0, 1
-    while rows and rows[0]:
-        k = next((i for i, r in enumerate(rows) if r[0]), None)
-        if k is None:
-            rows = [r[1:] for r in rows]
-            continue
-        piv = rows.pop(k)
-        pv, tail = piv[0], piv[1:]
-        rows = [[(pv * x - r[0] * y) // prev for x, y in zip(r[1:], tail)] for r in rows]
-        prev = pv
-        rk += 1
-    return rk
+    """The number of pivots of m's content-reduced numerator rows."""
+    return len(_forward([_content(row) for row in _num_rows(m)], m.cols)[0])
 
 
 def inverse(m: ExactMatrix) -> ExactMatrix:

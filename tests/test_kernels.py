@@ -79,6 +79,11 @@ def square_matrices(max_dim=6):
 @given(matrices())
 @example(NEGATIVE_PIVOTS)
 @example(ExactMatrix.zeros(2, 3))
+# a pivot in every column: the reduced form is the identity, with no
+# back-substitution
+@example(ExactMatrix.from_rows([[0, 1, 2], [3, F(1, 2), 0], [1, 1, 1], [F(-2, 5), 0, 7]]))
+# a zero first column, and free columns between and after the pivots
+@example(ExactMatrix.from_rows([[0, 2, 4, 1, 3], [0, 1, 2, 5, F(1, 3)]]))
 def test_rref_matches_fraction_reference(m):
     # the row space's basis is the nonzero rows of the reduced echelon form
     basis = SubspaceBasis.from_vectors(m.cols, m.to_rows())
@@ -93,6 +98,8 @@ def test_rref_matches_fraction_reference(m):
 # rank 2, the third row the sum of the first two; dividing the second
 # step by anything but the first pivot, 3, gets this rank wrong
 @example(ExactMatrix.from_rows([[3, -2, 1], [-1, 1, 0], [2, -1, 1]]))
+# a zero first column, and the first pivot below the top row
+@example(ExactMatrix.from_rows([[0, 0, 1], [0, 2, 3], [0, 4, F(6, 5)]]))
 def test_rank_matches_fraction_reference(m):
     # an inexact division only shows in the rank after a few pivot steps
     assert rank(m) == ref.rref(m)[2]
@@ -111,6 +118,19 @@ def _reference_inverse(m):
 
 @settings(max_examples=100, deadline=None)
 @given(square_matrices())
+# NEGATIVE_PIVOTS' rows, each scaled by about 10^30: every numerator row
+# has a content of 31 digits or more
+@example(
+    ExactMatrix.from_rows(
+        [
+            [s * x for x in NEGATIVE_PIVOTS.row(i)]
+            for i, s in enumerate((10**30 + 1, -(10**30), 3 * 10**30 + 1))
+        ]
+    )
+)
+# singular, with the first two columns independent: only the last column
+# has no pivot
+@example(ExactMatrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 9]]))
 def test_inverse_matches_fraction_reference(m):
     expected = _reference_inverse(m)
     if expected is None:

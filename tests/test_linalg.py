@@ -124,6 +124,34 @@ def test_subspace_results_build_one_matrix_each(monkeypatch):
         assert built == [result.matrix]
 
 
+def test_one_forward_pass_per_result(monkeypatch):
+    """rank counts the pivots of one forward elimination, and each reduced
+    echelon form back-substitutes one: no result eliminates twice."""
+    m = mat([[1, 2, 3], [2, 4, 6], [0, F(1, 3), 1]])
+    a = SubspaceBasis.from_vectors(3, [(1, 0, F(1, 3)), (0, 1, F(2, 3))])
+    b = SubspaceBasis.from_vectors(3, [(1, 0, F(2, 7)), (0, 1, F(5, 7))])
+    passes = []
+    forward = linalg._forward
+
+    def counting(rows, cols):
+        passes.append(cols)
+        return forward(rows, cols)
+
+    monkeypatch.setattr(linalg, "_forward", counting)
+    calls = (
+        lambda: rank(m),
+        lambda: kernel_basis(m),
+        lambda: image_basis(m),
+        lambda: SubspaceBasis.from_vectors(3, [(1, F(1, 2), "2/3"), (2, 1, F(4, 3))]),
+        lambda: subspace_sum(a, b),
+        lambda: inverse(mat([[2, 1], [1, F(1, 2)]]).minus_scalar(1)),
+    )
+    for call in calls:
+        passes.clear()
+        call()
+        assert len(passes) == 1
+
+
 def test_restrict_requires_invariance():
     m = mat([[0, 1], [0, 0]])
     inv = SubspaceBasis.from_vectors(2, [(F(1), F(0))])
