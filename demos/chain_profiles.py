@@ -42,7 +42,7 @@ def main():
     # --lambda gives, and 2 for the document
     try:
         lam = parse_point(args.lam)
-    except (DocumentError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:

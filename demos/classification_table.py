@@ -13,7 +13,7 @@ Example:
 import argparse
 import sys
 
-from fredprofile import CATALOG, RIGHT_SHIFT, DocumentError, OperatorExpr, classify
+from fredprofile import CATALOG, RIGHT_SHIFT, OperatorExpr, classify
 from fredprofile.cli import parse_point
 
 # most specific first; the first flag that holds is the headline
@@ -51,7 +51,7 @@ def main():
     # one error line and exit 1, as analyze --lambda gives
     try:
         points = [parse_point(t) for t in args.points]
-    except (DocumentError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -13,14 +13,7 @@ Example:
 import argparse
 import sys
 
-from fredprofile import (
-    CATALOG,
-    DocumentError,
-    SPECTRUM_NAMES,
-    by_name,
-    component_index_report,
-    scan,
-)
+from fredprofile import CATALOG, SPECTRUM_NAMES, by_name, component_index_report, scan
 from fredprofile.cli import parse_grid
 from fredprofile.spectra import component_runs
 
@@ -42,7 +35,7 @@ def main():
         return 1
     try:
         grid = parse_grid(args.grid)
-    except (DocumentError, ValueError) as exc:
+    except ValueError as exc:
         # one line and exit code 1, as the CLI's spectrum --grid gives
         print(f"error: {exc}", file=sys.stderr)
         return 1

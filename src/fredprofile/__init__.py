@@ -10,7 +10,6 @@ from .docio import (
     OperatorDocument,
     build_report,
     parse_document,
-    parse_rational,
     rational_str,
     serialize_document,
 )
@@ -47,18 +46,8 @@ from .spectra import (
     scan_to_csv,
     scan_to_json,
     spectrum_membership,
-    spectrum_membership_at,
 )
-from .structure import (
-    GKDPair,
-    StructuralSummary,
-    alpha_beta_pq,
-    analyze_expr,
-    canonical_gkd,
-    drazin_inverse,
-    index,
-    restriction_profile,
-)
+from .structure import GKDPair, StructuralSummary, analyze_expr, drazin_inverse, gkd_pair
 
 __version__ = "0.1.0"
 
@@ -94,28 +83,23 @@ __all__ = [
     "StructuralProfile",
     "StructuralSummary",
     "SubspaceBasis",
-    "alpha_beta_pq",
     "analyze_expr",
     "build_report",
     "by_name",
-    "canonical_gkd",
     "check_lattice",
     "classify",
     "component_index_report",
     "drazin_inverse",
     "dual_expr",
-    "index",
+    "gkd_pair",
     "matrix_atom",
     "parse_document",
-    "parse_rational",
     "point",
     "power_profile",
     "rational_str",
-    "restriction_profile",
     "scan",
     "scan_to_csv",
     "scan_to_json",
     "serialize_document",
     "spectrum_membership",
-    "spectrum_membership_at",
 ]

@@ -21,16 +21,10 @@ import errno
 import os
 import sys
 
-from .docio import (
-    MAX_DOCUMENT_BYTES,
-    build_report,
-    matrix_rows,
-    parse_document,
-    parse_rational,
-)
+from .docio import MAX_DOCUMENT_BYTES, build_report, matrix_rows, parse_document
 from .errors import DocumentError, InternalInvariantError, OutputError
 from .extvals import int_numeral, natural_numeral
-from .model import Point
+from .model import Point, point
 from .spectra import GridSpec, SPECTRUM_NAMES, scan, scan_to_csv, scan_to_json
 from .structure import drazin_inverse
 from .verify import MAX_CASES, SUITE_NAMES, run as run_suites
@@ -83,29 +77,28 @@ def _build_parser() -> _Parser:
 
 
 def parse_point(text: str) -> Point:
-    """The point RE,IM of a --lambda text; ValueError or DocumentError
-    names what is wrong."""
+    """The point RE,IM of a --lambda text; a ValueError names what is
+    wrong."""
     parts = text.split(",")
     if len(parts) != 2:
         raise ValueError(f"point must be RE,IM, got {text!r}")
-    return parse_rational(parts[0]), parse_rational(parts[1])
+    return point(parts[0], parts[1])
 
 
 def parse_grid(text: str) -> GridSpec:
-    """The grid RE0,RE1,IM0,IM1,NR,NI of a --grid text; ValueError or
-    DocumentError names what is wrong."""
+    """The grid RE0,RE1,IM0,IM1,NR,NI of a --grid text; a ValueError names
+    what is wrong."""
     parts = text.split(",")
     if len(parts) != 6:
         raise ValueError(f"grid must be RE0,RE1,IM0,IM1,NR,NI, got {text!r}")
-    re0, re1, im0, im1 = (parse_rational(s) for s in parts[:4])
-    return GridSpec(re0, re1, im0, im1, natural_numeral(parts[4]), natural_numeral(parts[5]))
+    return GridSpec(*parts[:4], natural_numeral(parts[4]), natural_numeral(parts[5]))
 
 
 def _usage(parser: _Parser, parse, text: str):
     # a malformed argument is a usage error
     try:
         return parse(text)
-    except (DocumentError, ValueError) as exc:
+    except ValueError as exc:
         parser.error(str(exc))
 
 
@@ -178,7 +171,7 @@ def _cmd_drazin(args) -> int:
     doc = read_document(args.infile)
     atoms = doc.expr.atoms
     if len(atoms) != 1 or atoms[0].kind != "matrix":
-        print("drazin needs a document with a single matrix atom", file=sys.stderr)
+        print("error: drazin needs a document with a single matrix atom", file=sys.stderr)
         return 4
     dz = drazin_inverse(atoms[0].matrix)
     _emit("".join(" ".join(row) + "\n" for row in matrix_rows(dz)))

@@ -122,12 +122,6 @@ def _parse_ratio(value: object) -> tuple[int, int]:
         raise DocumentError(f"not a rational string: {exc}") from None
 
 
-def parse_rational(value: object) -> Fraction:
-    """Exact rational from a quoted "p" or "p/q" string, as _parse_ratio
-    reads it."""
-    return Fraction(*_parse_ratio(value))
-
-
 def _ratio_str(n: int, d: int) -> str:
     """The "p" or "p/q" text of n/d, d > 0, as str(Fraction(n, d)) gives
     it. A numerator or denominator longer than Python's int-string limit

@@ -16,8 +16,10 @@ class NotInvariant(FredprofileError):
 class NotPseudoFredholm(FredprofileError):
     """The operator has no generalized Kato decomposition at this point.
 
-    Raised by canonical_gkd and alpha_beta_pq when some atom's profile
-    flags the point (rational unit-circle points of the plain shifts).
+    Raised only by verify.index_with_nilpotent_regrouped, when some
+    atom's profile flags the point (rational unit-circle points of the
+    plain shifts). The library entries report that case instead:
+    structure.analyze_expr's analysis is not decomposable there.
     """
 
 

@@ -40,7 +40,7 @@ from fractions import Fraction
 from itertools import chain, cycle, groupby, repeat
 from typing import Iterator
 
-from .classify import FLAG_NAMES, ClassificationRecord, classify, classify_analysis
+from .classify import FLAG_NAMES, ClassificationRecord, classify_analysis
 from .docio import json_text, quote, rational_str
 from .linalg import exact_rational, root_multiplicity
 from .model import SHIFT_PROFILES, OperatorExpr, Point, matrix_chain_data, shift_region
@@ -71,10 +71,6 @@ def spectrum_membership(rec: ClassificationRecord, name: str) -> bool:
     except KeyError:
         raise ValueError(f"unknown spectrum name {name!r}") from None
     return not any(rec.flag(fl) for fl in flags)
-
-
-def spectrum_membership_at(e: OperatorExpr, lam: Point, name: str) -> bool:
-    return spectrum_membership(classify(e, lam), name)
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotPseudoFredholm
 from .extvals import ExtIndex, ExtNat, INF, UNDEF_INDEX, ZERO
 from .linalg import (
     ExactMatrix,
@@ -237,6 +236,10 @@ class ExprAnalysis:
 
 
 def analyze_expr(e: OperatorExpr, lam: Point, power: int = 1) -> ExprAnalysis:
+    """The analysis of (e - lam)^power: the entry for its full profile and
+    its summary (alpha, beta, p, q, index, dis). Where no decomposition
+    exists, decomposable is False, alpha through q are None and the index
+    is undefined."""
     return assemble_analysis(e, lam, tuple(analyze_atom(a, lam) for a in e.atoms), power)
 
 
@@ -272,9 +275,10 @@ def assemble_analysis(
 
 
 def gkd_pair(an: ExprAnalysis) -> GKDPair:
-    """The split of every matrix atom, and the pieces of each side: a matrix
-    atom's split restrictions, a shift atom wholesale on the side its
-    profile names. The canonical decomposition where an.decomposable."""
+    """The entry for the decomposition of an analysis: the split of every
+    matrix atom, and the pieces of each side, a matrix atom's split
+    restrictions and a shift atom wholesale on the side its profile names.
+    The canonical decomposition where an.decomposable."""
     m_atoms, n_atoms, splits = [], [], []
     for i, p in enumerate(an.parts):
         sp = matrix_split(p, i) if p.atom.kind == "matrix" else None
@@ -292,34 +296,7 @@ def gkd_pair(an: ExprAnalysis) -> GKDPair:
     )
 
 
-def canonical_gkd(e: OperatorExpr, lam: Point) -> GKDPair:
-    an = analyze_expr(e, lam)
-    if not an.decomposable:
-        raise NotPseudoFredholm(f"no decomposition at point {lam}")
-    return gkd_pair(an)
-
-
-def alpha_beta_pq(e: OperatorExpr, lam: Point) -> StructuralSummary:
-    an = analyze_expr(e, lam)
-    if not an.decomposable:
-        raise NotPseudoFredholm(f"no decomposition at point {lam}")
-    return an.summary
-
-
-def index(e: OperatorExpr, lam: Point) -> ExtIndex:
-    """Index at lam; undefined when no decomposition exists there."""
-    return analyze_expr(e, lam).summary.index
-
-
 def drazin_inverse(m: ExactMatrix) -> ExactMatrix:
     """Exact Drazin inverse of a square rational matrix, from its split
     at 0."""
     return matrix_split(analyze_atom(Atom("matrix", m), point(0)), 0).drazin
-
-
-def restriction_profile(p: StructuralProfile, n: int) -> tuple[ExtNat, ExtNat, ExtIndex]:
-    """Defect data of the operator restricted to the range of its n-th
-    power: kernel dimension c_n, range codimension b_n, and their index."""
-    cn = p.c.at(n)
-    bn = p.b.at(n)
-    return cn, bn, ExtIndex.from_alpha_beta(cn, bn)

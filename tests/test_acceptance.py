@@ -36,11 +36,9 @@ from fredprofile.spectra import (
     spectrum_membership,
 )
 from fredprofile.structure import (
-    alpha_beta_pq,
     analyze_atom,
     analyze_expr,
     drazin_inverse,
-    index,
     matrix_split,
 )
 from fredprofile.verify import (
@@ -138,7 +136,9 @@ def test_criterion_2_fitting_and_drazin(matrices):
 
 def test_criterion_3_core_h0_oracle(matrices):
     for m in matrices:
-        s = alpha_beta_pq(matrix_expr(m), ZERO)
+        an = analyze_expr(matrix_expr(m), ZERO)
+        assert an.decomposable
+        s = an.summary
         split = matrix_split(analyze_atom(Atom("matrix", m), ZERO), 0)
         assert alpha_beta_core_oracle(split) == (s.alpha, s.beta)
     print("criterion 3: PASS (core/h0 oracle equals decomposition defects on 500)")
@@ -150,7 +150,7 @@ def test_criterion_4_index_laws():
     plain = [e for e in CATALOG if e.power == 1]
     for ea in plain:
         for eb in plain:
-            got = index(ea.expr + eb.expr, ZERO)
+            got = analyze_expr(ea.expr + eb.expr, ZERO).summary.index
             assert got == ExtIndex.of(EXPECTED_INDEX[ea.name] + EXPECTED_INDEX[eb.name])
     # the squared entry: R^2 (+) R^2 is (R (+) R)^2
     doubled = OperatorExpr.of(RIGHT_SHIFT, RIGHT_SHIFT)
@@ -161,11 +161,11 @@ def test_criterion_4_index_laws():
             assert entry_summary(entry, ZERO, kk).index == base.times(kk)
     for name in ("jordan2", "jordan3", "right_jordan3_qnil"):
         e = next(c.expr for c in CATALOG if c.name == name)
-        assert index_with_nilpotent_regrouped(e, ZERO) == index(e, ZERO)
+        assert index_with_nilpotent_regrouped(e, ZERO) == analyze_expr(e, ZERO).summary.index
     nil = OperatorExpr.of(matrix_atom([[0, 1], [0, 0]]))
     for entry in plain:
         widened = entry.expr + nil
-        assert index_with_nilpotent_regrouped(widened, ZERO) == index(widened, ZERO)
+        assert index_with_nilpotent_regrouped(widened, ZERO) == analyze_expr(widened, ZERO).summary.index
     print("criterion 4: PASS (additivity, powers up to 4, regrouping invariance)")
 
 

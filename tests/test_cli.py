@@ -1,3 +1,4 @@
+import contextlib
 import errno
 import hashlib
 import io
@@ -10,6 +11,8 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fredprofile
 from fredprofile import cli, verify
@@ -17,13 +20,15 @@ from fredprofile.catalog import by_name
 from fredprofile.cli import entry, main
 from fredprofile.docio import (
     MAX_DOCUMENT_BYTES,
+    MAX_MATRIX_DIM,
     AnalysisReport,
     OperatorDocument,
     serialize_document,
 )
-from fredprofile.extvals import ExtIndex, ExtNat
+from fredprofile.extvals import ExtIndex, ExtNat, ratio_numeral
 from fredprofile.linalg import ExactMatrix
-from fredprofile.spectra import CSV_HEADER
+from fredprofile.model import ATOM_KINDS
+from fredprofile.spectra import CSV_HEADER, MAX_GRID_POINTS
 
 R_DOC = '{"name": "shift", "atoms": [{"type": "right_shift"}]}'
 J3_DOC = json.dumps(
@@ -403,7 +408,7 @@ def test_drazin_invertible_matrix_gives_inverse(tmp_path, capsys):
 
 def test_drazin_rejects_non_matrix_document(shift_doc, capsys):
     assert main(["drazin", "--in", shift_doc]) == 4
-    assert "single matrix atom" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: drazin needs a document with a single matrix atom\n"
 
 
 def test_drazin_rejects_multi_atom_document(tmp_path, capsys):
@@ -414,6 +419,215 @@ def test_drazin_rejects_multi_atom_document(tmp_path, capsys):
     )
     assert main(["drazin", "--in", str(f)]) == 4
     capsys.readouterr()
+
+
+# The error contract: a malformed --lambda or --grid numeral is exit 1, a
+# malformed document exit 2, and drazin on a document that is not one
+# matrix exit 4; each prints one "error: " line, no traceback and nothing
+# on stdout.
+
+
+def _refused(text):
+    try:
+        ratio_numeral(text)
+    except ValueError:
+        return True
+    return False
+
+
+# no comma, which would change the number of parts
+_NUMERAL_CHARS = "0123456789-/+._e \u0661\uff11"
+_REFUSED_NUMERALS = st.one_of(
+    st.text(_NUMERAL_CHARS, max_size=8).filter(_refused),
+    st.just("1" * 5000),  # past Python's int-string limit
+)
+
+
+@st.composite
+def _bad_point(draw):
+    parts = [draw(st.sampled_from(["0", "1/2", "-3"])) for _ in range(2)]
+    parts[draw(st.integers(0, 1))] = draw(_REFUSED_NUMERALS)
+    return ["analyze", f"--lambda={','.join(parts)}"]
+
+
+@st.composite
+def _bad_grid(draw):
+    # what ratio_numeral refuses, natural_numeral refuses as a point count
+    parts = ["-1", "1", "0", "1", "3", "2"]
+    parts[draw(st.integers(0, 5))] = draw(_REFUSED_NUMERALS)
+    return ["spectrum", f"--grid={','.join(parts)}"]
+
+
+@st.composite
+def _grid_past_the_limit(draw):
+    nr = draw(st.integers(1, MAX_GRID_POINTS))
+    ni = draw(st.integers(MAX_GRID_POINTS // nr + 1, MAX_GRID_POINTS + 1))
+    return ["spectrum", f"--grid=0,1,0,1,{nr},{ni}"]
+
+
+_WRONG_PART_COUNTS = st.one_of(
+    st.integers(1, 5).filter(lambda k: k != 2).map(
+        lambda k: ["analyze", "--lambda=" + ",".join(["1"] * k)]
+    ),
+    st.integers(1, 9).filter(lambda k: k != 6).map(
+        lambda k: ["spectrum", "--grid=" + ",".join(["1"] * k)]
+    ),
+)
+
+
+def _doc(*records):
+    return {"name": "op", "atoms": list(records)}
+
+
+def _matrix(rows):
+    return {"type": "matrix", "entries": rows}
+
+
+def _valid_doc():
+    return _doc({"type": "right_shift"}, _matrix([["0", "1"], ["0", "0"]]))
+
+
+_JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=4),
+)
+_JSON_VALUES = st.one_of(
+    _JSON_SCALARS,
+    st.lists(_JSON_SCALARS, max_size=2),
+    st.dictionaries(st.text(max_size=3), _JSON_SCALARS, max_size=2),
+)
+# the values that have the right JSON type in each place of _valid_doc()
+_RIGHT_TYPE = {
+    "document": lambda v: isinstance(v, dict),
+    "name": lambda v: isinstance(v, str) and v,
+    "atoms": lambda v: isinstance(v, list) and v,
+    "record": lambda v: isinstance(v, dict),
+    "entries": lambda v: isinstance(v, list),
+    "row": lambda v: isinstance(v, list),
+}
+
+
+@st.composite
+def _truncated_doc(draw):
+    text = json.dumps(_valid_doc())
+    return text[: draw(st.integers(0, len(text) - 1))].encode()
+
+
+@st.composite
+def _wrong_type_doc(draw):
+    place = draw(st.sampled_from(sorted(_RIGHT_TYPE)))
+    value = draw(_JSON_VALUES.filter(lambda v: not _RIGHT_TYPE[place](v)))
+    doc = _valid_doc()
+    if place == "document":
+        doc = value
+    elif place in ("name", "atoms"):
+        doc[place] = value
+    elif place == "record":
+        doc["atoms"][0] = value
+    elif place == "entries":
+        doc["atoms"][1]["entries"] = value
+    else:
+        doc["atoms"][1]["entries"][0] = value
+    return json.dumps(doc).encode()
+
+
+@st.composite
+def _bad_rational_doc(draw):
+    bad = draw(
+        st.one_of(
+            _REFUSED_NUMERALS,
+            st.integers(),
+            st.floats(allow_nan=False, allow_infinity=False),
+        )
+    )
+    doc = _valid_doc()
+    doc["atoms"][1]["entries"][draw(st.integers(0, 1))][draw(st.integers(0, 1))] = bad
+    return json.dumps(doc).encode()
+
+
+@st.composite
+def _ragged_doc(draw):
+    n = draw(st.integers(1, 4))
+    rows = [["0"] * n for _ in range(n)]
+    rows[draw(st.integers(0, n - 1))] = ["0"] * draw(st.integers(0, n + 2).filter(lambda w: w != n))
+    return json.dumps(_doc(_matrix(rows))).encode()
+
+
+@st.composite
+def _non_utf8_doc(draw):
+    data = json.dumps(_valid_doc()).encode()
+    k = draw(st.integers(0, len(data)))
+    return data[:k] + draw(st.sampled_from([b"\x80", b"\xc0", b"\xfe", b"\xff"])) + data[k:]
+
+
+_TOO_MANY_ROWS_DOC = st.integers(MAX_MATRIX_DIM + 1, MAX_MATRIX_DIM + 2).map(
+    lambda n: json.dumps(_doc(_matrix([["0"] * n] * n))).encode()
+)
+
+
+@st.composite
+def _drazin_on_no_single_matrix(draw):
+    kinds = draw(
+        st.lists(st.sampled_from(ATOM_KINDS), min_size=1, max_size=3).filter(
+            lambda ks: ks != ["matrix"]
+        )
+    )
+    records = [_matrix([["1"]]) if k == "matrix" else {"type": k} for k in kinds]
+    return ["drazin"], json.dumps(_doc(*records)).encode(), 4
+
+
+def _numeral_case(args):
+    return args, R_DOC.encode(), 1
+
+
+def _document_cases(docs):
+    commands = st.sampled_from([["analyze"], ["spectrum", "--grid=0,1,0,1,2,2"], ["drazin"]])
+    return st.tuples(commands, docs).map(lambda t: (t[0], t[1], 2))
+
+
+_ERROR_CASES = st.one_of(
+    *(
+        args.map(_numeral_case)
+        for args in (_bad_point(), _bad_grid(), _grid_past_the_limit(), _WRONG_PART_COUNTS)
+    ),
+    *(
+        _document_cases(docs)
+        for docs in (
+            _truncated_doc(),
+            _wrong_type_doc(),
+            _bad_rational_doc(),
+            _ragged_doc(),
+            _non_utf8_doc(),
+            _TOO_MANY_ROWS_DOC,
+        )
+    ),
+    _drazin_on_no_single_matrix(),
+)
+
+
+@pytest.fixture(scope="module")
+def error_dir(tmp_path_factory):
+    # module scope: a function-scoped fixture would be shared by every
+    # example of a hypothesis test
+    return tmp_path_factory.mktemp("cli_errors")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_ERROR_CASES)
+def test_error_contract(error_dir, case):
+    args, data, code = case
+    doc = error_dir / "op.json"
+    doc.write_bytes(data)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        got = main([*args, "--in", str(doc)])
+    assert got == code, err.getvalue()
+    assert out.getvalue() == ""
+    assert sum("error: " in line for line in err.getvalue().splitlines()) == 1, err.getvalue()
+    assert "Traceback" not in err.getvalue()
 
 
 BIG = json.dumps(

@@ -13,7 +13,6 @@ from fredprofile.docio import (
     OperatorDocument,
     build_report,
     parse_document,
-    parse_rational,
     rational_str,
     serialize_document,
 )
@@ -40,9 +39,9 @@ def doc_text(*atom_records, name="op"):
 
 
 def test_parse_rational():
-    assert parse_rational("3/4") == F(3, 4)
-    assert parse_rational("-7") == F(-7)
-    assert parse_rational("-10/4") == F(-5, 2)
+    assert exact_rational("3/4") == F(3, 4)
+    assert exact_rational("-7") == F(-7)
+    assert exact_rational("-10/4") == F(-5, 2)
     assert rational_str(F(-5, 2)) == "-5/2"
 
 
@@ -58,8 +57,13 @@ REJECTED = [
 
 @pytest.mark.parametrize("bad", REJECTED)
 def test_parse_rational_rejects(bad):
+    # a malformed string is a ValueError of the library reader and, as a
+    # document entry, a DocumentError; so is an entry that is not a string
+    if isinstance(bad, str):
+        with pytest.raises(ValueError):
+            exact_rational(bad)
     with pytest.raises(DocumentError):
-        parse_rational(bad)
+        parse_document(doc_text({"type": "matrix", "entries": [[bad]]}))
 
 
 @pytest.mark.parametrize(

@@ -39,7 +39,6 @@ from fredprofile.spectra import (
     scan_to_csv,
     scan_to_json,
     spectrum_membership,
-    spectrum_membership_at,
 )
 
 J2 = matrix_atom([[0, 1], [0, 0]])
@@ -111,15 +110,18 @@ def test_spectrum_names():
 
 
 def test_membership_right_shift():
-    assert not spectrum_membership_at(R, point(0), "pbf")
-    assert spectrum_membership_at(R, point(0), "pbw")  # index -1 is not 0
-    assert not spectrum_membership_at(R, point(0), "upbw")
-    assert spectrum_membership_at(R, point(0), "lpbw")
-    assert spectrum_membership_at(R, point(F(3, 5), F(4, 5)), "pbf")
-    assert not spectrum_membership_at(R, point(2), "pbw")
+    def member(lam, name):
+        return spectrum_membership(classify(R, lam), name)
+
+    assert not member(point(0), "pbf")
+    assert member(point(0), "pbw")  # index -1 is not 0
+    assert not member(point(0), "upbw")
+    assert member(point(0), "lpbw")
+    assert member(point(F(3, 5), F(4, 5)), "pbf")
+    assert not member(point(2), "pbw")
     # the semi spectrum needs both one-sided regularities to fail
-    assert not spectrum_membership_at(R, point(0), "spbf")
-    assert spectrum_membership_at(R, point(0, 1), "spbf")
+    assert not member(point(0), "spbf")
+    assert member(point(0, 1), "spbf")
 
 
 def test_scan_right_shift_regions():

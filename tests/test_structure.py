@@ -3,7 +3,6 @@ from random import Random
 
 import pytest
 
-from fredprofile.errors import NotPseudoFredholm
 from fredprofile.extvals import INF, ExtIndex, ExtNat
 from fredprofile.linalg import ExactMatrix, kernel_basis, rank, restrict
 from fredprofile.model import (
@@ -17,14 +16,11 @@ from fredprofile.model import (
 )
 from fredprofile.structure import (
     StructuralSummary,
-    alpha_beta_pq,
     analyze_atom,
     analyze_expr,
-    canonical_gkd,
     drazin_inverse,
-    index,
+    gkd_pair,
     matrix_split,
-    restriction_profile,
 )
 from fredprofile.verify import (
     alpha_beta_core_oracle,
@@ -41,6 +37,12 @@ def mat(rows):
     return ExactMatrix.from_rows([[F(x) for x in r] for r in rows])
 
 
+def decomposable_analysis(e, lam):
+    an = analyze_expr(e, lam)
+    assert an.decomposable
+    return an
+
+
 def test_jordan3_chains():
     p = analyze_expr(OperatorExpr.of(J3), point(0)).full
     assert [v.to_str() for v in map(p.a.at, range(5))] == ["0", "1", "2", "3", "3"]
@@ -51,7 +53,7 @@ def test_jordan3_chains():
 
 
 def test_gkd_nilpotent_matrix_is_all_nilpotent_part():
-    pair = canonical_gkd(OperatorExpr.of(J3), point(0))
+    pair = gkd_pair(decomposable_analysis(OperatorExpr.of(J3), point(0)))
     assert pair.m_part is None
     assert pair.n_part is not None and len(pair.n_part.atoms) == 1
     split = pair.splits[0]
@@ -60,7 +62,7 @@ def test_gkd_nilpotent_matrix_is_all_nilpotent_part():
 
 
 def test_gkd_mixed_matrix_split_bases():
-    pair = canonical_gkd(OperatorExpr.of(J2_DIAG2), point(0))
+    pair = gkd_pair(decomposable_analysis(OperatorExpr.of(J2_DIAG2), point(0)))
     split = pair.splits[0]
     assert split.m_basis.vectors == ((F(0), F(0), F(1)),)
     assert split.n_basis.vectors == ((F(1), F(0), F(0)), (F(0), F(1), F(0)))
@@ -70,35 +72,40 @@ def test_gkd_mixed_matrix_split_bases():
 
 
 def test_gkd_shift_atoms_go_wholesale():
-    pair = canonical_gkd(OperatorExpr.of(RIGHT_SHIFT, QNIL_SHIFT), point(0))
+    pair = gkd_pair(decomposable_analysis(OperatorExpr.of(RIGHT_SHIFT, QNIL_SHIFT), point(0)))
     assert pair.m_part.atoms == (RIGHT_SHIFT,)
     assert pair.n_part.atoms == (QNIL_SHIFT,)
     assert pair.splits == ()
 
 
 def test_gkd_rejects_circle_points():
-    with pytest.raises(NotPseudoFredholm):
-        canonical_gkd(OperatorExpr.of(RIGHT_SHIFT), point(F(3, 5), F(4, 5)))
-    with pytest.raises(NotPseudoFredholm):
-        alpha_beta_pq(OperatorExpr.of(LEFT_SHIFT), point(0, 1))
+    for e, lam in (
+        (OperatorExpr.of(RIGHT_SHIFT), point(F(3, 5), F(4, 5))),
+        (OperatorExpr.of(LEFT_SHIFT), point(0, 1)),
+    ):
+        an = analyze_expr(e, lam)
+        assert not an.decomposable
+        s = an.summary
+        assert (s.alpha, s.beta, s.p, s.q) == (None,) * 4
+        assert s.index.to_str() == "undef"
 
 
 def test_summary_right_shift():
-    s = alpha_beta_pq(OperatorExpr.of(RIGHT_SHIFT), point(0))
+    s = decomposable_analysis(OperatorExpr.of(RIGHT_SHIFT), point(0)).summary
     assert (s.alpha, s.beta) == (ExtNat(0), ExtNat(1))
     assert (s.p, s.q) == (ExtNat(0), INF)
     assert s.index == ExtIndex.of(-1)
 
 
 def test_summary_left_plus_right():
-    s = alpha_beta_pq(OperatorExpr.of(LEFT_SHIFT, RIGHT_SHIFT), point(0))
+    s = decomposable_analysis(OperatorExpr.of(LEFT_SHIFT, RIGHT_SHIFT), point(0)).summary
     assert (s.alpha, s.beta) == (ExtNat(1), ExtNat(1))
     assert (s.p, s.q) == (INF, INF)
     assert s.index == ExtIndex.of(0)
 
 
 def test_summary_quasinilpotent_trivial_m_part():
-    s = alpha_beta_pq(OperatorExpr.of(J3), point(0))
+    s = decomposable_analysis(OperatorExpr.of(J3), point(0)).summary
     assert (s.alpha, s.beta, s.p, s.q) == (ExtNat(0),) * 4
     assert s.index.is_zero()
 
@@ -122,8 +129,9 @@ def test_summary_validation():
 
 
 def test_index_shortcuts():
-    assert index(OperatorExpr.of(RIGHT_SHIFT, RIGHT_SHIFT, LEFT_SHIFT), point(0)) == ExtIndex.of(-1)
-    assert index(OperatorExpr.of(RIGHT_SHIFT), point(0, 1)).to_str() == "undef"
+    e = OperatorExpr.of(RIGHT_SHIFT, RIGHT_SHIFT, LEFT_SHIFT)
+    assert analyze_expr(e, point(0)).summary.index == ExtIndex.of(-1)
+    assert analyze_expr(OperatorExpr.of(RIGHT_SHIFT), point(0, 1)).summary.index.to_str() == "undef"
 
 
 def test_h0_and_core():
@@ -178,13 +186,15 @@ def test_drazin_axioms_on_random_matrices():
 
 def test_restriction_profile_examples():
     p3 = analyze_expr(OperatorExpr.of(J3), point(0)).full
-    cn, bn, idx = restriction_profile(p3, 2)
+    # c_n and b_n, the defects of the restriction to the range of the n-th
+    # power, and their index
+    cn, bn = p3.c.at(2), p3.b.at(2)
     assert (cn, bn) == (ExtNat(1), ExtNat(1))
-    assert idx.is_zero()
+    assert ExtIndex.from_alpha_beta(cn, bn).is_zero()
     pr = analyze_expr(OperatorExpr.of(RIGHT_SHIFT), point(0)).full
-    cn, bn, idx = restriction_profile(pr, 5)
+    cn, bn = pr.c.at(5), pr.b.at(5)
     assert (cn, bn) == (ExtNat(0), ExtNat(1))
-    assert idx == ExtIndex.of(-1)
+    assert ExtIndex.from_alpha_beta(cn, bn) == ExtIndex.of(-1)
 
 
 def test_restriction_index_stabilizes_at_summary_index():
@@ -194,14 +204,15 @@ def test_restriction_index_stabilizes_at_summary_index():
         an = analyze_expr(e, point(0))
         d = int(an.summary.dis)
         for n in range(d, d + 3):
-            assert restriction_profile(an.full, n)[2] == an.summary.index
+            restricted = ExtIndex.from_alpha_beta(an.full.c.at(n), an.full.b.at(n))
+            assert restricted == an.summary.index
 
 
 def test_regrouping_invariance():
     e = OperatorExpr.of(RIGHT_SHIFT, J3, QNIL_SHIFT)
-    assert index_with_nilpotent_regrouped(e, point(0)) == index(e, point(0))
+    assert index_with_nilpotent_regrouped(e, point(0)) == analyze_expr(e, point(0)).summary.index
     e2 = OperatorExpr.of(LEFT_SHIFT, J2)
-    assert index_with_nilpotent_regrouped(e2, point(0)) == index(e2, point(0))
+    assert index_with_nilpotent_regrouped(e2, point(0)) == analyze_expr(e2, point(0)).summary.index
     with pytest.raises(ValueError):
         index_with_nilpotent_regrouped(OperatorExpr.of(RIGHT_SHIFT), point(0))
 
@@ -244,7 +255,8 @@ def test_m_part_is_semi_regular_and_n_part_nilpotency_matches():
 def test_gkd_restrictions_recompose():
     # applying the operator inside each split piece stays in that piece
     m = mat([[0, 1, 1], [0, 0, 1], [0, 0, 3]])
-    pair = canonical_gkd(OperatorExpr.of(matrix_atom(m.to_rows())), point(0))
+    e = OperatorExpr.of(matrix_atom(m.to_rows()))
+    pair = gkd_pair(decomposable_analysis(e, point(0)))
     split = pair.splits[0]
     for basis in (split.m_basis, split.n_basis):
         if basis.dim:
