@@ -52,6 +52,7 @@ def _build_parser() -> _Parser:
         help="rational point, e.g. 1/2,-3",
     )
     pa.add_argument("--out", dest="outfile", metavar="F")
+    pa.set_defaults(parser=pa)
 
     ps = sub.add_parser("spectrum", help="scan a rational grid")
     ps.add_argument("--in", dest="infile", required=True, metavar="F")
@@ -64,6 +65,7 @@ def _build_parser() -> _Parser:
     ps.add_argument("--set", dest="set_name", default="pbf", choices=SPECTRUM_NAMES)
     ps.add_argument("--out", dest="outfile", metavar="F")
     ps.add_argument("--format", dest="fmt", default="csv", choices=("csv", "json"))
+    ps.set_defaults(parser=ps)
 
     pd = sub.add_parser("drazin", help="Drazin inverse of a matrix document")
     pd.add_argument("--in", dest="infile", required=True, metavar="F")
@@ -73,6 +75,7 @@ def _build_parser() -> _Parser:
     # ASCII digits only, as for grid point counts; a seed may be negative
     pv.add_argument("--cases", type=natural_numeral, default=200)
     pv.add_argument("--seed", type=int_numeral, default=0)
+    pv.set_defaults(parser=pv)
     return p
 
 
@@ -94,12 +97,12 @@ def parse_grid(text: str) -> GridSpec:
     return GridSpec(*parts[:4], natural_numeral(parts[4]), natural_numeral(parts[5]))
 
 
-def _usage(parser: _Parser, parse, text: str):
-    # a malformed argument is a usage error
+def _usage(args, parse, text: str):
+    # a malformed argument is a usage error of the subcommand args.parser
     try:
         return parse(text)
     except ValueError as exc:
-        parser.error(str(exc))
+        args.parser.error(str(exc))
 
 
 def read_document(path: str):
@@ -148,16 +151,16 @@ def _emit(text: str, outfile: str | None = None):
         raise OutputError(f"cannot write {where}: {exc}") from None
 
 
-def _cmd_analyze(parser: _Parser, args) -> int:
-    lam = _usage(parser, parse_point, args.lam)
+def _cmd_analyze(args) -> int:
+    lam = _usage(args, parse_point, args.lam)
     doc = read_document(args.infile)
     report = build_report(doc, lam)
     _emit(report.to_json(), args.outfile)
     return 0
 
 
-def _cmd_spectrum(parser: _Parser, args) -> int:
-    grid = _usage(parser, parse_grid, args.grid)
+def _cmd_spectrum(args) -> int:
+    grid = _usage(args, parse_grid, args.grid)
     doc = read_document(args.infile)
     s = scan(doc.expr, grid)
     if args.fmt == "csv":
@@ -178,9 +181,9 @@ def _cmd_drazin(args) -> int:
     return 0
 
 
-def _cmd_verify(parser: _Parser, args) -> int:
+def _cmd_verify(args) -> int:
     if args.cases > MAX_CASES:
-        parser.error(f"--cases must be <= {MAX_CASES}, got {args.cases}")
+        args.parser.error(f"--cases must be <= {MAX_CASES}, got {args.cases}")
     text, code = run_suites(args.suite, args.cases, args.seed)
     _emit(text)
     return code
@@ -192,19 +195,18 @@ _PARSER = _build_parser()
 
 
 def main(argv=None) -> int:
-    parser = _PARSER
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
         if args.command == "analyze":
-            return _cmd_analyze(parser, args)
+            return _cmd_analyze(args)
         if args.command == "spectrum":
-            return _cmd_spectrum(parser, args)
+            return _cmd_spectrum(args)
         if args.command == "drazin":
             return _cmd_drazin(args)
-        return _cmd_verify(parser, args)
+        return _cmd_verify(args)
     except SystemExit as exc:
         return int(exc.code or 0)
     except DocumentError as exc:

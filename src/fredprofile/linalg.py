@@ -153,6 +153,21 @@ class ExactMatrix:
         out = tuple([sum(map(mul, ai, bj)) for ai in arows for bj in bcols])
         return ExactMatrix(self.rows, ocols, out, self.den * other.den)
 
+    def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise AmbientMismatch("sum shape mismatch")
+        den = math.lcm(self.den, other.den)
+        f, g = den // self.den, den // other.den
+        num = tuple([f * x + g * y for x, y in zip(self.num, other.num)])
+        return ExactMatrix(self.rows, self.cols, num, den)
+
+    def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
+        return self + other.scaled(-1)
+
+    def scaled(self, p: int, q: int = 1) -> "ExactMatrix":
+        """self * p/q for integers p and q, q nonzero."""
+        return ExactMatrix(self.rows, self.cols, tuple([p * x for x in self.num]), self.den * q)
+
     def minus_scalar(self, q) -> "ExactMatrix":
         """self - q*I on a square matrix, q an int or a Fraction."""
         if self.rows != self.cols:
@@ -216,6 +231,20 @@ class ExactMatrix:
                 nxt[j] -= sum(p[m] * w[m - j - 1] for m in range(j + 1, k + 1))
             p = nxt
         return tuple(p)
+
+
+def block(grid: Sequence[Sequence[ExactMatrix]]) -> ExactMatrix:
+    """The block matrix whose rows of blocks are grid's rows, over the lcm
+    of the blocks' denominators."""
+    den = math.lcm(*[b.den for row in grid for b in row])
+    num = []
+    for row in grid:
+        for i in range(row[0].rows):
+            for b in row:
+                f = den // b.den
+                num += [f * x for x in b.num[i * b.cols : (i + 1) * b.cols]]
+    rows, cols = sum(row[0].rows for row in grid), sum(b.cols for b in grid[0])
+    return ExactMatrix(rows, cols, tuple(num), den)
 
 
 def root_multiplicity(coeffs: Sequence[int], zr: int, zi: int) -> int:
@@ -356,10 +385,12 @@ class SubspaceBasis:
         return _span([_integer_row(v) for v in vectors], ambient_dim)
 
     @staticmethod
+    @functools.cache
     def zero(ambient_dim: int) -> "SubspaceBasis":
         return SubspaceBasis(ExactMatrix.zeros(0, ambient_dim))
 
     @staticmethod
+    @functools.cache
     def full(ambient_dim: int) -> "SubspaceBasis":
         return SubspaceBasis(ExactMatrix.identity(ambient_dim))
 

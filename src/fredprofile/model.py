@@ -178,8 +178,10 @@ def realified(m: ExactMatrix, re: Fraction, im: Fraction) -> ExactMatrix:
     [[m - re*I, im*I], [-im*I, m - re*I]]: the realification commutes with
     the complex-structure matrix, so every kernel, image, intersection and
     sum it produces carries even rational dimension, twice the complex
-    one. Only reports build it at a complex point (structure.matrix_split);
-    the ranks come from the d x d matrix q(m) (matrix_chain_data).
+    one. Only reports build it at a complex point (structure.matrix_split),
+    to print it and to restrict it to the split's bases; the ranks, the
+    bases and the Drazin inverse come from the d x d matrix q(m)
+    (real_quadratic).
     """
     s = m.minus_scalar(re)
     if im == 0:
@@ -189,7 +191,10 @@ def realified(m: ExactMatrix, re: Fraction, im: Fraction) -> ExactMatrix:
 
 def real_quadratic(m: ExactMatrix, re: Fraction, im: Fraction) -> ExactMatrix:
     """q(m) = (m - re*I)^2 + im^2*I, where q(x) = (x - lam)(x - conj(lam))
-    is the minimal polynomial over Q of lam = re + i*im, im != 0.
+    is the minimal polynomial over Q of lam = re + i*im, im != 0. At a
+    complex point the chain's ranks are those of its powers
+    (matrix_chain_data), and the Fitting split of the realified block is
+    read off its own real split at the same nu (structure.matrix_split).
 
     With m - re*I = N/D (one product of integer matrices gives N^2/D^2) and
     im = c/e, q(m) = (e^2 N^2 + c^2 D^2 I) / (e^2 D^2): no Fraction is built.

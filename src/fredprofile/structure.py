@@ -2,7 +2,7 @@
 numbers, ascent/descent-style stabilization points, Drazin inverses.
 
 The canonical decomposition splits each atom of e - lam into a semi-regular
-part and a quasi-nilpotent part: matrix atoms via the Fitting split at the
+part and a quasi-nilpotent part: matrix atoms via the Fitting split of the
 shifted (and, for complex points, realified) block, shift atoms wholesale
 according to their tables. alpha and beta are the kernel dimension and range
 codimension of the assembled semi-regular part; p and q are the
@@ -25,7 +25,10 @@ share these three; a scan passes each eigenvalue's multiplicity to the
 chain, which then computes only the ranks the multiplicity leaves open.
 The Fitting split, with its bases, blocks and Drazin inverse, is built
 only on request (gkd_pair), for reports and `drazin`, from the atom, the
-point and nu alone (matrix_split).
+point and nu alone (matrix_split). At a complex point it too works at
+dimension d: it is read off the real split of q(m) and the complex
+structure that m induces on q(m)'s generalized kernel, and the realified
+block is only restricted to the bases found, never eliminated.
 """
 from __future__ import annotations
 
@@ -35,6 +38,7 @@ from .extvals import ExtIndex, ExtNat, INF, UNDEF_INDEX, ZERO
 from .linalg import (
     ExactMatrix,
     SubspaceBasis,
+    block,
     image_basis,
     inverse,
     kernel_basis,
@@ -66,7 +70,7 @@ class MatrixSplit:
     invertible m_atom, and n_basis, on which it restricts to the nilpotent
     n_atom (None for an empty basis). drazin is S's Drazin inverse. S and
     the bases live in the realified space when the point has a nonzero
-    imaginary part."""
+    imaginary part; matrix_split then finds them from the d x d q(m)."""
 
     atom_index: int
     block: ExactMatrix
@@ -186,35 +190,80 @@ def matrix_split(part: AtomAnalysis, atom_index: int) -> MatrixSplit:
     """The Fitting split K = R(S^nu), H0 = N(S^nu) of a matrix atom's
     shifted block S at the part's point, and S's Drazin inverse S^D, from
     the atom, the point and nu, the stabilization point of the part's
-    kernel chain; at a complex point S is realified (model.realified).
-
-    On K ⊕ H0, S^nu = K^T A^nu C, with A the core block and C giving a
-    vector's coordinates in K. K's basis is in reduced echelon form, each
-    vector 1 at its own pivot and 0 at the others', so the rows of S^nu at
-    K's pivots are A^nu C, and S^D = K^T A^-1 C = K^T (A^(nu+1))^-1 (those
-    rows). Off the spectrum (nu = 0) S is its own core and S^D = S^-1; at a
-    complex point that is [[N q^-1, -im q^-1], [im q^-1, N q^-1]],
-    N = m - re, from the inverse of the d x d q(m) = N^2 + im^2 I."""
+    kernel chain. At a real point that is _fitting(S, nu); at a complex one
+    S is realified (model.realified), and the split comes from the real
+    split of the d x d matrix q(m) (_complex_fitting). S itself is used
+    only to restrict it to the two bases, which tests their invariance."""
     m, (re, im) = part.atom.matrix, part.point
     s = realified(m, re, im)
     nu = int(part.profile.a.stabilization_point())
+    core, h0, m_blk, drazin = _complex_fitting(m, s, re, im, nu) if im else _fitting(s, nu)
+    m_atom = Atom("matrix", m_blk) if core.dim else None
+    n_atom = Atom("matrix", restrict(s, h0)) if h0.dim else None
+    return MatrixSplit(atom_index, s, core, h0, m_atom, n_atom, drazin)
+
+
+def _fitting(s: ExactMatrix, nu: int):
+    """K = R(S^nu), H0 = N(S^nu), the core block A (S restricted to K,
+    None where K = 0) and S^D of a square rational S with Fitting index nu.
+
+    On K ⊕ H0, S^nu = K^T A^nu C, with C giving a vector's coordinates in
+    K. K's basis is in reduced echelon form, each vector 1 at its own pivot
+    and 0 at the others', so the rows of S^nu at K's pivots are A^nu C, and
+    S^D = K^T A^-1 C = K^T (A^-1)^(nu+1) (those rows). Off the spectrum
+    (nu = 0) S is its own core and S^D = S^-1."""
+    n = s.rows
     if not nu:
-        if im:
-            q_inv = inverse(real_quadratic(m, re, im))
-            s_inv = realify(m.minus_scalar(re) @ q_inv, q_inv, im)
-        else:
-            s_inv = inverse(s)
-        whole, none = SubspaceBasis.full(s.rows), SubspaceBasis.zero(s.rows)
-        return MatrixSplit(atom_index, s, whole, none, Atom("matrix", s), None, s_inv)
+        return SubspaceBasis.full(n), SubspaceBasis.zero(n), s, inverse(s)
     top = s.power(nu)
     core, h0 = image_basis(top), kernel_basis(top)
-    m_atom = Atom("matrix", restrict(s, core)) if core.dim else None
-    n_atom = Atom("matrix", restrict(s, h0)) if h0.dim else None
-    drazin = ExactMatrix.zeros(s.rows, s.rows)
-    if m_atom:
-        a_inv = inverse(m_atom.matrix.power(nu + 1))
-        drazin = core.matrix.transpose() @ a_inv @ top.select_rows(core.pivots())
-    return MatrixSplit(atom_index, s, core, h0, m_atom, n_atom, drazin)
+    if not core.dim:
+        return core, h0, None, ExactMatrix.zeros(n, n)
+    a = restrict(s, core)
+    rows = top.select_rows(core.pivots())
+    return core, h0, a, core.matrix.transpose() @ inverse(a).power(nu + 1) @ rows
+
+
+def _complex_fitting(m: ExactMatrix, s: ExactMatrix, re, im, nu: int):
+    """_fitting of the realified S ~ m - lam, lam = re + i*im, im != 0,
+    from _fitting of the d x d matrix q = q(m) = N^2 + im^2 I, N = m - re
+    (model.real_quadratic), at the same nu: W = R(q^nu), V = N(q^nu), q^D.
+
+    Over C, V holds the generalized eigenspaces of lam and conj(lam) and W
+    the rest. On V, N = im*J plus a nilpotent part that commutes with it,
+    J^2 = -I; in V's basis J = Z/c, im = c/e, where Newton's step
+    Z <- (Z^2 - c^2)(2Z)^-1 from Z = e*N|V squares the nilpotent part Z - cJ
+    (over 2Z), so ceil(log2 nu) steps reach cJ. P = I - q q^D projects on V
+    along W, and the rows of P at V's pivots give a vector's coordinates in
+    V. On the pairs (u, v) ~ u + i*v:
+    - H0 = N((m - lam)^nu) = {(v, -Jv) : v in V}, basis [V | -V J^T];
+    - K = {(v, Jv)} + W x W = {(x, JPx)} + 0 x W, whose reduced echelon
+      basis is [[I, R], [0, W]], R = (JP)^T with W's pivot columns cleared
+      by W's rows (I alone where V = 0);
+    - S^D = X + iY is (N + i*im) q^D on W, 0 on H0, and on the conjugate
+      eigenspace, with projection (P + iJP)/2 and where i acts as -J,
+      (N + im*J)^-1 (the Neumann sum -sum_{j<nu} (2i*im)^(-j-1) N_n^j,
+      N_n the nilpotent part). Off the spectrum (nu = 0) V = 0 and S^D is
+      (N + i*im) q^-1."""
+    d, (c, e) = m.rows, (im.numerator, im.denominator)
+    n, q = m.minus_scalar(re), real_quadratic(m, re, im)
+    w, v, _, qd = _fitting(q, nu)
+    x, y = n @ qd, qd  # S^D = realify(x, y, im), X = x and Y = im*y
+    if not v.dim:
+        return SubspaceBasis.full(2 * d), SubspaceBasis.zero(2 * d), s, realify(x, y, im)
+    z0 = z = restrict(n, v).scaled(e)
+    for _ in range((nu - 1).bit_length()):
+        z = (z @ z).minus_scalar(c * c) @ inverse(z.scaled(2))
+    eye, piv, vt = ExactMatrix.identity(d), v.pivots(), v.matrix.transpose()
+    coords = eye.select_rows(piv) - q.select_rows(piv) @ qd
+    j_coords = z.scaled(1, c) @ coords  # JP in V's basis
+    jp = vt @ j_coords
+    r = (jp - w.matrix.transpose() @ jp.select_rows(w.pivots())).transpose()
+    core = SubspaceBasis(block([[eye, r], [ExactMatrix.zeros(w.dim, d), w.matrix]]))
+    h0 = SubspaceBasis(block([[v.matrix, z.transpose().scaled(-1, c) @ v.matrix]]))
+    half_inv = vt @ inverse(z0 + z).scaled(e, 2)  # (N + im*J)|V^-1 / 2
+    x, y = x + half_inv @ coords, y + half_inv @ j_coords.scaled(e, c)
+    return core, h0, restrict(s, core), realify(x, y, im)
 
 
 @dataclass(frozen=True)

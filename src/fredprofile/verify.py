@@ -266,9 +266,35 @@ def suite_chains(cases: int, seed: int) -> SuiteResult:
     return res
 
 
+def split_certificate(s: ExactMatrix, split: MatrixSplit, nu: int) -> list[tuple]:
+    """The checks that split is the Fitting split of the square S at 0, nu
+    its Fitting index, with S's Drazin inverse, as (property, holds, what
+    fails, checks counted): the bases' direct sum is the whole space, the
+    core block is invertible, the H0 block is nilpotent of degree nu, and
+    S^D S = S S^D, S^D S S^D = S^D and S^(nu+1) S^D = S^nu."""
+    d, core, h0 = s.rows, split.m_basis, split.n_basis
+    ok = core.dim + h0.dim == d and subspace_sum(core, h0).dim == d
+    out = [("fitting_direct_sum", ok, "core + h0 is not the space", 1)]
+    if core.dim:
+        ok = rank(split.m_atom.matrix) == core.dim
+        out.append(("core_restriction_invertible", ok, "singular core block", 1))
+    if h0.dim:
+        # blk^nu from blk^(nu - 1) with one product
+        pw = raw_powers(split.n_atom.matrix, nu - 1)
+        ok = pw[nu].is_zero() and not (nu >= 1 and pw[nu - 1].is_zero())
+        detail = f"nilpotency degree differs from fitting index {nu}"
+        out.append(("h0_restriction_nilpotent_degree", ok, detail, 1))
+    dz = split.drazin
+    top, nxt = raw_powers(s, nu)[nu:]
+    dzs = dz @ s
+    ok = dzs == s @ dz and dzs @ dz == dz and nxt @ dz == top
+    out.append(("drazin_axioms", ok, "a Drazin axiom failed", 3))
+    return out
+
+
 def suite_gkd(cases: int, seed: int) -> SuiteResult:
     """Checks the Fitting split and Drazin inverse that reports and `drazin`
-    use at 0: matrix_split of the analysed atom and its drazin."""
+    use at 0: matrix_split of the analysed atom, by split_certificate."""
     res = SuiteResult("gkd", cases)
     rng = _suite_rng(seed, "gkd")
     for ci in range(cases):
@@ -276,29 +302,9 @@ def suite_gkd(cases: int, seed: int) -> SuiteResult:
         d = m.rows
         an = analyze_expr(OperatorExpr.of(Atom("matrix", m)), point(0))
         split = matrix_split(an.parts[0], 0)
-        core, h0, nu = split.m_basis, split.n_basis, int(an.full.a.stabilization_point())
-        ok = core.dim + h0.dim == d and subspace_sum(core, h0).dim == d
-        res.check("fitting_direct_sum", ok, d, ci, m, "core + h0 is not the space")
-        if core.dim:
-            ok = rank(split.m_atom.matrix) == core.dim
-            res.check("core_restriction_invertible", ok, d, ci, m, "singular core block")
-        if h0.dim:
-            # blk^nu from blk^(nu - 1) with one product
-            pw = raw_powers(split.n_atom.matrix, nu - 1)
-            ok = pw[nu].is_zero() and not (nu >= 1 and pw[nu - 1].is_zero())
-            res.check(
-                "h0_restriction_nilpotent_degree",
-                ok,
-                d,
-                ci,
-                m,
-                lambda: f"nilpotency degree differs from fitting index {nu}",
-            )
-        dz = split.drazin
-        top, nxt = raw_powers(m, nu)[nu:]
-        dzm = dz @ m
-        ok = dzm == m @ dz and dzm @ dz == dz and nxt @ dz == top
-        res.check("drazin_axioms", ok, d, ci, m, "a Drazin axiom failed", 3)
+        nu = int(an.full.a.stabilization_point())
+        for prop, ok, detail, n in split_certificate(m, split, nu):
+            res.check(prop, ok, d, ci, m, detail, n)
         al, be = alpha_beta_core_oracle(split)
         s = an.summary
         res.check(

@@ -11,7 +11,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import fredprofile
@@ -421,10 +421,10 @@ def test_drazin_rejects_multi_atom_document(tmp_path, capsys):
     capsys.readouterr()
 
 
-# The error contract: a malformed --lambda or --grid numeral is exit 1, a
-# malformed document exit 2, and drazin on a document that is not one
-# matrix exit 4; each prints one "error: " line, no traceback and nothing
-# on stdout.
+# The error contract: a malformed --lambda or --grid numeral, or a verify
+# --cases or --seed text, is exit 1, a malformed document exit 2, and
+# drazin on a document that is not one matrix exit 4; each prints one
+# "error: " line, no traceback and nothing on stdout.
 
 
 def _refused(text):
@@ -583,6 +583,23 @@ def _numeral_case(args):
     return args, R_DOC.encode(), 1
 
 
+# verify reads no document and would refuse --in before --cases, so its
+# cases carry None for the document: --cases and --seed texts other than
+# ASCII digits (after one "-" for a seed), signs and other scripts' digits
+# among them, and --cases past MAX_CASES
+_VERIFY_CASES = st.one_of(
+    *(
+        st.text(_NUMERAL_CHARS, max_size=8)
+        .filter(lambda t, valid=valid: not re.fullmatch(valid, t))
+        .map(lambda t, opt=opt: ["verify", "--suite", "chains", f"{opt}={t}"])
+        for opt, valid in (("--cases", "[0-9]+"), ("--seed", "-?[0-9]+"))
+    ),
+    st.integers(verify.MAX_CASES + 1, 10 * verify.MAX_CASES).map(
+        lambda n: ["verify", "--suite", "chains", "--cases", str(n)]
+    ),
+).map(lambda args: (args, None, 1))
+
+
 def _document_cases(docs):
     commands = st.sampled_from([["analyze"], ["spectrum", "--grid=0,1,0,1,2,2"], ["drazin"]])
     return st.tuples(commands, docs).map(lambda t: (t[0], t[1], 2))
@@ -605,6 +622,7 @@ _ERROR_CASES = st.one_of(
         )
     ),
     _drazin_on_no_single_matrix(),
+    _VERIFY_CASES,
 )
 
 
@@ -615,15 +633,19 @@ def error_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("cli_errors")
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+# no shrinking: a failing case is reported as generated, in seconds; with
+# shrinking a broken contract took minutes to report
+@settings(max_examples=300, deadline=None, derandomize=True, phases=(Phase.generate,))
 @given(_ERROR_CASES)
 def test_error_contract(error_dir, case):
     args, data, code = case
-    doc = error_dir / "op.json"
-    doc.write_bytes(data)
+    if data is not None:
+        doc = error_dir / "op.json"
+        doc.write_bytes(data)
+        args = [*args, "--in", str(doc)]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        got = main([*args, "--in", str(doc)])
+        got = main(args)
     assert got == code, err.getvalue()
     assert out.getvalue() == ""
     assert sum("error: " in line for line in err.getvalue().splitlines()) == 1, err.getvalue()
@@ -671,6 +693,10 @@ def test_usage_errors(capsys):
         (["frobnicate"], "fredprofile"),
         (["analyze"], "fredprofile analyze"),  # --in is required
         (["verify", "--cases", "x"], "fredprofile verify"),
+        # the library's own refusals, reported through the subcommand too
+        (["analyze", "--in", "op.json", "--lambda=x,0"], "fredprofile analyze"),
+        (["spectrum", "--in", "op.json", "--grid=0,1,0,1,x,2"], "fredprofile spectrum"),
+        (["verify", "--cases", "10001"], "fredprofile verify"),
     ]:
         assert main(argv) == 1
         out, err = capsys.readouterr()
@@ -791,7 +817,7 @@ def test_verify_cases_past_the_bound_is_usage_error(monkeypatch, capsys):
     assert main(["verify", "--suite", "chains", "--cases", "4"]) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.splitlines()[-1] == "fredprofile: error: --cases must be <= 3, got 4"
+    assert err.splitlines()[-1] == "fredprofile verify: error: --cases must be <= 3, got 4"
     monkeypatch.setattr(fredprofile.cli, "MAX_CASES", verify.MAX_CASES)
     assert main(["verify", "--cases", str(verify.MAX_CASES + 1)]) == 1
     assert capsys.readouterr().out == ""

@@ -44,7 +44,12 @@ from fredprofile.model import (
 )
 from fredprofile.spectra import GridSpec, scan, scan_to_csv
 from fredprofile.structure import MatrixSplit, analyze_atom, drazin_inverse, matrix_split
-from fredprofile.verify import alpha_beta_core_oracle, raw_powers, subspace_meet_join
+from fredprofile.verify import (
+    alpha_beta_core_oracle,
+    raw_powers,
+    split_certificate,
+    subspace_meet_join,
+)
 
 COORDS = (F(-2), F(-1), F(-1, 2), F(0), F(1, 2), F(1), F(2))
 
@@ -61,7 +66,8 @@ def matrix_and_point(draw, max_dim=6):
     with P unimodular and T block upper triangular, its first diagonal
     block the point (real) or C = [[re, -im], [im, re]] (complex); for
     d >= 4 some complex draws plant the Jordan chain [[C, I], [0, C]] of
-    length 2 instead."""
+    length 2 instead, and for d = 6 some of those the chain of length 3,
+    [[C, I, 0], [0, C, I], [0, 0, C]]."""
     d = draw(st.integers(1, max_dim))
     re = draw(st.sampled_from(COORDS))
     im = draw(st.sampled_from(COORDS)) if draw(st.booleans()) else F(0)
@@ -76,9 +82,11 @@ def matrix_and_point(draw, max_dim=6):
             rows[i][j] = F(0)
     if im:
         rows[0][0], rows[0][1], rows[1][0], rows[1][1] = re, -im, im, re
-        if d >= 4 and draw(st.booleans()):
-            rows[0][2:4], rows[1][2:4] = [F(1), F(0)], [F(0), F(1)]
-            rows[2][2], rows[2][3], rows[3][2], rows[3][3] = re, -im, im, re
+        k = 2
+        while k + 2 <= d and draw(st.booleans()):
+            rows[k - 2][k : k + 2], rows[k - 1][k : k + 2] = [F(1), F(0)], [F(0), F(1)]
+            rows[k][k], rows[k][k + 1], rows[k + 1][k], rows[k + 1][k + 1] = re, -im, im, re
+            k += 2
     else:
         rows[0][0] = re
     unit = st.integers(-1, 1)
@@ -196,6 +204,17 @@ Q_ZERO = (mat([[-2, 2], [-2, -2]]), (F(-2), F(-2)))
 # the rotation by i, and a complex Jordan chain of length 2 at +-i
 ROT = mat([[0, -1], [1, 0]])
 ROT_CHAIN = mat([[0, -1, 1, 0], [1, 0, 0, 1], [0, 0, 0, -1], [0, 0, 1, 0]])
+# and one of length 3, [[ROT, I, 0], [0, ROT, I], [0, 0, ROT]]
+ROT_CHAIN3 = mat(
+    [
+        [0, -1, 1, 0, 0, 0],
+        [1, 0, 0, 1, 0, 0],
+        [0, 0, 0, -1, 1, 0],
+        [0, 0, 1, 0, 0, 1],
+        [0, 0, 0, 0, 0, -1],
+        [0, 0, 0, 0, 1, 0],
+    ]
+)
 
 
 # Q_ZERO's matrix at 2 - 2i, off its spectrum -2 +- 2i
@@ -207,6 +226,8 @@ Q_ZERO_OFF = (Q_ZERO[0], (F(2), F(-2)))
 @example(Q_ZERO)
 @example(Q_ZERO_OFF)
 @example((ROT_CHAIN, (F(0), F(1))))
+@example((ROT_CHAIN3, (F(0), F(1))))
+@example((ROT_CHAIN3, (F(0), F(-1))))
 def test_fast_atom_analysis_equals_fitting_split(mp):
     m, lam = mp
     atom = Atom("matrix", m)
@@ -220,6 +241,48 @@ def test_fast_atom_analysis_equals_fitting_split(mp):
     assert part.profile == matrix_profile(_over_c(block, lam))
     if not fraction_reference.is_eigenvalue(m, *lam):
         assert part.profile == INVERTIBLE_PROFILE
+
+
+def _fraction_chain_at_i(d, nu, seed):
+    """A d x d matrix with one complex Jordan chain of length nu at i: the
+    chain [[ROT, I, ...], [0, ROT, ...], ...] in the first 2 nu rows and
+    columns, and in the other columns of every row a fraction +-p/q with p
+    and q of 3 digits (random.Random(seed)); rows and columns are then
+    permuted alike."""
+    rng = Random(seed)
+    c = 2 * nu
+
+    def frac():
+        return F(rng.choice((-1, 1)) * rng.randint(100, 999), rng.randint(100, 999))
+
+    rows = [[F(0)] * c + [frac() for _ in range(d - c)] for _ in range(d)]
+    for b in range(0, c, 2):
+        rows[b][b + 1], rows[b + 1][b] = F(-1), F(1)
+        if b:
+            rows[b - 2][b], rows[b - 1][b + 1] = F(1), F(1)
+    perm = list(range(d))
+    rng.shuffle(perm)
+    return ExactMatrix.from_rows([[rows[i][j] for j in perm] for i in perm])
+
+
+@pytest.mark.parametrize("d, nu", [(8, 2), (8, 3), (8, 4), (12, 3)])
+def test_complex_split_of_fraction_chains(d, nu, monkeypatch):
+    # the split at i works at dimension d: no image, kernel or inverse of
+    # the 2d x 2d block. It equals the realified route's at d = 8; at
+    # d = 12, where that route takes seconds, the certificate checks it
+    m, lam = _fraction_chain_at_i(d, nu, 1), (F(0), F(1))
+    assert matrix_chain_data(m, lam) == tuple(range(d, d - nu - 1, -1)) + (d - nu,)
+    eliminated = [
+        _count_calls(monkeypatch, linalg, name)
+        for name in ("image_basis", "kernel_basis", "inverse")
+    ]
+    split = matrix_split(analyze_atom(Atom("matrix", m), lam), 0)
+    assert max(c[0].rows for calls in eliminated for c in calls) <= d
+    s = realified(m, *lam)
+    assert split.block == s
+    assert all(ok for _, ok, _, _ in split_certificate(s, split, nu))
+    if d == 8:
+        assert split == _fitting_reference(m, lam)
 
 
 @settings(max_examples=100, deadline=None)
@@ -579,6 +642,7 @@ JORDAN_AND_UNIT = mat([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 0], [0, 0, 0, 2]])
 @given(matrix_and_point())
 @example((JORDAN_AND_UNIT, (F(1), F(0))))
 @example((ROT_CHAIN, (F(0), F(1))))
+@example((ROT_CHAIN3, (F(0), F(-1))))
 @example(Q_ZERO)
 @example((mat([[0, 1, 0], [0, 0, 1], [0, 0, 0]]), (F(0), F(0))))
 @example((mat([[2, 1], [1, 1]]), (F(1, 2), F(0))))
@@ -806,9 +870,9 @@ def test_engine_builds_no_fraction_between_parse_and_render(monkeypatch):
     # I + J3 at its eigenvalue 1 (ranks, split, restriction), off it at a
     # real and a complex point (the realified block, and there the inverse
     # of q(m)), and on a scan through all three kinds; beside it a block
-    # with a core at 1, whose Drazin inverse inverts a power of the core
-    # block, and the complex Jordan chain at its eigenvalue i (q(m), then
-    # the realified block and its power)
+    # with a core at 1, whose Drazin inverse inverts the core block, and
+    # the complex Jordan chain at its eigenvalue i (the split of q(m), and
+    # Newton's iteration for the complex structure on its kernel)
     m = mat([[1, 1, 0], [0, 1, 1], [0, 0, 1]])
     mixed = mat([[1, 1, 0], [0, 1, 0], [0, 0, 2]])
     e = OperatorExpr.of(
