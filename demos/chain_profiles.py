@@ -17,6 +17,7 @@ from fredprofile import (
     CATALOG,
     DocumentError,
     OperatorDocument,
+    OutputError,
     analyze_expr,
     build_report,
     by_name,
@@ -31,15 +32,16 @@ def load(args):
     return OperatorDocument(entry.name, entry.expr), entry.power
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--name", default="jordan3", choices=[e.name for e in CATALOG])
     ap.add_argument("--doc", metavar="F", help="operator document instead of --name")
     ap.add_argument("--lambda", dest="lam", default="0,0", metavar="RE,IM")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     # one error line and the CLI's exit codes: 1 for the point, as analyze
-    # --lambda gives, and 2 for the document
+    # --lambda gives, 2 for the document and 7 for a report rational too
+    # long to print
     try:
         lam = parse_point(args.lam)
     except ValueError as exc:
@@ -51,7 +53,11 @@ def main():
         print(f"error: {exc}", file=sys.stderr)
         return 2
     an = analyze_expr(doc.expr, lam, power)
-    rep = build_report(doc, lam)
+    try:
+        rep = build_report(doc, lam)
+    except OutputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 7
 
     print(f"operator: {doc.name}   point: {rep.re} + {rep.im}i   power: {power}")
     print()

@@ -38,7 +38,7 @@ def headline(rec):
     return "irregular"
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument(
         "--points",
@@ -47,7 +47,7 @@ def main():
         metavar="RE,IM",
         help="points to classify at",
     )
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
     # one error line and exit 1, as analyze --lambda gives
     try:
         points = [parse_point(t) for t in args.points]

@@ -18,7 +18,7 @@ from fredprofile.cli import parse_grid
 from fredprofile.spectra import component_runs
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--name", default="right_shift", choices=[e.name for e in CATALOG])
     ap.add_argument(
@@ -27,7 +27,7 @@ def main():
         metavar="RE0,RE1,IM0,IM1,NR,NI",
     )
     ap.add_argument("--set", dest="set_name", default="pbf", choices=SPECTRUM_NAMES)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     entry = by_name(args.name)
     if entry.power != 1:

@@ -1,12 +1,14 @@
 import dataclasses
+import sys
 from fractions import Fraction as F
+from itertools import combinations_with_replacement
 from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fredprofile.catalog import CATALOG, by_name
+from fredprofile.catalog import CATALOG, J2, J2_DIAG2, by_name
 from fredprofile.classify import (
     _EQUIVALENT,
     _IMPLIES,
@@ -127,6 +129,76 @@ def test_lattice_flags_hand_corrupted_records():
     assert check_lattice(bad2) != []
     bad3 = dataclasses.replace(rec, pseudo_fredholm=False)
     assert any("pseudo_fredholm" in v for v in check_lattice(bad3))
+
+
+_SHIFTS = (RIGHT_SHIFT, LEFT_SHIFT, QNIL_SHIFT, QNIL_SHIFT_DUAL)
+_ZERO_1 = matrix_atom([[0]])
+# the shifts; the 1 x 1 blocks 1 and 0; J2 alone and next to an invertible
+# block; the rotation, with its eigenvalues +-i
+_FAMILY = _SHIFTS + (matrix_atom([[1]]), _ZERO_1, J2, J2_DIAG2, matrix_atom([[0, -1], [1, 0]]))
+_ENUMERATED_POINTS = (
+    point(0), point(F(1, 2)), point(1), point(2),
+    point(0, 1), point(F(3, 5), F(4, 5)), point(F(1, 2), F(1, 2)),
+)
+
+
+def _enumerated_records():
+    """classify at every point of _ENUMERATED_POINTS, powers 1-3, of every
+    direct sum of 1-3 atoms of _FAMILY and of 4-6 atoms of the shifts and
+    [[0]], drawn with repetition."""
+    sums = [c for k in (1, 2, 3) for c in combinations_with_replacement(_FAMILY, k)]
+    sums += [c for k in (4, 5, 6) for c in combinations_with_replacement(_SHIFTS + (_ZERO_1,), k)]
+    for atoms in sums:
+        e = OperatorExpr(atoms)
+        for lam in _ENUMERATED_POINTS:
+            for power in (1, 2, 3):
+                yield classify(e, lam, power)
+
+
+def _record_shape(rec):
+    """What the lattice rules read of a record: its flags, the index's kind
+    and sign, which of alpha and beta are finite, and whether p, q and dis
+    are 0."""
+    s = rec.summary
+    defined = s.alpha is not None
+    return (
+        tuple(rec.flags().values()),
+        s.index.kind,
+        (s.index.value > 0) - (s.index.value < 0),
+        defined and s.alpha.is_finite,
+        defined and s.beta.is_finite,
+        s.p == ZERO,
+        s.q == ZERO,
+        s.dis == ZERO,
+    )
+
+
+def test_lattice_clean_on_every_record_shape():
+    # classify runs no checker: this enumeration is the cross-check of how
+    # classify_analysis derives the flags
+    shapes = set()
+    for rec in _enumerated_records():
+        assert check_lattice(rec) == [], rec
+        shapes.add(_record_shape(rec))
+    # all sums of up to five atoms of _FAMILY, at these points and powers,
+    # reach these same 29 shapes and no other
+    assert len(shapes) == 29
+
+
+def test_enumeration_catches_a_flipped_flag(monkeypatch):
+    # a record maker that gets one flag wrong: weyl at every Fredholm point.
+    # The package re-exports classify(), which shadows the module name.
+    classify_module = sys.modules["fredprofile.classify"]
+    make = classify_module.classify_analysis
+
+    def flipped(an):
+        rec = make(an)
+        return dataclasses.replace(rec, weyl=not rec.weyl) if rec.fredholm else rec
+
+    monkeypatch.setattr(classify_module, "classify_analysis", flipped)
+    bad = next(rec for rec in _enumerated_records() if check_lattice(rec))
+    assert bad.fredholm
+    assert "weyl <=> fredholm and index.is_zero()" in check_lattice(bad)
 
 
 def test_semi_b_fredholm_iff_semi_fredholm_plus_nilpotent_split():
@@ -463,8 +535,9 @@ def test_lattice_table_matches_reference_checker(rec):
 
 
 def _table_check_lattice(rec: ClassificationRecord) -> list[str]:
-    """The checker that read the rule tables record by record, before they
-    were compiled into bit masks, kept verbatim as the reference."""
+    """The checker that reads the rule tables record by record, kept
+    verbatim as the reference for check_lattice's messages and their
+    order."""
     f = rec.flags()
     s = rec.summary
     idx = s.index

@@ -1,6 +1,7 @@
 import contextlib
 import errno
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -76,37 +77,6 @@ def test_out_to_missing_directory_is_exit_7(shift_doc, tmp_path, capsys):
     )
     assert code == 7
     assert not missing.parent.exists()
-
-
-def test_lattice_violation_is_exit_6(shift_doc, monkeypatch, capsys):
-    # the package re-exports classify(), which shadows the module name
-    classify_module = sys.modules["fredprofile.classify"]
-    monkeypatch.setattr(classify_module, "check_lattice", lambda rec: ["injected"])
-    assert main(["analyze", "--in", shift_doc]) == 6
-    err = capsys.readouterr().err
-    assert "internal error" in err and "injected" in err
-
-
-def test_flipped_flag_is_exit_6(shift_doc, monkeypatch, capsys):
-    # a record maker that gets one flag wrong: weyl at the Fredholm points
-    # of the right shift (index -1, so not Weyl); the real checker must
-    # catch it on every command that classifies
-    classify_module = sys.modules["fredprofile.classify"]
-    make = classify_module._record_from_analysis
-
-    def flipped(an):
-        rec = make(an)
-        return replace(rec, weyl=not rec.weyl) if rec.fredholm else rec
-
-    monkeypatch.setattr(classify_module, "_record_from_analysis", flipped)
-    for argv in (
-        ["analyze", "--in", shift_doc],
-        ["spectrum", "--in", shift_doc, "--grid=-1,1,0,0,3,1"],
-    ):
-        assert main(argv) == 6
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert "internal error" in err and "weyl <=> fredholm and index.is_zero()" in err
 
 
 def test_analyze_to_stdout(j3_doc, capsys):
@@ -424,7 +394,10 @@ def test_drazin_rejects_multi_atom_document(tmp_path, capsys):
 # The error contract: a malformed --lambda or --grid numeral, or a verify
 # --cases or --seed text, is exit 1, a malformed document exit 2, and
 # drazin on a document that is not one matrix exit 4; each prints one
-# "error: " line, no traceback and nothing on stdout.
+# "error: " line, no traceback and nothing on stdout. The demos keep it
+# for the same texts: a --lambda text as chain_profiles.py --lambda and
+# classification_table.py --points, a --grid text as spectrum_regions.py
+# --grid and a document as chain_profiles.py --doc.
 
 
 def _refused(text):
@@ -633,23 +606,64 @@ def error_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("cli_errors")
 
 
+def _demo_main(script):
+    path = Path(__file__).resolve().parents[1] / "demos" / script
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.main
+
+
+@pytest.fixture(scope="module")
+def demo_mains():
+    return {
+        name: _demo_main(f"{name}.py")
+        for name in ("chain_profiles", "classification_table", "spectrum_regions")
+    }
+
+
+def _demo_runs(args, doc, code):
+    """The demo calls, (demo, argv), that take the text of the CLI case
+    args with exit code code; doc is the path of its document."""
+    if code == 2:
+        return [("chain_profiles", ["--doc", doc])]
+    if code != 1:
+        # drazin's refusal of a document that is not one matrix
+        return []
+    opt, _, text = args[1].partition("=")
+    if opt == "--lambda":
+        return [("chain_profiles", [args[1]]), ("classification_table", [f"--points={text}"])]
+    if opt == "--grid":
+        return [("spectrum_regions", [args[1]])]
+    return []
+
+
+def _run_in_process(fn, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = fn(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
 # no shrinking: a failing case is reported as generated, in seconds; with
 # shrinking a broken contract took minutes to report
 @settings(max_examples=300, deadline=None, derandomize=True, phases=(Phase.generate,))
 @given(_ERROR_CASES)
-def test_error_contract(error_dir, case):
+def test_error_contract(error_dir, demo_mains, case):
     args, data, code = case
+    doc = None
     if data is not None:
-        doc = error_dir / "op.json"
-        doc.write_bytes(data)
-        args = [*args, "--in", str(doc)]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        got = main(args)
-    assert got == code, err.getvalue()
-    assert out.getvalue() == ""
-    assert sum("error: " in line for line in err.getvalue().splitlines()) == 1, err.getvalue()
-    assert "Traceback" not in err.getvalue()
+        path = error_dir / "op.json"
+        path.write_bytes(data)
+        doc = str(path)
+    calls = [(main, [*args, "--in", doc] if doc else args)]
+    calls += [(demo_mains[demo], argv) for demo, argv in _demo_runs(args, doc, code)]
+    for fn, argv in calls:
+        got, out, err = _run_in_process(fn, argv)
+        assert got == code, (argv, err)
+        assert out == ""
+        assert sum("error: " in line for line in err.splitlines()) == 1, (argv, err)
+        assert "Traceback" not in err
 
 
 BIG = json.dumps(

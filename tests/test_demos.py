@@ -1,6 +1,7 @@
 """The documented demo invocations, run as scripts: their stdout must
 match the outputs recorded in tests/demo_outputs byte for byte. README's
 library quick start, run as written, must print what its comments say."""
+import json
 import os
 import subprocess
 import sys
@@ -33,9 +34,20 @@ DEMOS = {
 }
 
 
+# a 2 x 2 document whose Drazin inverse has entries of about 5000 digits,
+# past Python's 4300-digit int-string limit, which stays in force; the
+# REJECTED cases run in a directory that holds it as long_entries.json
+LONG_ENTRIES = json.dumps(
+    {
+        "name": "big",
+        "atoms": [{"type": "matrix", "entries": [["1" * 2500, "2" * 2500], ["2" * 2500, "3"]]}],
+    }
+)
+
 # malformed arguments, each with the exit code the CLI gives for the same
 # text: spectrum --grid=-2,2,-2,2,+5,5 and analyze --lambda 1e3,0 or 1/2
-# exit 1, analyze --in on a file that cannot be read exits 2
+# exit 1, analyze --in on a file that cannot be read exits 2, and analyze
+# --in on the long-entry document exits 7
 REJECTED = {
     "spectrum_regions_signed_count": (["spectrum_regions.py", "--grid=-2,2,-2,2,+5,5"], 1),
     "chain_profiles_exponent_point": (["chain_profiles.py", "--lambda", "1e3,0"], 1),
@@ -48,10 +60,11 @@ REJECTED = {
     "chain_profiles_unreadable_doc": (
         ["chain_profiles.py", "--doc", str(RECORDED / "no_such_document.json")], 2,
     ),
+    "chain_profiles_rational_too_long": (["chain_profiles.py", "--doc", "long_entries.json"], 7),
 }
 
 
-def _run_demo(script, *args):
+def _run_demo(script, *args, cwd=None):
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(fredprofile.__file__))
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
@@ -59,6 +72,7 @@ def _run_demo(script, *args):
         [sys.executable, str(ROOT / "demos" / script), *args],
         capture_output=True,
         env=env,
+        cwd=cwd,
     )
 
 
@@ -70,9 +84,10 @@ def test_demo_output_is_pinned(name):
 
 
 @pytest.mark.parametrize("name", REJECTED)
-def test_demo_malformed_argument_is_one_error_line(name):
+def test_demo_malformed_argument_is_one_error_line(name, tmp_path):
     argv, code = REJECTED[name]
-    proc = _run_demo(*argv)
+    (tmp_path / "long_entries.json").write_text(LONG_ENTRIES)
+    proc = _run_demo(*argv, cwd=tmp_path)
     assert proc.returncode == code
     assert proc.stdout == b""
     lines = proc.stderr.decode().splitlines()

@@ -7,6 +7,7 @@ profiles, the Drazin inverse) against the routes that compute it a second
 way."""
 import json
 import sys
+from dataclasses import replace
 from fractions import Fraction as F
 from pathlib import Path
 from random import Random
@@ -283,6 +284,37 @@ def test_complex_split_of_fraction_chains(d, nu, monkeypatch):
     assert all(ok for _, ok, _, _ in split_certificate(s, split, nu))
     if d == 8:
         assert split == _fitting_reference(m, lam)
+
+
+# a Jordan chain of length 3 at 1/2 next to the eigenvalue 2
+J3_AT_HALF = mat([[F(1, 2), 1, 0, F(1, 3)], [0, F(1, 2), 1, 0], [0, 0, F(1, 2), 0], [0, 0, 0, 2]])
+
+
+@pytest.mark.parametrize(
+    "m, lam, nu",
+    [(J3_AT_HALF, (F(1, 2), F(0)), 3), (ROT_CHAIN, (F(0), F(1)), 2), (J3_AT_HALF, (F(1, 3), F(0)), 0)],
+    ids=["real_nu_3", "complex_chain_at_i", "off_the_spectrum"],
+)
+def test_split_certificate_fails_broken_splits(m, lam, nu):
+    split = matrix_split(analyze_atom(Atom("matrix", m), lam), 0)
+
+    def failed(sp):
+        return {prop for prop, ok, _, _ in split_certificate(split.block, sp, nu) if not ok}
+
+    assert failed(split) == set()
+    rows = split.drazin.to_rows()
+    rows[-1][0] += 1
+    assert failed(replace(split, drazin=ExactMatrix.from_rows(rows))) == {"drazin_axioms"}
+    swapped = replace(
+        split,
+        m_basis=split.n_basis,
+        n_basis=split.m_basis,
+        m_atom=split.n_atom,
+        n_atom=split.m_atom,
+    )
+    # off the spectrum the swapped core side is empty, and has no block to check
+    want = {"core_restriction_invertible"} if nu else set()
+    assert failed(swapped) == want | {"h0_restriction_nilpotent_degree"}
 
 
 @settings(max_examples=100, deadline=None)
