@@ -10,19 +10,17 @@ Examples:
     python3 demos/chain_profiles.py --name right_jordan3_qnil --lambda 1/10,0
     python3 demos/chain_profiles.py --doc my_operator.json
 """
-import argparse
 import sys
 
 from fredprofile import (
     CATALOG,
-    DocumentError,
+    FredprofileError,
     OperatorDocument,
-    OutputError,
     analyze_expr,
     build_report,
     by_name,
 )
-from fredprofile.cli import parse_point, read_document
+from fredprofile.cli import Parser, parse_point, read_document
 
 
 def load(args):
@@ -33,15 +31,14 @@ def load(args):
 
 
 def main(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap = Parser(description=__doc__.splitlines()[0])
     ap.add_argument("--name", default="jordan3", choices=[e.name for e in CATALOG])
     ap.add_argument("--doc", metavar="F", help="operator document instead of --name")
     ap.add_argument("--lambda", dest="lam", default="0,0", metavar="RE,IM")
     args = ap.parse_args(argv)
 
     # one error line and the CLI's exit codes: 1 for the point, as analyze
-    # --lambda gives, 2 for the document and 7 for a report rational too
-    # long to print
+    # --lambda gives, and the error class's code for the rest
     try:
         lam = parse_point(args.lam)
     except ValueError as exc:
@@ -49,15 +46,11 @@ def main(argv=None):
         return 1
     try:
         doc, power = load(args)
-    except DocumentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    an = analyze_expr(doc.expr, lam, power)
-    try:
+        an = analyze_expr(doc.expr, lam, power)
         rep = build_report(doc, lam)
-    except OutputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 7
+    except FredprofileError as exc:
+        print(f"{exc.prefix}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
     print(f"operator: {doc.name}   point: {rep.re} + {rep.im}i   power: {power}")
     print()

@@ -10,11 +10,10 @@ Example:
     python3 demos/classification_table.py
     python3 demos/classification_table.py --points 0,0 1/2,0 0,1 2,0
 """
-import argparse
 import sys
 
 from fredprofile import CATALOG, RIGHT_SHIFT, OperatorExpr, classify
-from fredprofile.cli import parse_point
+from fredprofile.cli import Parser, parse_point
 
 # most specific first; the first flag that holds is the headline
 HEADLINES = (
@@ -39,7 +38,7 @@ def headline(rec):
 
 
 def main(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap = Parser(description=__doc__.splitlines()[0])
     ap.add_argument(
         "--points",
         nargs="+",

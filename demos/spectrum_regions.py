@@ -10,16 +10,15 @@ Example:
     python3 demos/spectrum_regions.py
     python3 demos/spectrum_regions.py --name right_right_left --set pbw
 """
-import argparse
 import sys
 
 from fredprofile import CATALOG, SPECTRUM_NAMES, by_name, component_index_report, scan
-from fredprofile.cli import parse_grid
+from fredprofile.cli import Parser, parse_grid
 from fredprofile.spectra import component_runs
 
 
 def main(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap = Parser(description=__doc__.splitlines()[0])
     ap.add_argument("--name", default="right_shift", choices=[e.name for e in CATALOG])
     ap.add_argument(
         "--grid",
@@ -31,7 +30,7 @@ def main(argv=None):
 
     entry = by_name(args.name)
     if entry.power != 1:
-        print("grid scans use the operator itself, not a power", file=sys.stderr)
+        print("error: grid scans use the operator itself, not a power", file=sys.stderr)
         return 1
     try:
         grid = parse_grid(args.grid)

@@ -4,15 +4,16 @@ Commands: analyze (classify one operator document at one point), spectrum
 (grid scan to CSV or JSON), drazin (Drazin inverse of a single matrix
 document), verify (randomized property suites).
 
-Exit codes: 0 success, 1 usage error (including a grid of more than
+Exit codes: 0 success; 1 usage error (including a grid of more than
 MAX_GRID_POINTS points, a verify --cases count past verify.MAX_CASES and
-a point count, --cases or --seed not in ASCII digits), 2 document parse
-error (including a document of more than MAX_DOCUMENT_BYTES bytes or not
-in UTF-8), 4 drazin on a non-matrix document, 5 verify found a property
-violation, 6 internal invariant violated (a bug in this package), 7 an
-output could not be produced or written (an unwritable output file or
-stdout, or a rational too long to print).
-Code 3 is not used.
+a point count, --cases or --seed not in ASCII digits); 4 drazin on a
+non-matrix document; 5 verify found a property violation. Any other
+failure is a FredprofileError: one "prefix: message" line on stderr and
+its class's exit_code, 2 for a DocumentError (a document that does not
+parse or validate, is not UTF-8 or has more than MAX_DOCUMENT_BYTES
+bytes), 7 for an OutputError (an unwritable output file or stdout, or a
+rational too long to print) and 6 for every other class (an internal
+error: a bug in this package). Code 3 is not used.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ import os
 import sys
 
 from .docio import MAX_DOCUMENT_BYTES, build_report, matrix_rows, parse_document
-from .errors import DocumentError, InternalInvariantError, OutputError
+from .errors import DocumentError, FredprofileError, OutputError
 from .extvals import int_numeral, natural_numeral
 from .model import Point, point
 from .spectra import GridSpec, SPECTRUM_NAMES, scan, scan_to_csv, scan_to_json
@@ -30,7 +31,7 @@ from .structure import drazin_inverse
 from .verify import MAX_CASES, SUITE_NAMES, run as run_suites
 
 
-class _Parser(argparse.ArgumentParser):
+class Parser(argparse.ArgumentParser):
     # usage problems exit 1, not argparse's default 2
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -38,8 +39,8 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _build_parser() -> _Parser:
-    p = _Parser(prog="fredprofile", description=__doc__.splitlines()[0])
+def _build_parser() -> Parser:
+    p = Parser(prog="fredprofile", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
 
     pa = sub.add_parser("analyze", help="classify a document at one point")
@@ -62,7 +63,13 @@ def _build_parser() -> _Parser:
         metavar="RE0,RE1,IM0,IM1,NR,NI",
         help="bounds and point counts per axis",
     )
-    ps.add_argument("--set", dest="set_name", default="pbf", choices=SPECTRUM_NAMES)
+    ps.add_argument(
+        "--set",
+        dest="set_name",
+        default="pbf",
+        choices=SPECTRUM_NAMES,
+        help="spectrum whose components --format json reports; CSV ignores it",
+    )
     ps.add_argument("--out", dest="outfile", metavar="F")
     ps.add_argument("--format", dest="fmt", default="csv", choices=("csv", "json"))
     ps.set_defaults(parser=ps)
@@ -209,15 +216,9 @@ def main(argv=None) -> int:
         return _cmd_verify(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except DocumentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except InternalInvariantError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 6
-    except OutputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 7
+    except FredprofileError as exc:
+        print(f"{exc.prefix}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 def entry():

@@ -2,7 +2,12 @@
 
 
 class FredprofileError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors. exit_code and prefix are the CLI's
+    exit code and stderr prefix for the class: one that keeps the base's is
+    a bug in this package, never a property of the input."""
+
+    exit_code = 6
+    prefix = "internal error"
 
 
 class AmbientMismatch(FredprofileError):
@@ -26,9 +31,15 @@ class NotPseudoFredholm(FredprofileError):
 class DocumentError(FredprofileError):
     """An operator document failed to parse or validate."""
 
+    exit_code = 2
+    prefix = "error"
+
 
 class OutputError(FredprofileError):
     """An output could not be produced or written."""
+
+    exit_code = 7
+    prefix = "error"
 
 
 class InternalInvariantError(FredprofileError):

@@ -195,18 +195,9 @@ def real_quadratic(m: ExactMatrix, re: Fraction, im: Fraction) -> ExactMatrix:
     complex point the chain's ranks are those of its powers
     (matrix_chain_data), and the Fitting split of the realified block is
     read off its own real split at the same nu (structure.matrix_split).
-
-    With m - re*I = N/D (one product of integer matrices gives N^2/D^2) and
-    im = c/e, q(m) = (e^2 N^2 + c^2 D^2 I) / (e^2 D^2): no Fraction is built.
     """
     s = m.minus_scalar(re)
-    sq = s @ s
-    e2 = im.denominator * im.denominator
-    num = [x * e2 for x in sq.num]
-    c2d = im.numerator * im.numerator * sq.den
-    for k in range(0, len(num), sq.cols + 1):
-        num[k] += c2d
-    return ExactMatrix(sq.rows, sq.cols, tuple(num), sq.den * e2)
+    return (s @ s).minus_scalar(-im * im)
 
 
 def matrix_chain_data(

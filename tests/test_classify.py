@@ -4,15 +4,11 @@ from fractions import Fraction as F
 from itertools import combinations_with_replacement
 from random import Random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fredprofile.catalog import CATALOG, J2, J2_DIAG2, by_name
 from fredprofile.classify import (
-    _EQUIVALENT,
-    _IMPLIES,
-    _NEED_PSEUDO_FREDHOLM,
     FLAG_NAMES,
     ClassificationRecord,
     check_lattice,
@@ -129,6 +125,35 @@ def test_lattice_flags_hand_corrupted_records():
     assert check_lattice(bad2) != []
     bad3 = dataclasses.replace(rec, pseudo_fredholm=False)
     assert any("pseudo_fredholm" in v for v in check_lattice(bad3))
+
+
+def test_lattice_messages_and_their_order():
+    # implications, equivalences, the index rules, then the summary's
+    # agreement with the flags, each part in its table's order
+    shift = OperatorExpr.of(RIGHT_SHIFT)
+    on_circle = classify(shift, point(1))
+    assert not on_circle.pseudo_fredholm
+    assert check_lattice(dataclasses.replace(on_circle, gen_drazin=True)) == [
+        "gen_drazin <=> left_gen_drazin and right_gen_drazin",
+        "gen_drazin requires pseudo_fredholm",
+    ]
+    at_0 = classify(shift, point(0))
+    assert at_0.fredholm and at_0.summary.index == ExtIndex.of(-1)
+    assert check_lattice(dataclasses.replace(at_0, weyl=True)) == [
+        "weyl <=> fredholm and index.is_zero()",
+        "weyl <=> upper_semi_weyl and lower_semi_weyl",
+    ]
+    # S - 1/2 is bounded below with p = 0 and q infinite
+    inside = classify(shift, point(F(1, 2)))
+    bad = dataclasses.replace(inside, surjective=True, quasi_nilpotent=True, left_gen_drazin=False)
+    assert check_lattice(bad) == [
+        "bounded_below => left_gen_drazin",
+        "surjective => right_gen_drazin",
+        "quasi_nilpotent => gen_drazin",
+        "invertible <=> bounded_below and surjective",
+        "quasi_nilpotent => index.is_zero()",
+        "left_gen_drazin <=> p == 0",
+    ]
 
 
 _SHIFTS = (RIGHT_SHIFT, LEFT_SHIFT, QNIL_SHIFT, QNIL_SHIFT_DUAL)
@@ -532,55 +557,3 @@ def test_lattice_table_matches_reference_checker(rec):
     )
     assert len(got) == len(want) - twice, (got, want)
     assert (got == []) == (want == [])
-
-
-def _table_check_lattice(rec: ClassificationRecord) -> list[str]:
-    """The checker that reads the rule tables record by record, kept
-    verbatim as the reference for check_lattice's messages and their
-    order."""
-    f = rec.flags()
-    s = rec.summary
-    idx = s.index
-    out = [f"{a} => {b}" for a, b in _IMPLIES if f[a] and not f[b]]
-    for a, bs, test in _EQUIVALENT:
-        if f[a] != (all(f[b] for b in bs) and (test is None or getattr(idx, test)())):
-            rule = " and ".join(bs) + (f" and index.{test}()" if test else "")
-            out.append(f"{a} <=> {rule}")
-    if f["quasi_nilpotent"] and not idx.is_zero():
-        out.append("quasi_nilpotent => index.is_zero()")
-    some_pseudo_semi_b = f["upper_pseudo_semi_b_fredholm"] or f["lower_pseudo_semi_b_fredholm"]
-    if f["pseudo_b_fredholm"] != (some_pseudo_semi_b and idx.is_int):
-        out.append("pseudo_b_fredholm <=> some pseudo_semi_b flag and index.is_int")
-    # the summary must match the flags derived from it
-    if not f["pseudo_fredholm"]:
-        if s.alpha is not None or idx != UNDEF_INDEX:
-            out.append("non pseudo_fredholm point must have an undefined summary")
-        out += [f"{n} requires pseudo_fredholm" for n in _NEED_PSEUDO_FREDHOLM if f[n]]
-    elif s.alpha is None:
-        out.append("pseudo_fredholm point must carry a summary")
-    else:
-        for name, holds, value in (
-            ("upper_pseudo_semi_b_fredholm", s.alpha.is_finite, "finite alpha"),
-            ("lower_pseudo_semi_b_fredholm", s.beta.is_finite, "finite beta"),
-            ("left_gen_drazin", s.p == ZERO, "p == 0"),
-            ("right_gen_drazin", s.q == ZERO, "q == 0"),
-        ):
-            if f[name] != holds:
-                out.append(f"{name} <=> {value}")
-    return out
-
-
-@settings(max_examples=400, deadline=None)
-@given(_records())
-def test_lattice_masks_match_table_checker(rec):
-    assert check_lattice(rec) == _table_check_lattice(rec)
-
-
-@pytest.mark.parametrize("name", FLAG_NAMES)
-def test_single_flips_match_table_checker(name):
-    # each flag flipped alone, at points with and without a decomposition
-    for entry in CATALOG:
-        for lam in (point(0), point(1), point(F(1, 2))):
-            rec = classify(entry.expr, lam, entry.power)
-            bad = dataclasses.replace(rec, **{name: not rec.flag(name)})
-            assert check_lattice(bad) == _table_check_lattice(bad)

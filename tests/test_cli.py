@@ -16,7 +16,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import fredprofile
-from fredprofile import cli, verify
+from fredprofile import cli, structure, verify
 from fredprofile.catalog import by_name
 from fredprofile.cli import entry, main
 from fredprofile.docio import (
@@ -697,6 +697,41 @@ def test_grid_coordinate_past_the_int_string_limit_is_exit_7(shift_doc, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: rational too long to print")
+
+
+# the exit code and stderr prefix each error class leaves main with; a new
+# class must be added here
+EXIT_CODES = {
+    "FredprofileError": (6, "internal error"),
+    "AmbientMismatch": (6, "internal error"),
+    "NotInvariant": (6, "internal error"),
+    "NotPseudoFredholm": (6, "internal error"),
+    "DocumentError": (2, "error"),
+    "OutputError": (7, "error"),
+    "InternalInvariantError": (6, "internal error"),
+}
+
+
+def _error_classes(cls=fredprofile.FredprofileError):
+    return [cls] + [c for sub in cls.__subclasses__() for c in _error_classes(sub)]
+
+
+@pytest.mark.parametrize("cls", _error_classes(), ids=lambda cls: cls.__name__)
+def test_error_class_raised_inside_analyze_is_its_exit_code(
+    cls, j3_doc, demo_mains, monkeypatch
+):
+    # raised where the Fitting split restricts J3 to its nilpotent side
+    def broken(m, b):
+        raise cls("injected")
+
+    monkeypatch.setattr(structure, "restrict", broken)
+    code, prefix = EXIT_CODES[cls.__name__]
+    calls = [
+        (main, ["analyze", "--in", j3_doc]),
+        (demo_mains["chain_profiles"], ["--doc", j3_doc]),
+    ]
+    for fn, argv in calls:
+        assert _run_in_process(fn, argv) == (code, "", f"{prefix}: injected\n")
 
 
 def test_usage_errors(capsys):

@@ -47,9 +47,11 @@ LONG_ENTRIES = json.dumps(
 # malformed arguments, each with the exit code the CLI gives for the same
 # text: spectrum --grid=-2,2,-2,2,+5,5 and analyze --lambda 1e3,0 or 1/2
 # exit 1, analyze --in on a file that cannot be read exits 2, and analyze
-# --in on the long-entry document exits 7
+# --in on the long-entry document exits 7. A catalog power has no grid scan,
+# a usage error too.
 REJECTED = {
     "spectrum_regions_signed_count": (["spectrum_regions.py", "--grid=-2,2,-2,2,+5,5"], 1),
+    "spectrum_regions_power": (["spectrum_regions.py", "--name", "right_shift_squared"], 1),
     "chain_profiles_exponent_point": (["chain_profiles.py", "--lambda", "1e3,0"], 1),
     "classification_table_exponent_point": (
         ["classification_table.py", "--points", "0,0", "1e3,0"], 1,
@@ -92,6 +94,26 @@ def test_demo_malformed_argument_is_one_error_line(name, tmp_path):
     assert proc.stdout == b""
     lines = proc.stderr.decode().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+    assert b"Traceback" not in proc.stderr
+
+
+# arguments argparse refuses: exit 1, the CLI's usage error, not argparse's 2
+USAGE_ERRORS = {
+    "chain_profiles_unknown_name": ["chain_profiles.py", "--name", "nope"],
+    "classification_table_no_points": ["classification_table.py", "--points"],
+    "spectrum_regions_unknown_set": ["spectrum_regions.py", "--set", "nope"],
+}
+
+
+@pytest.mark.parametrize("name", USAGE_ERRORS)
+def test_demo_usage_error_is_exit_1(name):
+    script, *args = USAGE_ERRORS[name]
+    proc = _run_demo(script, *args)
+    assert proc.returncode == 1
+    assert proc.stdout == b""
+    lines = proc.stderr.decode().splitlines()
+    assert lines[0].startswith(f"usage: {script} "), proc.stderr
+    assert lines[-1].startswith(f"{script}: error: "), proc.stderr
     assert b"Traceback" not in proc.stderr
 
 
