@@ -20,7 +20,7 @@ from fredprofile import (
     build_report,
     by_name,
 )
-from fredprofile.cli import Parser, parse_point, read_document
+from fredprofile.cli import Parser, entry, parse_point, read_document
 
 
 def load(args):
@@ -98,4 +98,4 @@ def main(argv=None):
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    entry(main)

@@ -13,7 +13,7 @@ Example:
 import sys
 
 from fredprofile import CATALOG, RIGHT_SHIFT, OperatorExpr, classify
-from fredprofile.cli import Parser, parse_point
+from fredprofile.cli import Parser, entry, parse_point
 
 # most specific first; the first flag that holds is the headline
 HEADLINES = (
@@ -83,4 +83,4 @@ def main(argv=None):
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    entry(main)

@@ -13,7 +13,7 @@ Example:
 import sys
 
 from fredprofile import CATALOG, SPECTRUM_NAMES, by_name, component_index_report, scan
-from fredprofile.cli import Parser, parse_grid
+from fredprofile.cli import Parser, entry, parse_grid
 from fredprofile.spectra import component_runs
 
 
@@ -62,4 +62,4 @@ def main(argv=None):
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    entry(main)

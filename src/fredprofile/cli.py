@@ -221,12 +221,23 @@ def main(argv=None) -> int:
         return exc.exit_code
 
 
-def entry():
-    code = main()
+def entry(run=main):
+    """Exit with the code of run(), main or a demo's main. A write to stdout
+    that fails, in run or in the flush after it, is one "error: cannot
+    write stdout: ..." line and exit 7, unless run has failed and reported
+    its own error (main reports its writes' as an OutputError). Every other
+    failure reaches run as a FredprofileError, so an OSError out of run is
+    a failed write to stdout."""
+    code = None
     try:
+        code = run()
         if sys.stdout is not None:
             sys.stdout.flush()
-    except OSError:
+    except OSError as exc:
+        if not code:
+            err = OutputError(f"cannot write stdout: {exc}")
+            print(f"{err.prefix}: {err}", file=sys.stderr)
+            code = err.exit_code
         # a failed write leaves its bytes in stdout's buffer; the flush at
         # interpreter exit would fail on them again, print a second error and
         # exit 120. Stdout is pointed at devnull, so that they go nowhere.

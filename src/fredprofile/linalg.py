@@ -24,6 +24,10 @@ and the pivot columns; rank counts its pivots, and a reduced echelon form
 is read after back-substitution. Each entry held is a minor, so dividing
 by the previous pivot is exact; so is back-substitution, as the last pivot
 times the reduced form (unique, Gauss-Jordan's) is integral (Cramer).
+A step works on rows in place and only where a row needs it: it swaps
+only when the pivot row is not in place, divides nothing while the
+previous pivot is 1, and keeps a row with a zero multiplier, or only
+rescales it where the new pivot differs from the previous one.
 
 Fractions appear only at the boundary: from_rows and from_vectors accept
 them (from_ratios takes the integer pairs a parsed document gives),
@@ -289,7 +293,9 @@ def _num_rows(m: ExactMatrix) -> list[tuple[int, ...]]:
 def _forward(a: list[Sequence[int]], cols: int) -> tuple[list[int], list[int]]:
     """Bareiss's forward elimination on the integer rows a, in place, until
     every row is a pivot row; a step sets each row below the pivot row to
-    (pv*row - row[pc]*pivot_row) // prev. Returns the pivots and values."""
+    (pv*row - row[pc]*pivot_row) // prev. A row with 0 at pc is kept where
+    pv = prev and rescaled to pv*row // prev otherwise, and nothing is
+    divided while prev is 1. Returns the pivots and values."""
     pivots, vals, prev, n = [], [], 1, len(a)
     for pc in range(cols):
         pr = len(pivots)
@@ -300,12 +306,20 @@ def _forward(a: list[Sequence[int]], cols: int) -> tuple[list[int], list[int]]:
                 break
         else:
             continue
-        a[sel], a[pr] = a[pr], a[sel]
-        prow, pv = a[pr], a[pr][pc]
-        a[pr + 1 :] = [  # a row with 0 at pc is kept where pv = prev
-            [(pv * x - r[pc] * y) // prev for x, y in zip(r, prow)] if r[pc] or pv != prev else r
-            for r in a[pr + 1 :]
-        ]
+        if sel != pr:
+            a[sel], a[pr] = a[pr], a[sel]
+        prow = a[pr]
+        pv = prow[pc]
+        for i in range(pr + 1, n):
+            r = a[i]
+            f = r[pc]
+            if f:
+                if prev == 1:
+                    a[i] = [pv * x - f * y for x, y in zip(r, prow)]
+                else:
+                    a[i] = [(pv * x - f * y) // prev for x, y in zip(r, prow)]
+            elif pv != prev:
+                a[i] = [pv * x for x in r] if prev == 1 else [pv * x // prev for x in r]
         pivots.append(pc)
         vals.append(pv)
         prev = pv

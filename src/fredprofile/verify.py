@@ -10,6 +10,7 @@ import zlib
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from random import Random
 
 from .catalog import CATALOG, J2
@@ -18,8 +19,8 @@ from .errors import NotPseudoFredholm
 from .extvals import EvAffineSeq, ExtIndex, ExtNat, ZERO
 from .linalg import (
     ExactMatrix,
+    _gauss_jordan,
     image_basis,
-    inverse,
     kernel_basis,
     rank,
     restrict,
@@ -44,14 +45,16 @@ from .spectra import (
     spectrum_membership,
 )
 from .structure import (
+    AtomAnalysis,
     MatrixSplit,
     analyze_atom,
     analyze_expr,
+    assemble_analysis,
     matrix_split,
 )
 
 # the most cases the CLI runs per suite, so that no small command line runs
-# for hours: `verify --suite all --cases MAX_CASES` took 16-19 s (seeds 0
+# for hours: `verify --suite all --cases MAX_CASES` took 9-10 s (seeds 0
 # and 42, Python 3.11, 2-core host)
 MAX_CASES = 10**4
 
@@ -66,11 +69,22 @@ _JORDAN_EIGENVALUES = [
 ]
 
 
-def _random_invertible(rng: Random, d: int) -> ExactMatrix:
+def _random_similar(rng: Random, j: ExactMatrix) -> ExactMatrix:
+    """P·J·P⁻¹ for the first invertible P drawn with entries in -2..2.
+    With J = Jn/den, Gauss-Jordan on the integer rows [Pᵀ | (P·Jn)ᵀ] ends at
+    p·[I | Xᵀ], X = P·Jn·P⁻¹ and p the last pivot, where P is invertible,
+    and puts a pivot past column d or finds fewer than d where it is not."""
+    d, jn = j.rows, j.num
+    jcols = [jn[k::d] for k in range(d)]
     while True:
-        m = ExactMatrix(d, d, tuple(rng.randint(-2, 2) for _ in range(d * d)))
-        if rank(m) == d:
-            return m
+        pn = [rng.randint(-2, 2) for _ in range(d * d)]
+        prows = [pn[i * d : (i + 1) * d] for i in range(d)]
+        pj = [[sum(map(mul, row, col)) for row in prows] for col in jcols]  # (P·Jn)ᵀ
+        a = [pn[i::d] + pj[i] for i in range(d)]
+        pivots, p = _gauss_jordan(a, 2 * d)
+        if pivots[d - 1 : d] == (d - 1,):
+            xt = [row[d:] for row in a]  # p·Xᵀ
+            return ExactMatrix(d, d, tuple([x for col in zip(*xt) for x in col]), p * j.den)
 
 
 def random_matrix(rng: Random) -> ExactMatrix:
@@ -90,9 +104,7 @@ def random_matrix(rng: Random) -> ExactMatrix:
                 if k + 1 < size:
                     rows[i + k][i + k + 1] = 1
             i += size
-        j = ExactMatrix.from_rows(rows)
-        p = _random_invertible(rng, d)
-        return p @ j @ inverse(p)
+        return _random_similar(rng, ExactMatrix.from_rows(rows))
     pairs = [(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(d * d)]
     return ExactMatrix.from_ratios(d, d, pairs)
 
@@ -186,14 +198,14 @@ def alpha_beta_core_oracle(split: MatrixSplit) -> tuple[ExtNat, ExtNat]:
     return ExtNat(alpha), ExtNat(beta)
 
 
-def index_with_nilpotent_regrouped(e: OperatorExpr, lam: Point) -> ExtIndex:
-    """Index computed with every nilpotent matrix atom counted on the
-    semi-regular side as a finite-dimensional (hence Fredholm) summand
-    instead of the quasi-nilpotent side. Must agree with the index that
-    analyze_expr gives."""
-    parts = [analyze_atom(a, lam) for a in e.atoms]
+def index_with_nilpotent_regrouped(parts: tuple[AtomAnalysis, ...]) -> ExtIndex:
+    """Index computed from the analyses of an expression's atoms at one
+    point with every nilpotent matrix atom counted on the semi-regular side
+    as a finite-dimensional (hence Fredholm) summand instead of the
+    quasi-nilpotent side. Must agree with the index that assemble_analysis
+    gives."""
     if any(p.m_profile is None and p.n_profile is None for p in parts):
-        raise NotPseudoFredholm(f"no decomposition at point {lam}")
+        raise NotPseudoFredholm(f"no decomposition at point {parts[0].point}")
     profs = []
     moved = False
     for p in parts:
@@ -319,14 +331,34 @@ def suite_gkd(cases: int, seed: int) -> SuiteResult:
     return res
 
 
+def _catalog_parts(lam: Point) -> dict[str, tuple[AtomAnalysis, ...]]:
+    """The analyses at lam of each catalog entry's atoms, by entry name,
+    each distinct atom analysed once."""
+    done: dict[Atom, AtomAnalysis] = {}
+    for e in CATALOG:
+        for a in e.expr.atoms:
+            if a not in done:
+                done[a] = analyze_atom(a, lam)
+    return {e.name: tuple(done[a] for a in e.expr.atoms) for e in CATALOG}
+
+
 def suite_index_laws(cases: int, seed: int) -> SuiteResult:
+    """Additivity of the index over direct sums and its scaling over powers
+    at 0 and 1/10, and its invariance when nilpotent atoms are regrouped, at
+    0. Every sum and power is assembled from its atoms' analyses at the
+    point (assemble_analysis, as analyze_expr assembles them)."""
     res = SuiteResult("index-laws", cases)
     simple = [e for e in CATALOG if e.power == 1]
-    for lam in (point(0), point(Fraction(1, 10))):
-        idx = {e.name: analyze_expr(e.expr, lam, e.power).summary.index for e in CATALOG}
+    by_point = {lam: _catalog_parts(lam) for lam in (point(0), point(Fraction(1, 10)))}
+    for lam, parts in by_point.items():
+        idx = {
+            e.name: assemble_analysis(e.expr, lam, parts[e.name], e.power).summary.index
+            for e in CATALOG
+        }
         for i, e1 in enumerate(simple):
             for e2 in simple[i:]:
-                combined = analyze_expr(e1.expr + e2.expr, lam).summary.index
+                both = parts[e1.name] + parts[e2.name]
+                combined = assemble_analysis(e1.expr + e2.expr, lam, both).summary.index
                 res.check(
                     "direct_sum_additivity",
                     combined == idx[e1.name].add(idx[e2.name]),
@@ -339,7 +371,7 @@ def suite_index_laws(cases: int, seed: int) -> SuiteResult:
         for e in CATALOG:
             base = idx[e.name]
             for k in range(2, 5):
-                powered = analyze_expr(e.expr, lam, e.power * k).summary.index
+                powered = assemble_analysis(e.expr, lam, parts[e.name], e.power * k).summary.index
                 res.check(
                     "power_scaling",
                     powered == base.times(k),
@@ -348,10 +380,11 @@ def suite_index_laws(cases: int, seed: int) -> SuiteResult:
                     f"{e.name}^{k} at {lam}",
                     lambda: f"{powered.to_str()} vs {k}*{base.to_str()}",
                 )
+    at0 = by_point[point(0)]  # J2 is the jordan2 entry's atom
     for e in simple:
-        expr = e.expr + OperatorExpr.of(J2)
-        got = index_with_nilpotent_regrouped(expr, point(0))
-        want = analyze_expr(expr, point(0)).summary.index
+        expr, parts = e.expr + OperatorExpr.of(J2), at0[e.name] + at0["jordan2"]
+        got = index_with_nilpotent_regrouped(parts)
+        want = assemble_analysis(expr, point(0), parts).summary.index
         res.check(
             "nilpotent_regrouping_invariance",
             got == want,
@@ -402,11 +435,16 @@ _OFFSETS = [point(t) for t in _STEPS] + [point(0, t) for t in _STEPS]
 
 
 def suite_punctured(cases: int, seed: int) -> SuiteResult:
+    """Each catalog entry's alpha, beta and index at 0 hold at eight points
+    near 0, each entry assembled from its atoms' analyses at the point."""
     res = SuiteResult("punctured", cases)
+    by_point = {lam: _catalog_parts(lam) for lam in (point(0), *_OFFSETS)}
     for e in CATALOG:
-        at0 = analyze_expr(e.expr, point(0), e.power).summary
-        for lam in _OFFSETS:
-            s = analyze_expr(e.expr, lam, e.power).summary
+        at0, *near = [
+            assemble_analysis(e.expr, lam, parts[e.name], e.power).summary
+            for lam, parts in by_point.items()
+        ]
+        for lam, s in zip(_OFFSETS, near):
             res.check(
                 "punctured_neighborhood_constancy",
                 s.alpha == at0.alpha and s.beta == at0.beta and s.index == at0.index,

@@ -906,7 +906,7 @@ def test_verify_gkd_reports_a_wrong_core_oracle(monkeypatch, capsys):
 
 
 def test_verify_index_laws_reports_a_wrong_regrouped_index(monkeypatch, capsys):
-    monkeypatch.setattr(verify, "index_with_nilpotent_regrouped", lambda e, lam: ExtIndex.of(7))
+    monkeypatch.setattr(verify, "index_with_nilpotent_regrouped", lambda parts: ExtIndex.of(7))
     code = main(["verify", "--suite", "index-laws", "--cases", "1", "--seed", "1"])
     assert code == 5
     _assert_verify_failure(
@@ -997,6 +997,28 @@ def test_failed_stdout_write_is_exit_7(shift_doc, j3_doc, monkeypatch, capsys, a
     argv = [a.format(shift=shift_doc, j3=j3_doc) for a in argv]
     monkeypatch.setattr(sys, "stdout", _FailingStdout(failing))
     assert main(argv) == 7
+    assert capsys.readouterr().err == (
+        f"error: cannot write stdout: [Errno {errno.ENOSPC}] No space left on device\n"
+    )
+
+
+@pytest.mark.parametrize("failing", ["write", "flush"])
+@pytest.mark.parametrize("run", ["demo", "cli"])
+def test_entry_reports_a_failed_stdout_write_once(monkeypatch, capsys, tmp_path, run, failing):
+    # a demo's print fails, or its bytes fail at entry's flush; main reports
+    # its own failed write, and entry's flush of the same bytes adds nothing
+    def demo():
+        print("a table")
+        return 0
+
+    runs = {"demo": demo, "cli": lambda: main(["verify", "--suite", "chains", "--cases", "2"])}
+    with open(tmp_path / "stdout", "w") as fh:
+        out = _FailingStdout(failing)
+        out.fileno = fh.fileno  # entry points this descriptor at devnull
+        monkeypatch.setattr(sys, "stdout", out)
+        with pytest.raises(SystemExit) as exc:
+            entry(runs[run])
+    assert exc.value.code == 7
     assert capsys.readouterr().err == (
         f"error: cannot write stdout: [Errno {errno.ENOSPC}] No space left on device\n"
     )

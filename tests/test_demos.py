@@ -117,6 +117,32 @@ def test_demo_usage_error_is_exit_1(name):
     assert b"Traceback" not in proc.stderr
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+@pytest.mark.parametrize(
+    "script", ["chain_profiles.py", "classification_table.py", "spectrum_regions.py"]
+)
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+def test_demo_unwritable_stdout_is_exit_7(script, buffered):
+    # the CLI's exit code and one error line, also after the flush at
+    # interpreter exit
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(fredprofile.__file__))
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "demos" / script)],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+    assert proc.returncode == 7
+    lines = proc.stderr.decode().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: cannot write stdout: "), proc.stderr
+
+
 def test_readme_quick_start_prints_its_comments(capsys):
     # each print line of the block ends in a "# ..." comment giving its output
     readme = (ROOT / "README.md").read_text()

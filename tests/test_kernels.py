@@ -1,8 +1,10 @@
 """Differential tests of linalg's integer kernels against the Fraction
 reference in fraction_reference.py, with sympy as a third oracle for rank
-and the reduced echelon form, and tests of the stored form itself."""
+and the reduced echelon form, tests of the stored form itself, and of
+verify's similar test matrices against the product route."""
 import math
 from fractions import Fraction as F
+from random import Random
 
 import pytest
 from hypothesis import example, given, settings
@@ -22,6 +24,7 @@ from fredprofile.linalg import (
     subspace_sum,
 )
 from fredprofile.model import matrix_chain_data, real_quadratic, realified
+from fredprofile.verify import _JORDAN_EIGENVALUES, random_matrix
 
 ENTRIES = st.one_of(
     st.just(F(0)),
@@ -34,6 +37,26 @@ ENTRIES = st.one_of(
 NEGATIVE_PIVOTS = ExactMatrix.from_rows(
     [[-3, 1, F(2, 7)], [F(5, -11), -2, 0], [0, F(-(10**30), 10**30 + 7), -1]]
 )
+
+
+# one integer matrix, its rows of content 1, per case of a row in a Bareiss
+# step (linalg._forward): a unit first pivot, so the second step divides by
+# nothing, and a second pivot 3, by which the third divides; zero
+# multipliers under pivots 2 and 6, so those rows are rescaled, with no
+# division and then by 2; a zero multiplier under a second pivot equal to
+# the first, so that row is kept; a zero at the top of the first column,
+# so the first pivot row is swapped up
+UNIT_THEN_NON_UNIT = ExactMatrix.from_rows(
+    [[1, 2, 3, 4], [2, 7, 1, 0], [3, 1, 5, 2], [1, 0, 2, 7]]
+)
+ZERO_MULTIPLIER_RESCALED = ExactMatrix.from_rows([[2, 1, 0, 0], [0, 3, 1, 0], [0, 0, 5, 1]])
+ZERO_MULTIPLIER_KEPT = ExactMatrix.from_rows([[2, 1, 0], [4, 3, 1], [0, 0, 1]])
+SWAP_NEEDED = ExactMatrix.from_rows([[0, 1, 2], [3, 4, 5], [6, 7, 9]])
+
+
+def _columns_reversed(m):
+    """m with its columns in reverse order: the rows a kernel eliminates."""
+    return ExactMatrix.from_rows([row[::-1] for row in m.to_rows()])
 
 
 def _from_rows(rows, cols):
@@ -84,6 +107,10 @@ def square_matrices(max_dim=6):
 @example(ExactMatrix.from_rows([[0, 1, 2], [3, F(1, 2), 0], [1, 1, 1], [F(-2, 5), 0, 7]]))
 # a zero first column, and free columns between and after the pivots
 @example(ExactMatrix.from_rows([[0, 2, 4, 1, 3], [0, 1, 2, 5, F(1, 3)]]))
+@example(UNIT_THEN_NON_UNIT)
+@example(ZERO_MULTIPLIER_RESCALED)
+@example(ZERO_MULTIPLIER_KEPT)
+@example(SWAP_NEEDED)
 def test_rref_matches_fraction_reference(m):
     # the row space's basis is the nonzero rows of the reduced echelon form
     basis = SubspaceBasis.from_vectors(m.cols, m.to_rows())
@@ -100,6 +127,10 @@ def test_rref_matches_fraction_reference(m):
 @example(ExactMatrix.from_rows([[3, -2, 1], [-1, 1, 0], [2, -1, 1]]))
 # a zero first column, and the first pivot below the top row
 @example(ExactMatrix.from_rows([[0, 0, 1], [0, 2, 3], [0, 4, F(6, 5)]]))
+@example(UNIT_THEN_NON_UNIT)
+@example(ZERO_MULTIPLIER_RESCALED)
+@example(ZERO_MULTIPLIER_KEPT)
+@example(SWAP_NEEDED)
 def test_rank_matches_fraction_reference(m):
     # an inexact division only shows in the rank after a few pivot steps
     assert rank(m) == ref.rref(m)[2]
@@ -233,6 +264,10 @@ def test_stored_form_is_canonical(m, k):
         [[10**30 + 1, F(10**30, 3), -1], [0, 0, 0], [F(-(10**30), 7), 2, F(1, 10**30 - 1)]]
     )
 )
+@example(_columns_reversed(UNIT_THEN_NON_UNIT))
+@example(_columns_reversed(ZERO_MULTIPLIER_RESCALED))
+@example(_columns_reversed(ZERO_MULTIPLIER_KEPT))
+@example(_columns_reversed(SWAP_NEEDED))
 def test_kernel_and_image_match_fraction_reference(m):
     # zero and invertible matrices give empty kernels or images
     assert kernel_basis(m).vectors == ref.kernel_basis(m)
@@ -319,3 +354,38 @@ def test_realified_and_is_eigenvalue_match_fraction_reference(case):
     assert (ranks[1] < m.rows) == ref.is_eigenvalue(m, re, im)
     if planted:
         assert ranks[1] < m.rows
+
+
+def _product_route_matrix(rng):
+    """verify.random_matrix with each similar matrix built as P·J·P⁻¹ from
+    the first P of rank d and linalg's product and inverse: the same draws
+    in the same order."""
+    d = rng.randint(2, 6)
+    if rng.random() < 0.3:
+        rows = [[0] * d for _ in range(d)]
+        i = 0
+        while i < d:
+            size = rng.randint(1, d - i)
+            ev = rng.choice(_JORDAN_EIGENVALUES)
+            for k in range(size):
+                rows[i + k][i + k] = ev
+                if k + 1 < size:
+                    rows[i + k][i + k + 1] = 1
+            i += size
+        j = ExactMatrix.from_rows(rows)
+        while True:
+            p = ExactMatrix(d, d, tuple(rng.randint(-2, 2) for _ in range(d * d)))
+            if rank(p) == d:
+                return p @ j @ inverse(p)
+    pairs = [(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(d * d)]
+    return ExactMatrix.from_ratios(d, d, pairs)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_random_matrix_matches_the_product_route(seed):
+    """The similar matrices read off one Gauss-Jordan equal the products,
+    and both generators leave the random state equal after every draw."""
+    new, old = Random(seed), Random(seed)
+    for _ in range(500):
+        assert random_matrix(new) == _product_route_matrix(old)
+        assert new.getstate() == old.getstate()

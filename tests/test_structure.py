@@ -3,6 +3,7 @@ from random import Random
 
 import pytest
 
+from fredprofile.catalog import CATALOG
 from fredprofile.extvals import INF, ExtIndex, ExtNat
 from fredprofile.linalg import ExactMatrix, kernel_basis, rank, restrict
 from fredprofile.model import (
@@ -18,11 +19,14 @@ from fredprofile.structure import (
     StructuralSummary,
     analyze_atom,
     analyze_expr,
+    assemble_analysis,
     drazin_inverse,
     gkd_pair,
     matrix_split,
 )
 from fredprofile.verify import (
+    _OFFSETS,
+    _catalog_parts,
     alpha_beta_core_oracle,
     index_with_nilpotent_regrouped,
     random_matrix,
@@ -209,12 +213,11 @@ def test_restriction_index_stabilizes_at_summary_index():
 
 
 def test_regrouping_invariance():
-    e = OperatorExpr.of(RIGHT_SHIFT, J3, QNIL_SHIFT)
-    assert index_with_nilpotent_regrouped(e, point(0)) == analyze_expr(e, point(0)).summary.index
-    e2 = OperatorExpr.of(LEFT_SHIFT, J2)
-    assert index_with_nilpotent_regrouped(e2, point(0)) == analyze_expr(e2, point(0)).summary.index
+    for e in (OperatorExpr.of(RIGHT_SHIFT, J3, QNIL_SHIFT), OperatorExpr.of(LEFT_SHIFT, J2)):
+        an = analyze_expr(e, point(0))
+        assert index_with_nilpotent_regrouped(an.parts) == an.summary.index
     with pytest.raises(ValueError):
-        index_with_nilpotent_regrouped(OperatorExpr.of(RIGHT_SHIFT), point(0))
+        index_with_nilpotent_regrouped(analyze_expr(OperatorExpr.of(RIGHT_SHIFT), point(0)).parts)
 
 
 def test_relation_between_p_q_and_defects():
@@ -263,3 +266,21 @@ def test_gkd_restrictions_recompose():
             blk = restrict(m, basis)
             assert blk.rows == basis.dim
     assert split.m_basis.dim + split.n_basis.dim == 3
+
+
+@pytest.mark.parametrize("lam", [point(0), *_OFFSETS], ids=lambda lam: f"{lam[0]},{lam[1]}")
+def test_catalog_parts_assemble_every_sum_and_power(lam):
+    """The index-laws and punctured suites' sums and powers, assembled from
+    each catalog atom's one analysis at lam, are analyze_expr's analyses of
+    them; 1/10 is the index laws' second point."""
+    parts = _catalog_parts(lam)
+    for e1 in CATALOG:
+        for e2 in CATALOG:
+            e = e1.expr + e2.expr
+            got = assemble_analysis(e, lam, parts[e1.name] + parts[e2.name])
+            want = analyze_expr(e, lam)
+            assert (got.full, got.summary) == (want.full, want.summary)
+        for k in range(1, 5):
+            got = assemble_analysis(e1.expr, lam, parts[e1.name], e1.power * k)
+            want = analyze_expr(e1.expr, lam, e1.power * k)
+            assert (got.full, got.summary) == (want.full, want.summary)
