@@ -71,52 +71,59 @@ def classify_analysis(an: ExprAnalysis) -> ClassificationRecord:
     full: StructuralProfile = an.full
     s = an.summary
     idx = s.index
-    a1 = full.a.at(1)
-    r1 = full.r.at(1)
+    a1 = full.a.at(1).value
+    r1 = full.r.at(1).value
     closed1 = full.range_closed
     # the summary is defined exactly where pf is
     pf = full.is_pseudofredholm_point
-
-    f: dict[str, bool] = {}
-    f["invertible"] = a1 == ZERO and r1 == ZERO
-    f["bounded_below"] = a1 == ZERO and closed1
-    f["surjective"] = r1 == ZERO
-    f["upper_semi_fredholm"] = closed1 and a1.is_finite
-    f["lower_semi_fredholm"] = closed1 and r1.is_finite
-    f["fredholm"] = f["upper_semi_fredholm"] and f["lower_semi_fredholm"]
-    f["weyl"] = f["fredholm"] and idx.is_zero()
-    f["upper_semi_weyl"] = f["upper_semi_fredholm"] and idx.le_zero()
-    f["lower_semi_weyl"] = f["lower_semi_fredholm"] and idx.ge_zero()
-    f["semi_regular"] = closed1 and s.dis == ZERO
-    f["quasi_nilpotent"] = full.is_quasinilpotent
-    f["nilpotent"] = full.nilpotency_degree.is_finite
-    f["upper_pseudo_semi_b_fredholm"] = pf and s.alpha.is_finite
-    f["lower_pseudo_semi_b_fredholm"] = pf and s.beta.is_finite
-    # the quasi-nilpotent side of (e - lam)^power is nilpotent exactly when
-    # every atom's piece is: a direct sum and a power keep finite degrees
-    f["b_fredholm"] = (
-        f["upper_pseudo_semi_b_fredholm"]
-        and f["lower_pseudo_semi_b_fredholm"]
+    upper_sf = closed1 and a1 is not None
+    lower_sf = closed1 and r1 is not None
+    fredholm = upper_sf and lower_sf
+    upper_psbf = pf and s.alpha.is_finite
+    lower_psbf = pf and s.beta.is_finite
+    psbf = upper_psbf and lower_psbf
+    left_gd = pf and s.p.value == 0
+    right_gd = pf and s.q.value == 0
+    return ClassificationRecord(
+        a1 == 0 and r1 == 0,  # invertible
+        a1 == 0 and closed1,  # bounded_below
+        r1 == 0,  # surjective
+        upper_sf,
+        lower_sf,
+        fredholm,
+        fredholm and idx.is_zero(),  # weyl
+        upper_sf and idx.le_zero(),  # upper_semi_weyl
+        lower_sf and idx.ge_zero(),  # lower_semi_weyl
+        closed1 and s.dis.value == 0,  # semi_regular
+        full.is_quasinilpotent,
+        full.nilpotency_degree.is_finite,  # nilpotent
+        # b_fredholm: the quasi-nilpotent side of (e - lam)^power is
+        # nilpotent exactly when every atom's piece is: a direct sum and a
+        # power keep finite degrees
+        psbf
         and all(
             p.n_profile.nilpotency_degree.is_finite
             for p in an.parts
             if p.n_profile is not None
-        )
+        ),
+        # upper (lower) semi-B-Fredholm: some n with R(S^n) and R(S^(n+1))
+        # closed and c_n (b_n) finite. R(S^n) is closed at every n >= 1 or
+        # only at n = 0 (StructuralProfile), so that is the bit and a finite
+        # value at any n.
+        closed1 and _has_finite_value(full.c),
+        closed1 and _has_finite_value(full.b),
+        pf,  # pseudo_fredholm
+        upper_psbf,
+        lower_psbf,
+        psbf,  # pseudo_b_fredholm
+        upper_psbf and idx.le_zero(),  # upper_pseudo_semi_b_weyl
+        lower_psbf and idx.ge_zero(),  # lower_pseudo_semi_b_weyl
+        psbf and idx.is_zero(),  # pseudo_b_weyl
+        left_gd,
+        right_gd,
+        left_gd and right_gd,  # gen_drazin
+        s,
     )
-    # semi-B-Fredholm: some n with R(S^n) and R(S^(n+1)) closed and c_n (b_n)
-    # finite. R(S^n) is closed at every n >= 1 or only at n = 0
-    # (StructuralProfile), so that is the bit and a finite value at any n.
-    f["upper_semi_b_fredholm"] = closed1 and _has_finite_value(full.c)
-    f["lower_semi_b_fredholm"] = closed1 and _has_finite_value(full.b)
-    f["pseudo_fredholm"] = pf
-    f["pseudo_b_fredholm"] = f["upper_pseudo_semi_b_fredholm"] and f["lower_pseudo_semi_b_fredholm"]
-    f["upper_pseudo_semi_b_weyl"] = f["upper_pseudo_semi_b_fredholm"] and idx.le_zero()
-    f["lower_pseudo_semi_b_weyl"] = f["lower_pseudo_semi_b_fredholm"] and idx.ge_zero()
-    f["pseudo_b_weyl"] = f["pseudo_b_fredholm"] and idx.is_zero()
-    f["left_gen_drazin"] = pf and s.p == ZERO
-    f["right_gen_drazin"] = pf and s.q == ZERO
-    f["gen_drazin"] = f["left_gen_drazin"] and f["right_gen_drazin"]
-    return ClassificationRecord(**f, summary=s)
 
 
 # a => b

@@ -112,18 +112,29 @@ def _usage(args, parse, text: str):
         args.parser.error(str(exc))
 
 
+# read_document reads at most this many bytes at a time: one read of the
+# whole bound would allocate it, 1 MiB, for a document of a few hundred bytes
+_READ_CHUNK = 1 << 16
+
+
 def read_document(path: str):
     """The document in file path; DocumentError names what is wrong."""
     # one byte past the limit is enough to tell that a document is too long
+    chunks, size = [], 0
     try:
         with open(path, "rb") as fh:
-            data = fh.read(MAX_DOCUMENT_BYTES + 1)
+            while size <= MAX_DOCUMENT_BYTES:
+                chunk = fh.read(min(_READ_CHUNK, MAX_DOCUMENT_BYTES + 1 - size))
+                if not chunk:
+                    break
+                chunks.append(chunk)
+                size += len(chunk)
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from None
-    if len(data) > MAX_DOCUMENT_BYTES:
+    if size > MAX_DOCUMENT_BYTES:
         raise DocumentError(f"{path} is larger than {MAX_DOCUMENT_BYTES} bytes")
     try:
-        text = data.decode("utf-8")
+        text = b"".join(chunks).decode("utf-8")
     except UnicodeDecodeError as exc:
         raise DocumentError(f"{path} is not UTF-8: {exc}") from None
     return parse_document(text)
@@ -141,15 +152,26 @@ def _write_slices(fh, text: str):
         fh.write(text[i : i + WRITE_SLICE])
 
 
+class _ClosedStdout:
+    """Stdout of a process started with stdout closed, where Python leaves
+    sys.stdout None and print drops its text: a write fails as on a closed
+    descriptor. entry installs it; _emit writes to it for a None stdout."""
+
+    def write(self, text: str):
+        raise OSError(errno.EBADF, "stdout is closed")
+
+    def flush(self):
+        pass
+
+
 def _emit(text: str, outfile: str | None = None):
     """Write text to outfile, or to stdout when it is None. Stdout is flushed
     here, so that a failed write is an OutputError and not an error at exit."""
     try:
         if outfile is None:
-            if sys.stdout is None:  # the process started with stdout closed
-                raise OSError(errno.EBADF, "stdout is closed")
-            _write_slices(sys.stdout, text)
-            sys.stdout.flush()
+            out = _ClosedStdout() if sys.stdout is None else sys.stdout
+            _write_slices(out, text)
+            out.flush()
         else:
             with open(outfile, "w", encoding="utf-8") as fh:
                 _write_slices(fh, text)
@@ -225,14 +247,17 @@ def entry(run=main):
     """Exit with the code of run(), main or a demo's main. A write to stdout
     that fails, in run or in the flush after it, is one "error: cannot
     write stdout: ..." line and exit 7, unless run has failed and reported
-    its own error (main reports its writes' as an OutputError). Every other
-    failure reaches run as a FredprofileError, so an OSError out of run is
-    a failed write to stdout."""
+    its own error (main reports its writes' as an OutputError). So is a
+    print to a stdout closed at start. Every other failure reaches run as a
+    FredprofileError, so an OSError out of run is a failed write to
+    stdout."""
+    closed = sys.stdout is None
+    if closed:
+        sys.stdout = _ClosedStdout()
     code = None
     try:
         code = run()
-        if sys.stdout is not None:
-            sys.stdout.flush()
+        sys.stdout.flush()
     except OSError as exc:
         if not code:
             err = OutputError(f"cannot write stdout: {exc}")
@@ -241,9 +266,10 @@ def entry(run=main):
         # a failed write leaves its bytes in stdout's buffer; the flush at
         # interpreter exit would fail on them again, print a second error and
         # exit 120. Stdout is pointed at devnull, so that they go nowhere.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        if not closed:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
     sys.exit(code)
 
 

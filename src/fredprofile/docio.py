@@ -122,6 +122,9 @@ def _parse_ratio(value: object) -> tuple[int, int]:
         raise DocumentError(f"not a rational string: {exc}") from None
 
 
+_TOO_LONG = "rational too long to print: more digits than Python's int-string limit"
+
+
 def _ratio_str(n: int, d: int) -> str:
     """The "p" or "p/q" text of n/d, d > 0, as str(Fraction(n, d)) gives
     it. A numerator or denominator longer than Python's int-string limit
@@ -132,9 +135,7 @@ def _ratio_str(n: int, d: int) -> str:
     try:
         return str(n) if d == 1 else f"{n}/{d}"
     except ValueError:
-        raise OutputError(
-            "rational too long to print: more digits than Python's int-string limit"
-        ) from None
+        raise OutputError(_TOO_LONG) from None
 
 
 def rational_str(q: Fraction) -> str:
@@ -144,9 +145,18 @@ def rational_str(q: Fraction) -> str:
 
 def matrix_rows(m: ExactMatrix) -> list[list[str]]:
     """The rendered entries of m, row by row, straight from its integer
-    numerators and common denominator."""
+    numerators and common denominator: over a denominator 1 each is its
+    numerator's str, otherwise a zero is "0" and any other entry its
+    _ratio_str. Past the int-string limit this raises OutputError."""
     c, den = m.cols, m.den
-    return [[_ratio_str(x, den) for x in m.num[i * c : (i + 1) * c]] for i in range(m.rows)]
+    if den == 1:
+        try:
+            cells = list(map(str, m.num))
+        except ValueError:
+            raise OutputError(_TOO_LONG) from None
+    else:
+        cells = [_ratio_str(x, den) if x else "0" for x in m.num]
+    return [cells[i * c : (i + 1) * c] for i in range(m.rows)]
 
 
 @dataclass(frozen=True)

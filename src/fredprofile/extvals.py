@@ -206,28 +206,25 @@ class EvAffineSeq:
     tail_slope: int = 0
 
     def __post_init__(self):
+        slope, base, pfx = self.tail_slope, self.tail_base, self.prefix
         # exact type, as for ExtNat: bool is an int subclass but never a slope
-        if type(self.tail_slope) is not int or self.tail_slope < 0:
-            raise ValueError(f"tail slope must be a natural: {self.tail_slope!r}")
-        if not self.tail_base.is_finite and self.tail_slope != 0:
+        if type(slope) is not int or slope < 0:
+            raise ValueError(f"tail slope must be a natural: {slope!r}")
+        if not base.is_finite and slope != 0:
             raise ValueError("infinite tail must have slope 0")
-        pfx = list(self.prefix)
-        base = self.tail_base
-        while pfx:
-            if base.is_finite:
-                prev = base.value - self.tail_slope
-                if prev < 0:
-                    break
-                cand = ExtNat(prev)
-            else:
-                cand = INF
-            if pfx[-1] == cand:
-                pfx.pop()
-                base = cand
-            else:
+        if type(pfx) is not tuple:
+            pfx = tuple(pfx)
+            object.__setattr__(self, "prefix", pfx)
+        # drop each last entry that equals the tail extended one step back
+        n, v = len(pfx), base.value
+        while n:
+            last, prev = pfx[n - 1], v - slope if slope else v
+            if last.__class__ is not ExtNat or last.value != prev:
                 break
-        object.__setattr__(self, "prefix", tuple(pfx))
-        object.__setattr__(self, "tail_base", base)
+            n, v = n - 1, prev
+        if n < len(pfx):
+            object.__setattr__(self, "prefix", pfx[:n])
+            object.__setattr__(self, "tail_base", pfx[n])
 
     @property
     def tail_start(self) -> int:
@@ -238,16 +235,16 @@ class EvAffineSeq:
             raise ValueError("negative position")
         if n < len(self.prefix):
             return self.prefix[n]
-        if not self.tail_base.is_finite:
-            return INF
+        if not self.tail_slope:
+            return self.tail_base
         return ExtNat(self.tail_base.value + self.tail_slope * (n - len(self.prefix)))
 
     def add(self, other: "EvAffineSeq") -> "EvAffineSeq":
         """The pointwise sum. The zero sequence, matched by value, is
         neutral: the sum is then the other operand itself."""
-        if self == ZERO_SEQ:
+        if _is_zero(self):
             return other
-        if other == ZERO_SEQ:
+        if _is_zero(other):
             return self
         s = max(self.tail_start, other.tail_start)
         prefix = tuple(self.at(i) + other.at(i) for i in range(s))
@@ -277,13 +274,14 @@ class EvAffineSeq:
         """n -> at(n) - at(n+1) for a nonincreasing sequence."""
         if self.tail_slope > 0:
             raise ValueError("diff is for nonincreasing sequences")
-        prefix = tuple(self.at(i).sub(self.at(i + 1)) for i in range(self.tail_start))
-        return EvAffineSeq(prefix, ZERO, 0)
+        vals = self.prefix + (self.tail_base,)
+        return EvAffineSeq(tuple(a.sub(b) for a, b in zip(vals, vals[1:])), ZERO, 0)
 
     def steps(self) -> "EvAffineSeq":
         """n -> at(n+1) - at(n) for a nondecreasing sequence, infinite where
         at(n+1) is."""
-        prefix = tuple(self.at(i + 1).sub(self.at(i)) for i in range(self.tail_start))
+        vals = self.prefix + (self.tail_base,)
+        prefix = tuple(b.sub(a) for a, b in zip(vals, vals[1:]))
         base = ExtNat(self.tail_slope) if self.tail_base.is_finite else INF
         return EvAffineSeq(prefix, base, 0)
 
@@ -305,6 +303,11 @@ class EvAffineSeq:
         elif c < 0:
             s += f" - {-c}"
         return f"{s} for n >= {start}"
+
+
+def _is_zero(s: EvAffineSeq) -> bool:
+    # canonical form: the zero sequence has no prefix and a tail of 0, slope 0
+    return not s.prefix and not s.tail_slope and s.tail_base.value == 0
 
 
 ZERO_SEQ = EvAffineSeq((), ZERO, 0)

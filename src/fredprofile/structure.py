@@ -112,8 +112,7 @@ class StructuralSummary:
     dis: ExtNat
 
     def __post_init__(self):
-        present = [self.alpha, self.beta, self.p, self.q]
-        if any(v is None for v in present) != all(v is None for v in present):
+        if not (self.alpha is None) == (self.beta is None) == (self.p is None) == (self.q is None):
             raise ValueError("summary fields must be all defined or all undefined")
         if self.alpha is not None:
             if self.index != ExtIndex.from_alpha_beta(self.alpha, self.beta):
@@ -309,9 +308,11 @@ def assemble_analysis(
     if not full.is_pseudofredholm_point:
         summary = StructuralSummary(None, None, None, None, UNDEF_INDEX, dis)
         return ExprAnalysis(e, lam, power, parts, full, summary)
-    m_profs = [p.m_profile for p in parts if p.m_profile is not None]
-    alpha = sum((m.a.at(power) for m in m_profs), ZERO)
-    beta = sum((m.r.at(power) for m in m_profs), ZERO)
+    alpha = beta = ZERO
+    for p in parts:
+        m = p.m_profile
+        if m is not None:
+            alpha, beta = alpha + m.a.at(power), beta + m.r.at(power)
     summary = StructuralSummary(
         alpha=alpha,
         beta=beta,

@@ -331,15 +331,19 @@ def suite_gkd(cases: int, seed: int) -> SuiteResult:
     return res
 
 
-def _catalog_parts(lam: Point) -> dict[str, tuple[AtomAnalysis, ...]]:
+def _catalog_parts(lam: Point, dual: bool = False) -> dict[str, tuple[AtomAnalysis, ...]]:
     """The analyses at lam of each catalog entry's atoms, by entry name,
-    each distinct atom analysed once."""
+    each distinct atom analysed once; with dual, also those of each
+    entry's dual (model.dual_expr), by the name with "*" appended."""
+    exprs = {e.name: e.expr for e in CATALOG}
+    if dual:
+        exprs |= {e.name + "*": dual_expr(e.expr) for e in CATALOG}
     done: dict[Atom, AtomAnalysis] = {}
-    for e in CATALOG:
-        for a in e.expr.atoms:
+    for x in exprs.values():
+        for a in x.atoms:
             if a not in done:
                 done[a] = analyze_atom(a, lam)
-    return {e.name: tuple(done[a] for a in e.expr.atoms) for e in CATALOG}
+    return {name: tuple(done[a] for a in x.atoms) for name, x in exprs.items()}
 
 
 def suite_index_laws(cases: int, seed: int) -> SuiteResult:
@@ -399,9 +403,10 @@ def suite_index_laws(cases: int, seed: int) -> SuiteResult:
 def suite_duality(cases: int, seed: int) -> SuiteResult:
     res = SuiteResult("duality", cases)
     rng = _suite_rng(seed, "duality")
+    parts = _catalog_parts(point(0), dual=True)
     for e in CATALOG:
-        s = analyze_expr(e.expr, point(0), e.power).summary
-        ds = analyze_expr(dual_expr(e.expr), point(0), e.power).summary
+        s = assemble_analysis(e.expr, point(0), parts[e.name], e.power).summary
+        ds = assemble_analysis(dual_expr(e.expr), point(0), parts[e.name + "*"], e.power).summary
         ok = s.alpha == ds.beta and s.beta == ds.alpha
         res.check("defect_swap", ok, 0, 0, e.name, "alpha/beta do not swap under duality", 2)
         ok = s.p == ds.q and s.q == ds.p

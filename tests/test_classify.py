@@ -167,17 +167,23 @@ _ENUMERATED_POINTS = (
 )
 
 
-def _enumerated_records():
-    """classify at every point of _ENUMERATED_POINTS, powers 1-3, of every
-    direct sum of 1-3 atoms of _FAMILY and of 4-6 atoms of the shifts and
-    [[0]], drawn with repetition."""
+def _enumerated_cases():
+    """(e, lam, power) for every point of _ENUMERATED_POINTS, powers 1-3,
+    and every direct sum e of 1-3 atoms of _FAMILY and of 4-6 atoms of the
+    shifts and [[0]], drawn with repetition."""
     sums = [c for k in (1, 2, 3) for c in combinations_with_replacement(_FAMILY, k)]
     sums += [c for k in (4, 5, 6) for c in combinations_with_replacement(_SHIFTS + (_ZERO_1,), k)]
     for atoms in sums:
         e = OperatorExpr(atoms)
         for lam in _ENUMERATED_POINTS:
             for power in (1, 2, 3):
-                yield classify(e, lam, power)
+                yield e, lam, power
+
+
+def _enumerated_records():
+    """classify at every case of _enumerated_cases."""
+    for case in _enumerated_cases():
+        yield classify(*case)
 
 
 def _record_shape(rec):
@@ -224,6 +230,72 @@ def test_enumeration_catches_a_flipped_flag(monkeypatch):
     bad = next(rec for rec in _enumerated_records() if check_lattice(rec))
     assert bad.fredholm
     assert "weyl <=> fredholm and index.is_zero()" in check_lattice(bad)
+
+
+def _reference_classify_analysis(an):
+    """classify_analysis as it was written with a dict of flags, kept as the
+    reference for the one that builds the record from locals."""
+    full, s = an.full, an.summary
+    idx, a1, r1, closed1 = s.index, full.a.at(1), full.r.at(1), full.range_closed
+    pf = full.is_pseudofredholm_point
+
+    def has_finite_value(chain):
+        return chain.tail_base.is_finite or any(v.is_finite for v in chain.prefix)
+
+    f = {}
+    f["invertible"] = a1 == ZERO and r1 == ZERO
+    f["bounded_below"] = a1 == ZERO and closed1
+    f["surjective"] = r1 == ZERO
+    f["upper_semi_fredholm"] = closed1 and a1.is_finite
+    f["lower_semi_fredholm"] = closed1 and r1.is_finite
+    f["fredholm"] = f["upper_semi_fredholm"] and f["lower_semi_fredholm"]
+    f["weyl"] = f["fredholm"] and idx.is_zero()
+    f["upper_semi_weyl"] = f["upper_semi_fredholm"] and idx.le_zero()
+    f["lower_semi_weyl"] = f["lower_semi_fredholm"] and idx.ge_zero()
+    f["semi_regular"] = closed1 and s.dis == ZERO
+    f["quasi_nilpotent"] = full.is_quasinilpotent
+    f["nilpotent"] = full.nilpotency_degree.is_finite
+    f["upper_pseudo_semi_b_fredholm"] = pf and s.alpha.is_finite
+    f["lower_pseudo_semi_b_fredholm"] = pf and s.beta.is_finite
+    f["b_fredholm"] = (
+        f["upper_pseudo_semi_b_fredholm"]
+        and f["lower_pseudo_semi_b_fredholm"]
+        and all(
+            p.n_profile.nilpotency_degree.is_finite
+            for p in an.parts
+            if p.n_profile is not None
+        )
+    )
+    f["upper_semi_b_fredholm"] = closed1 and has_finite_value(full.c)
+    f["lower_semi_b_fredholm"] = closed1 and has_finite_value(full.b)
+    f["pseudo_fredholm"] = pf
+    f["pseudo_b_fredholm"] = f["upper_pseudo_semi_b_fredholm"] and f["lower_pseudo_semi_b_fredholm"]
+    f["upper_pseudo_semi_b_weyl"] = f["upper_pseudo_semi_b_fredholm"] and idx.le_zero()
+    f["lower_pseudo_semi_b_weyl"] = f["lower_pseudo_semi_b_fredholm"] and idx.ge_zero()
+    f["pseudo_b_weyl"] = f["pseudo_b_fredholm"] and idx.is_zero()
+    f["left_gen_drazin"] = pf and s.p == ZERO
+    f["right_gen_drazin"] = pf and s.q == ZERO
+    f["gen_drazin"] = f["left_gen_drazin"] and f["right_gen_drazin"]
+    return ClassificationRecord(**f, summary=s)
+
+
+def _equal_records(got, want):
+    # == on the dataclass, and every flag the same bool, not just equal
+    assert got == want
+    assert all(type(v) is bool for v in got.flags().values())
+
+
+def test_classify_analysis_matches_the_dict_reference_on_the_enumeration():
+    for case in _enumerated_cases():
+        an = analyze_expr(*case)
+        _equal_records(classify_analysis(an), _reference_classify_analysis(an))
+
+
+def test_classify_analysis_matches_the_dict_reference_on_the_catalog():
+    for lam in (point(0), point(F(1, 10)), point(0, F(1, 2))):
+        for e in CATALOG:
+            an = analyze_expr(e.expr, lam, e.power)
+            _equal_records(classify_analysis(an), _reference_classify_analysis(an))
 
 
 def test_semi_b_fredholm_iff_semi_fredholm_plus_nilpotent_split():

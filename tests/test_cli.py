@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -24,6 +25,7 @@ from fredprofile.docio import (
     MAX_MATRIX_DIM,
     AnalysisReport,
     OperatorDocument,
+    parse_document,
     serialize_document,
 )
 from fredprofile.extvals import ExtIndex, ExtNat, ratio_numeral
@@ -171,7 +173,35 @@ def test_document_past_the_size_limit_is_exit_2(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err == (
         f"error: {f} is larger than {MAX_DOCUMENT_BYTES} bytes\n"
     )
-    assert sizes == [MAX_DOCUMENT_BYTES + 1]
+    assert sum(sizes) == MAX_DOCUMENT_BYTES + 1
+
+
+@pytest.mark.parametrize(
+    "kind",
+    ["file", pytest.param("fifo", marks=pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no fifos"))],
+)
+def test_document_of_several_read_chunks_parses_as_its_text(tmp_path, kind):
+    # past one 64 KiB read but under the limit, with two-byte characters
+    # across the chunk boundaries, from a regular file and from a fifo
+    text = json.dumps(
+        {"name": "\u03bb" * 50_000, "atoms": [{"type": "right_shift"}, {"type": "qnil_shift"}]},
+        ensure_ascii=False,
+    ) + " " * 100_000
+    data = text.encode("utf-8")
+    assert 2 * 65536 < len(data) < MAX_DOCUMENT_BYTES
+    f = tmp_path / "op.json"
+    if kind == "file":
+        f.write_bytes(data)
+        assert cli.read_document(str(f)) == parse_document(text)
+        return
+    os.mkfifo(f)
+    writer = threading.Thread(target=f.write_bytes, args=(data,), daemon=True)
+    writer.start()
+    try:
+        assert cli.read_document(str(f)) == parse_document(text)
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
 
 
 def test_document_not_in_utf8_is_exit_2(tmp_path, capsys):
@@ -1022,6 +1052,31 @@ def test_entry_reports_a_failed_stdout_write_once(monkeypatch, capsys, tmp_path,
     assert capsys.readouterr().err == (
         f"error: cannot write stdout: [Errno {errno.ENOSPC}] No space left on device\n"
     )
+
+
+@pytest.mark.parametrize("run", ["demo", "cli", "silent"])
+def test_entry_reports_a_print_to_a_closed_stdout(monkeypatch, capsys, run):
+    # a process started with stdout closed has sys.stdout None, where print
+    # drops its text: a run that prints is exit 7 with one error line, as
+    # the CLI's own write is; a run that prints nothing is not an error
+    def demo():
+        print("a table")
+        return 0
+
+    runs = {
+        "demo": demo,
+        "cli": lambda: main(["verify", "--suite", "chains", "--cases", "2"]),
+        "silent": lambda: 0,
+    }
+    monkeypatch.setattr(sys, "stdout", None)
+    with pytest.raises(SystemExit) as exc:
+        entry(runs[run])
+    err = capsys.readouterr().err
+    if run == "silent":
+        assert exc.value.code == 0 and err == ""
+    else:
+        assert exc.value.code == 7
+        assert err == f"error: cannot write stdout: [Errno {errno.EBADF}] stdout is closed\n"
 
 
 def test_verify_violation_with_failed_stdout_write_is_exit_7(monkeypatch, capsys):

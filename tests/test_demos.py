@@ -1,6 +1,7 @@
 """The documented demo invocations, run as scripts: their stdout must
 match the outputs recorded in tests/demo_outputs byte for byte. README's
 library quick start, run as written, must print what its comments say."""
+import errno
 import json
 import os
 import subprocess
@@ -141,6 +142,27 @@ def test_demo_unwritable_stdout_is_exit_7(script, buffered):
     assert proc.returncode == 7
     lines = proc.stderr.decode().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: cannot write stdout: "), proc.stderr
+
+
+@pytest.mark.parametrize(
+    "script", ["chain_profiles.py", "classification_table.py", "spectrum_regions.py"]
+)
+def test_demo_closed_stdout_is_exit_7(script):
+    # started with stdout closed, sys.stdout is None and print drops its
+    # text; the demo's first print is the CLI's exit code and one error line
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(fredprofile.__file__))
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / script)],
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        env=env,
+        # runs in the child after devnull is made its stdout
+        preexec_fn=lambda: os.close(1),
+    )
+    assert proc.returncode == 7
+    assert proc.stderr.decode() == f"error: cannot write stdout: [Errno {errno.EBADF}] stdout is closed\n"
 
 
 def test_readme_quick_start_prints_its_comments(capsys):

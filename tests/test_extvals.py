@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -253,3 +255,62 @@ def test_neutral_operands_are_matched_by_value():
     zero = EvAffineSeq((ExtNat(0), ExtNat(0)), ExtNat(0), 0)
     assert zero == ZERO_SEQ and zero is not ZERO_SEQ
     assert LINEAR_SEQ.add(zero) is LINEAR_SEQ and zero.add(LINEAR_SEQ) is LINEAR_SEQ
+
+
+def _reference_canonical(prefix, base, slope):
+    """(prefix, tail_base) of EvAffineSeq(prefix, base, slope) as the
+    constructor built them by popping a list, or its ValueError: the
+    reference for the one-pass constructor."""
+    if type(slope) is not int or slope < 0:
+        raise ValueError(f"tail slope must be a natural: {slope!r}")
+    if not base.is_finite and slope != 0:
+        raise ValueError("infinite tail must have slope 0")
+    pfx = list(prefix)
+    while pfx:
+        if base.is_finite:
+            prev = base.value - slope
+            if prev < 0:
+                break
+            cand = ExtNat(prev)
+        else:
+            cand = INF
+        if pfx[-1] == cand:
+            pfx.pop()
+            base = cand
+        else:
+            break
+    return tuple(pfx), base
+
+
+def _tail_back(base, slope, k):
+    """The k entries before position 0 of the tail base + slope*n, as far
+    as they are naturals."""
+    if not base.is_finite:
+        return (INF,) * k
+    vals = [base.value - slope * j for j in range(k, 0, -1)]
+    return tuple(ExtNat(v) for v in vals if v >= 0)
+
+
+@settings(max_examples=300)
+@given(
+    st.lists(small_nat | st.just(INF), max_size=4).map(tuple),
+    small_nat | st.just(INF),
+    st.integers(0, 3) | st.sampled_from([-1, -3, True, False, 0.0, 1.5, "1", None]),
+    st.integers(0, 4),
+    st.sampled_from([tuple, list, iter]),
+)
+def test_seq_constructor_matches_reference_canonicalizer(prefix, base, slope, pad, container):
+    # prefixes already canonical and ones that repeat the tail extended back
+    # for up to pad more entries; finite and infinite tails, slopes 0-3, and
+    # slopes that are no natural int or that an infinite tail refuses
+    padded = prefix + (_tail_back(base, slope, pad) if type(slope) is int and slope >= 0 else ())
+    try:
+        want = _reference_canonical(padded, base, slope)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            EvAffineSeq(container(padded), base, slope)
+        return
+    seq = EvAffineSeq(container(padded), base, slope)
+    assert (seq.prefix, seq.tail_base, seq.tail_slope) == (*want, slope)
+    assert type(seq.prefix) is tuple
+    assert seq == EvAffineSeq(want[0], want[1], slope)

@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -16,7 +17,7 @@ from fredprofile.docio import (
     rational_str,
     serialize_document,
 )
-from fredprofile.errors import DocumentError
+from fredprofile.errors import DocumentError, OutputError
 from fredprofile.linalg import ExactMatrix, SubspaceBasis, exact_rational
 from fredprofile.model import (
     LEFT_SHIFT,
@@ -43,6 +44,27 @@ def test_parse_rational():
     assert exact_rational("-7") == F(-7)
     assert exact_rational("-10/4") == F(-5, 2)
     assert rational_str(F(-5, 2)) == "-5/2"
+
+
+@settings(max_examples=100)
+@given(
+    st.integers(1, 3).flatmap(lambda n: st.lists(st.integers(-20, 20), min_size=n * n, max_size=n * n)),
+    st.sampled_from([1, 2, 6, 7]),
+)
+def test_matrix_rows_render_each_entry_as_its_fraction(nums, den):
+    # zeros, a denominator 1 and entries that share a factor with it
+    n = math.isqrt(len(nums))
+    m = ExactMatrix(n, n, tuple(nums), den)
+    want = [[rational_str(F(x, den)) for x in nums[i * n : (i + 1) * n]] for i in range(n)]
+    assert docio.matrix_rows(m) == want
+
+
+@pytest.mark.parametrize("den", [1, 3])
+def test_matrix_rows_past_the_int_string_limit_is_an_output_error(den):
+    # a 5000-digit numerator, over a denominator 1 and over 3
+    m = ExactMatrix(2, 2, (0, 10**4999 + 1, 1, 2), den)
+    with pytest.raises(OutputError, match="^rational too long to print"):
+        docio.matrix_rows(m)
 
 
 REJECTED = [

@@ -3,6 +3,7 @@ from random import Random
 
 import pytest
 
+from fredprofile import verify
 from fredprofile.catalog import CATALOG
 from fredprofile.extvals import INF, ExtIndex, ExtNat
 from fredprofile.linalg import ExactMatrix, kernel_basis, rank, restrict
@@ -11,6 +12,7 @@ from fredprofile.model import (
     OperatorExpr,
     QNIL_SHIFT,
     RIGHT_SHIFT,
+    dual_expr,
     matrix_atom,
     matrix_chain_data,
     point,
@@ -283,4 +285,20 @@ def test_catalog_parts_assemble_every_sum_and_power(lam):
         for k in range(1, 5):
             got = assemble_analysis(e1.expr, lam, parts[e1.name], e1.power * k)
             want = analyze_expr(e1.expr, lam, e1.power * k)
+            assert (got.full, got.summary) == (want.full, want.summary)
+
+
+def test_catalog_parts_of_the_duals_analyse_each_atom_once(monkeypatch):
+    """The duality suite's parts: each catalog entry's and its dual's, by the
+    entry's name and the name with "*", assemble to analyze_expr's
+    analyses, from one analysis per distinct atom (10 at 0: the 7 catalog
+    atoms and the 3 transposed Jordan blocks)."""
+    calls = []
+    monkeypatch.setattr(verify, "analyze_atom", lambda a, lam: calls.append(a) or analyze_atom(a, lam))
+    parts = _catalog_parts(point(0), dual=True)
+    assert len(calls) == len(set(calls)) == 10
+    for e in CATALOG:
+        for name, expr in ((e.name, e.expr), (e.name + "*", dual_expr(e.expr))):
+            got = assemble_analysis(expr, point(0), parts[name], e.power)
+            want = analyze_expr(expr, point(0), e.power)
             assert (got.full, got.summary) == (want.full, want.summary)
